@@ -135,6 +135,8 @@ def _parse_turn_based(doc: dict) -> TurnBasedGame:
         succ = edges_doc.get(s)
         if not isinstance(succ, list) or not succ:
             raise GameFormatError(f"edges[{s!r}] must be a nonempty list")
+        if not all(isinstance(t, str) for t in succ):
+            raise GameFormatError(f"edges[{s!r}]: successor ids must be strings")
         edges[s] = tuple(succ)
     prob_doc = doc.get("prob", {})
     if not isinstance(prob_doc, dict):

@@ -3,8 +3,9 @@
 A small dense two-phase primal simplex with Bland's rule.  Every pivot is
 performed in `fractions.Fraction` arithmetic, so optimal values and optimal
 points are exact and the algorithm cannot cycle.  The problems solved here
-are tiny (matrix games, per-state feasibility checks, reachability systems
-of a handful of variables), so a dense tableau is the right tool.
+are tiny (one-step matrix games and the per-state feasibility checks of the
+non-local safety step), so a dense tableau is the right tool.  MDP values
+do not come from here: `mdp.max_reach_values` uses policy iteration.
 
 All variables are nonnegative; callers split free variables themselves.
 """

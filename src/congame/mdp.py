@@ -2,10 +2,11 @@
 
 Fixing a player-1 selector turns a concurrent game into a player-2 MDP.
 Everything the improvement algorithms need from that MDP lives here: exact
-maximal reachability values (linear program over rationals), maximal end
-component decomposition, properness checks, and the qualitative winning-set
-computations (value-zero states for reachability, almost-sure safety, and
-the attractor construction on turn-based games).
+maximal reachability values (policy iteration, each policy solved by exact
+rational elimination), maximal end component decomposition, properness
+checks, and the qualitative winning-set computations (value-zero states for
+reachability, almost-sure safety, and the attractor construction on
+turn-based games).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linprog import GEQ, solve_lp
 from .model import (
     GameStructure,
     GameError,
@@ -158,61 +158,140 @@ def mec_decomposition(mdp: InducedMDP) -> EndComponentSet:
 
 
 def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fraction]:
-    """Exact maximal probabilities of reaching ``targets``.
+    """Exact maximal probabilities of reaching ``targets``, by policy iteration.
 
-    Least solution of the standard reachability linear program; states with
-    no path to the target are fixed to zero first, which keeps the program
-    small and its optimum unique.
+    States with no path to the target are fixed to zero first.  The rest
+    (the free states) start from the attractor policy: each takes the first
+    action, in action order, with a successor attracted toward the target in
+    an earlier round, so every chain of that policy is absorbed.  Each
+    policy is evaluated exactly (``_policy_values``) and a state switches to
+    its best action only when that action is strictly better than the
+    current one; the loop stops when no state switches.
+
+    No end-component collapse is needed, for two reasons.  Strict switching
+    keeps the policy proper: take a closed class of the new policy among
+    the free states and its states of largest old value.  None of them can
+    have switched, since a switch needs an action whose expected old value
+    beats the state's own and no successor in the class has a larger one.
+    So they kept their old action, all its successors have that same
+    largest value, and the set of them was closed under the old policy too,
+    which contradicts the old policy being proper.  And the fixpoint reached
+    is the value of a proper policy, so at most the optimum, and a Bellman
+    fixpoint, so at least the least fixpoint, which is the optimum: the
+    least solution of the reachability linear program.
     """
     targets = set(targets) & set(mdp.states)
-    # Backward reachability: which states have any path into the target.
+    dist = mdp.delta2
     pred: dict[str, set[str]] = {s: set() for s in mdp.states}
     for s in mdp.states:
         for b in mdp.actions[s]:
             for t in mdp.dest(s, b):
                 pred[t].add(s)
-    can_reach = set(targets)
-    frontier = list(targets)
+    # Backward attractor, round by round; it is also the set of states with
+    # a path into the target.
+    policy: dict[str, str] = {}
+    attracted = set(targets)
+    frontier = attracted
     while frontier:
-        t = frontier.pop()
-        for s in pred[t]:
-            if s not in can_reach:
-                can_reach.add(s)
-                frontier.append(s)
-    values: dict[str, Fraction] = {}
-    for s in mdp.states:
-        if s in targets:
-            values[s] = ONE
-        elif s not in can_reach:
-            values[s] = ZERO
-    free = [s for s in mdp.states if s not in values]
-    if not free:
-        return values
-    col = {s: i for i, s in enumerate(free)}
-    n = len(free)
-    rows = []
-    senses = []
-    rhs = []
-    for s in free:
-        for b in mdp.actions[s]:
-            row = [ZERO] * n
-            row[col[s]] = ONE
-            shift = ZERO
-            for t, p in mdp.delta2[(s, b)].items():
-                if p == 0:
+        layer = {s for t in frontier for s in pred[t] if s not in attracted}
+        for s in layer:
+            policy[s] = next(
+                b
+                for b in mdp.actions[s]
+                if any(p > 0 and t in attracted for t, p in dist[(s, b)].items())
+            )
+        attracted |= layer
+        frontier = layer
+    values = {s: (ONE if s in targets else ZERO) for s in mdp.states}
+    free = [s for s in mdp.states if s in policy]
+    while True:
+        values.update(_policy_values(free, {s: dist[(s, policy[s])] for s in free}, values))
+        switched = False
+        for s in free:
+            best = values[s]
+            current = policy[s]
+            for b in mdp.actions[s]:
+                if b == current:
                     continue
-                if t in col:
-                    row[col[t]] -= p
+                q = ZERO
+                for t, p in dist[(s, b)].items():
+                    v = values[t]
+                    if v:
+                        q += p * v
+                if q > best:
+                    best = q
+                    policy[s] = b
+                    switched = True
+        if not switched:
+            return values
+
+
+def _policy_values(
+    free: list[str],
+    step: Mapping[str, Mapping[str, Fraction]],
+    fixed: Mapping[str, Fraction],
+) -> dict[str, Fraction]:
+    """Solve ``x_s = sum_t step[s][t] x_t`` for the free states exactly, with
+    ``x_t = fixed[t]`` for every other successor.
+
+    Sparse Gaussian elimination in ``Fraction`` arithmetic, eliminating the
+    free states in order, each by its own equation.  The chain must leave
+    the free states with probability one from everywhere, which makes
+    ``I - P_free`` a nonsingular M-matrix: every pivot met this way is
+    positive, so no row exchanges are needed.
+    """
+    index = set(free)
+    rows: dict[str, dict[str, Fraction]] = {}
+    rhs: dict[str, Fraction] = {}
+    users: dict[str, set[str]] = {s: set() for s in free}
+    for s in free:
+        row = {s: ONE}
+        shift = ZERO
+        for t, p in step[s].items():
+            if not p:
+                continue
+            if t in index:
+                row[t] = row.get(t, ZERO) - p
+            elif fixed[t]:
+                shift += p * fixed[t]
+        rows[s] = row
+        rhs[s] = shift
+        for t in row:
+            if t != s:
+                users[t].add(s)
+    for k in free:
+        row = rows[k]
+        pivot = row.pop(k)
+        if pivot != 1:
+            for c in row:
+                row[c] /= pivot
+            rhs[k] /= pivot
+        # Now x_k = rhs[k] - sum_c row[c] x_c; substitute into the
+        # equations not yet eliminated.
+        for c in row:
+            users[c].discard(k)
+        bk = rhs[k]
+        for r in users.pop(k):
+            other = rows[r]
+            f = other.pop(k)
+            for c, a in row.items():
+                new = other.get(c, ZERO) - f * a
+                if new:
+                    other[c] = new
+                    if c != r:
+                        users[c].add(r)
                 else:
-                    shift += p * values[t]
-            rows.append(row)
-            senses.append(GEQ)
-            rhs.append(shift)
-    objective = [ONE] * n
-    _, point = solve_lp(objective, rows, senses, rhs, maximize=False)
-    for s, i in col.items():
-        values[s] = point[i]
-    return values
+                    del other[c]
+                    users[c].discard(r)
+            if bk:
+                rhs[r] -= f * bk
+    x: dict[str, Fraction] = {}
+    for k in reversed(free):
+        total = rhs[k]
+        for c, a in rows[k].items():
+            total -= a * x[c]
+        x[k] = total
+    return x
 
 
 class ImproperSelectorError(GameError):
@@ -230,9 +309,11 @@ def improper_witness(
 ) -> frozenset[str] | None:
     """First maximal end component of the induced MDP that avoids T and W2,
     or None if the selector is proper.  T and W2 must be absorbing."""
-    done = set(T) | set(W2)
-    mecs = mec_decomposition(induce_mdp(game, xi1))
-    for component in mecs.components:
+    return _trapped_component(induce_mdp(game, xi1), set(T) | set(W2))
+
+
+def _trapped_component(mdp: InducedMDP, done: set[str]) -> frozenset[str] | None:
+    for component in mec_decomposition(mdp).components:
         if not (component.states & done):
             return component.states
     return None
@@ -378,12 +459,13 @@ def strategy_value_reach(
     probability of reaching the value-zero region, so the value is one minus
     that maximal probability.  Improper selectors are rejected with the
     trapped end component as witness, because the identity fails for them.
+    One induced MDP serves both the properness check and the evaluation.
     """
-    T = set(T)
     W2 = set(W2)
-    frozen = make_absorbing(game, T | W2)
-    witness = improper_witness(frozen, xi1, T, W2)
+    done = set(T) | W2
+    mdp = induce_mdp(make_absorbing(game, done), xi1)
+    witness = _trapped_component(mdp, done)
     if witness is not None:
         raise ImproperSelectorError(witness)
-    reach = max_reach_values(induce_mdp(frozen, xi1), W2)
+    reach = max_reach_values(mdp, W2)
     return {s: ONE - reach[s] for s in game.states}

@@ -12,14 +12,14 @@ comes from the attractor construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .matrix import pre1
 from .mdp import (
+    ImproperSelectorError,
     compute_W2,
-    improper_witness,
     strategy_value_reach,
     tb_attractor,
 )
@@ -51,7 +51,6 @@ class ReachSIState:
     selector: Selector
     valuation: Valuation
     improve_set: frozenset[str]
-    history: list[tuple[Selector, Valuation]] = field(default_factory=list)
 
 
 def improve_step_reach(
@@ -71,26 +70,25 @@ def improve_step_reach(
         s for s in game.states if s not in done and pre_vals[s] > v[s]
     )
     if not improvable:
-        return ReachSIState(state.iteration + 1, state.selector, v, improvable, state.history)
+        return ReachSIState(state.iteration + 1, state.selector, v, improvable)
     choice = {
         s: dict(witness.choice[s] if s in improvable else state.selector.choice[s])
         for s in game.states
     }
     nxt = Selector(1, choice)
-    trapped = improper_witness(game, nxt, T, W2)
-    if trapped is not None:
+    try:
+        value = strategy_value_reach(game, nxt, T, W2)
+    except ImproperSelectorError as err:
         raise AssertionError(
-            f"improvement lost properness; trapped component {sorted(trapped)}"
-        )
-    value = strategy_value_reach(game, nxt, T, W2)
+            f"improvement lost properness; trapped component {sorted(err.witness)}"
+        ) from None
     for s in game.states:
         if value[s] < pre_vals[s]:
             raise AssertionError(f"improvement step decreased the bound at {s!r}")
     for s in improvable:
         if not value[s] > v[s]:
             raise AssertionError(f"no strict improvement at {s!r}")
-    history = state.history + [(state.selector, v)]
-    return ReachSIState(state.iteration + 1, nxt, value, improvable, history)
+    return ReachSIState(state.iteration + 1, nxt, value, improvable)
 
 
 @dataclass
@@ -122,12 +120,12 @@ class ReachSIRunner:
         self.w2 = compute_W2(game, self.target)
         self.game = make_absorbing(game, self.target | self.w2)
         selector = initial if initial is not None else uniform_selector(self.game)
-        trapped = improper_witness(self.game, selector, self.target, self.w2)
-        if trapped is not None:
+        try:
+            value = strategy_value_reach(self.game, selector, self.target, self.w2)
+        except ImproperSelectorError as err:
             raise AssertionError(
-                f"initial selector is improper; trapped component {sorted(trapped)}"
-            )
-        value = strategy_value_reach(self.game, selector, self.target, self.w2)
+                f"initial selector is improper; trapped component {sorted(err.witness)}"
+            ) from None
         self.state = ReachSIState(0, selector, value, frozenset())
         self.valuations: list[Valuation] = [value]
         self.finished = False
@@ -224,12 +222,12 @@ def run_reach_si_turn_based(tb: TurnBasedGame, T: Iterable[str]) -> TurnBasedRea
 
     strategy = dict(attract_choice)
     selector = selector_from(strategy)
-    trapped = improper_witness(normalized, selector, target, w2)
-    if trapped is not None:
+    try:
+        v = strategy_value_reach(normalized, selector, target, w2)
+    except ImproperSelectorError as err:
         raise AssertionError(
-            f"attractor selector is improper; trapped component {sorted(trapped)}"
-        )
-    v = strategy_value_reach(normalized, selector, target, w2)
+            f"attractor selector is improper; trapped component {sorted(err.witness)}"
+        ) from None
     iterations = 0
     p1_states = [
         s

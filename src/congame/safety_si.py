@@ -20,7 +20,7 @@ of the game.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -296,7 +296,6 @@ class SafetySIState:
     nonlocal_set: frozenset[str]
     finished: bool
     fired_nonlocal: bool
-    history: list[tuple[Selector, Valuation]] = field(default_factory=list)
 
 
 def _replace(selector: Selector, updates: Mapping[str, Mapping[str, Fraction]]) -> Selector:
@@ -336,7 +335,6 @@ def safety_si_step(
     improvable = frozenset(
         s for s in game.states if s not in done and pre_vals[s] > v[s]
     )
-    history = state.history + [(state.selector, v)]
     if improvable:
         nxt = _replace(state.selector, {s: local_witness[s] for s in improvable})
         value = strategy_value_safety(game, nxt, safe)
@@ -347,7 +345,7 @@ def safety_si_step(
             if not value[s] > v[s]:
                 raise AssertionError(f"no strict local improvement at {s!r}")
         return SafetySIState(
-            state.iteration + 1, nxt, value, improvable, frozenset(), False, False, history
+            state.iteration + 1, nxt, value, improvable, frozenset(), False, False
         )
     reduction = tb_reduction(game, v, safe, k)
     winning, tb_strategy = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
@@ -356,14 +354,7 @@ def safety_si_step(
     )
     if not switchable:
         return SafetySIState(
-            state.iteration + 1,
-            state.selector,
-            v,
-            frozenset(),
-            frozenset(),
-            True,
-            False,
-            history,
+            state.iteration + 1, state.selector, v, frozenset(), frozenset(), True, False
         )
     updates = {}
     for s in switchable:
@@ -378,7 +369,7 @@ def safety_si_step(
     if not any(value[s] > v[s] for s in switchable):
         raise AssertionError("non-local step produced no strict improvement")
     return SafetySIState(
-        state.iteration + 1, nxt, value, frozenset(), switchable, False, True, history
+        state.iteration + 1, nxt, value, frozenset(), switchable, False, True
     )
 
 

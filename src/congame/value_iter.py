@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .matrix import pre1
-from .mdp import compute_W2, is_proper, strategy_value_reach
+from .mdp import ImproperSelectorError, compute_W2, strategy_value_reach
 from .model import (
     GameStructure,
     GameError,
@@ -150,9 +150,10 @@ def eta_is_value_achieving(
             f"u_{k - 1} vanishes outside the value-zero region at {sorted(bad)}"
         )
     eta = extract_eta_selector(trace, k)
-    if not is_proper(trace.game, eta, T, w2):
+    try:
+        achieved = strategy_value_reach(trace.game, eta, T, w2)
+    except ImproperSelectorError:
         return False
-    achieved = strategy_value_reach(trace.game, eta, T, w2)
     return all(achieved[s] >= previous[s] for s in trace.game.states)
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately primitive: Gaussian elimination, absorption
 probabilities of explicit Markov chains, support enumeration for matrix
-games, subset enumeration for end components, and exhaustive strategy
-enumeration for small games.  None of it shares code with the solver paths
-it checks.
+games, subset enumeration for end components, exhaustive strategy
+enumeration for small games, and the reachability linear program for MDP
+values (solved by the package's simplex, which the MDP path no longer uses).
+None of it shares code with the solver paths it checks.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from congame.linprog import GEQ, solve_lp
 from congame.model import P1, P2
 
 ZERO = Fraction(0)
@@ -233,6 +235,57 @@ def _strongly_connected(cell, allowed, mdp):
         if seen != cell:
             return False
     return True
+
+
+def lp_max_reach_values(mdp, targets):
+    """Maximal reachability probabilities as the least solution of the
+    reachability linear program: minimize the sum of the x_s subject to
+    x_s >= sum_t P(s, b, t) x_t for every action b.  States with no path to
+    the target are fixed to zero first, which keeps the optimum unique."""
+    targets = set(targets) & set(mdp.states)
+    pred = {s: set() for s in mdp.states}
+    for s in mdp.states:
+        for b in mdp.actions[s]:
+            for t in mdp.dest(s, b):
+                pred[t].add(s)
+    can_reach = set(targets)
+    frontier = list(targets)
+    while frontier:
+        t = frontier.pop()
+        for s in pred[t]:
+            if s not in can_reach:
+                can_reach.add(s)
+                frontier.append(s)
+    values = {}
+    for s in mdp.states:
+        if s in targets:
+            values[s] = ONE
+        elif s not in can_reach:
+            values[s] = ZERO
+    free = [s for s in mdp.states if s not in values]
+    if not free:
+        return values
+    col = {s: i for i, s in enumerate(free)}
+    rows = []
+    rhs = []
+    for s in free:
+        for b in mdp.actions[s]:
+            row = [ZERO] * len(free)
+            row[col[s]] = ONE
+            shift = ZERO
+            for t, p in mdp.delta2[(s, b)].items():
+                if p == 0:
+                    continue
+                if t in col:
+                    row[col[t]] -= p
+                else:
+                    shift += p * values[t]
+            rows.append(row)
+            rhs.append(shift)
+    _, point = solve_lp([ONE] * len(free), rows, [GEQ] * len(rows), rhs, maximize=False)
+    for s, i in col.items():
+        values[s] = point[i]
+    return values
 
 
 def mdp_reach_bellman_ok(mdp, targets, x):

@@ -213,3 +213,15 @@ def test_validate(example_dir, capsys):
     code, out, _ = run_cli(capsys, "validate", str(example_dir / "ex3full.game"))
     assert code == 0
     assert "concurrent game" in out
+
+
+def test_validate_rejects_non_string_edge(capsys, tmp_path):
+    game = tmp_path / "bad.game"
+    game.write_text(
+        '{"type": "turn-based", "states": ["s0"], "partition": {"s0": "P1"},'
+        ' "edges": {"s0": [["s0"]]}}',
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "validate", str(game))
+    assert code == 1
+    assert err.startswith("error:") and "successor ids must be strings" in err

@@ -80,6 +80,16 @@ def test_parse_rejects_move_outside_assignment():
     assert "'z'" in str(err.value)
 
 
+def test_parse_rejects_non_string_turn_based_successor():
+    text = """
+    {"type": "turn-based", "states": ["s0"], "partition": {"s0": "P1"},
+     "edges": {"s0": [["s0"]]}}
+    """
+    with pytest.raises(GameFormatError) as err:
+        parse_game(text)
+    assert "edges['s0']" in str(err.value)
+
+
 def test_round_trip_serialization(fig1, fig2_tb, ex3full):
     for game in (fig1, fig2_tb, ex3full):
         text = serialize_game(game)
