@@ -1,0 +1,157 @@
+"""Byte-for-byte CLI output on the bundled examples.
+
+Every case runs ``congame solve`` in process, from inside a directory the
+examples were written to, with a relative input path (the report echoes
+it).  ``tests/golden/index.json`` holds each case's argv and exit code;
+``<case>.out`` its stdout and ``<case>.err`` its stderr when that is not
+empty.
+
+Record the files (only from a known-good commit) with::
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from congame.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+OBJECTIVES = {
+    "fig1": ("reach:s0", "safe:not-s0"),
+    "fig2": ("reach:s4", "safe:not-s4"),
+    "ex3step1": ("reach:s1", "safe:not-s1"),
+    "ex3full": ("reach:s2", "safe:not-s2"),
+}
+REACH_ALGORITHMS = ("vi", "reach-si")
+SAFE_ALGORITHMS = ("vi", "safety-si", "k-uniform", "convergent", "certify")
+COMMON = ("--max-iters", "8", "--verify", "--trace")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {}
+    for name, (reach, safe) in OBJECTIVES.items():
+        for objective, algorithms in ((reach, REACH_ALGORITHMS), (safe, SAFE_ALGORITHMS)):
+            kind = objective.partition(":")[0]
+            for algorithm in algorithms:
+                for fmt in ("text", "json"):
+                    cases[f"{name}-{kind}-{algorithm}-{fmt}"] = [
+                        "solve", f"{name}.game", "--objective", objective,
+                        "--algorithm", algorithm, *COMMON, "--format", fmt,
+                    ]
+    # Early value-iteration stops, where the entry-time selector is no witness.
+    for name, (reach, _) in OBJECTIVES.items():
+        cases[f"{name}-reach-vi2-json"] = [
+            "solve", f"{name}.game", "--objective", reach, "--algorithm", "vi",
+            "--max-iters", "2", "--verify", "--format", "json",
+        ]
+    # Inline algorithm arguments and the --eps / --k options.
+    cases["ex3full-safe-k-uniform5-text"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2",
+        "--algorithm", "k-uniform:5", "--verify",
+    ]
+    cases["ex3step1-safe-k-uniform-k3-json"] = [
+        "solve", "ex3step1.game", "--objective", "safe:not-s1",
+        "--algorithm", "k-uniform", "--k", "3", "--format", "json",
+    ]
+    cases["ex3full-safe-certify50-json"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2",
+        "--algorithm", "certify:1/50", "--verify", "--format", "json",
+    ]
+    cases["ex3full-safe-certify-eps-text"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2",
+        "--algorithm", "certify", "--eps", "1/10", "--verify",
+    ]
+    # Errors: each algorithm given the objective kind it does not solve,
+    # an unknown algorithm and malformed inline arguments.
+    for algorithm in ("reach-si", "safety-si", "k-uniform", "convergent", "certify"):
+        objective = "safe:not-s0" if algorithm == "reach-si" else "reach:s0"
+        cases[f"error-{algorithm}-wrong-kind"] = [
+            "solve", "fig1.game", "--objective", objective, "--algorithm", algorithm,
+        ]
+    cases["error-unknown-algorithm"] = [
+        "solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "nope:3",
+    ]
+    cases["error-k-uniform-bad-k"] = [
+        "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "k-uniform:x",
+    ]
+    cases["error-certify-bad-eps"] = [
+        "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "certify:1/x",
+    ]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str], workdir: Path) -> tuple[str, str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return out.getvalue(), err.getvalue(), code
+
+
+def _write_examples(directory: Path) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["examples", "--write", str(directory)]) == 0
+
+
+@pytest.fixture(scope="module")
+def example_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    _write_examples(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def index():
+    return json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
+
+
+def test_index_lists_every_case(index):
+    assert {name: entry["argv"] for name, entry in index.items()} == CASES
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, index, example_dir):
+    out, err, code = _run(CASES[name], example_dir)
+    assert code == index[name]["exit"]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    err_file = GOLDEN / f"{name}.err"
+    assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    index = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        _write_examples(workdir)
+        for name, argv in CASES.items():
+            out, err, code = _run(argv, workdir)
+            index[name] = {"argv": argv, "exit": code}
+            (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+            if err:
+                (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+    (GOLDEN / "index.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    _record()
