@@ -12,7 +12,6 @@ from .model import (
     TurnBasedGame,
     Valuation,
     ValueClassIndex,
-    destinations,
     encode_turn_based_as_concurrent,
     is_turn_based,
     indicator,
@@ -20,8 +19,6 @@ from .model import (
     pure_selector,
     swap_players,
     uniform_selector,
-    validate_selector,
-    validate_valuation,
     value_classes,
 )
 from .gamefile import GameFormatError, load_game, parse_game, serialize_game
@@ -33,7 +30,6 @@ from .matrix import (
     pre1,
     pre1_k,
     pre1_sel,
-    pre_sel_sel,
     solve_matrix_game,
 )
 from .mdp import (
@@ -41,7 +37,6 @@ from .mdp import (
     EndComponentSet,
     ImproperSelectorError,
     InducedMDP,
-    almost_sure_safe_concurrent,
     compute_W2,
     induce_mdp,
     is_proper,
@@ -57,7 +52,7 @@ from .value_iter import (
     HypothesisViolation,
     IterationTrace,
     NotAFixpoint,
-    eta_is_value_achieving,
+    eta_achieved_values,
     extract_eta_selector,
     extract_optimal_safety_selector,
     reach_value_iteration,
@@ -83,6 +78,7 @@ from .safety_si import (
     SafetySIState,
     SupportPair,
     TBReduction,
+    improvement_switches,
     opt_sel_count,
     opt_sel_feasible,
     round_to_k_uniform,
@@ -93,10 +89,8 @@ from .safety_si import (
     tb_reduction,
 )
 from .certify import (
-    DeterminacyReport,
     ValueBracket,
     approximate_game_value,
-    check_determinacy_bracket,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

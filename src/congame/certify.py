@@ -25,37 +25,6 @@ from .reach_si import (
     STATUS_EXACT,
 )
 from .safety_si import ConvergentSafetyRunner
-from .matrix import pre1
-from .value_iter import reach_value_iteration
-
-
-class _ReachVIRunner:
-    """Value-iteration stand-in for the reachability side (no witness)."""
-
-    def __init__(self, game: GameStructure, T: Iterable[str]):
-        self.trace = reach_value_iteration(game, T, max_steps=0)
-        self.finished = False
-
-    @property
-    def values(self) -> Valuation:
-        return self.trace.valuations[-1]
-
-    @property
-    def selector(self) -> Selector | None:
-        return None
-
-    def step(self) -> bool:
-        if self.finished:
-            return False
-        u = self.trace.valuations[-1]
-        nxt, witness = pre1(self.trace.game, u)
-        self.trace.valuations.append(nxt)
-        self.trace.witnesses.append(witness)
-        if nxt == u:
-            self.finished = True
-            self.trace.converged = True
-            return False
-        return True
 
 
 @dataclass
@@ -75,7 +44,7 @@ class ValueBracket:
     rounds: int
     exact_values: Valuation | None
     safety_strategy: Selector | None
-    reach_strategy: Selector | None
+    reach_strategy: Selector
 
 
 def _gap(game: GameStructure, u: Valuation, v: Valuation) -> Fraction:
@@ -92,18 +61,11 @@ def _gap(game: GameStructure, u: Valuation, v: Valuation) -> Fraction:
     return worst
 
 
-def _as_player2(selector: Selector | None) -> Selector | None:
-    if selector is None:
-        return None
-    return Selector(2, {s: dict(d) for s, d in selector.choice.items()})
-
-
 def approximate_game_value(
     game: GameStructure,
     F: Iterable[str],
     eps: Fraction,
     max_rounds: int = 200,
-    reach_method: str = "si",
 ) -> ValueBracket:
     """Interleave both monotone sequences until the bracket closes.
 
@@ -120,12 +82,7 @@ def approximate_game_value(
     safe = frozenset(F) & frozenset(game.states)
     complement = [s for s in game.states if s not in safe]
     safety = ConvergentSafetyRunner(game, safe)
-    if reach_method == "si":
-        reach = ReachSIRunner(swap_players(game), complement)
-    elif reach_method == "vi":
-        reach = _ReachVIRunner(swap_players(game), complement)
-    else:
-        raise ValueError(f"unknown reach_method {reach_method!r}")
+    reach = ReachSIRunner(swap_players(game), complement)
 
     rounds = 0
     status = STATUS_CAPPED
@@ -172,57 +129,5 @@ def approximate_game_value(
         rounds=rounds,
         exact_values=exact,
         safety_strategy=safety.selector,
-        reach_strategy=_as_player2(reach.selector),
-    )
-
-
-@dataclass
-class DeterminacyReport:
-    rounds: int
-    ok: bool
-    violations: list[tuple[int, str, Fraction, Fraction]]
-    gaps: list[Fraction]
-    reach_lower: list[Valuation]
-    safety_lower: list[Valuation]
-
-
-def check_determinacy_bracket(
-    game: GameStructure, F: Iterable[str], iters: int
-) -> DeterminacyReport:
-    """Run both sequences for a fixed number of rounds and audit the bracket:
-    u + v <= 1 pointwise at every round, and the gap never widens."""
-    safe = frozenset(F) & frozenset(game.states)
-    complement = [s for s in game.states if s not in safe]
-    safety = ConvergentSafetyRunner(game, safe)
-    reach = ReachSIRunner(swap_players(game), complement)
-    violations: list[tuple[int, str, Fraction, Fraction]] = []
-    gaps: list[Fraction] = []
-    u_hist: list[Valuation] = []
-    v_hist: list[Valuation] = []
-    for round_index in range(iters):
-        if not safety.finished:
-            safety.step()
-        if not reach.finished:
-            reach.step()
-        u = reach.values
-        v = safety.values
-        assert v is not None
-        u_hist.append(dict(u))
-        v_hist.append(dict(v))
-        worst = max(ONE - u[s] - v[s] for s in game.states)
-        for s in game.states:
-            if u[s] + v[s] > 1:
-                violations.append((round_index, s, u[s], v[s]))
-        if gaps and worst > gaps[-1]:
-            violations.append((round_index, "<gap-widened>", worst, gaps[-1]))
-        gaps.append(worst)
-        if safety.finished and reach.finished:
-            break
-    return DeterminacyReport(
-        rounds=len(gaps),
-        ok=not violations,
-        violations=violations,
-        gaps=gaps,
-        reach_lower=u_hist,
-        safety_lower=v_hist,
+        reach_strategy=Selector(2, {s: dict(d) for s, d in reach.selector.choice.items()}),
     )

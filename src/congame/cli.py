@@ -4,7 +4,9 @@ Subcommands:
 
 * ``solve``: run a solver on a game file and print per-state values
   (exact rationals plus 20-digit decimal approximations), the witness
-  memoryless strategy, iteration count and status.
+  memoryless strategy, iteration count and status.  ``ALGORITHMS`` maps
+  each ``--algorithm`` name to a function returning a ``Solve`` record and
+  to the objective kind it solves; the report is built from that record.
 * ``dump-tb``: emit the turn-based reduction of a game at a valuation,
   round-trippable in the input format, with back-map annotations.
 * ``validate``: parse and check a game file.
@@ -20,43 +22,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .certify import approximate_game_value
 from .examples import EXAMPLE_NAMES, EXAMPLE_OBJECTIVES, example_text
 from .gamefile import GameFormatError, load_game, parse_fraction, serialize_game
-from .matrix import pre1
 from .mdp import (
-    ImproperSelectorError,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
+    tb_almost_sure_safe,
 )
 from .model import (
     GameError,
     GameStructure,
     Selector,
     TurnBasedGame,
+    Valuation,
     encode_turn_based_as_concurrent,
     swap_players,
 )
 from .reach_si import (
     STATUS_CAPPED,
+    STATUS_EPS,
     STATUS_EXACT,
     run_reach_si,
     run_reach_si_turn_based,
 )
 from .safety_si import (
+    improvement_switches,
     normalize_safety,
     run_convergent_safety_si,
     run_k_uniform_si,
     run_safety_si,
     tb_reduction,
 )
-from .mdp import tb_almost_sure_safe
 from .value_iter import (
     HypothesisViolation,
-    eta_is_value_achieving,
+    eta_achieved_values,
     extract_eta_selector,
     extract_optimal_safety_selector,
     reach_value_iteration,
@@ -142,119 +147,116 @@ def _load(path: str) -> tuple[GameStructure, TurnBasedGame | None]:
     return game, None
 
 
-def _solve(args: argparse.Namespace) -> tuple[dict, int]:
-    game, tb = _load(args.input)
-    algorithm, inline = _split_algorithm(args.algorithm)
-    kind, chosen = parse_objective(args.objective, game.states)
-    report: dict = {
-        "input": args.input,
-        "objective": {"kind": kind, "states": chosen},
-        "algorithm": algorithm,
-    }
-    max_iters = args.max_iters
-    eps = parse_fraction(inline, "--algorithm certify:EPS") if (
-        algorithm == "certify" and inline
-    ) else (parse_fraction(args.eps, "--eps") if args.eps else Fraction(1, 100))
-    if algorithm == "k-uniform" and inline:
+@dataclass(frozen=True)
+class Problem:
+    """One ``solve`` invocation, parsed: the game (and its turn-based form,
+    if it was given as one), the objective and the algorithm's options."""
+
+    game: GameStructure
+    tb: TurnBasedGame | None
+    kind: str
+    chosen: list[str]
+    max_iters: int | None
+    eps: Fraction
+    k: int
+
+
+@dataclass
+class Solve:
+    """What one algorithm reports.
+
+    ``witness2`` and ``witness2_values`` are certify's player-2 strategy
+    and the reach values it guarantees.  ``before`` holds the report fields
+    printed between ``iterations`` and ``status``; ``after`` those printed
+    after ``trace``.
+    """
+
+    status: str
+    values: Valuation
+    iterations: int
+    witness: Selector | None = None
+    witness_values: Valuation | None = None
+    trace: list[Valuation] | None = None
+    witness2: Selector | None = None
+    witness2_values: Valuation | None = None
+    before: dict = field(default_factory=dict)
+    after: dict = field(default_factory=dict)
+
+
+def _improvement(result, **fields) -> Solve:
+    """A strategy-improvement run: its final selector achieves its values."""
+    return Solve(
+        result.status, result.values, result.iterations, result.final_selector,
+        result.values, result.valuations, **fields,
+    )
+
+
+def _vi(p: Problem) -> Solve:
+    if p.kind == "reach":
+        result = reach_value_iteration(p.game, p.chosen, max_steps=p.max_iters or 100)
+        last = result.steps()
         try:
-            k = int(inline)
-        except ValueError as exc:
-            raise CliError(f"--algorithm k-uniform:K needs an integer, got {inline!r}") from exc
-    else:
-        k = args.k if args.k else len(game.moves)
-
-    trace = None
-    witness = None
-    witness_values = None
-    extra: dict = {}
-
-    if algorithm == "vi" and kind == "reach":
-        result = reach_value_iteration(game, chosen, max_steps=max_iters or 100)
+            achieved = eta_achieved_values(result, last)
+        except HypothesisViolation:
+            achieved = None
+        witness = extract_eta_selector(result, last) if achieved is not None else None
         status = STATUS_EXACT if result.converged else STATUS_CAPPED
-        values = result.valuations[-1]
-        trace = result.valuations
-        report["iterations"] = result.steps()
-        extra["w2"] = sorted(result.w2)
-        try:
-            last = len(result.valuations) - 1
-            if eta_is_value_achieving(game, result, last, chosen, result.w2):
-                witness = extract_eta_selector(result, last)
-                witness_values = strategy_value_reach(
-                    result.game, witness, chosen, result.w2
-                )
-        except (HypothesisViolation, ImproperSelectorError):
-            witness = None
-    elif algorithm == "vi" and kind == "safe":
-        iterates = safety_value_iteration_upper(game, chosen, steps=max_iters or 100)
-        exact = len(iterates) >= 2 and iterates[-1] == iterates[-2]
-        status = STATUS_EXACT if exact else STATUS_CAPPED
-        values = iterates[-1]
-        trace = iterates
-        report["iterations"] = len(iterates) - 1
-        extra["bound_side"] = "exact" if exact else "upper"
-        if exact:
-            witness = extract_optimal_safety_selector(game, values, chosen)
-            witness_values = strategy_value_safety(game, witness, chosen)
-    elif algorithm == "reach-si":
-        if kind != "reach":
-            raise CliError("reach-si solves reach objectives; use a safety algorithm for safe")
-        if tb is not None:
-            result = run_reach_si_turn_based(tb, chosen)
-            status = STATUS_EXACT
-            values = result.values
-            report["iterations"] = result.iterations
-            witness = result.selector
-            witness_values = result.values
-            extra["pure_strategy"] = {s: result.strategy[s] for s in sorted(result.strategy)}
-        else:
-            result = run_reach_si(game, chosen, max_iters=max_iters or 1000)
-            status = result.status
-            values = result.values
-            trace = result.valuations
-            report["iterations"] = result.iterations
-            witness = result.final_selector
-            witness_values = result.values
-    elif algorithm == "safety-si":
-        if kind != "safe":
-            raise CliError("safety-si solves safe objectives")
-        result = run_safety_si(game, chosen, max_iters=max_iters or 100)
-        status = result.status
-        values = result.values
-        trace = result.valuations
-        report["iterations"] = result.iterations
-        witness = result.final_selector
-        witness_values = result.values
-        extra["nonlocal_step_fired"] = result.fired_nonlocal
-    elif algorithm == "k-uniform":
-        if kind != "safe":
-            raise CliError("k-uniform solves safe objectives")
-        result = run_k_uniform_si(game, chosen, k)
-        values = result.values
-        report["iterations"] = result.iterations
-        report["k"] = result.k
-        witness = result.selector
-        witness_values = result.values
-        extra["nonlocal_step_fired"] = result.fired_nonlocal
-        status = _k_uniform_status(result, chosen)
-    elif algorithm == "convergent":
-        if kind != "safe":
-            raise CliError("convergent solves safe objectives")
-        result = run_convergent_safety_si(game, chosen, max_outer=max_iters or 50)
-        status = result.status
-        values = result.values
-        trace = result.valuations
-        report["iterations"] = result.iterations
-        report["ks"] = result.ks
-        witness = result.final_selector
-        witness_values = result.values
-    elif algorithm == "certify":
-        if kind != "safe":
-            raise CliError("certify takes a safe objective (the reach side is derived)")
-        bracket = approximate_game_value(game, chosen, eps, max_rounds=max_iters or 200)
-        status = bracket.status
-        values = bracket.safety_lower
-        report["iterations"] = bracket.rounds
-        report["bracket"] = {
+        return Solve(
+            status, result.valuations[-1], last, witness, achieved, result.valuations,
+            after={"w2": sorted(result.w2)},
+        )
+    iterates = safety_value_iteration_upper(p.game, p.chosen, steps=p.max_iters or 100)
+    exact = len(iterates) >= 2 and iterates[-1] == iterates[-2]
+    values = iterates[-1]
+    witness = witness_values = None
+    if exact:
+        witness = extract_optimal_safety_selector(p.game, values, p.chosen)
+        witness_values = strategy_value_safety(p.game, witness, p.chosen)
+    return Solve(
+        STATUS_EXACT if exact else STATUS_CAPPED, values, len(iterates) - 1,
+        witness, witness_values, iterates,
+        after={"bound_side": "exact" if exact else "upper"},
+    )
+
+
+def _reach_si(p: Problem) -> Solve:
+    if p.tb is None:
+        return _improvement(run_reach_si(p.game, p.chosen, max_iters=p.max_iters or 1000))
+    result = run_reach_si_turn_based(p.tb, p.chosen)
+    pure = {s: result.strategy[s] for s in sorted(result.strategy)}
+    return Solve(
+        STATUS_EXACT, result.values, result.iterations, result.selector, result.values,
+        after={"pure_strategy": pure},
+    )
+
+
+def _safety_si(p: Problem) -> Solve:
+    result = run_safety_si(p.game, p.chosen, max_iters=p.max_iters or 100)
+    return _improvement(result, after={"nonlocal_step_fired": result.fired_nonlocal})
+
+
+def _k_uniform(p: Problem) -> Solve:
+    """A k-uniform fixpoint is exact for the whole game only if the
+    unrestricted stopping condition also holds there."""
+    result = run_k_uniform_si(p.game, p.chosen, p.k)
+    switches, _ = improvement_switches(result.game, result.values, p.chosen, result.w1)
+    return Solve(
+        STATUS_CAPPED if switches else STATUS_EXACT, result.values, result.iterations,
+        result.selector, result.values,
+        before={"k": result.k}, after={"nonlocal_step_fired": result.fired_nonlocal},
+    )
+
+
+def _convergent(p: Problem) -> Solve:
+    result = run_convergent_safety_si(p.game, p.chosen, max_outer=p.max_iters or 50)
+    return _improvement(result, before={"ks": result.ks})
+
+
+def _certify(p: Problem) -> Solve:
+    game = p.game
+    bracket = approximate_game_value(game, p.chosen, p.eps, max_rounds=p.max_iters or 200)
+    before: dict = {
+        "bracket": {
             "safety_lower": _values_doc(game, bracket.safety_lower),
             "reach_lower": _values_doc(game, bracket.reach_lower),
             "upper": _values_doc(
@@ -262,79 +264,108 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
             ),
             "gap": {"exact": str(bracket.gap), "approx": decimal_string(bracket.gap)},
         }
-        if bracket.exact_values is not None:
-            report["exact_values"] = _values_doc(game, bracket.exact_values)
-        witness = bracket.safety_strategy
-        witness_values = bracket.safety_lower
-        report["strategy2"] = _strategy_doc(game, bracket.reach_strategy)
-        extra["reach_witness_values"] = {
-            s: str(bracket.reach_lower[s]) for s in game.states
-        }
-        extra["_reach_strategy_obj"] = bracket.reach_strategy
-    else:
-        raise CliError(f"unknown algorithm {args.algorithm!r}")
+    }
+    if bracket.exact_values is not None:
+        before["exact_values"] = _values_doc(game, bracket.exact_values)
+    return Solve(
+        bracket.status, bracket.safety_lower, bracket.rounds,
+        bracket.safety_strategy, bracket.safety_lower,
+        witness2=bracket.reach_strategy, witness2_values=bracket.reach_lower, before=before,
+    )
 
-    report["status"] = status
-    report["values"] = _values_doc(game, values)
-    report["strategy"] = _strategy_doc(game, witness)
-    if witness_values is not None:
-        report["witness_values"] = {s: str(witness_values[s]) for s in game.states}
-    if args.trace and trace is not None:
-        report["trace"] = [{s: str(v[s]) for s in game.states} for v in trace]
-    report.update({key: value for key, value in extra.items() if not key.startswith("_")})
+
+class Algorithm(NamedTuple):
+    run: Callable[[Problem], Solve]
+    kind: str | None = None  # the objective kind it solves; None for both
+    wrong_kind: str = ""  # the error for the other kind
+    inline: str = ""  # what ALGORITHM:ARG sets, "K" or "EPS"
+
+
+ALGORITHMS = {
+    "vi": Algorithm(_vi),
+    "reach-si": Algorithm(
+        _reach_si, "reach", "reach-si solves reach objectives; use a safety algorithm for safe"
+    ),
+    "safety-si": Algorithm(_safety_si, "safe", "safety-si solves safe objectives"),
+    "k-uniform": Algorithm(_k_uniform, "safe", "k-uniform solves safe objectives", "K"),
+    "convergent": Algorithm(_convergent, "safe", "convergent solves safe objectives"),
+    "certify": Algorithm(
+        _certify, "safe", "certify takes a safe objective (the reach side is derived)", "EPS"
+    ),
+}
+
+
+def _solve(args: argparse.Namespace) -> tuple[dict, int]:
+    game, tb = _load(args.input)
+    name, inline = _split_algorithm(args.algorithm)
+    kind, chosen = parse_objective(args.objective, game.states)
+    algorithm = ALGORITHMS.get(name)
+    takes = algorithm.inline if algorithm and inline else ""
+    if takes == "EPS":
+        eps = parse_fraction(inline, f"--algorithm {name}:EPS")
+    else:
+        eps = parse_fraction(args.eps, "--eps") if args.eps else Fraction(1, 100)
+    if takes == "K":
+        try:
+            k = int(inline)
+        except ValueError as exc:
+            raise CliError(f"--algorithm {name}:K needs an integer, got {inline!r}") from exc
+    else:
+        k = args.k if args.k else len(game.moves)
+    if algorithm is None:
+        raise CliError(f"unknown algorithm {args.algorithm!r}")
+    if algorithm.kind not in (None, kind):
+        raise CliError(algorithm.wrong_kind)
+    solve = algorithm.run(Problem(game, tb, kind, chosen, args.max_iters, eps, k))
+
+    report: dict = {
+        "input": args.input,
+        "objective": {"kind": kind, "states": chosen},
+        "algorithm": name,
+        "iterations": solve.iterations,
+    }
+    report.update(solve.before)
+    if solve.witness2 is not None:
+        report["strategy2"] = _strategy_doc(game, solve.witness2)
+    report["status"] = solve.status
+    report["values"] = _values_doc(game, solve.values)
+    report["strategy"] = _strategy_doc(game, solve.witness)
+    if solve.witness_values is not None:
+        report["witness_values"] = {s: str(solve.witness_values[s]) for s in game.states}
+    if args.trace and solve.trace is not None:
+        report["trace"] = [{s: str(v[s]) for s in game.states} for v in solve.trace]
+    report.update(solve.after)
+    if solve.witness2_values is not None:
+        report["reach_witness_values"] = {
+            s: str(solve.witness2_values[s]) for s in game.states
+        }
 
     if args.verify:
-        if witness is None or witness_values is None:
+        if solve.witness is None or solve.witness_values is None:
             report["verify_note"] = "no witness strategy to verify"
         else:
-            report["verified"] = _verify(game, kind, chosen, witness, witness_values, extra)
+            report["verified"] = _verify(game, kind, chosen, solve)
 
-    exit_code = 0 if status in (STATUS_EXACT, "eps-approx") else 2
+    exit_code = 0 if solve.status in (STATUS_EXACT, STATUS_EPS) else 2
     return report, exit_code
 
 
-def _k_uniform_status(result, chosen) -> str:
-    """A k-uniform fixpoint is exact for the whole game only if the
-    unrestricted stopping condition also holds (no local improvement with
-    arbitrary mixtures and an empty non-local set)."""
-    v = result.values
-    game = result.game
-    safe = set(chosen)
-    done = set(result.w1) | (set(game.states) - safe)
-    pre_vals, _ = pre1(game, v)
-    if any(pre_vals[s] > v[s] for s in game.states if s not in done):
-        return STATUS_CAPPED
-    reduction = tb_reduction(game, v, safe)
-    winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
-    if any(s in winning and s not in result.w1 and s in safe for s in game.states):
-        return STATUS_CAPPED
-    return STATUS_EXACT
-
-
-def _verify(game, kind, chosen, witness, witness_values, extra) -> bool:
-    """Self-audit: rerun the reported witness strategy from scratch and
+def _verify(game: GameStructure, kind: str, chosen: list[str], solve: Solve) -> bool:
+    """Self-audit: rerun the reported witness strategies from scratch and
     compare with the reported values, exactly."""
-    if kind == "safe":
-        recomputed = strategy_value_safety(game, witness, chosen)
-        if recomputed != witness_values:
-            return False
-        reach_strategy = extra.get("_reach_strategy_obj")
-        if reach_strategy is not None:
-            swapped = swap_players(game)
-            complement = [s for s in game.states if s not in set(chosen)]
-            w2 = compute_W2(swapped, complement)
-            as_p1 = Selector(1, reach_strategy.choice)
-            u = strategy_value_reach(swapped, as_p1, complement, w2)
-            expected = {
-                s: parse_fraction(p, "reach_witness_values")
-                for s, p in extra["reach_witness_values"].items()
-            }
-            if u != expected:
-                return False
+    if kind == "reach":
+        w2 = compute_W2(game, chosen)
+        return strategy_value_reach(game, solve.witness, chosen, w2) == solve.witness_values
+    if strategy_value_safety(game, solve.witness, chosen) != solve.witness_values:
+        return False
+    if solve.witness2 is None:
         return True
-    w2 = compute_W2(game, chosen)
-    recomputed = strategy_value_reach(game, witness, chosen, w2)
-    return recomputed == witness_values
+    swapped = swap_players(game)
+    complement = [s for s in game.states if s not in set(chosen)]
+    w2 = compute_W2(swapped, complement)
+    as_p1 = Selector(1, solve.witness2.choice)
+    u = strategy_value_reach(swapped, as_p1, complement, w2)
+    return u == solve.witness2_values
 
 
 def _render_text(report: dict) -> str:
@@ -479,7 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--algorithm",
         required=True,
-        help="vi | reach-si | safety-si | k-uniform[:K] | convergent | certify[:EPS]",
+        help=" | ".join(
+            f"{name}[:{algorithm.inline}]" if algorithm.inline else name
+            for name, algorithm in ALGORITHMS.items()
+        ),
     )
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--eps", default=None, help="rational like 1/100")

@@ -50,10 +50,6 @@ def parse_fraction(text: object, where: str) -> Fraction:
     return value
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def _string_list(doc: dict, key: str) -> list[str]:
     value = doc.get(key)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -193,7 +189,7 @@ def serialize_game(game: GameStructure | TurnBasedGame, extra: dict | None = Non
                 for b in game.moves2[s]:
                     dist = game.delta[(s, a, b)]
                     by_b[b] = {
-                        t: format_fraction(p) for t, p in dist.items() if p > 0
+                        t: str(p) for t, p in dist.items() if p > 0
                     }
                 by_a[a] = by_b
             delta[s] = by_a
@@ -204,7 +200,7 @@ def serialize_game(game: GameStructure | TurnBasedGame, extra: dict | None = Non
         doc["partition"] = {s: game.partition[s] for s in game.states}
         doc["edges"] = {s: list(game.edges[s]) for s in game.states}
         doc["prob"] = {
-            s: {t: format_fraction(p) for t, p in game.prob[s].items()}
+            s: {t: str(p) for t, p in game.prob[s].items()}
             for s in game.states
             if s in game.prob
         }

@@ -42,9 +42,6 @@ class MatrixGame:
         ):
             raise ValueError("payoff shape does not match labels")
 
-    def entry(self, a: str, b: str) -> Fraction:
-        return self.payoff[self.rows.index(a)][self.cols.index(b)]
-
 
 @dataclass(frozen=True)
 class MatrixSolution:
@@ -127,26 +124,6 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
         for a in rows
     )
     return MatrixGame(rows, cols, payoff)
-
-
-def pre_sel_sel(
-    game: GameStructure,
-    v: Mapping[str, Fraction],
-    s: str,
-    xi1: Selector,
-    xi2: Selector,
-) -> Fraction:
-    """Expected next-step value when both players play their selectors at s."""
-    total = ZERO
-    for a, pa in xi1.choice[s].items():
-        if pa == 0:
-            continue
-        for b, pb in xi2.choice[s].items():
-            if pb == 0:
-                continue
-            dist = game.delta[(s, a, b)]
-            total += pa * pb * sum((p * v[t] for t, p in dist.items()), ZERO)
-    return total
 
 
 def pre_mix_move(

@@ -343,22 +343,16 @@ def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:
         current = nxt
 
 
-def almost_sure_safe_concurrent(game: GameStructure, F: Iterable[str]) -> frozenset[str]:
-    """States where player 1 wins Safe(F) with probability one.
-
-    Greatest fixpoint of "some player-1 move keeps the game inside, whatever
-    player 2 answers".  If every move of player 1 leaks outside against some
-    answer, any mixture leaks with positive probability too, so pruning such
-    states is sound; the surviving set is exactly the value-1 region.
-    """
-    return almost_sure_safe_strategy(game, F)[0]
-
-
 def almost_sure_safe_strategy(
     game: GameStructure, F: Iterable[str]
 ) -> tuple[frozenset[str], dict[str, str]]:
     """Value-1 region for Safe(F) together with a pure winning choice: at
-    each winning state, the first move all of whose responses stay inside."""
+    each winning state, the first move all of whose responses stay inside.
+
+    The region is the greatest fixpoint of "some player-1 move keeps the game
+    inside, whatever player 2 answers": if every move leaks against some
+    answer, any mixture leaks with positive probability too.
+    """
     current = set(F) & set(game.states)
     witness: dict[str, str] = {}
     while True:

@@ -166,26 +166,6 @@ class Selector:
         return self.choice[s].get(a, ZERO)
 
 
-def validate_selector(game: GameStructure, sel: Selector) -> None:
-    assignment = game.moves1 if sel.player == 1 else game.moves2
-    for s in game.states:
-        dist = sel.choice.get(s)
-        if dist is None:
-            raise GameError(f"selector undefined at state {s!r}")
-        for a, p in dist.items():
-            if p > 0 and a not in assignment[s]:
-                raise GameError(f"selector at {s!r} plays unavailable move {a!r}")
-        _check_distribution(dist, f"selector({s!r})")
-
-
-def validate_valuation(game: GameStructure, v: Mapping[str, Fraction]) -> None:
-    for s in game.states:
-        if s not in v:
-            raise GameError(f"valuation undefined at state {s!r}")
-        if not (0 <= v[s] <= 1):
-            raise GameError(f"valuation at {s!r} is {v[s]}, outside [0, 1]")
-
-
 @dataclass(frozen=True)
 class ValueClassIndex:
     """Partition of the state space by exact valuation value."""
@@ -225,23 +205,8 @@ def make_absorbing(game: GameStructure, keep: Iterable[str]) -> GameStructure:
     return GameStructure(game.states, game.moves, game.moves1, game.moves2, delta)
 
 
-def destinations(game: GameStructure, s: str, xi1: Selector, xi2: Selector) -> frozenset[str]:
-    """Possible successors of ``s`` under the supports of both selectors."""
-    out: set[str] = set()
-    for a in xi1.support(s):
-        for b in xi2.support(s):
-            out |= game.dest(s, a, b)
-    return frozenset(out)
-
-
-def uniform_selector(game: GameStructure, restrict: Iterable[str] | None = None) -> Selector:
-    """Player-1 selector playing all available moves uniformly at random.
-
-    ``restrict`` is advisory: states outside it still get the uniform
-    distribution, which is harmless because solvers only normalize games
-    whose remaining states are absorbing.
-    """
-    del restrict
+def uniform_selector(game: GameStructure) -> Selector:
+    """Player-1 selector playing all available moves uniformly at random."""
     choice = {}
     for s in game.states:
         avail = game.moves1[s]
@@ -370,6 +335,3 @@ def indicator(game: GameStructure, inside: Iterable[str]) -> Valuation:
     inside = set(inside)
     return {s: (ONE if s in inside else ZERO) for s in game.states}
 
-
-def constant_valuation(game: GameStructure, value: Fraction) -> Valuation:
-    return {s: value for s in game.states}

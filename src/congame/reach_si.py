@@ -13,7 +13,6 @@ comes from the attractor construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .matrix import pre1
@@ -110,16 +109,11 @@ class ReachSIRunner:
     """Stepwise driver for the improvement loop (used directly by the
     two-sided certifier, which interleaves it with the safety sequence)."""
 
-    def __init__(
-        self,
-        game: GameStructure,
-        T: Iterable[str],
-        initial: Selector | None = None,
-    ):
+    def __init__(self, game: GameStructure, T: Iterable[str]):
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
         self.game = make_absorbing(game, self.target | self.w2)
-        selector = initial if initial is not None else uniform_selector(self.game)
+        selector = uniform_selector(self.game)
         try:
             value = strategy_value_reach(self.game, selector, self.target, self.w2)
         except ImproperSelectorError as err:
@@ -154,34 +148,18 @@ class ReachSIRunner:
         return True
 
 
-def run_reach_si(
-    game: GameStructure,
-    T: Iterable[str],
-    max_iters: int = 1000,
-    eps: Fraction | None = None,
-    upper: Mapping[str, Fraction] | None = None,
-    initial: Selector | None = None,
-) -> ReachSIResult:
+def run_reach_si(game: GameStructure, T: Iterable[str], max_iters: int = 1000) -> ReachSIResult:
     """Full reachability strategy improvement from the uniform selector.
 
-    Stops when no state is improvable (exact value), when the valuation is
-    within ``eps`` of a supplied upper bound, or at the iteration cap.
+    Stops when no state is improvable (exact value) or at the iteration cap.
     """
-    runner = ReachSIRunner(game, T, initial=initial)
-    status = STATUS_CAPPED
-    while runner.iterations < max_iters:
-        if eps is not None and upper is not None:
-            if max(upper[s] - runner.values[s] for s in runner.game.states) <= eps:
-                status = STATUS_EPS
-                break
+    runner = ReachSIRunner(game, T)
+    while runner.iterations < max_iters and not runner.finished:
         runner.step()
-        if runner.finished:
-            status = STATUS_EXACT
-            break
     return ReachSIResult(
         runner.valuations,
         runner.selector,
-        status,
+        STATUS_EXACT if runner.finished else STATUS_CAPPED,
         runner.iterations,
         runner.game,
         runner.target,

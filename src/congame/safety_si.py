@@ -52,7 +52,7 @@ from .model import (
     make_absorbing,
     uniform_selector,
 )
-from .reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
+from .reach_si import STATUS_CAPPED, STATUS_EXACT
 
 
 @dataclass(frozen=True)
@@ -306,6 +306,52 @@ def _replace(selector: Selector, updates: Mapping[str, Mapping[str, Fraction]]) 
     return Selector(1, choice)
 
 
+def improvement_switches(
+    game: GameStructure,
+    v: Mapping[str, Fraction],
+    F: Iterable[str],
+    W1: Iterable[str],
+    k: int | None = None,
+) -> tuple[dict[str, dict[str, Fraction]], bool]:
+    """The states one safety improvement round would switch at ``v``, with
+    their new mixtures, and whether the non-local step produced them.
+
+    The game is normalized (W1 and the unsafe states absorbing).  The local
+    step comes first: states outside W1 and the unsafe states where the
+    one-step optimum strictly beats ``v``.  Only when there are none does the
+    non-local step run: the states the turn-based reduction makes almost
+    surely safe, with the stored mixture witnesses.  ``k`` restricts every
+    mixture considered to k-uniform ones.  An empty result with ``k=None``
+    is the unrestricted stopping condition: ``v`` is the value of the game.
+    """
+    safe = set(F)
+    w1 = set(W1)
+    done = w1 | (set(game.states) - safe)
+    if k is None:
+        pre_vals, witness = pre1(game, v)
+        local_witness = witness.choice
+    else:
+        pre_vals = {}
+        local_witness = {}
+        for s in game.states:
+            pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
+    local = {
+        s: local_witness[s]
+        for s in game.states
+        if s not in done and pre_vals[s] > v[s]
+    }
+    if local:
+        return local, False
+    reduction = tb_reduction(game, v, safe, k)
+    winning, tb_strategy = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
+    switches = {}
+    for s in game.states:
+        if s in winning and s not in w1 and s in safe:
+            _, _, A, B = reduction.back_map[tb_strategy[s]]
+            switches[s] = reduction.witness_store[(s, A, B)]
+    return switches, True
+
+
 def safety_si_step(
     game: GameStructure,
     state: SafetySIState,
@@ -314,62 +360,35 @@ def safety_si_step(
     k: int | None = None,
 ) -> SafetySIState:
     """One round of safety improvement on a normalized game (W1 and the
-    unsafe states absorbing).
-
-    Tries the local step first (rewrite where the one-step optimum strictly
-    beats the value); otherwise plays the non-local step through the
-    turn-based reduction.  ``k`` restricts every mixture considered to
-    k-uniform ones.
+    unsafe states absorbing): switch the states ``improvement_switches``
+    names and evaluate the new selector exactly.  The state is finished when
+    there is nothing to switch.
     """
     safe = set(F)
-    done = set(W1) | (set(game.states) - safe)
     v = state.valuation
-    if k is None:
-        pre_vals, witness = pre1(game, v)
-        local_witness = {s: witness.choice[s] for s in game.states}
-    else:
-        pre_vals = {}
-        local_witness = {}
-        for s in game.states:
-            pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
-    improvable = frozenset(
-        s for s in game.states if s not in done and pre_vals[s] > v[s]
-    )
-    if improvable:
-        nxt = _replace(state.selector, {s: local_witness[s] for s in improvable})
-        value = strategy_value_safety(game, nxt, safe)
-        for s in game.states:
-            if value[s] < v[s]:
-                raise AssertionError(f"safety improvement regressed at {s!r}")
-        for s in improvable:
-            if not value[s] > v[s]:
-                raise AssertionError(f"no strict local improvement at {s!r}")
-        return SafetySIState(
-            state.iteration + 1, nxt, value, improvable, frozenset(), False, False
-        )
-    reduction = tb_reduction(game, v, safe, k)
-    winning, tb_strategy = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
-    switchable = frozenset(
-        s for s in game.states if s in winning and s not in set(W1) and s in safe
-    )
-    if not switchable:
+    switches, nonlocal_step = improvement_switches(game, v, safe, W1, k)
+    if not switches:
         return SafetySIState(
             state.iteration + 1, state.selector, v, frozenset(), frozenset(), True, False
         )
-    updates = {}
-    for s in switchable:
-        chosen = reduction.back_map[tb_strategy[s]]
-        _, _, A, B = chosen
-        updates[s] = reduction.witness_store[(s, A, B)]
-    nxt = _replace(state.selector, updates)
+    switched = frozenset(switches)
+    nxt = _replace(state.selector, switches)
     value = strategy_value_safety(game, nxt, safe)
+    step = "non-local safety improvement" if nonlocal_step else "safety improvement"
     for s in game.states:
         if value[s] < v[s]:
-            raise AssertionError(f"non-local safety improvement regressed at {s!r}")
-    if not any(value[s] > v[s] for s in switchable):
-        raise AssertionError("non-local step produced no strict improvement")
+            raise AssertionError(f"{step} regressed at {s!r}")
+    if nonlocal_step:
+        if not any(value[s] > v[s] for s in switched):
+            raise AssertionError("non-local step produced no strict improvement")
+        return SafetySIState(
+            state.iteration + 1, nxt, value, frozenset(), switched, False, True
+        )
+    for s in switched:
+        if not value[s] > v[s]:
+            raise AssertionError(f"no strict local improvement at {s!r}")
     return SafetySIState(
-        state.iteration + 1, nxt, value, frozenset(), switchable, False, True
+        state.iteration + 1, nxt, value, switched, frozenset(), False, False
     )
 
 
@@ -410,7 +429,7 @@ class SafetyContext:
         return Selector(1, choice)
 
 
-def _normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
+def normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
     safe = set(F) & set(game.states)
     w1, w1_actions = almost_sure_safe_strategy(game, safe)
     unsafe = set(game.states) - safe
@@ -425,7 +444,7 @@ def run_safety_si(game: GameStructure, F: Iterable[str], max_iters: int = 100) -
     value, but on genuinely concurrent games the loop may improve forever,
     so the iteration cap flags a partial trace instead.
     """
-    ctx = _normalize_safety(game, F)
+    ctx = normalize_safety(game, F)
     normalized, w1, safe = ctx.game, ctx.w1, ctx.safe
     selector = uniform_selector(normalized)
     value = strategy_value_safety(normalized, selector, safe)
@@ -508,7 +527,7 @@ def run_k_uniform_si(
     """
     if k < 1:
         raise GameError("k must be >= 1")
-    ctx = _context if _context is not None else _normalize_safety(game, F)
+    ctx = _context if _context is not None else normalize_safety(game, F)
     normalized, w1, safe = ctx.game, ctx.w1, ctx.safe
     k = max(k, len(game.moves))
     selector = uniform_selector(normalized)
@@ -538,8 +557,7 @@ class ConvergentSafetyRunner:
     stopping condition (no local improvement and an empty non-local set)."""
 
     def __init__(self, game: GameStructure, F: Iterable[str]):
-        self.original = game
-        self.context = _normalize_safety(game, F)
+        self.context = normalize_safety(game, F)
         self.normalized = self.context.game
         self.w1 = self.context.w1
         self.safe = self.context.safe
@@ -564,12 +582,7 @@ class ConvergentSafetyRunner:
         if self.finished:
             return False
         self.iterations += 1
-        inner = run_k_uniform_si(
-            self.original,
-            self.safe,
-            self.k,
-            _context=self.context,
-        )
+        inner = run_k_uniform_si(self.normalized, self.safe, self.k, _context=self.context)
         if self.valuations:
             previous = self.valuations[-1]
             for s in self.normalized.states:
@@ -579,22 +592,10 @@ class ConvergentSafetyRunner:
         self.selectors.append(inner.selector)
         self.inner_fired.append(inner.fired_nonlocal)
         self.ks.append(inner.k)
-        v = inner.values
-        done = self.w1 | (set(self.normalized.states) - self.safe)
-        pre_vals, _ = pre1(self.normalized, v)
-        local = any(
-            pre_vals[s] > v[s] for s in self.normalized.states if s not in done
+        switches, _ = improvement_switches(
+            self.normalized, inner.values, self.safe, self.w1
         )
-        if not local:
-            reduction = tb_reduction(self.normalized, v, self.safe)
-            winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
-            pending = {
-                s
-                for s in self.normalized.states
-                if s in winning and s not in self.w1 and s in self.safe
-            }
-            if not pending:
-                self.finished = True
+        self.finished = not switches
         self.k += 1
         return not self.finished
 
@@ -619,41 +620,23 @@ class ConvergentResult:
         return self.selectors[-1]
 
 
-# Public name for the normalization used by every safety solver.
-normalize_safety = _normalize_safety
-
-
 def run_convergent_safety_si(
-    game: GameStructure,
-    F: Iterable[str],
-    max_outer: int = 50,
-    eps: Fraction | None = None,
-    upper: Mapping[str, Fraction] | None = None,
+    game: GameStructure, F: Iterable[str], max_outer: int = 50
 ) -> ConvergentResult:
     """Convergent safety improvement: k-uniform fixpoints for growing k.
 
-    Stops naturally when the unrestricted condition certifies optimality,
-    or at the optional gap against a supplied upper bound, or at the cap.
+    Stops when the unrestricted condition certifies optimality, or at the
+    cap.
     """
     runner = ConvergentSafetyRunner(game, F)
-    status = STATUS_CAPPED
-    while runner.iterations < max_outer:
+    while runner.iterations < max_outer and not runner.finished:
         runner.step()
-        if runner.finished:
-            status = STATUS_EXACT
-            break
-        if eps is not None and upper is not None:
-            v = runner.values
-            assert v is not None
-            if max(upper[s] - v[s] for s in runner.normalized.states) <= eps:
-                status = STATUS_EPS
-                break
     return ConvergentResult(
         runner.valuations,
         runner.selectors,
         runner.inner_fired,
         runner.ks,
-        status,
+        STATUS_EXACT if runner.finished else STATUS_CAPPED,
         runner.iterations,
         runner.normalized,
         runner.w1,

@@ -72,18 +72,11 @@ class IterationTrace:
         return len(self.valuations) - 1
 
 
-def reach_value_iteration(
-    game: GameStructure,
-    T: Iterable[str],
-    max_steps: int,
-    gap: Fraction | None = None,
-    upper: Mapping[str, Fraction] | None = None,
-) -> IterationTrace:
+def reach_value_iteration(game: GameStructure, T: Iterable[str], max_steps: int) -> IterationTrace:
     """Iterate ``u_{k+1} = Pre1(u_k)`` from the target indicator.
 
     Stops at an exact fixpoint (the repeated valuation is kept in the trace
-    so equality is visible), after ``max_steps`` applications, or once the
-    supplied upper bound is approached within ``gap``.
+    so equality is visible) or after ``max_steps`` applications.
     """
     target = frozenset(T) & frozenset(game.states)
     w2 = compute_W2(game, target)
@@ -100,9 +93,6 @@ def reach_value_iteration(
             trace.converged = True
             break
         u = nxt
-        if gap is not None and upper is not None:
-            if max(upper[s] - u[s] for s in normalized.states) <= gap:
-                break
     return trace
 
 
@@ -126,35 +116,31 @@ def extract_eta_selector(trace: IterationTrace, k: int) -> Selector:
     return Selector(1, choice)
 
 
-def eta_is_value_achieving(
-    game: GameStructure,
-    trace: IterationTrace,
-    k: int,
-    T: Iterable[str],
-    W2: Iterable[str],
-) -> bool:
-    """Check that the entry-time selector for iterate k is proper and that
-    its exact strategy value dominates iterate k-1 pointwise.
+def eta_achieved_values(trace: IterationTrace, k: int) -> Valuation | None:
+    """Exact strategy value of the entry-time selector for iterate k, if the
+    selector is proper and its value dominates iterate k-1 pointwise, else
+    None.
 
     Only meaningful when ``u_{k-1}`` is positive outside the value-zero
     region; outside that regime a HypothesisViolation is raised instead of
-    a misleading boolean.
+    a misleading answer.
     """
     if k < 1:
         raise GameError("k must be >= 1")
-    w2 = frozenset(W2)
     previous = trace.valuations[k - 1]
-    bad = [s for s in trace.game.states if s not in w2 and previous[s] == 0]
+    bad = [s for s in trace.game.states if s not in trace.w2 and previous[s] == 0]
     if bad:
         raise HypothesisViolation(
             f"u_{k - 1} vanishes outside the value-zero region at {sorted(bad)}"
         )
     eta = extract_eta_selector(trace, k)
     try:
-        achieved = strategy_value_reach(trace.game, eta, T, w2)
+        achieved = strategy_value_reach(trace.game, eta, trace.target, trace.w2)
     except ImproperSelectorError:
-        return False
-    return all(achieved[s] >= previous[s] for s in trace.game.states)
+        return None
+    if all(achieved[s] >= previous[s] for s in trace.game.states):
+        return achieved
+    return None
 
 
 def safety_value_iteration_upper(

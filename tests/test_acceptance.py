@@ -14,7 +14,6 @@ from fractions import Fraction
 from congame import (
     MatrixGame,
     ReachSIRunner,
-    check_determinacy_bracket,
     approximate_game_value,
     is_proper,
     reach_value_iteration,
@@ -33,6 +32,7 @@ from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 from congame.cli import main as cli_main
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
+from helpers import check_determinacy_bracket
 from oracles import (
     brute_force_k_uniform_best,
     matrix_value_oracle,

@@ -8,7 +8,6 @@ import pytest
 from congame import (
     Selector,
     approximate_game_value,
-    check_determinacy_bracket,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
@@ -17,6 +16,7 @@ from congame import (
 from congame.reach_si import STATUS_EPS, STATUS_EXACT
 
 from conftest import ONE, random_concurrent_game
+from helpers import check_determinacy_bracket
 
 F = Fraction
 
@@ -74,14 +74,6 @@ def test_certify_witnesses_achieve_bounds(ex3full):
     as_p1 = Selector(1, bracket.reach_strategy.choice)
     achieved2 = strategy_value_reach(swapped, as_p1, complement, w2)
     assert achieved2 == bracket.reach_lower
-
-
-def test_certify_vi_flavor(ex3full):
-    safe = [s for s in ex3full.states if s != "s2"]
-    bracket = approximate_game_value(ex3full, safe, F(1, 100), reach_method="vi")
-    assert bracket.status == STATUS_EPS
-    assert bracket.gap <= F(1, 100)
-    assert bracket.reach_strategy is None
 
 
 def test_certify_rejects_bad_eps(fig2):

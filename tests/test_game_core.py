@@ -9,7 +9,6 @@ from congame import (
     GameError,
     GameFormatError,
     GameStructure,
-    destinations,
     encode_turn_based_as_concurrent,
     is_turn_based,
     make_absorbing,
@@ -23,6 +22,7 @@ from congame.matrix import pre1
 from congame.model import indicator
 
 from conftest import random_concurrent_game, random_tb_game
+from helpers import destinations
 
 F = Fraction
 

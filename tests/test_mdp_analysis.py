@@ -7,7 +7,6 @@ import pytest
 
 from congame import (
     ImproperSelectorError,
-    almost_sure_safe_concurrent,
     compute_W2,
     encode_turn_based_as_concurrent,
     induce_mdp,
@@ -25,6 +24,7 @@ from congame import (
 from congame.model import make_absorbing
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
+from helpers import almost_sure_safe_concurrent
 from oracles import brute_force_mecs, chain_reach, mdp_reach_bellman_ok
 
 F = Fraction

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from congame import (
     GameStructure,
+    improvement_switches,
     opt_sel_count,
     opt_sel_feasible,
     round_to_k_uniform,
@@ -351,3 +352,24 @@ def test_safety_si_step_fig2_nonlocal_details(fig2):
     # second round: nothing left anywhere
     last = safety_si_step(ctx.game, nxt, ctx.safe, ctx.w1)
     assert last.finished
+
+
+def test_improvement_switches_empty_at_fig2_value(fig2):
+    # fig2's safety value: neither step finds a state to switch.
+    safe = [s for s in fig2.states if s != "s4"]
+    result = run_safety_si(fig2, safe)
+    assert result.status == STATUS_EXACT and result.values["s0"] == F(2, 3)
+    assert improvement_switches(result.game, result.values, safe, result.w1) == ({}, True)
+
+
+def test_improvement_switches_at_ex3full_k_uniform_fixpoint(ex3full):
+    # The 5-uniform fixpoint stops the restricted loop but not the
+    # unrestricted one: s0 improves locally, so the report says capped.
+    safe = [s for s in ex3full.states if s != "s2"]
+    result = run_k_uniform_si(ex3full, safe, 5)
+    assert result.k == 5
+    restricted = improvement_switches(result.game, result.values, safe, result.w1, result.k)
+    assert restricted == ({}, True)
+    switches, nonlocal_step = improvement_switches(result.game, result.values, safe, result.w1)
+    assert not nonlocal_step
+    assert switches == {"s0": {"a": F(5, 12), "b": F(7, 12)}}

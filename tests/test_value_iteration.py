@@ -8,7 +8,7 @@ import pytest
 from congame import (
     HypothesisViolation,
     NotAFixpoint,
-    eta_is_value_achieving,
+    eta_achieved_values,
     extract_eta_selector,
     extract_optimal_safety_selector,
     reach_value_iteration,
@@ -95,20 +95,20 @@ def test_eta_achieves_previous_iterate(fig1):
 
 def test_eta_is_value_achieving_fig1(fig1):
     trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    assert eta_is_value_achieving(fig1, trace, 4, {"s0"}, trace.w2)
+    assert eta_achieved_values(trace, 4) is not None
 
 
 def test_eta_hypothesis_violation_small_k(fig1):
     trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
     with pytest.raises(HypothesisViolation):
-        eta_is_value_achieving(fig1, trace, 1, {"s0"}, trace.w2)
+        eta_achieved_values(trace, 1)
 
 
 def test_eta_single_state_game():
     rng = random.Random(32)
     game = random_concurrent_game(rng, n_states=1)
     trace = reach_value_iteration(game, {"q0"}, max_steps=3)
-    assert eta_is_value_achieving(game, trace, 1, {"q0"}, trace.w2)
+    assert eta_achieved_values(trace, 1) is not None
 
 
 def test_value_class_structure_on_vi_traces():
