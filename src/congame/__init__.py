@@ -29,7 +29,6 @@ from .matrix import (
     one_step_matrix,
     pre1,
     pre1_k,
-    pre1_sel,
     solve_matrix_game,
 )
 from .mdp import (
@@ -39,8 +38,6 @@ from .mdp import (
     InducedMDP,
     compute_W2,
     induce_mdp,
-    is_proper,
-    improper_witness,
     max_reach_values,
     mec_decomposition,
     strategy_value_reach,
@@ -59,9 +56,9 @@ from .value_iter import (
     safety_value_iteration_upper,
 )
 from .reach_si import (
-    ReachSIResult,
     ReachSIRunner,
     ReachSIState,
+    Runner,
     STATUS_CAPPED,
     STATUS_EPS,
     STATUS_EXACT,
@@ -71,16 +68,13 @@ from .reach_si import (
     run_reach_si_turn_based,
 )
 from .safety_si import (
-    ConvergentResult,
     ConvergentSafetyRunner,
-    KUniformResult,
-    SafetySIResult,
+    SafetySIRunner,
     SafetySIState,
     SupportPair,
     TBReduction,
     improvement_switches,
     opt_sel_count,
-    opt_sel_feasible,
     round_to_k_uniform,
     run_convergent_safety_si,
     run_k_uniform_si,

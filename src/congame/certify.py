@@ -89,8 +89,6 @@ def approximate_game_value(
     exact: Valuation | None = None
 
     def criteria() -> str | None:
-        if safety.values is None:
-            return None
         if reach.finished:
             return "reach-fixpoint"
         if safety.finished:
@@ -112,7 +110,6 @@ def approximate_game_value(
             break
     v = safety.values
     u = reach.values
-    assert v is not None
     if hit == "reach-fixpoint":
         status = STATUS_EXACT
         exact = {s: ONE - u[s] for s in game.states}

@@ -5,8 +5,9 @@ Subcommands:
 * ``solve``: run a solver on a game file and print per-state values
   (exact rationals plus 20-digit decimal approximations), the witness
   memoryless strategy, iteration count and status.  ``ALGORITHMS`` maps
-  each ``--algorithm`` name to a function returning a ``Solve`` record and
-  to the objective kind it solves; the report is built from that record.
+  each ``--algorithm`` name to a function returning a ``Solve`` record, its
+  default iteration cap, the objective kind it solves and the option it
+  reads; the report is built from that record.
 * ``dump-tb``: emit the turn-based reduction of a game at a valuation,
   round-trippable in the input format, with back-map annotations.
 * ``validate``: parse and check a game file.
@@ -156,7 +157,7 @@ class Problem:
     tb: TurnBasedGame | None
     kind: str
     chosen: list[str]
-    max_iters: int | None
+    max_iters: int | None  # None only for algorithms that ignore the cap
     eps: Fraction
     k: int
 
@@ -183,17 +184,17 @@ class Solve:
     after: dict = field(default_factory=dict)
 
 
-def _improvement(result, **fields) -> Solve:
-    """A strategy-improvement run: its final selector achieves its values."""
+def _improvement(runner, **fields) -> Solve:
+    """An improvement runner after its run: its selector achieves its values."""
     return Solve(
-        result.status, result.values, result.iterations, result.final_selector,
-        result.values, result.valuations, **fields,
+        runner.status, runner.values, runner.iterations, runner.selector,
+        runner.values, runner.valuations, **fields,
     )
 
 
 def _vi(p: Problem) -> Solve:
     if p.kind == "reach":
-        result = reach_value_iteration(p.game, p.chosen, max_steps=p.max_iters or 100)
+        result = reach_value_iteration(p.game, p.chosen, max_steps=p.max_iters)
         last = result.steps()
         try:
             achieved = eta_achieved_values(result, last)
@@ -205,7 +206,7 @@ def _vi(p: Problem) -> Solve:
             status, result.valuations[-1], last, witness, achieved, result.valuations,
             after={"w2": sorted(result.w2)},
         )
-    iterates = safety_value_iteration_upper(p.game, p.chosen, steps=p.max_iters or 100)
+    iterates = safety_value_iteration_upper(p.game, p.chosen, steps=p.max_iters)
     exact = len(iterates) >= 2 and iterates[-1] == iterates[-2]
     values = iterates[-1]
     witness = witness_values = None
@@ -221,7 +222,7 @@ def _vi(p: Problem) -> Solve:
 
 def _reach_si(p: Problem) -> Solve:
     if p.tb is None:
-        return _improvement(run_reach_si(p.game, p.chosen, max_iters=p.max_iters or 1000))
+        return _improvement(run_reach_si(p.game, p.chosen, max_iters=p.max_iters))
     result = run_reach_si_turn_based(p.tb, p.chosen)
     pure = {s: result.strategy[s] for s in sorted(result.strategy)}
     return Solve(
@@ -231,30 +232,30 @@ def _reach_si(p: Problem) -> Solve:
 
 
 def _safety_si(p: Problem) -> Solve:
-    result = run_safety_si(p.game, p.chosen, max_iters=p.max_iters or 100)
-    return _improvement(result, after={"nonlocal_step_fired": result.fired_nonlocal})
+    runner = run_safety_si(p.game, p.chosen, max_iters=p.max_iters)
+    return _improvement(runner, after={"nonlocal_step_fired": runner.fired_nonlocal})
 
 
 def _k_uniform(p: Problem) -> Solve:
     """A k-uniform fixpoint is exact for the whole game only if the
     unrestricted stopping condition also holds there."""
-    result = run_k_uniform_si(p.game, p.chosen, p.k)
-    switches, _ = improvement_switches(result.game, result.values, p.chosen, result.w1)
+    runner = run_k_uniform_si(p.game, p.chosen, p.k)
+    switches, _ = improvement_switches(runner.game, runner.values, p.chosen, runner.w1)
     return Solve(
-        STATUS_CAPPED if switches else STATUS_EXACT, result.values, result.iterations,
-        result.selector, result.values,
-        before={"k": result.k}, after={"nonlocal_step_fired": result.fired_nonlocal},
+        STATUS_CAPPED if switches else STATUS_EXACT, runner.values, runner.iterations,
+        runner.selector, runner.values,
+        before={"k": runner.k}, after={"nonlocal_step_fired": runner.fired_nonlocal},
     )
 
 
 def _convergent(p: Problem) -> Solve:
-    result = run_convergent_safety_si(p.game, p.chosen, max_outer=p.max_iters or 50)
-    return _improvement(result, before={"ks": result.ks})
+    runner = run_convergent_safety_si(p.game, p.chosen, max_outer=p.max_iters)
+    return _improvement(runner, before={"ks": runner.ks})
 
 
 def _certify(p: Problem) -> Solve:
     game = p.game
-    bracket = approximate_game_value(game, p.chosen, p.eps, max_rounds=p.max_iters or 200)
+    bracket = approximate_game_value(game, p.chosen, p.eps, max_rounds=p.max_iters)
     before: dict = {
         "bracket": {
             "safety_lower": _values_doc(game, bracket.safety_lower),
@@ -276,21 +277,24 @@ def _certify(p: Problem) -> Solve:
 
 class Algorithm(NamedTuple):
     run: Callable[[Problem], Solve]
+    max_iters: int | None  # the default --max-iters; None if it runs to its fixpoint
     kind: str | None = None  # the objective kind it solves; None for both
     wrong_kind: str = ""  # the error for the other kind
-    inline: str = ""  # what ALGORITHM:ARG sets, "K" or "EPS"
+    inline: str = ""  # the one option it reads, "K" or "EPS", also as ALGORITHM:ARG
 
 
 ALGORITHMS = {
-    "vi": Algorithm(_vi),
+    "vi": Algorithm(_vi, 100),
     "reach-si": Algorithm(
-        _reach_si, "reach", "reach-si solves reach objectives; use a safety algorithm for safe"
+        _reach_si, 1000, "reach",
+        "reach-si solves reach objectives; use a safety algorithm for safe",
     ),
-    "safety-si": Algorithm(_safety_si, "safe", "safety-si solves safe objectives"),
-    "k-uniform": Algorithm(_k_uniform, "safe", "k-uniform solves safe objectives", "K"),
-    "convergent": Algorithm(_convergent, "safe", "convergent solves safe objectives"),
+    "safety-si": Algorithm(_safety_si, 100, "safe", "safety-si solves safe objectives"),
+    "k-uniform": Algorithm(_k_uniform, None, "safe", "k-uniform solves safe objectives", "K"),
+    "convergent": Algorithm(_convergent, 50, "safe", "convergent solves safe objectives"),
     "certify": Algorithm(
-        _certify, "safe", "certify takes a safe objective (the reach side is derived)", "EPS"
+        _certify, 200, "safe", "certify takes a safe objective (the reach side is derived)",
+        "EPS",
     ),
 }
 
@@ -300,23 +304,29 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
     name, inline = _split_algorithm(args.algorithm)
     kind, chosen = parse_objective(args.objective, game.states)
     algorithm = ALGORITHMS.get(name)
-    takes = algorithm.inline if algorithm and inline else ""
+    if algorithm is None:
+        raise CliError(f"unknown algorithm {args.algorithm!r}")
+    if args.max_iters is not None and args.max_iters < 1:
+        raise CliError(f"--max-iters must be >= 1, got {args.max_iters}")
+    for option, given in (("EPS", args.eps), ("K", args.k)):
+        if given is not None and algorithm.inline != option:
+            raise CliError(f"{name} does not read --{option.lower()}")
+    takes = algorithm.inline if inline else ""
     if takes == "EPS":
         eps = parse_fraction(inline, f"--algorithm {name}:EPS")
     else:
-        eps = parse_fraction(args.eps, "--eps") if args.eps else Fraction(1, 100)
+        eps = parse_fraction(args.eps, "--eps") if args.eps is not None else Fraction(1, 100)
     if takes == "K":
         try:
             k = int(inline)
         except ValueError as exc:
             raise CliError(f"--algorithm {name}:K needs an integer, got {inline!r}") from exc
     else:
-        k = args.k if args.k else len(game.moves)
-    if algorithm is None:
-        raise CliError(f"unknown algorithm {args.algorithm!r}")
+        k = args.k if args.k is not None else len(game.moves)
     if algorithm.kind not in (None, kind):
         raise CliError(algorithm.wrong_kind)
-    solve = algorithm.run(Problem(game, tb, kind, chosen, args.max_iters, eps, k))
+    max_iters = args.max_iters if args.max_iters is not None else algorithm.max_iters
+    solve = algorithm.run(Problem(game, tb, kind, chosen, max_iters, eps, k))
 
     report: dict = {
         "input": args.input,

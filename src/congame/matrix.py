@@ -50,10 +50,6 @@ class MatrixSolution:
     col_strategy: tuple[Fraction, ...]
 
 
-def _row_value(payoff, mix, col: int) -> Fraction:
-    return sum((p * payoff[i][col] for i, p in enumerate(mix)), ZERO)
-
-
 def _solve_rows_lp(payoff, n_rows: int, n_cols: int) -> tuple[Fraction, list[Fraction]]:
     # Variables: x_0..x_{m-1}, g+, g-; maximize g = g+ - g-.
     objective = [ZERO] * n_rows + [ONE, -ONE]
@@ -141,12 +137,6 @@ def pre_mix_move(
         dist = game.delta[(s, a, b)]
         total += pa * sum((p * v[t] for t, p in dist.items()), ZERO)
     return total
-
-
-def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Selector) -> Fraction:
-    """Worst case over player 2 of the one-step expectation; the infimum is
-    attained at a pure move."""
-    return min(pre_mix_move(game, v, s, xi1.choice[s], b) for b in game.moves2[s])
 
 
 def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:

@@ -304,23 +304,11 @@ class ImproperSelectorError(GameError):
         self.witness = witness
 
 
-def improper_witness(
-    game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]
-) -> frozenset[str] | None:
-    """First maximal end component of the induced MDP that avoids T and W2,
-    or None if the selector is proper.  T and W2 must be absorbing."""
-    return _trapped_component(induce_mdp(game, xi1), set(T) | set(W2))
-
-
 def _trapped_component(mdp: InducedMDP, done: set[str]) -> frozenset[str] | None:
     for component in mec_decomposition(mdp).components:
         if not (component.states & done):
             return component.states
     return None
-
-
-def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]) -> bool:
-    return improper_witness(game, xi1, T, W2) is None
 
 
 def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:

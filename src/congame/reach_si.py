@@ -8,6 +8,9 @@ values increase monotonically, and a natural stop (no improvable state)
 certifies the exact game value.  On turn-based games the improvements can
 be kept pure, which forces termination; the initial pure proper selector
 comes from the attractor construction.
+
+``Runner`` is the shape every capped improvement loop shares, here and in
+``safety_si``; a finished runner is its own result.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ class ReachSIState:
     """One point of the improvement loop: current selector, its exact value,
     and the improvement set found when stepping away from it."""
 
-    iteration: int
     selector: Selector
     valuation: Valuation
     improve_set: frozenset[str]
@@ -69,7 +71,7 @@ def improve_step_reach(
         s for s in game.states if s not in done and pre_vals[s] > v[s]
     )
     if not improvable:
-        return ReachSIState(state.iteration + 1, state.selector, v, improvable)
+        return ReachSIState(state.selector, v, improvable)
     choice = {
         s: dict(witness.choice[s] if s in improvable else state.selector.choice[s])
         for s in game.states
@@ -87,27 +89,54 @@ def improve_step_reach(
     for s in improvable:
         if not value[s] > v[s]:
             raise AssertionError(f"no strict improvement at {s!r}")
-    return ReachSIState(state.iteration + 1, nxt, value, improvable)
+    return ReachSIState(nxt, value, improvable)
 
 
-@dataclass
-class ReachSIResult:
-    valuations: list[Valuation]
-    final_selector: Selector
-    status: str
-    iterations: int
-    game: GameStructure
-    target: frozenset[str]
-    w2: frozenset[str]
+class Runner:
+    """A capped improvement loop.
+
+    ``step()`` runs one round and returns True while progress is possible;
+    ``run(cap)`` steps until the fixpoint or ``cap`` rounds in all and
+    returns the runner.  ``iterations`` counts the rounds run, ``finished``
+    says the last one found the fixpoint (status exact, else capped).
+    Subclasses set ``game`` (the normalized game they improve on) and
+    ``valuations`` (the exact value of every selector held, oldest first;
+    ``values`` is the last), provide ``selector`` (achieving ``values``)
+    and implement ``_round``, which improves once, records any new value
+    and returns True at the fixpoint.
+    """
+
+    finished = False
+    iterations = 0
 
     @property
     def values(self) -> Valuation:
         return self.valuations[-1]
 
+    @property
+    def status(self) -> str:
+        return STATUS_EXACT if self.finished else STATUS_CAPPED
 
-class ReachSIRunner:
-    """Stepwise driver for the improvement loop (used directly by the
-    two-sided certifier, which interleaves it with the safety sequence)."""
+    def step(self) -> bool:
+        if self.finished:
+            return False
+        self.iterations += 1
+        self.finished = self._round()
+        return not self.finished
+
+    def _round(self) -> bool:
+        raise NotImplementedError
+
+    def run(self, max_iters: int):
+        while self.iterations < max_iters and not self.finished:
+            self.step()
+        return self
+
+
+class ReachSIRunner(Runner):
+    """Reachability strategy improvement from the uniform selector (the
+    two-sided certifier steps it directly, interleaved with the safety
+    sequence)."""
 
     def __init__(self, game: GameStructure, T: Iterable[str]):
         self.target = frozenset(T) & frozenset(game.states)
@@ -120,51 +149,27 @@ class ReachSIRunner:
             raise AssertionError(
                 f"initial selector is improper; trapped component {sorted(err.witness)}"
             ) from None
-        self.state = ReachSIState(0, selector, value, frozenset())
+        self.state = ReachSIState(selector, value, frozenset())
         self.valuations: list[Valuation] = [value]
-        self.finished = False
-        self.iterations = 0
-
-    @property
-    def values(self) -> Valuation:
-        return self.state.valuation
 
     @property
     def selector(self) -> Selector:
         return self.state.selector
 
-    def step(self) -> bool:
-        """Run one improvement; returns True if the value changed."""
-        if self.finished:
-            return False
-        self.iterations += 1
-        nxt = improve_step_reach(self.game, self.state, self.target, self.w2)
-        if not nxt.improve_set:
-            self.finished = True
-            self.state = nxt
-            return False
-        self.state = nxt
-        self.valuations.append(nxt.valuation)
-        return True
+    def _round(self) -> bool:
+        self.state = improve_step_reach(self.game, self.state, self.target, self.w2)
+        if not self.state.improve_set:
+            return True
+        self.valuations.append(self.state.valuation)
+        return False
 
 
-def run_reach_si(game: GameStructure, T: Iterable[str], max_iters: int = 1000) -> ReachSIResult:
+def run_reach_si(game: GameStructure, T: Iterable[str], max_iters: int = 1000) -> ReachSIRunner:
     """Full reachability strategy improvement from the uniform selector.
 
     Stops when no state is improvable (exact value) or at the iteration cap.
     """
-    runner = ReachSIRunner(game, T)
-    while runner.iterations < max_iters and not runner.finished:
-        runner.step()
-    return ReachSIResult(
-        runner.valuations,
-        runner.selector,
-        STATUS_EXACT if runner.finished else STATUS_CAPPED,
-        runner.iterations,
-        runner.game,
-        runner.target,
-        runner.w2,
-    )
+    return ReachSIRunner(game, T).run(max_iters)
 
 
 @dataclass

@@ -15,6 +15,9 @@ The convergent variant restricts each round to k-uniform mixtures (finitely
 many, so each inner run terminates at the exact k-uniform optimum) and
 grows k; the resulting outer sequence of strategy values rises to the value
 of the game.
+
+``SafetySIRunner`` runs the plain or, given k, the k-uniform loop, and
+``ConvergentSafetyRunner`` the outer one; both are ``reach_si.Runner``s.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .model import (
     make_absorbing,
     uniform_selector,
 )
-from .reach_si import STATUS_CAPPED, STATUS_EXACT
+from .reach_si import Runner
 
 
 @dataclass(frozen=True)
@@ -147,39 +150,6 @@ def _k_uniform_pairs(
         if key not in out:
             out[key] = mix
     return out
-
-
-def opt_sel_feasible(
-    game: GameStructure,
-    v: Mapping[str, Fraction],
-    s: str,
-    A: Iterable[str],
-    B: Iterable[str],
-    k: int | None = None,
-) -> SupportPair | None:
-    """Witness an optimal mixture at ``s`` with support exactly A whose
-    counter-optimal move set is exactly B, or None if there is none.
-
-    Unrestricted mixtures are decided by a slack linear program; k-uniform
-    mixtures by enumeration against the k-restricted one-step optimum.
-    """
-    moves1, moves2 = game.moves1[s], game.moves2[s]
-    A = tuple(a for a in moves1 if a in set(A))
-    B = tuple(b for b in moves2 if b in set(B))
-    if not A or not B:
-        raise GameError("support and counter set must be nonempty subsets")
-    if k is None:
-        matrix = one_step_matrix(game, v, s)
-        target = solve_matrix_game(matrix).value
-        witness = _feasible_unrestricted(matrix, target, A, B)
-        if witness is None:
-            return None
-        return SupportPair(s, A, B, witness)
-    pairs = _k_uniform_pairs(game, v, s, k)
-    witness = pairs.get((A, B))
-    if witness is None:
-        return None
-    return SupportPair(s, A, B, witness)
 
 
 def opt_sel_count(
@@ -289,7 +259,6 @@ def tb_reduction(
 
 @dataclass
 class SafetySIState:
-    iteration: int
     selector: Selector
     valuation: Valuation
     improve_set: frozenset[str]
@@ -368,9 +337,7 @@ def safety_si_step(
     v = state.valuation
     switches, nonlocal_step = improvement_switches(game, v, safe, W1, k)
     if not switches:
-        return SafetySIState(
-            state.iteration + 1, state.selector, v, frozenset(), frozenset(), True, False
-        )
+        return SafetySIState(state.selector, v, frozenset(), frozenset(), True, False)
     switched = frozenset(switches)
     nxt = _replace(state.selector, switches)
     value = strategy_value_safety(game, nxt, safe)
@@ -381,30 +348,11 @@ def safety_si_step(
     if nonlocal_step:
         if not any(value[s] > v[s] for s in switched):
             raise AssertionError("non-local step produced no strict improvement")
-        return SafetySIState(
-            state.iteration + 1, nxt, value, frozenset(), switched, False, True
-        )
+        return SafetySIState(nxt, value, frozenset(), switched, False, True)
     for s in switched:
         if not value[s] > v[s]:
             raise AssertionError(f"no strict local improvement at {s!r}")
-    return SafetySIState(
-        state.iteration + 1, nxt, value, switched, frozenset(), False, False
-    )
-
-
-@dataclass
-class SafetySIResult:
-    valuations: list[Valuation]
-    final_selector: Selector
-    status: str
-    iterations: int
-    fired_nonlocal: bool
-    game: GameStructure
-    w1: frozenset[str]
-
-    @property
-    def values(self) -> Valuation:
-        return self.valuations[-1]
+    return SafetySIState(nxt, value, switched, frozenset(), False, False)
 
 
 @dataclass(frozen=True)
@@ -437,33 +385,58 @@ def normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
     return SafetyContext(normalized, w1, safe, w1_actions)
 
 
-def run_safety_si(game: GameStructure, F: Iterable[str], max_iters: int = 100) -> SafetySIResult:
+class SafetySIRunner(Runner):
+    """Safety strategy improvement from the uniform selector, over all
+    mixtures or, given ``k``, over k-uniform ones only.
+
+    k is raised to the total number of moves so the uniform start is itself
+    k-uniform.  ``context`` reuses a normalization of ``game`` already made.
+    ``selector`` is portable: it achieves ``values`` on the original game
+    too.  ``fired_nonlocal`` says whether any round took the non-local step.
+    """
+
+    def __init__(
+        self,
+        game: GameStructure,
+        F: Iterable[str],
+        k: int | None = None,
+        context: SafetyContext | None = None,
+    ):
+        if k is not None and k < 1:
+            raise GameError("k must be >= 1")
+        self.context = context if context is not None else normalize_safety(game, F)
+        self.game, self.w1, self.safe = self.context.game, self.context.w1, self.context.safe
+        self.k = None if k is None else max(k, len(game.moves))
+        selector = uniform_selector(self.game)
+        value = strategy_value_safety(self.game, selector, self.safe)
+        self.state = SafetySIState(selector, value, frozenset(), frozenset(), False, False)
+        self.valuations: list[Valuation] = [value]
+        self.fired_nonlocal = False
+
+    @property
+    def selector(self) -> Selector:
+        return self.context.portable(self.state.selector)
+
+    def _round(self) -> bool:
+        previous = self.values
+        self.state = safety_si_step(self.game, self.state, self.safe, self.w1, k=self.k)
+        self.fired_nonlocal = self.fired_nonlocal or self.state.fired_nonlocal
+        if self.state.finished:
+            return True
+        if not any(self.state.valuation[s] > previous[s] for s in self.game.states):
+            raise AssertionError("safety step changed nothing but did not finish")
+        self.valuations.append(self.state.valuation)
+        return False
+
+
+def run_safety_si(game: GameStructure, F: Iterable[str], max_iters: int = 100) -> SafetySIRunner:
     """Safety strategy improvement from the uniform selector.
 
     Monotone; a natural stop (neither step can move) certifies the exact
     value, but on genuinely concurrent games the loop may improve forever,
     so the iteration cap flags a partial trace instead.
     """
-    ctx = normalize_safety(game, F)
-    normalized, w1, safe = ctx.game, ctx.w1, ctx.safe
-    selector = uniform_selector(normalized)
-    value = strategy_value_safety(normalized, selector, safe)
-    state = SafetySIState(0, selector, value, frozenset(), frozenset(), False, False)
-    valuations = [value]
-    fired = False
-    status = STATUS_CAPPED
-    iterations = 0
-    while iterations < max_iters:
-        iterations += 1
-        state = safety_si_step(normalized, state, safe, w1)
-        fired = fired or state.fired_nonlocal
-        if state.finished:
-            status = STATUS_EXACT
-            break
-        valuations.append(state.valuation)
-    return SafetySIResult(
-        valuations, ctx.portable(state.selector), status, iterations, fired, normalized, w1
-    )
+    return SafetySIRunner(game, F).run(max_iters)
 
 
 def round_to_k_uniform(
@@ -500,144 +473,65 @@ def round_to_k_uniform(
     return total, rounded
 
 
-@dataclass
-class KUniformResult:
-    values: Valuation
-    selector: Selector
-    iterations: int
-    fired_nonlocal: bool
-    k: int
-    game: GameStructure
-    w1: frozenset[str]
-
-
 def run_k_uniform_si(
     game: GameStructure,
     F: Iterable[str],
     k: int,
     max_iters: int = 10_000,
-    _context: "SafetyContext | None" = None,
-) -> KUniformResult:
-    """Safety improvement restricted to k-uniform mixtures.
+    _context: SafetyContext | None = None,
+) -> SafetySIRunner:
+    """Safety improvement restricted to k-uniform mixtures, to its fixpoint.
 
-    k is raised to the total number of moves so the uniform start is itself
-    k-uniform.  Values rise strictly whenever the selector changes and the
-    k-uniform selectors are finite, so the loop terminates; the fixpoint is
-    the exact optimum over k-uniform memoryless strategies.
+    Values rise strictly whenever the selector changes and the k-uniform
+    selectors are finite, so the loop terminates; the fixpoint is the exact
+    optimum over k-uniform memoryless strategies.  ``max_iters`` is a
+    budget, not a cap: running out of it raises.
     """
-    if k < 1:
-        raise GameError("k must be >= 1")
-    ctx = _context if _context is not None else normalize_safety(game, F)
-    normalized, w1, safe = ctx.game, ctx.w1, ctx.safe
-    k = max(k, len(game.moves))
-    selector = uniform_selector(normalized)
-    value = strategy_value_safety(normalized, selector, safe)
-    state = SafetySIState(0, selector, value, frozenset(), frozenset(), False, False)
-    fired = False
-    iterations = 0
-    while True:
-        if iterations >= max_iters:
-            raise RuntimeError("k-uniform improvement failed to terminate within budget")
-        iterations += 1
-        previous = state.valuation
-        state = safety_si_step(normalized, state, safe, w1, k=k)
-        fired = fired or state.fired_nonlocal
-        if state.finished:
-            break
-        if not any(state.valuation[s] > previous[s] for s in normalized.states):
-            raise AssertionError("k-uniform step changed nothing but did not finish")
-    return KUniformResult(
-        state.valuation, ctx.portable(state.selector), iterations, fired, k, normalized, w1
-    )
+    runner = SafetySIRunner(game, F, k, _context).run(max_iters)
+    if not runner.finished:
+        raise RuntimeError("k-uniform improvement failed to terminate within budget")
+    return runner
 
 
-class ConvergentSafetyRunner:
+class ConvergentSafetyRunner(Runner):
     """Outer loop growing k: each step runs the k-uniform improvement to its
-    fixpoint, records its exact strategy value, and tests the unrestricted
-    stopping condition (no local improvement and an empty non-local set)."""
+    fixpoint (kept as ``inner``), records its exact strategy value and k,
+    and tests the unrestricted stopping condition (no local improvement and
+    an empty non-local set).  There is no valuation before the first step.
+    """
 
     def __init__(self, game: GameStructure, F: Iterable[str]):
         self.context = normalize_safety(game, F)
-        self.normalized = self.context.game
-        self.w1 = self.context.w1
-        self.safe = self.context.safe
+        self.game, self.w1, self.safe = self.context.game, self.context.w1, self.context.safe
         self.k = max(1, len(game.moves))
         self.valuations: list[Valuation] = []
-        self.selectors: list[Selector] = []
-        self.inner_fired: list[bool] = []
         self.ks: list[int] = []
-        self.finished = False
-        self.iterations = 0
+        self.inner: SafetySIRunner | None = None
 
     @property
-    def values(self) -> Valuation | None:
-        return self.valuations[-1] if self.valuations else None
+    def selector(self) -> Selector:
+        return self.inner.selector
 
-    @property
-    def selector(self) -> Selector | None:
-        return self.selectors[-1] if self.selectors else None
-
-    def step(self) -> bool:
-        """One outer round; returns True while progress is possible."""
-        if self.finished:
-            return False
-        self.iterations += 1
-        inner = run_k_uniform_si(self.normalized, self.safe, self.k, _context=self.context)
+    def _round(self) -> bool:
+        inner = run_k_uniform_si(self.game, self.safe, self.k, _context=self.context)
         if self.valuations:
-            previous = self.valuations[-1]
-            for s in self.normalized.states:
-                if inner.values[s] < previous[s]:
+            for s in self.game.states:
+                if inner.values[s] < self.values[s]:
                     raise AssertionError(f"outer sequence regressed at {s!r}")
+        self.inner = inner
         self.valuations.append(inner.values)
-        self.selectors.append(inner.selector)
-        self.inner_fired.append(inner.fired_nonlocal)
         self.ks.append(inner.k)
-        switches, _ = improvement_switches(
-            self.normalized, inner.values, self.safe, self.w1
-        )
-        self.finished = not switches
+        switches, _ = improvement_switches(self.game, inner.values, self.safe, self.w1)
         self.k += 1
-        return not self.finished
-
-
-@dataclass
-class ConvergentResult:
-    valuations: list[Valuation]
-    selectors: list[Selector]
-    inner_fired: list[bool]
-    ks: list[int]
-    status: str
-    iterations: int
-    game: GameStructure
-    w1: frozenset[str]
-
-    @property
-    def values(self) -> Valuation:
-        return self.valuations[-1]
-
-    @property
-    def final_selector(self) -> Selector:
-        return self.selectors[-1]
+        return not switches
 
 
 def run_convergent_safety_si(
     game: GameStructure, F: Iterable[str], max_outer: int = 50
-) -> ConvergentResult:
+) -> ConvergentSafetyRunner:
     """Convergent safety improvement: k-uniform fixpoints for growing k.
 
     Stops when the unrestricted condition certifies optimality, or at the
     cap.
     """
-    runner = ConvergentSafetyRunner(game, F)
-    while runner.iterations < max_outer and not runner.finished:
-        runner.step()
-    return ConvergentResult(
-        runner.valuations,
-        runner.selectors,
-        runner.inner_fired,
-        runner.ks,
-        STATUS_EXACT if runner.finished else STATUS_CAPPED,
-        runner.iterations,
-        runner.normalized,
-        runner.w1,
-    )
+    return ConvergentSafetyRunner(game, F).run(max_outer)

@@ -10,10 +10,69 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from congame.mdp import almost_sure_safe_strategy
-from congame.model import ONE, ZERO, GameStructure, Selector, Valuation, swap_players
+from congame.matrix import one_step_matrix, pre_mix_move, solve_matrix_game
+from congame.mdp import _trapped_component, almost_sure_safe_strategy, induce_mdp
+from congame.model import (
+    ONE, ZERO, GameError, GameStructure, Selector, Valuation, swap_players,
+)
 from congame.reach_si import ReachSIRunner
-from congame.safety_si import ConvergentSafetyRunner
+from congame.safety_si import (
+    ConvergentSafetyRunner,
+    SupportPair,
+    _feasible_unrestricted,
+    _k_uniform_pairs,
+)
+
+
+def improper_witness(
+    game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]
+) -> frozenset[str] | None:
+    """First maximal end component of the induced MDP that avoids T and W2,
+    or None if the selector is proper.  T and W2 must be absorbing."""
+    return _trapped_component(induce_mdp(game, xi1), set(T) | set(W2))
+
+
+def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]) -> bool:
+    return improper_witness(game, xi1, T, W2) is None
+
+
+def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Selector) -> Fraction:
+    """Worst case over player 2 of the one-step expectation; the infimum is
+    attained at a pure move."""
+    return min(pre_mix_move(game, v, s, xi1.choice[s], b) for b in game.moves2[s])
+
+
+def opt_sel_feasible(
+    game: GameStructure,
+    v: Mapping[str, Fraction],
+    s: str,
+    A: Iterable[str],
+    B: Iterable[str],
+    k: int | None = None,
+) -> SupportPair | None:
+    """Witness an optimal mixture at ``s`` with support exactly A whose
+    counter-optimal move set is exactly B, or None if there is none.
+
+    Unrestricted mixtures are decided by a slack linear program; k-uniform
+    mixtures by enumeration against the k-restricted one-step optimum.
+    """
+    moves1, moves2 = game.moves1[s], game.moves2[s]
+    A = tuple(a for a in moves1 if a in set(A))
+    B = tuple(b for b in moves2 if b in set(B))
+    if not A or not B:
+        raise GameError("support and counter set must be nonempty subsets")
+    if k is None:
+        matrix = one_step_matrix(game, v, s)
+        target = solve_matrix_game(matrix).value
+        witness = _feasible_unrestricted(matrix, target, A, B)
+        if witness is None:
+            return None
+        return SupportPair(s, A, B, witness)
+    pairs = _k_uniform_pairs(game, v, s, k)
+    witness = pairs.get((A, B))
+    if witness is None:
+        return None
+    return SupportPair(s, A, B, witness)
 
 
 def destinations(game: GameStructure, s: str, xi1: Selector, xi2: Selector) -> frozenset[str]:

@@ -12,10 +12,10 @@ import random
 from fractions import Fraction
 
 from congame import (
+    ConvergentSafetyRunner,
     MatrixGame,
     ReachSIRunner,
     approximate_game_value,
-    is_proper,
     reach_value_iteration,
     round_to_k_uniform,
     run_convergent_safety_si,
@@ -32,7 +32,7 @@ from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 from congame.cli import main as cli_main
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import check_determinacy_bracket
+from helpers import check_determinacy_bracket, is_proper
 from oracles import (
     brute_force_k_uniform_best,
     matrix_value_oracle,
@@ -121,8 +121,10 @@ def test_criterion_04_example3_full_alg2_vs_alg4():
     assert not plain.fired_nonlocal
     assert all(v["s3"] < F(3, 5) for v in plain.valuations)
 
-    convergent = run_convergent_safety_si(game, safe, max_outer=6)
-    assert convergent.inner_fired[0]  # the non-local step fires on round one
+    convergent = ConvergentSafetyRunner(game, safe)
+    for _ in range(6):
+        assert convergent.step()  # the value is irrational: no round is the last
+        assert convergent.inner.fired_nonlocal  # the non-local step fires every round
     assert all(v["s3"] == F(3, 5) for v in convergent.valuations)
     assert all(v["s4"] == F(3, 5) and v["s5"] == F(3, 5) for v in convergent.valuations)
     report(

@@ -6,9 +6,13 @@ it).  ``tests/golden/index.json`` holds each case's argv and exit code;
 ``<case>.out`` its stdout and ``<case>.err`` its stderr when that is not
 empty.
 
-Record the files (only from a known-good commit) with::
+Record the cases missing from the index with::
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+It writes nothing, and exits non-zero naming them, if any recorded case's
+argv or output differs from what the current code produces; a changed
+case is re-recorded only by deleting its entry first.
 """
 
 from __future__ import annotations
@@ -88,6 +92,24 @@ def _cases() -> dict[str, list[str]]:
     cases["error-certify-bad-eps"] = [
         "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "certify:1/x",
     ]
+    # Out-of-range caps and options an algorithm does not read.
+    for algorithm, value in (("vi", "0"), ("safety-si", "-1"), ("convergent", "-1")):
+        objective = "reach:s0" if algorithm == "vi" else "safe:not-s0"
+        cases[f"error-{algorithm}-max-iters{value}"] = [
+            "solve", "fig1.game", "--objective", objective, "--algorithm", algorithm,
+            "--max-iters", value,
+        ]
+    cases["error-k-uniform-k0"] = [
+        "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "k-uniform",
+        "--k", "0",
+    ]
+    cases["error-vi-eps"] = [
+        "solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "vi", "--eps", "junk",
+    ]
+    cases["error-safety-si-k"] = [
+        "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "safety-si",
+        "--k", "3",
+    ]
     return cases
 
 
@@ -127,28 +149,43 @@ def test_index_lists_every_case(index):
     assert {name: entry["argv"] for name, entry in index.items()} == CASES
 
 
+def _recorded(name: str, index: dict) -> tuple[str, str, int]:
+    """The stdout, stderr and exit code on file for a recorded case."""
+    err_file = GOLDEN / f"{name}.err"
+    err = err_file.read_text(encoding="utf-8") if err_file.exists() else ""
+    return (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), err, index[name]["exit"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, index, example_dir):
-    out, err, code = _run(CASES[name], example_dir)
-    assert code == index[name]["exit"]
-    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    err_file = GOLDEN / f"{name}.err"
-    assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
+    assert _run(CASES[name], example_dir) == _recorded(name, index)
 
 
 def _record() -> None:
+    """Write the cases missing from the index, after checking every
+    recorded one still reproduces."""
     GOLDEN.mkdir(exist_ok=True)
-    index = {}
+    index_file = GOLDEN / "index.json"
+    index = json.loads(index_file.read_text(encoding="utf-8")) if index_file.exists() else {}
+    changed, new = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         _write_examples(workdir)
         for name, argv in CASES.items():
-            out, err, code = _run(argv, workdir)
-            index[name] = {"argv": argv, "exit": code}
-            (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
-            if err:
-                (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
-    (GOLDEN / "index.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+            result = _run(argv, workdir)
+            if name not in index:
+                new[name] = result
+            elif index[name]["argv"] != argv or result != _recorded(name, index):
+                changed.append(name)
+    if changed:
+        sys.exit(f"recorded cases differ, nothing written: {', '.join(changed)}")
+    for name, (out, err, code) in new.items():
+        index[name] = {"argv": CASES[name], "exit": code}
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        if err:
+            (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+    index_file.write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(new)} new case(s): {', '.join(new) or 'none'}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from congame import (
     one_step_matrix,
     pre1,
     pre1_k,
-    pre1_sel,
     solve_matrix_game,
     pure_selector,
     uniform_selector,
@@ -18,7 +17,7 @@ from congame import (
 from congame.matrix import pre1_state
 
 from conftest import ONE, ZERO, random_concurrent_game
-from helpers import pre_sel_sel
+from helpers import pre1_sel, pre_sel_sel
 from oracles import matrix_value_oracle
 
 F = Fraction

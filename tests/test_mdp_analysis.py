@@ -10,8 +10,6 @@ from congame import (
     compute_W2,
     encode_turn_based_as_concurrent,
     induce_mdp,
-    is_proper,
-    improper_witness,
     max_reach_values,
     mec_decomposition,
     pure_selector,
@@ -24,7 +22,7 @@ from congame import (
 from congame.model import make_absorbing
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import almost_sure_safe_concurrent
+from helpers import almost_sure_safe_concurrent, improper_witness, is_proper
 from oracles import brute_force_mecs, chain_reach, mdp_reach_bellman_ok
 
 F = Fraction

@@ -8,7 +8,6 @@ from congame import (
     ReachSIRunner,
     compute_W2,
     improve_step_reach,
-    is_proper,
     reach_value_iteration,
     run_reach_si,
     run_reach_si_turn_based,
@@ -19,6 +18,7 @@ from congame.reach_si import ReachSIState, STATUS_CAPPED, STATUS_EXACT
 from congame.model import make_absorbing
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
+from helpers import is_proper
 from oracles import pure_strategy_count, tb_reach_value_oracle
 
 F = Fraction
@@ -56,7 +56,7 @@ def test_improve_step_strict_on_improvement_set(ex3step1):
     selector = uniform_selector(frozen)
     v = strategy_value_reach(frozen, selector, {"s1"}, w2)
     assert v["s0"] == F(1, 2)
-    state = ReachSIState(0, selector, v, frozenset())
+    state = ReachSIState(selector, v, frozenset())
     nxt = improve_step_reach(frozen, state, {"s1"}, w2)
     assert nxt.improve_set == {"s0"}
     assert nxt.valuation["s0"] == F(4, 7)
@@ -67,7 +67,7 @@ def test_improve_step_noop_at_fixpoint(fig1):
     frozen = make_absorbing(fig1, {"s0"} | w2)
     selector = uniform_selector(frozen)
     v = strategy_value_reach(frozen, selector, {"s0"}, w2)
-    state = ReachSIState(0, selector, v, frozenset())
+    state = ReachSIState(selector, v, frozenset())
     nxt = improve_step_reach(frozen, state, {"s0"}, w2)
     assert nxt.improve_set == frozenset()
     assert nxt.valuation == v

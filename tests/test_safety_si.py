@@ -5,16 +5,15 @@ from fractions import Fraction
 
 
 from congame import (
+    ConvergentSafetyRunner,
     GameStructure,
     improvement_switches,
     opt_sel_count,
-    opt_sel_feasible,
     round_to_k_uniform,
     run_convergent_safety_si,
     run_k_uniform_si,
     run_reach_si_turn_based,
     run_safety_si,
-    strategy_value_safety,
     tb_reduction,
 )
 from congame.matrix import one_step_matrix
@@ -22,6 +21,7 @@ from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_co
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
+from helpers import opt_sel_feasible
 from oracles import brute_force_k_uniform_best
 
 F = Fraction
@@ -178,7 +178,7 @@ def test_safety_si_fig2(fig2):
         "s0": F(2, 3), "s1": F(2, 3), "s2": F(1, 3), "s3": F(2, 3), "s4": ZERO, "s5": ONE
     }
     assert result.fired_nonlocal
-    assert result.final_selector.choice["s0"] == {"to-s1": ONE}
+    assert result.selector.choice["s0"] == {"to-s1": ONE}
 
 
 def test_safety_si_ex3full_never_fires(ex3full):
@@ -296,11 +296,13 @@ def test_convergent_fig2(fig2):
 
 def test_convergent_ex3full(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    result = run_convergent_safety_si(ex3full, safe, max_outer=6)
-    assert result.status == STATUS_CAPPED
-    assert all(fired for fired in result.inner_fired)
-    assert all(v["s3"] == F(3, 5) for v in result.valuations)
-    at_s0 = [v["s0"] for v in result.valuations]
+    runner = ConvergentSafetyRunner(ex3full, safe)
+    for _ in range(6):
+        runner.step()
+        assert runner.inner.fired_nonlocal
+    assert runner.status == STATUS_CAPPED
+    assert all(v["s3"] == F(3, 5) for v in runner.valuations)
+    at_s0 = [v["s0"] for v in runner.valuations]
     for earlier, later in zip(at_s0, at_s0[1:]):
         assert later >= earlier
     assert all(x * x - 4 * x + 2 > 0 for x in at_s0)  # below 2 - sqrt(2)
@@ -310,14 +312,6 @@ def test_convergent_all_unsafe(ex3step1):
     result = run_convergent_safety_si(ex3step1, set(), max_outer=3)
     assert result.status == STATUS_EXACT
     assert all(v == 0 for v in result.values.values())
-
-
-def test_convergent_trace_is_achieved_by_strategies(ex3full):
-    safe = [s for s in ex3full.states if s != "s2"]
-    result = run_convergent_safety_si(ex3full, safe, max_outer=4)
-    for valuation, selector in zip(result.valuations, result.selectors):
-        achieved = strategy_value_safety(ex3full, selector, safe)
-        assert achieved == valuation
 
 
 def test_k_uniform_fixpoint_monotone_in_k():
@@ -342,7 +336,7 @@ def test_safety_si_step_fig2_nonlocal_details(fig2):
     ctx = normalize_safety(fig2, safe)
     selector = uniform_selector(ctx.game)
     value = strategy_value_safety(ctx.game, selector, ctx.safe)
-    state = SafetySIState(0, selector, value, frozenset(), frozenset(), False, False)
+    state = SafetySIState(selector, value, frozenset(), frozenset(), False, False)
     nxt = safety_si_step(ctx.game, state, ctx.safe, ctx.w1)
     assert nxt.improve_set == frozenset()
     assert nxt.nonlocal_set == {"s0", "s1"}

@@ -84,7 +84,7 @@ def test_eta_selector_stable_after_fixpoint(fig1):
 
 def test_eta_achieves_previous_iterate(fig1):
     # The entry-time selector satisfies Pre_{1:eta_k}(u_{k-1}) = u_k exactly.
-    from congame import pre1_sel
+    from helpers import pre1_sel
 
     trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
     for k in (2, 3, 4):
@@ -188,7 +188,7 @@ def test_extract_safety_selector_rejects_non_fixpoint(fig2):
 
 def test_eta_identity_on_random_traces():
     # Pre_{1:eta_k}(u_{k-1}) = u_k on every trace, not just the worked example.
-    from congame import pre1_sel
+    from helpers import pre1_sel
 
     rng = random.Random(36)
     for _ in range(10):
