@@ -11,15 +11,12 @@ from .model import (
     Selector,
     TurnBasedGame,
     Valuation,
-    ValueClassIndex,
     encode_turn_based_as_concurrent,
-    is_turn_based,
     indicator,
     make_absorbing,
     pure_selector,
     swap_players,
     uniform_selector,
-    value_classes,
 )
 from .gamefile import GameFormatError, load_game, parse_game, serialize_game
 from .matrix import (
@@ -62,10 +59,8 @@ from .reach_si import (
     STATUS_CAPPED,
     STATUS_EPS,
     STATUS_EXACT,
-    TurnBasedReachResult,
     improve_step_reach,
     run_reach_si,
-    run_reach_si_turn_based,
 )
 from .safety_si import (
     ConvergentSafetyRunner,

@@ -37,21 +37,17 @@ from .mdp import (
     tb_almost_sure_safe,
 )
 from .model import (
+    P1,
     GameError,
     GameStructure,
     Selector,
     TurnBasedGame,
     Valuation,
+    edge_move,
     encode_turn_based_as_concurrent,
     swap_players,
 )
-from .reach_si import (
-    STATUS_CAPPED,
-    STATUS_EPS,
-    STATUS_EXACT,
-    run_reach_si,
-    run_reach_si_turn_based,
-)
+from .reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT, run_reach_si
 from .safety_si import (
     improvement_switches,
     normalize_safety,
@@ -221,12 +217,19 @@ def _vi(p: Problem) -> Solve:
 
 
 def _reach_si(p: Problem) -> Solve:
+    runner = run_reach_si(p.game, p.chosen, max_iters=p.max_iters, tb=p.tb)
     if p.tb is None:
-        return _improvement(run_reach_si(p.game, p.chosen, max_iters=p.max_iters))
-    result = run_reach_si_turn_based(p.tb, p.chosen)
-    pure = {s: result.strategy[s] for s in sorted(result.strategy)}
+        return _improvement(runner)
+    # Turn-based reports name the pure strategy's successor edges and, to
+    # keep their bytes, print no trace.
+    frozen = runner.target | runner.w2
+    pure = {}
+    for s in sorted(p.tb.states):
+        if p.tb.partition[s] == P1 and s not in frozen:
+            (move,) = runner.selector.choice[s]
+            pure[s] = next(t for t in p.tb.edges[s] if edge_move(t) == move)
     return Solve(
-        STATUS_EXACT, result.values, result.iterations, result.selector, result.values,
+        runner.status, runner.values, runner.iterations, runner.selector, runner.values,
         after={"pure_strategy": pure},
     )
 
@@ -306,6 +309,8 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
     algorithm = ALGORITHMS.get(name)
     if algorithm is None:
         raise CliError(f"unknown algorithm {args.algorithm!r}")
+    if inline is not None and not algorithm.inline:
+        raise CliError(f"{name} takes no inline argument")
     if args.max_iters is not None and args.max_iters < 1:
         raise CliError(f"--max-iters must be >= 1, got {args.max_iters}")
     for option, given in (("EPS", args.eps), ("K", args.k)):

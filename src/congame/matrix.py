@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .linprog import EQ, GEQ, LEQ, solve_lp
 from .model import GameStructure, Selector, ZERO, ONE
@@ -122,21 +122,13 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
     return MatrixGame(rows, cols, payoff)
 
 
-def pre_mix_move(
-    game: GameStructure,
-    v: Mapping[str, Fraction],
-    s: str,
-    mix: Mapping[str, Fraction],
-    b: str,
-) -> Fraction:
-    """Expected next-step value for a player-1 mixture against a pure move b."""
-    total = ZERO
-    for a, pa in mix.items():
-        if pa == 0:
-            continue
-        dist = game.delta[(s, a, b)]
-        total += pa * sum((p * v[t] for t, p in dist.items()), ZERO)
-    return total
+def column_values(matrix: MatrixGame, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Expected payoff of each column against the row mixture ``weights``
+    (given in row order)."""
+    return tuple(
+        sum((w * row[j] for w, row in zip(weights, matrix.payoff) if w), ZERO)
+        for j in range(len(matrix.cols))
+    )
 
 
 def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:
@@ -196,15 +188,12 @@ def pre1_k(
     Ties go to the earliest mixture in the enumeration order, so the result
     is deterministic.
     """
-    moves = game.moves1[s]
-    cols = game.moves2[s]
+    matrix = one_step_matrix(game, v, s)
     best_value: Fraction | None = None
-    best_mix: tuple[Fraction, ...] | None = None
-    for dist in enumerate_k_uniform(len(moves), k):
-        mix = {a: p for a, p in zip(moves, dist) if p > 0}
-        value = min(pre_mix_move(game, v, s, mix, b) for b in cols)
+    best_dist: tuple[Fraction, ...] | None = None
+    for dist in enumerate_k_uniform(len(matrix.rows), k):
+        value = min(column_values(matrix, dist))
         if best_value is None or value > best_value:
-            best_value = value
-            best_mix = dist
-    assert best_value is not None and best_mix is not None
-    return best_value, {a: p for a, p in zip(moves, best_mix) if p > 0}
+            best_value, best_dist = value, dist
+    assert best_value is not None and best_dist is not None
+    return best_value, {a: p for a, p in zip(matrix.rows, best_dist) if p > 0}

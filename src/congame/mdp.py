@@ -69,9 +69,6 @@ class EndComponent:
 class EndComponentSet:
     components: tuple[EndComponent, ...]
 
-    def state_sets(self) -> list[frozenset[str]]:
-        return [c.states for c in self.components]
-
 
 def _sccs(nodes: list[str], succ: Mapping[str, Iterable[str]]) -> list[list[str]]:
     """Tarjan's strongly connected components, iterative."""

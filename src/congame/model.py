@@ -94,16 +94,6 @@ class GameStructure:
         """Support of delta(s, a, b)."""
         return frozenset(t for t, p in self.delta[(s, a, b)].items() if p > 0)
 
-    def is_absorbing(self, s: str) -> bool:
-        return all(
-            self.delta[(s, a, b)].get(s, ZERO) == 1
-            for a in self.moves1[s]
-            for b in self.moves2[s]
-        )
-
-    def state_set(self) -> frozenset[str]:
-        return frozenset(self.states)
-
 
 @dataclass(frozen=True)
 class TurnBasedGame:
@@ -158,33 +148,6 @@ class Selector:
 
     player: int
     choice: dict[str, dict[str, Fraction]]
-
-    def support(self, s: str) -> tuple[str, ...]:
-        return tuple(a for a, p in self.choice[s].items() if p > 0)
-
-    def prob(self, s: str, a: str) -> Fraction:
-        return self.choice[s].get(a, ZERO)
-
-
-@dataclass(frozen=True)
-class ValueClassIndex:
-    """Partition of the state space by exact valuation value."""
-
-    classes: dict[Fraction, frozenset[str]]
-
-    def class_of(self, r: Fraction) -> frozenset[str]:
-        return self.classes.get(r, frozenset())
-
-    def values(self) -> list[Fraction]:
-        return sorted(self.classes)
-
-
-def value_classes(v: Mapping[str, Fraction]) -> ValueClassIndex:
-    """Group states by exact rational equality of their values."""
-    buckets: dict[Fraction, set[str]] = {}
-    for s, r in v.items():
-        buckets.setdefault(r, set()).add(s)
-    return ValueClassIndex({r: frozenset(cell) for r, cell in buckets.items()})
 
 
 def make_absorbing(game: GameStructure, keep: Iterable[str]) -> GameStructure:
@@ -279,56 +242,6 @@ def encode_turn_based_as_concurrent(tb: TurnBasedGame) -> GameStructure:
             for t in tb.edges[s]:
                 delta[(s, NOOP_MOVE, edge_move(t))] = {t: ONE}
     return GameStructure(tb.states, tuple(moves), moves1, moves2, delta)
-
-
-def is_turn_based(game: GameStructure) -> TurnBasedGame | None:
-    """Recover a turn-based view of a concurrent game, if one exists.
-
-    A state with several moves for both players is genuinely concurrent and
-    makes the whole game non-turn-based.  States where the owning player's
-    moves are all deterministic become P1/P2 states; states where both move
-    sets are singletons become random states (including degenerate player
-    states with a single successor).
-    """
-    partition: dict[str, str] = {}
-    edges: dict[str, tuple[str, ...]] = {}
-    prob: dict[str, dict[str, Fraction]] = {}
-    for s in game.states:
-        m1, m2 = game.moves1[s], game.moves2[s]
-        if len(m1) > 1 and len(m2) > 1:
-            return None
-        if len(m1) > 1 or len(m2) > 1:
-            owner, avail, other = (P1, m1, m2[0]) if len(m1) > 1 else (P2, m2, m1[0])
-            succ = []
-            for a in avail:
-                key = (s, a, other) if owner == P1 else (s, other, a)
-                dist = game.delta[key]
-                support = [t for t, p in dist.items() if p > 0]
-                if len(support) != 1:
-                    return None
-                if support[0] not in succ:
-                    succ.append(support[0])
-            partition[s] = owner
-            edges[s] = tuple(succ)
-        else:
-            dist = game.delta[(s, m1[0], m2[0])]
-            partition[s] = RANDOM
-            edges[s] = tuple(t for t in game.states if dist.get(t, ZERO) > 0)
-            prob[s] = {t: p for t, p in dist.items() if p > 0}
-    return TurnBasedGame(game.states, partition, edges, prob)
-
-
-def tb_make_absorbing(tb: TurnBasedGame, keep: Iterable[str]) -> TurnBasedGame:
-    """Turn the given states of a turn-based game into random self-loops."""
-    keep = set(keep)
-    partition = dict(tb.partition)
-    edges = dict(tb.edges)
-    prob = dict(tb.prob)
-    for s in keep:
-        partition[s] = RANDOM
-        edges[s] = (s,)
-        prob[s] = {s: ONE}
-    return TurnBasedGame(tb.states, partition, edges, prob)
 
 
 def indicator(game: GameStructure, inside: Iterable[str]) -> Valuation:

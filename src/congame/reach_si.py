@@ -5,9 +5,12 @@ solving the induced MDP, and rewrites the selector on exactly the states
 where the one-step operator can beat the current value.  Starting from the
 uniform selector (which is always proper) every iterate stays proper, the
 values increase monotonically, and a natural stop (no improvable state)
-certifies the exact game value.  On turn-based games the improvements can
-be kept pure, which forces termination; the initial pure proper selector
-comes from the attractor construction.
+certifies the exact game value.  A turn-based game runs through the same
+loop on its concurrent encoding, started from the pure attractor selector
+instead: every one-step matrix there has a single row or a single column,
+so each ``Pre1`` witness is a pure move (the first best successor) and the
+loop is Hoffman-Karp pure strategy iteration, which terminates because
+pure selectors are finite.
 
 ``Runner`` is the shape every capped improvement loop shares, here and in
 ``safety_si``; a finished runner is its own result.
@@ -16,7 +19,7 @@ comes from the attractor construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .matrix import pre1
 from .mdp import (
@@ -27,15 +30,12 @@ from .mdp import (
 )
 from .model import (
     GameStructure,
-    P1,
     Selector,
     TurnBasedGame,
     Valuation,
     edge_move,
-    encode_turn_based_as_concurrent,
     make_absorbing,
     pure_selector,
-    tb_make_absorbing,
     uniform_selector,
 )
 
@@ -134,15 +134,28 @@ class Runner:
 
 
 class ReachSIRunner(Runner):
-    """Reachability strategy improvement from the uniform selector (the
-    two-sided certifier steps it directly, interleaved with the safety
-    sequence)."""
+    """Reachability strategy improvement (the two-sided certifier steps it
+    directly, interleaved with the safety sequence).
 
-    def __init__(self, game: GameStructure, T: Iterable[str]):
+    It starts from the uniform selector or, given the turn-based game ``tb``
+    that ``game`` encodes, from the pure attractor selector towards the
+    target and the value-zero states.  Both are proper.  From the pure
+    start every selector stays pure: the ``Pre1`` witness of a one-column
+    matrix game is its first best row.
+    """
+
+    def __init__(self, game: GameStructure, T: Iterable[str], tb: TurnBasedGame | None = None):
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
         self.game = make_absorbing(game, self.target | self.w2)
-        selector = uniform_selector(self.game)
+        if tb is None:
+            selector = uniform_selector(self.game)
+        else:
+            # The attractor never reads the edges of its base, so ``tb`` needs
+            # no absorbing copy.
+            _, attract = tb_attractor(tb, self.target | self.w2)
+            picks = {s: edge_move(t) for s, t in attract.items()}
+            selector = pure_selector(self.game, 1, picks)
         try:
             value = strategy_value_reach(self.game, selector, self.target, self.w2)
         except ImproperSelectorError as err:
@@ -164,73 +177,15 @@ class ReachSIRunner(Runner):
         return False
 
 
-def run_reach_si(game: GameStructure, T: Iterable[str], max_iters: int = 1000) -> ReachSIRunner:
-    """Full reachability strategy improvement from the uniform selector.
+def run_reach_si(
+    game: GameStructure,
+    T: Iterable[str],
+    max_iters: int = 1000,
+    tb: TurnBasedGame | None = None,
+) -> ReachSIRunner:
+    """Full reachability strategy improvement; ``tb``, the turn-based game
+    ``game`` encodes, starts it from the pure attractor selector.
 
     Stops when no state is improvable (exact value) or at the iteration cap.
     """
-    return ReachSIRunner(game, T).run(max_iters)
-
-
-@dataclass
-class TurnBasedReachResult:
-    values: Valuation
-    strategy: dict[str, str]
-    iterations: int
-    selector: Selector
-    game: GameStructure
-    target: frozenset[str]
-    w2: frozenset[str]
-
-
-def run_reach_si_turn_based(tb: TurnBasedGame, T: Iterable[str]) -> TurnBasedReachResult:
-    """Exact solution of a turn-based reachability game by pure improvement.
-
-    The attractor selector provides a pure proper starting point; each
-    improvement moves a player-1 state to its best successor (first in edge
-    order on ties).  Pure selectors are finite, so the loop terminates with
-    the exact value and an optimal pure memoryless strategy.
-    """
-    game = encode_turn_based_as_concurrent(tb)
-    target = frozenset(T) & frozenset(tb.states)
-    w2 = compute_W2(game, target)
-    frozen_states = target | w2
-    normalized = make_absorbing(game, frozen_states)
-    tb_norm = tb_make_absorbing(tb, frozen_states)
-    _, attract_choice = tb_attractor(tb_norm, frozen_states)
-
-    def selector_from(strategy: Mapping[str, str]) -> Selector:
-        picks = {s: edge_move(t) for s, t in strategy.items()}
-        return pure_selector(normalized, 1, picks)
-
-    strategy = dict(attract_choice)
-    selector = selector_from(strategy)
-    try:
-        v = strategy_value_reach(normalized, selector, target, w2)
-    except ImproperSelectorError as err:
-        raise AssertionError(
-            f"attractor selector is improper; trapped component {sorted(err.witness)}"
-        ) from None
-    iterations = 0
-    p1_states = [
-        s
-        for s in tb.states
-        if tb_norm.partition[s] == P1 and s not in frozen_states
-    ]
-    while True:
-        iterations += 1
-        improved = {}
-        for s in p1_states:
-            best = max(v[t] for t in tb_norm.edges[s])
-            if best > v[s]:
-                improved[s] = next(t for t in tb_norm.edges[s] if v[t] == best)
-        if not improved:
-            break
-        strategy.update(improved)
-        selector = selector_from(strategy)
-        nxt = strategy_value_reach(normalized, selector, target, w2)
-        for s in tb.states:
-            if nxt[s] < v[s]:
-                raise AssertionError(f"turn-based improvement regressed at {s!r}")
-        v = nxt
-    return TurnBasedReachResult(v, strategy, iterations, selector, normalized, target, w2)
+    return ReachSIRunner(game, T, tb).run(max_iters)

@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .linprog import EQ, GEQ, LPInfeasible, solve_lp
 from .matrix import (
     MatrixGame,
+    column_values,
     enumerate_k_uniform,
     one_step_matrix,
     pre1,
@@ -78,14 +79,6 @@ def _nonempty_subsets(items: Sequence[str]) -> list[tuple[str, ...]]:
     for size in range(1, len(items) + 1):
         out.extend(itertools.combinations(items, size))
     return out
-
-
-def _column_values(matrix: MatrixGame, mix: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    weights = [mix.get(a, ZERO) for a in matrix.rows]
-    return {
-        b: sum((w * matrix.payoff[i][j] for i, w in enumerate(weights) if w), ZERO)
-        for j, b in enumerate(matrix.cols)
-    }
 
 
 def _feasible_unrestricted(
@@ -137,16 +130,14 @@ def _k_uniform_pairs(
     mixtures at ``s``, each with the first witness in enumeration order."""
     matrix = one_step_matrix(game, v, s)
     target, _ = pre1_k(game, v, s, k)
-    moves = game.moves1[s]
     out: dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]] = {}
-    for dist in enumerate_k_uniform(len(moves), k):
-        mix = {a: p for a, p in zip(moves, dist) if p > 0}
-        cols = _column_values(matrix, mix)
-        if min(cols.values()) != target:
+    for dist in enumerate_k_uniform(len(matrix.rows), k):
+        cols = column_values(matrix, dist)
+        if min(cols) != target:
             continue
-        support = tuple(a for a in moves if mix.get(a, ZERO) > 0)
-        counter = tuple(b for b in matrix.cols if cols[b] == target)
-        key = (support, counter)
+        mix = {a: p for a, p in zip(matrix.rows, dist) if p > 0}
+        counter = tuple(b for b, value in zip(matrix.cols, cols) if value == target)
+        key = (tuple(mix), counter)
         if key not in out:
             out[key] = mix
     return out
@@ -532,6 +523,8 @@ def run_convergent_safety_si(
     """Convergent safety improvement: k-uniform fixpoints for growing k.
 
     Stops when the unrestricted condition certifies optimality, or at the
-    cap.
+    cap, which must allow one round: there is no valuation before it.
     """
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
     return ConvergentSafetyRunner(game, F).run(max_outer)

@@ -10,12 +10,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from congame.matrix import one_step_matrix, pre_mix_move, solve_matrix_game
+from congame.matrix import column_values, one_step_matrix, solve_matrix_game
 from congame.mdp import _trapped_component, almost_sure_safe_strategy, induce_mdp
 from congame.model import (
-    ONE, ZERO, GameError, GameStructure, Selector, Valuation, swap_players,
+    ONE,
+    P1,
+    P2,
+    RANDOM,
+    ZERO,
+    GameError,
+    GameStructure,
+    Selector,
+    TurnBasedGame,
+    Valuation,
+    encode_turn_based_as_concurrent,
+    swap_players,
 )
-from congame.reach_si import ReachSIRunner
+from congame.reach_si import ReachSIRunner, run_reach_si
 from congame.safety_si import (
     ConvergentSafetyRunner,
     SupportPair,
@@ -39,7 +50,8 @@ def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable
 def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Selector) -> Fraction:
     """Worst case over player 2 of the one-step expectation; the infimum is
     attained at a pure move."""
-    return min(pre_mix_move(game, v, s, xi1.choice[s], b) for b in game.moves2[s])
+    matrix = one_step_matrix(game, v, s)
+    return min(column_values(matrix, [xi1.choice[s].get(a, ZERO) for a in matrix.rows]))
 
 
 def opt_sel_feasible(
@@ -78,9 +90,10 @@ def opt_sel_feasible(
 def destinations(game: GameStructure, s: str, xi1: Selector, xi2: Selector) -> frozenset[str]:
     """Possible successors of ``s`` under the supports of both selectors."""
     out: set[str] = set()
-    for a in xi1.support(s):
-        for b in xi2.support(s):
-            out |= game.dest(s, a, b)
+    for a, pa in xi1.choice[s].items():
+        for b, pb in xi2.choice[s].items():
+            if pa > 0 and pb > 0:
+                out |= game.dest(s, a, b)
     return frozenset(out)
 
 
@@ -102,6 +115,91 @@ def pre_sel_sel(
             dist = game.delta[(s, a, b)]
             total += pa * pb * sum((p * v[t] for t, p in dist.items()), ZERO)
     return total
+
+
+def reach_si_turn_based(tb: TurnBasedGame, T: Iterable[str]) -> ReachSIRunner:
+    """Turn-based reachability strategy improvement as ``solve`` runs it: on
+    the concurrent encoding, from the pure attractor selector."""
+    return run_reach_si(encode_turn_based_as_concurrent(tb), T, tb=tb)
+
+
+def is_absorbing(game: GameStructure, s: str) -> bool:
+    return all(
+        game.delta[(s, a, b)].get(s, ZERO) == 1
+        for a in game.moves1[s]
+        for b in game.moves2[s]
+    )
+
+
+def tb_make_absorbing(tb: TurnBasedGame, keep: Iterable[str]) -> TurnBasedGame:
+    """Turn the given states of a turn-based game into random self-loops."""
+    keep = set(keep)
+    partition = dict(tb.partition)
+    edges = dict(tb.edges)
+    prob = dict(tb.prob)
+    for s in keep:
+        partition[s] = RANDOM
+        edges[s] = (s,)
+        prob[s] = {s: ONE}
+    return TurnBasedGame(tb.states, partition, edges, prob)
+
+
+def is_turn_based(game: GameStructure) -> TurnBasedGame | None:
+    """Recover a turn-based view of a concurrent game, if one exists.
+
+    A state with several moves for both players is genuinely concurrent and
+    makes the whole game non-turn-based.  States where the owning player's
+    moves are all deterministic become P1/P2 states; states where both move
+    sets are singletons become random states (including degenerate player
+    states with a single successor).
+    """
+    partition: dict[str, str] = {}
+    edges: dict[str, tuple[str, ...]] = {}
+    prob: dict[str, dict[str, Fraction]] = {}
+    for s in game.states:
+        m1, m2 = game.moves1[s], game.moves2[s]
+        if len(m1) > 1 and len(m2) > 1:
+            return None
+        if len(m1) > 1 or len(m2) > 1:
+            owner, avail, other = (P1, m1, m2[0]) if len(m1) > 1 else (P2, m2, m1[0])
+            succ = []
+            for a in avail:
+                key = (s, a, other) if owner == P1 else (s, other, a)
+                dist = game.delta[key]
+                support = [t for t, p in dist.items() if p > 0]
+                if len(support) != 1:
+                    return None
+                if support[0] not in succ:
+                    succ.append(support[0])
+            partition[s] = owner
+            edges[s] = tuple(succ)
+        else:
+            dist = game.delta[(s, m1[0], m2[0])]
+            partition[s] = RANDOM
+            edges[s] = tuple(t for t in game.states if dist.get(t, ZERO) > 0)
+            prob[s] = {t: p for t, p in dist.items() if p > 0}
+    return TurnBasedGame(game.states, partition, edges, prob)
+
+
+@dataclass(frozen=True)
+class ValueClassIndex:
+    """Partition of the state space by exact valuation value."""
+
+    classes: dict[Fraction, frozenset[str]]
+
+    def class_of(self, r: Fraction) -> frozenset[str]:
+        return self.classes.get(r, frozenset())
+
+    def values(self) -> list[Fraction]:
+        return sorted(self.classes)
+
+
+def value_classes(v: Mapping[str, Fraction]) -> ValueClassIndex:
+    """Group states by exact rational equality of their values."""
+    buckets: dict[Fraction, set[str]] = {}
+    for s, r in v.items():
+        buckets.setdefault(r, set()).add(s)
+    return ValueClassIndex({r: frozenset(cell) for r, cell in buckets.items()})
 
 
 def almost_sure_safe_concurrent(game: GameStructure, F: Iterable[str]) -> frozenset[str]:

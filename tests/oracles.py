@@ -382,7 +382,8 @@ def value_class_structure_ok(trace, k, target) -> int:
     step k: from a positive-value state, every adversary response either can
     climb to a strictly higher class or stays in the class and can fall to a
     strictly earlier entry time.  Returns the number of checks performed."""
-    from congame import extract_eta_selector, value_classes
+    from congame import extract_eta_selector
+    from helpers import value_classes
 
     game = trace.game
     u_k = trace.valuations[k]

@@ -10,19 +10,17 @@ from congame import (
     GameFormatError,
     GameStructure,
     encode_turn_based_as_concurrent,
-    is_turn_based,
     make_absorbing,
     parse_game,
     pure_selector,
     serialize_game,
     uniform_selector,
-    value_classes,
 )
 from congame.matrix import pre1
 from congame.model import indicator
 
 from conftest import random_concurrent_game, random_tb_game
-from helpers import destinations
+from helpers import destinations, is_absorbing, is_turn_based, value_classes
 
 F = Fraction
 
@@ -31,8 +29,8 @@ def test_parse_fig1_structure(fig1):
     assert fig1.states == ("s0", "s1", "s2", "s3", "s4")
     assert fig1.moves1["s3"] == ("a", "b")
     assert fig1.delta[("s2", "⊥", "⊥")] == {"s0": F(1, 2), "s1": F(1, 2)}
-    assert fig1.is_absorbing("s0") and fig1.is_absorbing("s1")
-    assert not fig1.is_absorbing("s3")
+    assert is_absorbing(fig1, "s0") and is_absorbing(fig1, "s1")
+    assert not is_absorbing(fig1, "s3")
 
 
 def test_parse_minimal_absorbing_game():
@@ -43,7 +41,7 @@ def test_parse_minimal_absorbing_game():
     """
     game = parse_game(text)
     assert isinstance(game, GameStructure)
-    assert game.is_absorbing("s")
+    assert is_absorbing(game, "s")
 
 
 def test_parse_rejects_bad_probability_sum():
@@ -110,7 +108,7 @@ def test_round_trip_random_games():
 
 def test_make_absorbing_fig1(fig1):
     frozen = make_absorbing(fig1, {"s0", "s1"})
-    assert frozen.is_absorbing("s0") and frozen.is_absorbing("s1")
+    assert is_absorbing(frozen, "s0") and is_absorbing(frozen, "s1")
     assert frozen.delta[("s3", "a", "⊥")] == fig1.delta[("s3", "a", "⊥")]
 
 
@@ -214,7 +212,7 @@ def test_single_random_absorbing_state_encodes():
     )
     game = encode_turn_based_as_concurrent(tb)
     assert game.moves1["s"] == ("⊥",)
-    assert game.is_absorbing("s")
+    assert is_absorbing(game, "s")
 
 
 def test_selector_validation_rejects_unavailable_move(fig1):

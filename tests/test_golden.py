@@ -59,6 +59,17 @@ def _cases() -> dict[str, list[str]]:
             "solve", f"{name}.game", "--objective", reach, "--algorithm", "vi",
             "--max-iters", "2", "--verify", "--format", "json",
         ]
+    # Turn-based reach-si over two rounds (the reach:s4 cases take one),
+    # and capped after the first.
+    for fmt in ("text", "json"):
+        cases[f"fig2-reach-s2-reach-si-{fmt}"] = [
+            "solve", "fig2.game", "--objective", "reach:s2", "--algorithm", "reach-si",
+            "--verify", "--format", fmt,
+        ]
+    cases["fig2-reach-s2-reach-si-capped-text"] = [
+        "solve", "fig2.game", "--objective", "reach:s2", "--algorithm", "reach-si",
+        "--max-iters", "1", "--verify",
+    ]
     # Inline algorithm arguments and the --eps / --k options.
     cases["ex3full-safe-k-uniform5-text"] = [
         "solve", "ex3full.game", "--objective", "safe:not-s2",
@@ -109,6 +120,13 @@ def _cases() -> dict[str, list[str]]:
     cases["error-safety-si-k"] = [
         "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "safety-si",
         "--k", "3",
+    ]
+    # Inline arguments to algorithms that take none.
+    cases["error-vi-inline"] = [
+        "solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "vi:3",
+    ]
+    cases["error-safety-si-inline"] = [
+        "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "safety-si:5",
     ]
     return cases
 

@@ -22,7 +22,9 @@ from congame import (
 from congame.model import make_absorbing
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import almost_sure_safe_concurrent, improper_witness, is_proper
+from helpers import (
+    almost_sure_safe_concurrent, improper_witness, is_proper, tb_make_absorbing,
+)
 from oracles import brute_force_mecs, chain_reach, mdp_reach_bellman_ok
 
 F = Fraction
@@ -52,18 +54,20 @@ def test_induce_mdp_turn_based_pure(fig2_tb):
 
 def test_mec_absorbing_singleton(fig1):
     mdp = induce_mdp(fig1, uniform_selector(fig1))
-    mecs = mec_decomposition(mdp).state_sets()
+    mecs = [c.states for c in mec_decomposition(mdp).components]
     assert frozenset({"s0"}) in mecs and frozenset({"s1"}) in mecs
 
 
 def test_mec_fig1_pure_a_cycle(fig1):
     xi = pure_selector(fig1, 1, {"s3": "a"})
-    mecs = mec_decomposition(induce_mdp(fig1, xi)).state_sets()
+    mecs = [c.states for c in mec_decomposition(induce_mdp(fig1, xi)).components]
     assert frozenset({"s3", "s4"}) in mecs
 
 
 def test_mec_fig1_mixed_no_inner_component(fig1):
-    mecs = mec_decomposition(induce_mdp(fig1, uniform_selector(fig1))).state_sets()
+    mecs = [
+        c.states for c in mec_decomposition(induce_mdp(fig1, uniform_selector(fig1))).components
+    ]
     assert all(not c <= {"s2", "s3", "s4"} for c in mecs)
 
 
@@ -72,7 +76,7 @@ def test_mec_oracle_random():
     for _ in range(40):
         game = random_concurrent_game(rng, n_states=rng.randint(2, 6))
         mdp = induce_mdp(game, uniform_selector(game))
-        ours = set(mec_decomposition(mdp).state_sets())
+        ours = {c.states for c in mec_decomposition(mdp).components}
         assert ours == brute_force_mecs(mdp)
 
 
@@ -300,7 +304,7 @@ def test_tb_attractor_selector_is_proper():
         target = {rng.choice(tb.states)}
         game = encode_turn_based_as_concurrent(tb)
         w2 = compute_W2(game, target)
-        from congame.model import tb_make_absorbing, edge_move
+        from congame.model import edge_move
 
         tb_norm = tb_make_absorbing(tb, target | w2)
         levels, chosen = tb_attractor(tb_norm, target | w2)

@@ -10,7 +10,6 @@ from congame import (
     improve_step_reach,
     reach_value_iteration,
     run_reach_si,
-    run_reach_si_turn_based,
     strategy_value_reach,
     uniform_selector,
 )
@@ -18,7 +17,7 @@ from congame.reach_si import ReachSIState, STATUS_CAPPED, STATUS_EXACT
 from congame.model import make_absorbing
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import is_proper
+from helpers import is_proper, reach_si_turn_based
 from oracles import pure_strategy_count, tb_reach_value_oracle
 
 F = Fraction
@@ -133,7 +132,7 @@ def test_turn_based_fig2_role_swap(fig2_tb):
         fig2_tb.edges,
         fig2_tb.prob,
     )
-    result = run_reach_si_turn_based(swapped, {"s4"})
+    result = reach_si_turn_based(swapped, {"s4"})
     assert result.values["s0"] == F(1, 3)
     assert result.values["s1"] == F(1, 3)
 
@@ -147,7 +146,7 @@ def test_turn_based_unreachable_target():
         {"x": ("x",), "goal": ("goal",)},
         {"x": {"x": ONE}, "goal": {"goal": ONE}},
     )
-    result = run_reach_si_turn_based(tb, {"goal"})
+    result = reach_si_turn_based(tb, {"goal"})
     assert result.values == {"x": ZERO, "goal": ONE}
 
 
@@ -156,7 +155,7 @@ def test_turn_based_oracle_sample():
     for _ in range(25):
         tb = random_tb_game(rng, n_states=5, max_succ=3)
         target = set(rng.sample(tb.states, rng.randint(1, 2)))
-        result = run_reach_si_turn_based(tb, target)
+        result = reach_si_turn_based(tb, target)
         oracle = tb_reach_value_oracle(tb, target)
         assert result.values == oracle
         assert result.iterations <= max(1, pure_strategy_count(tb, "P1"))

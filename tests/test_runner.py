@@ -1,13 +1,16 @@
 """The runner contract every capped improvement loop keeps.
 
 After every ``step()``: the runner's selector achieves its values exactly
-on the original game, and the valuation trace never decreases.
+on the original game (and is pure on a turn-based game), and the
+valuation trace never decreases.
 ``run(n)`` stops at ``n`` steps with status capped, or earlier at the
 fixpoint with status exact, and a ``step()`` after the fixpoint returns
 False and changes nothing.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -23,12 +26,23 @@ from congame.examples import load_example
 from congame.model import TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
-CAP = 4
+from conftest import random_tb_game
 
-# case -> (example, objective kind, target or unsafe state, runner factory,
-# status of run(CAP))
+CAP = 4
+FIG2 = load_example("fig2")
+RANDOM_TB = random_tb_game(random.Random(3), n_states=6, max_succ=3)
+
+# case -> (example name or turn-based game, objective kind, target or
+# unsafe state, runner factory, status of run(CAP))
 CASES = {
     "reach-fig1": ("fig1", "reach", {"s0"}, ReachSIRunner, STATUS_EXACT),
+    "tb-reach-fig2": (
+        FIG2, "reach", {"s2"}, lambda g, T: ReachSIRunner(g, T, tb=FIG2), STATUS_EXACT,
+    ),
+    "tb-reach-random": (
+        RANDOM_TB, "reach", {"q5"}, lambda g, T: ReachSIRunner(g, T, tb=RANDOM_TB),
+        STATUS_EXACT,
+    ),
     "reach-ex3step1": ("ex3step1", "reach", {"s1"}, ReachSIRunner, STATUS_CAPPED),
     "safety-si-fig2": ("fig2", "safe", "s4", SafetySIRunner, STATUS_EXACT),
     "safety-si-ex3full": ("ex3full", "safe", "s2", SafetySIRunner, STATUS_CAPPED),
@@ -42,7 +56,7 @@ CASES = {
 
 def _setup(case):
     example, kind, states, factory, _ = CASES[case]
-    game = load_example(example)
+    game = load_example(example) if isinstance(example, str) else example
     if isinstance(game, TurnBasedGame):
         game = encode_turn_based_as_concurrent(game)
     if kind == "reach":
@@ -64,10 +78,13 @@ def _setup(case):
 def test_runner_contract(case):
     game, objective, factory, achieved = _setup(case)
     runner = factory(game, objective)
+    pure = case.startswith("tb-")
     while runner.iterations < CAP:
         before = list(runner.valuations)
         progress = runner.step()
         assert achieved(runner.selector) == runner.values
+        if pure:
+            assert all(list(d.values()) == [1] for d in runner.selector.choice.values())
         assert runner.valuations[: len(before)] == before
         for earlier, later in zip(runner.valuations, runner.valuations[1:]):
             assert all(earlier[s] <= later[s] for s in game.states)

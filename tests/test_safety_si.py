@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 
 from congame import (
     ConvergentSafetyRunner,
@@ -12,7 +13,6 @@ from congame import (
     round_to_k_uniform,
     run_convergent_safety_si,
     run_k_uniform_si,
-    run_reach_si_turn_based,
     run_safety_si,
     tb_reduction,
 )
@@ -21,7 +21,7 @@ from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_co
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import opt_sel_feasible
+from helpers import opt_sel_feasible, reach_si_turn_based
 from oracles import brute_force_k_uniform_best
 
 F = Fraction
@@ -272,7 +272,7 @@ def test_k_uniform_turn_based_exact():
             tb.prob,
         )
         complement = [s for s in tb.states if s not in safe]
-        dual = run_reach_si_turn_based(swapped, complement)
+        dual = reach_si_turn_based(swapped, complement)
         assert all(result.values[s] == 1 - dual.values[s] for s in tb.states)
 
 
@@ -312,6 +312,12 @@ def test_convergent_all_unsafe(ex3step1):
     result = run_convergent_safety_si(ex3step1, set(), max_outer=3)
     assert result.status == STATUS_EXACT
     assert all(v == 0 for v in result.values.values())
+
+
+def test_convergent_rejects_zero_rounds(ex3full):
+    safe = [s for s in ex3full.states if s != "s2"]
+    with pytest.raises(ValueError, match="max_outer must be at least 1"):
+        run_convergent_safety_si(ex3full, safe, max_outer=0)
 
 
 def test_k_uniform_fixpoint_monotone_in_k():
