@@ -6,6 +6,7 @@ epsilon certifier.  All arithmetic is exact rational.
 """
 
 from .model import (
+    BudgetExceeded,
     GameError,
     GameStructure,
     Selector,

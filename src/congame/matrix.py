@@ -9,20 +9,29 @@ solution is returned.
 
 ``pre1_k`` restricts player 1 to k-uniform mixtures (all probabilities
 multiples of ``1/l`` for a common denominator ``l <= k``) and maximizes by
-enumeration.
+enumeration.  The mixtures are integer count vectors, each listed once at
+its least denominator and built once per (move count, denominator); they
+are scored in integers against the one-step matrix scaled by the common
+denominator of its entries, and only the result becomes a ``Fraction``.
+The enumeration budget is checked up front from the composition count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Mapping
 
 from .linprog import EQ, GEQ, LEQ, solve_lp
-from .model import GameStructure, Selector, ZERO, ONE
+from .model import BudgetExceeded, GameStructure, Selector, ZERO, ONE
 
 # Guard for the k-uniform enumerations (compositions of l <= k over a move
-# set); pathological inputs should fail loudly instead of hanging.
+# set, repeats included); pathological inputs should fail loudly instead of
+# hanging.
 MAX_KUNIFORM_ENUMERATION = 500_000
 
 
@@ -122,15 +131,6 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
     return MatrixGame(rows, cols, payoff)
 
 
-def column_values(matrix: MatrixGame, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Expected payoff of each column against the row mixture ``weights``
-    (given in row order)."""
-    return tuple(
-        sum((w * row[j] for w, row in zip(weights, matrix.payoff) if w), ZERO)
-        for j in range(len(matrix.cols))
-    )
-
-
 def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:
     """Value of Pre1(v) at one state, with the optimal mixture as witness."""
     solution = solve_matrix_game(one_step_matrix(game, v, s))
@@ -158,26 +158,67 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def enumerate_k_uniform(n_moves: int, k: int) -> list[tuple[Fraction, ...]]:
+@functools.cache
+def _reduced_compositions(n_moves: int, denom: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # A composition of denom sharing a factor g > 1 with denom is the
+    # distribution already listed, reduced, at denominator denom / g.
+    return tuple(
+        (denom, counts)
+        for counts in _compositions(denom, n_moves)
+        if math.gcd(denom, *counts) == 1
+    )
+
+
+def enumerate_k_uniform(n_moves: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All distributions over ``n_moves`` moves whose probabilities share a
-    denominator ``l <= k``, deduplicated, in a fixed enumeration order."""
+    denominator ``l <= k``, each once, as ``(l, counts)`` with probabilities
+    ``counts[i] / l``: denominators ascending, each distribution at its
+    least denominator, in a fixed order within one denominator.
+
+    The entries of each denominator are built once and shared by every
+    later call, so together they take no more memory than the table for
+    the largest ``k`` requested.
+    Before they are consulted, the number of compositions the table is
+    built from is checked against ``MAX_KUNIFORM_ENUMERATION``; a larger
+    count raises ``BudgetExceeded``.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[tuple[Fraction, ...]] = []
-    count = 0
-    for denom in range(1, k + 1):
-        for comp in _compositions(denom, n_moves):
-            count += 1
-            if count > MAX_KUNIFORM_ENUMERATION:
-                raise RuntimeError(
-                    f"k-uniform enumeration budget exceeded (k={k}, moves={n_moves})"
-                )
-            dist = tuple(Fraction(c, denom) for c in comp)
-            if dist not in seen:
-                seen.add(dist)
-                out.append(dist)
-    return out
+    # Compositions of 1..k into n_moves parts: C(k + n_moves, n_moves) - 1.
+    if math.comb(k + n_moves, n_moves) - 1 > MAX_KUNIFORM_ENUMERATION:
+        raise BudgetExceeded(
+            f"k-uniform enumeration budget exceeded (k={k}, moves={n_moves})"
+        )
+    return tuple(itertools.chain.from_iterable(
+        _reduced_compositions(n_moves, denom) for denom in range(1, k + 1)
+    ))
+
+
+def _k_uniform_scan(
+    matrix: MatrixGame, k: int
+) -> tuple[Fraction, list[tuple[int, tuple[int, ...], list[int]]]]:
+    """The best worst-case payoff of a k-uniform row mixture, with every
+    mixture attaining it in enumeration order as ``(l, counts, sums)``.
+
+    ``sums[j]`` is ``l * scale`` times the payoff of column ``j``, where
+    ``scale`` is the least common denominator of the payoffs, so each
+    mixture is scored in integers.
+    """
+    scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
+    cols = [
+        [x.numerator * (scale // x.denominator) for x in col]
+        for col in zip(*matrix.payoff)
+    ]
+    best_low, best_denom = None, 1
+    optima: list[tuple[int, tuple[int, ...], list[int]]] = []
+    for denom, counts in enumerate_k_uniform(len(matrix.rows), k):
+        sums = [sum(map(mul, counts, col)) for col in cols]
+        low = min(sums)
+        if best_low is None or low * best_denom > best_low * denom:
+            best_low, best_denom, optima = low, denom, [(denom, counts, sums)]
+        elif low * best_denom == best_low * denom:
+            optima.append((denom, counts, sums))
+    return Fraction(best_low, best_denom * scale), optima
 
 
 def pre1_k(
@@ -186,14 +227,10 @@ def pre1_k(
     """Best one-step value over k-uniform player-1 mixtures at ``s``.
 
     Ties go to the earliest mixture in the enumeration order, so the result
-    is deterministic.
+    is deterministic.  Mixtures are scored in integer arithmetic; only the
+    returned value and mixture are ``Fraction``s.
     """
     matrix = one_step_matrix(game, v, s)
-    best_value: Fraction | None = None
-    best_dist: tuple[Fraction, ...] | None = None
-    for dist in enumerate_k_uniform(len(matrix.rows), k):
-        value = min(column_values(matrix, dist))
-        if best_value is None or value > best_value:
-            best_value, best_dist = value, dist
-    assert best_value is not None and best_dist is not None
-    return best_value, {a: p for a, p in zip(matrix.rows, best_dist) if p > 0}
+    value, optima = _k_uniform_scan(matrix, k)
+    denom, counts, _ = optima[0]
+    return value, {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}

@@ -34,6 +34,10 @@ class GameError(ValueError):
     """Structural problem in a game, selector, or valuation."""
 
 
+class BudgetExceeded(GameError):
+    """An exponential enumeration would exceed its explicit budget."""
+
+
 def _check_distribution(dist: Mapping[str, Fraction], where: str) -> None:
     total = ZERO
     for key, p in dist.items():

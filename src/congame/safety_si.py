@@ -30,8 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .linprog import EQ, GEQ, LPInfeasible, solve_lp
 from .matrix import (
     MatrixGame,
-    column_values,
-    enumerate_k_uniform,
+    _k_uniform_scan,
     one_step_matrix,
     pre1,
     pre1_k,
@@ -129,17 +128,14 @@ def _k_uniform_pairs(
     """All (support, counter-set) pairs realizable by k-uniform optimal
     mixtures at ``s``, each with the first witness in enumeration order."""
     matrix = one_step_matrix(game, v, s)
-    target, _ = pre1_k(game, v, s, k)
+    _, optima = _k_uniform_scan(matrix, k)
     out: dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]] = {}
-    for dist in enumerate_k_uniform(len(matrix.rows), k):
-        cols = column_values(matrix, dist)
-        if min(cols) != target:
-            continue
-        mix = {a: p for a, p in zip(matrix.rows, dist) if p > 0}
-        counter = tuple(b for b, value in zip(matrix.cols, cols) if value == target)
-        key = (tuple(mix), counter)
+    for denom, counts, sums in optima:
+        low = min(sums)
+        support = tuple(a for a, c in zip(matrix.rows, counts) if c)
+        key = (support, tuple(b for b, x in zip(matrix.cols, sums) if x == low))
         if key not in out:
-            out[key] = mix
+            out[key] = {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}
     return out
 
 

@@ -115,3 +115,13 @@ def random_tb_game(
                 last = cut
             prob[s] = {t: Fraction(w, den) for t, w in zip(succ, weights)}
     return TurnBasedGame(tuple(states), partition, edges, prob)
+
+
+def random_valuations(rng: random.Random, states) -> list[dict[str, Fraction]]:
+    """A valuation with mixed denominators, and a constant one under which
+    every mixture at a state ties."""
+    mixed = {}
+    for s in states:
+        den = rng.choice((1, 2, 3, 5, 7, 12))
+        mixed[s] = Fraction(rng.randint(0, den), den)
+    return [mixed, dict.fromkeys(states, Fraction(rng.randint(0, 6), 6))]

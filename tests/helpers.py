@@ -8,9 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from congame.matrix import column_values, one_step_matrix, solve_matrix_game
+from congame.matrix import (
+    MatrixGame,
+    _compositions,
+    enumerate_k_uniform,
+    one_step_matrix,
+    solve_matrix_game,
+)
 from congame.mdp import _trapped_component, almost_sure_safe_strategy, induce_mdp
 from congame.model import (
     ONE,
@@ -45,6 +51,69 @@ def improper_witness(
 
 def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]) -> bool:
     return improper_witness(game, xi1, T, W2) is None
+
+
+def column_values(matrix: MatrixGame, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Expected payoff of each column against the row mixture ``weights``
+    (given in row order)."""
+    return tuple(
+        sum((w * row[j] for w, row in zip(weights, matrix.payoff) if w), ZERO)
+        for j in range(len(matrix.cols))
+    )
+
+
+def k_uniform_distributions(n_moves: int, k: int) -> list[tuple[Fraction, ...]]:
+    """``enumerate_k_uniform``'s table read as probability tuples."""
+    return [tuple(Fraction(c, denom) for c in counts) for denom, counts in enumerate_k_uniform(n_moves, k)]
+
+
+def reference_k_uniform(n_moves: int, k: int) -> list[tuple[Fraction, ...]]:
+    """The k-uniform distributions built as ``Fraction`` tuples and
+    deduplicated by set, in the package's enumeration order."""
+    seen: set[tuple[Fraction, ...]] = set()
+    out: list[tuple[Fraction, ...]] = []
+    for denom in range(1, k + 1):
+        for comp in _compositions(denom, n_moves):
+            dist = tuple(Fraction(c, denom) for c in comp)
+            if dist not in seen:
+                seen.add(dist)
+                out.append(dist)
+    return out
+
+
+def reference_pre1_k(
+    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """``pre1_k`` scored in ``Fraction`` arithmetic, one mixture at a time."""
+    matrix = one_step_matrix(game, v, s)
+    best_value: Fraction | None = None
+    best_dist: tuple[Fraction, ...] | None = None
+    for dist in reference_k_uniform(len(matrix.rows), k):
+        value = min(column_values(matrix, dist))
+        if best_value is None or value > best_value:
+            best_value, best_dist = value, dist
+    assert best_value is not None and best_dist is not None
+    return best_value, {a: p for a, p in zip(matrix.rows, best_dist) if p > 0}
+
+
+def reference_k_uniform_pairs(
+    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
+) -> dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]]:
+    """``safety_si._k_uniform_pairs`` scored in ``Fraction`` arithmetic,
+    against ``reference_pre1_k``'s target."""
+    matrix = one_step_matrix(game, v, s)
+    target, _ = reference_pre1_k(game, v, s, k)
+    out: dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]] = {}
+    for dist in reference_k_uniform(len(matrix.rows), k):
+        cols = column_values(matrix, dist)
+        if min(cols) != target:
+            continue
+        mix = {a: p for a, p in zip(matrix.rows, dist) if p > 0}
+        counter = tuple(b for b, value in zip(matrix.cols, cols) if value == target)
+        key = (tuple(mix), counter)
+        if key not in out:
+            out[key] = mix
+    return out
 
 
 def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Selector) -> Fraction:

@@ -350,8 +350,9 @@ def brute_force_k_uniform_best(game, safe, k):
     of the normalized game (mixtures enumerated outside the frozen region)."""
     import itertools
 
-    from congame import Selector, enumerate_k_uniform, strategy_value_safety
+    from congame import Selector, strategy_value_safety
     from congame.safety_si import normalize_safety
+    from helpers import k_uniform_distributions
 
     ctx = normalize_safety(game, safe)
     frozen_states = ctx.w1 | (set(game.states) - ctx.safe)
@@ -359,7 +360,7 @@ def brute_force_k_uniform_best(game, safe, k):
     options = {
         s: [
             {a: p for a, p in zip(game.moves1[s], dist) if p > 0}
-            for dist in enumerate_k_uniform(len(game.moves1[s]), k)
+            for dist in k_uniform_distributions(len(game.moves1[s]), k)
         ]
         for s in spots
     }

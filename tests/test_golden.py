@@ -114,6 +114,11 @@ def _cases() -> dict[str, list[str]]:
         "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "k-uniform",
         "--k", "0",
     ]
+    # An enumeration over its budget: C(1002, 2) - 1 compositions at s0.
+    cases["error-k-uniform-budget"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "k-uniform",
+        "--k", "1000",
+    ]
     cases["error-vi-eps"] = [
         "solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "vi", "--eps", "junk",
     ]

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 
 from congame import (
+    BudgetExceeded,
     MatrixGame,
     enumerate_k_uniform,
     one_step_matrix,
@@ -16,8 +18,14 @@ from congame import (
 )
 from congame.matrix import pre1_state
 
-from conftest import ONE, ZERO, random_concurrent_game
-from helpers import pre1_sel, pre_sel_sel
+from conftest import ONE, ZERO, random_concurrent_game, random_valuations
+from helpers import (
+    k_uniform_distributions,
+    pre1_sel,
+    pre_sel_sel,
+    reference_k_uniform,
+    reference_pre1_k,
+)
 from oracles import matrix_value_oracle
 
 F = Fraction
@@ -173,14 +181,39 @@ def test_pre1_sel_of_witness_equals_value():
 
 
 def test_enumerate_k_uniform_orders_and_dedup():
-    dists = enumerate_k_uniform(2, 2)
+    dists = k_uniform_distributions(2, 2)
     assert dists[0] == (ONE, ZERO)
     assert dists[1] == (ZERO, ONE)
     assert (F(1, 2), F(1, 2)) in dists
     assert len(dists) == len(set(dists))
     # denominator-4 grid over two moves
-    d4 = enumerate_k_uniform(2, 4)
+    d4 = k_uniform_distributions(2, 4)
     assert (F(1, 4), F(3, 4)) in d4 and (F(2, 3), F(1, 3)) in d4
+    # the same order as building Fraction tuples and deduplicating by set
+    for n_moves in range(1, 5):
+        for k in range(1, 8):
+            assert k_uniform_distributions(n_moves, k) == reference_k_uniform(n_moves, k)
+
+
+def test_enumerate_k_uniform_budget_checked_before_cache(monkeypatch):
+    monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 5)
+    assert len(enumerate_k_uniform(2, 2)) == 3  # 5 compositions, at the budget
+    with pytest.raises(BudgetExceeded, match="k=3, moves=2"):
+        enumerate_k_uniform(2, 3)  # 9 compositions
+    assert len(enumerate_k_uniform(2, 2)) == 3
+
+
+def test_pre1_k_integer_scan_matches_fraction_reference():
+    rng = random.Random(41)
+    for _ in range(30):
+        game = random_concurrent_game(rng, max_moves=3)
+        for v in random_valuations(rng, game.states):
+            for s in game.states:
+                for k in range(1, 7):
+                    value, mix = pre1_k(game, v, s, k)
+                    ref_value, ref_mix = reference_pre1_k(game, v, s, k)
+                    assert value == ref_value
+                    assert list(mix.items()) == list(ref_mix.items())
 
 
 def test_pre1_k_pure_and_mixed(ex3step1):

@@ -20,8 +20,10 @@ from congame.matrix import one_step_matrix
 from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
-from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import opt_sel_feasible, reach_si_turn_based
+from congame.safety_si import _k_uniform_pairs
+
+from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
+from helpers import opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs
 from oracles import brute_force_k_uniform_best
 
 F = Fraction
@@ -103,6 +105,20 @@ def test_opt_sel_count_k_restricted_subset_of_unrestricted(ex3step1):
     # (3/7, 4/7) is 7-uniform, so the equalizing pair appears at k=7
     assert (("a", "b"), ("c", "d")) in k7
     assert k7 <= unrestricted
+
+
+def test_k_uniform_pairs_integer_scan_matches_fraction_reference():
+    rng = random.Random(43)
+    for _ in range(30):
+        game = random_concurrent_game(rng, max_moves=3)
+        for v in random_valuations(rng, game.states):
+            for s in game.states:
+                for k in range(1, 7):
+                    pairs = _k_uniform_pairs(game, v, s, k)
+                    reference = reference_k_uniform_pairs(game, v, s, k)
+                    assert [(key, list(mix.items())) for key, mix in pairs.items()] == [
+                        (key, list(mix.items())) for key, mix in reference.items()
+                    ]
 
 
 def test_tb_reduction_minimal_chain(fig1):
