@@ -30,14 +30,11 @@ from .matrix import (
     solve_matrix_game,
 )
 from .mdp import (
-    EndComponent,
-    EndComponentSet,
     ImproperSelectorError,
     InducedMDP,
     compute_W2,
     induce_mdp,
     max_reach_values,
-    mec_decomposition,
     strategy_value_reach,
     strategy_value_safety,
     tb_almost_sure_safe,
@@ -71,7 +68,6 @@ from .safety_si import (
     TBReduction,
     improvement_switches,
     opt_sel_count,
-    round_to_k_uniform,
     run_convergent_safety_si,
     run_k_uniform_si,
     run_safety_si,

@@ -170,7 +170,11 @@ def parse_game(text: str) -> GameStructure | TurnBasedGame:
 
 def load_game(path: str) -> GameStructure | TurnBasedGame:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_game(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GameFormatError(f"not valid UTF-8: {exc}") from exc
+    return parse_game(text)
 
 
 def serialize_game(game: GameStructure | TurnBasedGame, extra: dict | None = None) -> str:

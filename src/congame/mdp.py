@@ -3,17 +3,18 @@
 Fixing a player-1 selector turns a concurrent game into a player-2 MDP.
 Everything the improvement algorithms need from that MDP lives here: exact
 maximal reachability values (policy iteration, each policy solved by exact
-rational elimination), maximal end component decomposition, properness
-checks, and the qualitative winning-set computations (value-zero states for
-reachability, almost-sure safety, and the attractor construction on
-turn-based games).
+rational elimination), the properness check, and the qualitative
+winning-set computations (value-zero states for reachability, almost-sure
+safety, and the attractor construction on turn-based games).  The
+properness trap and the qualitative sets other than the attractor are
+greatest fixpoints, all computed by one pruning loop, ``_greatest_fixpoint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .model import (
     GameStructure,
@@ -57,101 +58,6 @@ def induce_mdp(game: GameStructure, xi1: Selector) -> InducedMDP:
                     dist[t] = dist.get(t, ZERO) + pa * p
             delta2[(s, b)] = dist
     return InducedMDP(game.states, actions, delta2)
-
-
-@dataclass(frozen=True)
-class EndComponent:
-    states: frozenset[str]
-    actions: dict[str, tuple[str, ...]]
-
-
-@dataclass(frozen=True)
-class EndComponentSet:
-    components: tuple[EndComponent, ...]
-
-
-def _sccs(nodes: list[str], succ: Mapping[str, Iterable[str]]) -> list[list[str]]:
-    """Tarjan's strongly connected components, iterative."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                out.append(comp)
-    return out
-
-
-def mec_decomposition(mdp: InducedMDP) -> EndComponentSet:
-    """All maximal end components, by iterative SCC pruning."""
-    order = {s: i for i, s in enumerate(mdp.states)}
-    found: list[EndComponent] = []
-    work: list[frozenset[str]] = [frozenset(mdp.states)]
-    while work:
-        candidate = work.pop()
-        while True:
-            allowed = {
-                s: tuple(b for b in mdp.actions[s] if mdp.dest(s, b) <= candidate)
-                for s in candidate
-            }
-            dead = {s for s in candidate if not allowed[s]}
-            if not dead:
-                break
-            candidate = candidate - dead
-        if not candidate:
-            continue
-        nodes = sorted(candidate, key=order.__getitem__)
-        succ = {
-            s: sorted(
-                {t for b in allowed[s] for t in mdp.dest(s, b)},
-                key=order.__getitem__,
-            )
-            for s in nodes
-        }
-        comps = _sccs(nodes, succ)
-        if len(comps) == 1 and len(comps[0]) == len(candidate):
-            found.append(EndComponent(candidate, allowed))
-        else:
-            for comp in comps:
-                work.append(frozenset(comp))
-    found.sort(key=lambda c: sorted(c.states))
-    return EndComponentSet(tuple(found))
 
 
 def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fraction]:
@@ -293,39 +199,61 @@ def _policy_values(
 
 class ImproperSelectorError(GameError):
     """Raised when an operation that needs a proper selector gets one whose
-    induced MDP has an end component trapped outside the target and the
-    value-zero region.  Carries the trapped component."""
+    induced MDP has an end component outside the target and the value-zero
+    region.  Carries the trap (see ``_trap``) as a checkable certificate:
+    every state in it has a player-2 action whose successors all stay in it."""
 
     def __init__(self, witness: frozenset[str]):
-        super().__init__(f"selector is not proper; trapped end component {sorted(witness)}")
+        super().__init__(f"selector is not proper; trap {sorted(witness)}")
         self.witness = witness
 
 
-def _trapped_component(mdp: InducedMDP, done: set[str]) -> frozenset[str] | None:
-    for component in mec_decomposition(mdp).components:
-        if not (component.states & done):
-            return component.states
-    return None
+def _greatest_fixpoint(
+    start: Iterable[str], stays: Callable[[str, AbstractSet[str]], bool]
+) -> frozenset[str]:
+    """Largest subset X of ``start`` with ``stays(s, X)`` at every s in X.
+
+    ``stays`` must be monotone in X.  Each round drops the states that fail
+    against the current set, so the loop stops within |start| rounds.
+    """
+    current = set(start)
+    while True:
+        kept = {s for s in current if stays(s, current)}
+        if kept == current:
+            return frozenset(current)
+        current = kept
+
+
+def _trap(mdp: InducedMDP, done: AbstractSet[str]) -> frozenset[str]:
+    """Greatest set outside ``done`` in which every state has an action whose
+    successors all stay inside: the states from which player 2 can avoid
+    ``done`` forever.
+
+    The test for properness this gives is exact when ``done`` is absorbing.
+    An end component that touches ``done`` is then a singleton in ``done``,
+    so some end component avoids ``done`` exactly when the trap is nonempty.
+    An end component that avoids ``done`` is closed under its actions, so it
+    lies inside the trap.  Conversely, fix at each trap state an action that
+    stays inside; the graph of those actions on the trap has a bottom
+    strongly connected component, and with those actions that is an end
+    component avoiding ``done``.
+    """
+    return _greatest_fixpoint(
+        (s for s in mdp.states if s not in done),
+        lambda s, X: any(mdp.dest(s, b) <= X for b in mdp.actions[s]),
+    )
 
 
 def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:
-    """States of reachability value zero for player 1.
-
-    Greatest fixpoint inside S minus T of "player 2 has a move confining the
-    game, whatever player 1 does"; stabilizes within |S| rounds.
-    """
-    target = set(T)
-    current = set(game.states) - target
-    while True:
-        nxt = set()
-        for s in current:
-            for b in game.moves2[s]:
-                if all(game.dest(s, a, b) <= current for a in game.moves1[s]):
-                    nxt.add(s)
-                    break
-        if nxt == current:
-            return frozenset(current)
-        current = nxt
+    """States of reachability value zero for player 1: the greatest set
+    outside T in which player 2 has a move confining the game, whatever
+    player 1 does."""
+    return _greatest_fixpoint(
+        set(game.states) - set(T),
+        lambda s, X: any(
+            all(game.dest(s, a, b) <= X for a in game.moves1[s]) for b in game.moves2[s]
+        ),
+    )
 
 
 def almost_sure_safe_strategy(
@@ -338,20 +266,15 @@ def almost_sure_safe_strategy(
     inside, whatever player 2 answers": if every move leaks against some
     answer, any mixture leaks with positive probability too.
     """
-    current = set(F) & set(game.states)
-    witness: dict[str, str] = {}
-    while True:
-        nxt = set()
-        witness.clear()
-        for s in current:
-            for a in game.moves1[s]:
-                if all(game.dest(s, a, b) <= current for b in game.moves2[s]):
-                    nxt.add(s)
-                    witness[s] = a
-                    break
-        if nxt == current:
-            return frozenset(current), witness
-        current = nxt
+
+    def confines(s: str, a: str, X: AbstractSet[str]) -> bool:
+        return all(game.dest(s, a, b) <= X for b in game.moves2[s])
+
+    region = _greatest_fixpoint(
+        set(F) & set(game.states),
+        lambda s, X: any(confines(s, a, X) for a in game.moves1[s]),
+    )
+    return region, {s: next(a for a in game.moves1[s] if confines(s, a, region)) for s in region}
 
 
 def tb_attractor(
@@ -391,31 +314,21 @@ def tb_almost_sure_safe(
 ) -> tuple[frozenset[str], dict[str, str]]:
     """Almost-sure winning states for Safe(safe) in a turn-based game.
 
-    Iterative pruning: a player-1 state survives while it has a surviving
-    successor; player-2 and random states survive only if all successors
-    do.  The returned strategy sends each surviving player-1 state to its
-    first surviving successor in input order.
+    The greatest set inside ``safe`` in which a player-1 state has some
+    successor inside and every other state has all successors inside.  The
+    returned strategy sends each winning player-1 state to its first winning
+    successor in input order.
     """
-    alive = set(safe) & set(tb.states)
-    while True:
-        kept = set()
-        for s in alive:
-            succ = tb.edges[s]
-            if tb.partition[s] == P1:
-                if any(t in alive for t in succ):
-                    kept.add(s)
-            else:
-                if all(t in alive for t in succ):
-                    kept.add(s)
-        if kept == alive:
-            break
-        alive = kept
+    alive = _greatest_fixpoint(
+        set(safe) & set(tb.states),
+        lambda s, X: (any if tb.partition[s] == P1 else all)(t in X for t in tb.edges[s]),
+    )
     strategy = {
         s: next(t for t in tb.edges[s] if t in alive)
         for s in alive
         if tb.partition[s] == P1
     }
-    return frozenset(alive), strategy
+    return alive, strategy
 
 
 def strategy_value_safety(
@@ -436,15 +349,16 @@ def strategy_value_reach(
 
     Against a proper selector the adversary's best response maximizes the
     probability of reaching the value-zero region, so the value is one minus
-    that maximal probability.  Improper selectors are rejected with the
-    trapped end component as witness, because the identity fails for them.
-    One induced MDP serves both the properness check and the evaluation.
+    that maximal probability.  Improper selectors are rejected with their
+    trap as witness, because the identity fails for them.  One induced MDP,
+    with T and W2 absorbing, serves both the properness check and the
+    evaluation.
     """
     W2 = set(W2)
     done = set(T) | W2
     mdp = induce_mdp(make_absorbing(game, done), xi1)
-    witness = _trapped_component(mdp, done)
-    if witness is not None:
-        raise ImproperSelectorError(witness)
+    trap = _trap(mdp, done)
+    if trap:
+        raise ImproperSelectorError(trap)
     reach = max_reach_values(mdp, W2)
     return {s: ONE - reach[s] for s in game.states}

@@ -81,7 +81,7 @@ def improve_step_reach(
         value = strategy_value_reach(game, nxt, T, W2)
     except ImproperSelectorError as err:
         raise AssertionError(
-            f"improvement lost properness; trapped component {sorted(err.witness)}"
+            f"improvement lost properness; trap {sorted(err.witness)}"
         ) from None
     for s in game.states:
         if value[s] < pre_vals[s]:
@@ -160,7 +160,7 @@ class ReachSIRunner(Runner):
             value = strategy_value_reach(self.game, selector, self.target, self.w2)
         except ImproperSelectorError as err:
             raise AssertionError(
-                f"initial selector is improper; trapped component {sorted(err.witness)}"
+                f"initial selector is improper; trap {sorted(err.witness)}"
             ) from None
         self.state = ReachSIState(selector, value, frozenset())
         self.valuations: list[Valuation] = [value]

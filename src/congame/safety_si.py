@@ -248,8 +248,6 @@ def tb_reduction(
 class SafetySIState:
     selector: Selector
     valuation: Valuation
-    improve_set: frozenset[str]
-    nonlocal_set: frozenset[str]
     finished: bool
     fired_nonlocal: bool
 
@@ -324,8 +322,7 @@ def safety_si_step(
     v = state.valuation
     switches, nonlocal_step = improvement_switches(game, v, safe, W1, k)
     if not switches:
-        return SafetySIState(state.selector, v, frozenset(), frozenset(), True, False)
-    switched = frozenset(switches)
+        return SafetySIState(state.selector, v, True, False)
     nxt = _replace(state.selector, switches)
     value = strategy_value_safety(game, nxt, safe)
     step = "non-local safety improvement" if nonlocal_step else "safety improvement"
@@ -333,13 +330,13 @@ def safety_si_step(
         if value[s] < v[s]:
             raise AssertionError(f"{step} regressed at {s!r}")
     if nonlocal_step:
-        if not any(value[s] > v[s] for s in switched):
+        if not any(value[s] > v[s] for s in switches):
             raise AssertionError("non-local step produced no strict improvement")
-        return SafetySIState(nxt, value, frozenset(), switched, False, True)
-    for s in switched:
+        return SafetySIState(nxt, value, False, True)
+    for s in switches:
         if not value[s] > v[s]:
             raise AssertionError(f"no strict local improvement at {s!r}")
-    return SafetySIState(nxt, value, switched, frozenset(), False, False)
+    return SafetySIState(nxt, value, False, False)
 
 
 @dataclass(frozen=True)
@@ -396,7 +393,7 @@ class SafetySIRunner(Runner):
         self.k = None if k is None else max(k, len(game.moves))
         selector = uniform_selector(self.game)
         value = strategy_value_safety(self.game, selector, self.safe)
-        self.state = SafetySIState(selector, value, frozenset(), frozenset(), False, False)
+        self.state = SafetySIState(selector, value, False, False)
         self.valuations: list[Valuation] = [value]
         self.fired_nonlocal = False
 
@@ -424,40 +421,6 @@ def run_safety_si(game: GameStructure, F: Iterable[str], max_iters: int = 100) -
     so the iteration cap flags a partial trace instead.
     """
     return SafetySIRunner(game, F).run(max_iters)
-
-
-def round_to_k_uniform(
-    dist: Mapping[str, Fraction], eta: Fraction
-) -> tuple[int, dict[str, Fraction]]:
-    """Round a positive distribution to one with a small common denominator.
-
-    Rounds each probability up to the next multiple of 1/l for
-    l = ceil(m / (eta * c)) (m the support size, c the least probability),
-    then renormalizes.  Both ratio distortions old/new and new/old stay
-    within 1 + eta, and the returned denominator bound k is the exact common
-    denominator of the result.
-    """
-    if eta <= 0:
-        raise GameError("eta must be positive")
-    items = [(a, p) for a, p in dist.items() if p != 0]
-    if any(p < 0 for _, p in items):
-        raise GameError("distribution must be positive on its support")
-    if sum((p for _, p in items), ZERO) != 1:
-        raise GameError("distribution must sum to 1")
-    m = len(items)
-    if m == 1:
-        return 1, {items[0][0]: ONE}
-    c = min(p for _, p in items)
-    ratio = Fraction(m) / (eta * c)
-    ell = -((-ratio.numerator) // ratio.denominator)  # ceil
-    numerators = {a: -((-(p * ell).numerator) // (p * ell).denominator) for a, p in items}
-    total = sum(numerators.values())
-    rounded = {a: Fraction(n, total) for a, n in numerators.items()}
-    for a, p in items:
-        q = rounded[a]
-        if p / q > 1 + eta or q / p > 1 + eta:
-            raise AssertionError(f"rounding bound violated at {a!r}: {p} -> {q}")
-    return total, rounded
 
 
 def run_k_uniform_si(

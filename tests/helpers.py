@@ -17,7 +17,7 @@ from congame.matrix import (
     one_step_matrix,
     solve_matrix_game,
 )
-from congame.mdp import _trapped_component, almost_sure_safe_strategy, induce_mdp
+from congame.mdp import _trap, almost_sure_safe_strategy, induce_mdp
 from congame.model import (
     ONE,
     P1,
@@ -44,9 +44,10 @@ from congame.safety_si import (
 def improper_witness(
     game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]
 ) -> frozenset[str] | None:
-    """First maximal end component of the induced MDP that avoids T and W2,
-    or None if the selector is proper.  T and W2 must be absorbing."""
-    return _trapped_component(induce_mdp(game, xi1), set(T) | set(W2))
+    """The trap of the induced MDP outside T and W2 (the states from which
+    player 2 can avoid both forever), or None if it is empty, that is, if
+    the selector is proper.  T and W2 must be absorbing."""
+    return _trap(induce_mdp(game, xi1), set(T) | set(W2)) or None
 
 
 def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]) -> bool:
@@ -184,6 +185,40 @@ def pre_sel_sel(
             dist = game.delta[(s, a, b)]
             total += pa * pb * sum((p * v[t] for t, p in dist.items()), ZERO)
     return total
+
+
+def round_to_k_uniform(
+    dist: Mapping[str, Fraction], eta: Fraction
+) -> tuple[int, dict[str, Fraction]]:
+    """Round a positive distribution to one with a small common denominator.
+
+    Rounds each probability up to the next multiple of 1/l for
+    l = ceil(m / (eta * c)) (m the support size, c the least probability),
+    then renormalizes.  Both ratio distortions old/new and new/old stay
+    within 1 + eta, and the returned denominator bound k is the exact common
+    denominator of the result.
+    """
+    if eta <= 0:
+        raise GameError("eta must be positive")
+    items = [(a, p) for a, p in dist.items() if p != 0]
+    if any(p < 0 for _, p in items):
+        raise GameError("distribution must be positive on its support")
+    if sum((p for _, p in items), ZERO) != 1:
+        raise GameError("distribution must sum to 1")
+    m = len(items)
+    if m == 1:
+        return 1, {items[0][0]: ONE}
+    c = min(p for _, p in items)
+    ratio = Fraction(m) / (eta * c)
+    ell = -((-ratio.numerator) // ratio.denominator)  # ceil
+    numerators = {a: -((-(p * ell).numerator) // (p * ell).denominator) for a, p in items}
+    total = sum(numerators.values())
+    rounded = {a: Fraction(n, total) for a, n in numerators.items()}
+    for a, p in items:
+        q = rounded[a]
+        if p / q > 1 + eta or q / p > 1 + eta:
+            raise AssertionError(f"rounding bound violated at {a!r}: {p} -> {q}")
+    return total, rounded
 
 
 def reach_si_turn_based(tb: TurnBasedGame, T: Iterable[str]) -> ReachSIRunner:

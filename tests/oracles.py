@@ -2,9 +2,10 @@
 
 Everything here is deliberately primitive: Gaussian elimination, absorption
 probabilities of explicit Markov chains, support enumeration for matrix
-games, subset enumeration for end components, exhaustive strategy
-enumeration for small games, and the reachability linear program for MDP
-values (solved by the package's simplex, which the MDP path no longer uses).
+games, subset enumeration for end components and greatest fixpoints,
+exhaustive strategy enumeration for small games, and the reachability linear
+program for MDP values (solved by the package's simplex, which the MDP path
+no longer uses).
 None of it shares code with the solver paths it checks.
 """
 
@@ -235,6 +236,21 @@ def _strongly_connected(cell, allowed, mdp):
         if seen != cell:
             return False
     return True
+
+
+def brute_force_gfp(start, stays):
+    """Greatest fixpoint by subset enumeration (exponential): the union of
+    every subset X of ``start`` with ``stays(s, X)`` at each of its states.
+    For a monotone ``stays`` such sets are closed under union, so the union
+    is itself one of them, and the largest."""
+    states = list(start)
+    out = set()
+    for size in range(1, len(states) + 1):
+        for subset in itertools.combinations(states, size):
+            cell = frozenset(subset)
+            if all(stays(s, cell) for s in cell):
+                out |= cell
+    return frozenset(out)
 
 
 def lp_max_reach_values(mdp, targets):

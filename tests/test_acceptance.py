@@ -17,7 +17,6 @@ from congame import (
     ReachSIRunner,
     approximate_game_value,
     reach_value_iteration,
-    round_to_k_uniform,
     run_convergent_safety_si,
     run_k_uniform_si,
     run_reach_si,
@@ -31,7 +30,7 @@ from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 from congame.cli import main as cli_main
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import check_determinacy_bracket, is_proper, reach_si_turn_based
+from helpers import check_determinacy_bracket, is_proper, reach_si_turn_based, round_to_k_uniform
 from oracles import (
     brute_force_k_uniform_best,
     matrix_value_oracle,

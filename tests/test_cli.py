@@ -225,3 +225,11 @@ def test_validate_rejects_non_string_edge(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(game))
     assert code == 1
     assert err.startswith("error:") and "successor ids must be strings" in err
+
+
+def test_validate_non_utf8_names_path(capsys, tmp_path):
+    game = tmp_path / "bad.game"
+    game.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(capsys, "validate", str(game))
+    assert code == 1
+    assert err.startswith(f"error: {game}: not valid UTF-8: ")

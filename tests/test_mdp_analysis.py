@@ -11,7 +11,6 @@ from congame import (
     encode_turn_based_as_concurrent,
     induce_mdp,
     max_reach_values,
-    mec_decomposition,
     pure_selector,
     strategy_value_reach,
     strategy_value_safety,
@@ -19,13 +18,14 @@ from congame import (
     tb_attractor,
     uniform_selector,
 )
-from congame.model import make_absorbing
+from congame.mdp import _trap, almost_sure_safe_strategy
+from congame.model import P1, make_absorbing
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
 from helpers import (
     almost_sure_safe_concurrent, improper_witness, is_proper, tb_make_absorbing,
 )
-from oracles import brute_force_mecs, chain_reach, mdp_reach_bellman_ok
+from oracles import brute_force_gfp, brute_force_mecs, chain_reach, mdp_reach_bellman_ok
 
 F = Fraction
 NOOP = "⊥"
@@ -52,44 +52,103 @@ def test_induce_mdp_turn_based_pure(fig2_tb):
     assert mdp.delta2[("s0", NOOP)] == {"s2": ONE}
 
 
+# The end-component tests below check properness through the trap: the
+# greatest set outside ``done`` in which every state has an action staying
+# inside.  With ``done`` absorbing, it is nonempty exactly when some end
+# component avoids ``done``.
+
+
 def test_mec_absorbing_singleton(fig1):
+    # Under the uniform selector the only end components are the absorbing
+    # singletons {s0} and {s1}.
     mdp = induce_mdp(fig1, uniform_selector(fig1))
-    mecs = [c.states for c in mec_decomposition(mdp).components]
-    assert frozenset({"s0"}) in mecs and frozenset({"s1"}) in mecs
+    assert _trap(mdp, {"s0", "s1"}) == frozenset()
+    assert _trap(mdp, {"s0"}) == {"s1"} and _trap(mdp, {"s1"}) == {"s0"}
 
 
 def test_mec_fig1_pure_a_cycle(fig1):
     xi = pure_selector(fig1, 1, {"s3": "a"})
-    mecs = [c.states for c in mec_decomposition(induce_mdp(fig1, xi)).components]
-    assert frozenset({"s3", "s4"}) in mecs
+    assert {"s3", "s4"} <= _trap(induce_mdp(fig1, xi), {"s0", "s1"})
 
 
 def test_mec_fig1_mixed_no_inner_component(fig1):
-    mecs = [
-        c.states for c in mec_decomposition(induce_mdp(fig1, uniform_selector(fig1))).components
-    ]
-    assert all(not c <= {"s2", "s3", "s4"} for c in mecs)
+    mdp = induce_mdp(fig1, uniform_selector(fig1))
+    for done in ({"s0"}, {"s1"}, {"s0", "s1"}):
+        assert not _trap(mdp, done) & {"s2", "s3", "s4"}
+
+
+def _random_absorbing_mdp(rng, n_states):
+    """Induced MDP of the uniform selector on a random game whose random
+    ``done`` set is made absorbing before inducing, as properness needs."""
+    game = random_concurrent_game(rng, n_states=n_states)
+    done = set(rng.sample(game.states, rng.randint(0, n_states)))
+    frozen = make_absorbing(game, done)
+    return induce_mdp(frozen, uniform_selector(frozen)), done
 
 
 def test_mec_oracle_random():
     rng = random.Random(21)
+    nonempty = 0
     for _ in range(40):
-        game = random_concurrent_game(rng, n_states=rng.randint(2, 6))
-        mdp = induce_mdp(game, uniform_selector(game))
-        ours = {c.states for c in mec_decomposition(mdp).components}
-        assert ours == brute_force_mecs(mdp)
+        mdp, done = _random_absorbing_mdp(rng, rng.randint(2, 6))
+        trap = _trap(mdp, done)
+        avoiding = [c for c in brute_force_mecs(mdp) if not c & done]
+        assert bool(trap) == bool(avoiding)
+        assert all(c <= trap for c in avoiding)
+        nonempty += bool(trap)
+    assert 0 < nonempty < 40
 
 
 def test_mec_witness_actions_closed():
     rng = random.Random(22)
     for _ in range(20):
-        game = random_concurrent_game(rng, n_states=4)
-        mdp = induce_mdp(game, uniform_selector(game))
-        for component in mec_decomposition(mdp).components:
-            for s in component.states:
-                assert component.actions[s]
-                for b in component.actions[s]:
-                    assert mdp.dest(s, b) <= component.states
+        mdp, done = _random_absorbing_mdp(rng, 4)
+        trap = _trap(mdp, done)
+        assert not trap & done
+        for s in trap:
+            assert any(mdp.dest(s, b) <= trap for b in mdp.actions[s])
+
+
+def test_qualitative_sets_match_brute_force_gfp():
+    rng = random.Random(28)
+    for _ in range(80):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 6))
+        states = set(game.states)
+        target = set(rng.sample(game.states, rng.randint(1, 2)))
+        assert compute_W2(game, target) == brute_force_gfp(
+            states - target,
+            lambda s, X: any(
+                all(game.dest(s, a, b) <= X for a in game.moves1[s]) for b in game.moves2[s]
+            ),
+        )
+
+        def confines(s, a, X):
+            return all(game.dest(s, a, b) <= X for b in game.moves2[s])
+
+        safe = set(rng.sample(game.states, rng.randint(1, len(game.states))))
+        w1, choice = almost_sure_safe_strategy(game, safe)
+        assert w1 == brute_force_gfp(
+            safe, lambda s, X: any(confines(s, a, X) for a in game.moves1[s])
+        )
+        assert set(choice) == w1
+        for s, a in choice.items():
+            assert confines(s, a, w1)
+            assert a == next(m for m in game.moves1[s] if confines(s, m, w1))
+    for _ in range(80):
+        tb = random_tb_game(rng, n_states=rng.randint(2, 6))
+        safe = set(rng.sample(tb.states, rng.randint(1, len(tb.states))))
+        alive, strategy = tb_almost_sure_safe(tb, safe)
+        assert alive == brute_force_gfp(
+            safe,
+            lambda s, X: (
+                any(t in X for t in tb.edges[s])
+                if tb.partition[s] == P1
+                else all(t in X for t in tb.edges[s])
+            ),
+        )
+        assert set(strategy) == {s for s in alive if tb.partition[s] == P1}
+        for s, t in strategy.items():
+            assert t in alive and t == next(u for u in tb.edges[s] if u in alive)
 
 
 def test_max_reach_all_targets(fig1):

@@ -10,7 +10,6 @@ from congame import (
     GameStructure,
     improvement_switches,
     opt_sel_count,
-    round_to_k_uniform,
     run_convergent_safety_si,
     run_k_uniform_si,
     run_safety_si,
@@ -23,7 +22,9 @@ from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 from congame.safety_si import _k_uniform_pairs
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
-from helpers import opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs
+from helpers import (
+    opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs, round_to_k_uniform,
+)
 from oracles import brute_force_k_uniform_best
 
 F = Fraction
@@ -358,10 +359,10 @@ def test_safety_si_step_fig2_nonlocal_details(fig2):
     ctx = normalize_safety(fig2, safe)
     selector = uniform_selector(ctx.game)
     value = strategy_value_safety(ctx.game, selector, ctx.safe)
-    state = SafetySIState(selector, value, frozenset(), frozenset(), False, False)
+    switches, nonlocal_step = improvement_switches(ctx.game, value, ctx.safe, ctx.w1)
+    assert set(switches) == {"s0", "s1"} and nonlocal_step is True
+    state = SafetySIState(selector, value, False, False)
     nxt = safety_si_step(ctx.game, state, ctx.safe, ctx.w1)
-    assert nxt.improve_set == frozenset()
-    assert nxt.nonlocal_set == {"s0", "s1"}
     assert nxt.fired_nonlocal and not nxt.finished
     assert nxt.selector.choice["s0"] == {"to-s1": ONE}
     assert nxt.valuation["s0"] == F(2, 3)
