@@ -1,12 +1,15 @@
 """Independent reference computations for checking the solvers.
 
-Everything here is deliberately primitive: Gaussian elimination, absorption
-probabilities of explicit Markov chains, support enumeration for matrix
-games, subset enumeration for end components and greatest fixpoints,
-exhaustive strategy enumeration for small games, and the reachability linear
-program for MDP values (solved by the package's simplex, which the MDP path
-no longer uses).
-None of it shares code with the solver paths it checks.
+Everything here is deliberately primitive: Gaussian elimination, a
+two-phase simplex over a tableau of `Fraction`s, absorption probabilities of
+explicit Markov chains, support enumeration for matrix games, subset
+enumeration for end components and greatest fixpoints, and exhaustive
+strategy enumeration for small games.
+None of it shares code with the solver paths it checks, with one deliberate
+exception: the reachability linear program for MDP values is solved by the
+package's integer simplex, so comparing it with `mdp.max_reach_values`
+(policy iteration, no LP) cross-checks the integer simplex against policy
+iteration.
 """
 
 from __future__ import annotations
@@ -40,6 +43,138 @@ def solve_linear(rows, rhs):
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
+
+
+class LPInfeasible(Exception):
+    pass
+
+
+class LPUnbounded(Exception):
+    pass
+
+
+def _reference_pivot(tableau, basis, row, col, pivots):
+    if pivots is not None:
+        pivots.append((row, col))
+    inv = ONE / tableau[row][col]
+    tableau[row] = [x * inv for x in tableau[row]]
+    pivot_row = tableau[row]
+    for i, current in enumerate(tableau):
+        if i != row and current[col] != 0:
+            factor = current[col]
+            tableau[i] = [x - factor * y for x, y in zip(current, pivot_row)]
+    basis[row - 1] = col
+
+
+def _reference_simplex(tableau, basis, ncols, pivots):
+    while True:
+        col = next((j for j in range(ncols) if tableau[0][j] < 0), None)
+        if col is None:
+            return
+        row = -1
+        best_ratio = None
+        for i in range(1, len(tableau)):
+            coef = tableau[i][col]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i - 1] < basis[row - 1])
+                ):
+                    best_ratio = ratio
+                    row = i
+        if row < 0:
+            raise LPUnbounded("objective unbounded")
+        _reference_pivot(tableau, basis, row, col, pivots)
+
+
+def reference_solve_lp(objective, rows, senses, rhs, maximize=False, pivots=None):
+    """Two-phase primal simplex with Bland's rule on a tableau of `Fraction`s.
+
+    The same contract as `congame.linprog.solve_lp` (nonnegative variables,
+    senses ``"<="``, ``">="`` and ``"=="``), raising this module's
+    `LPInfeasible` or `LPUnbounded`.  Every pivot divides the pivot row by
+    its pivot and eliminates the column from every other row.  If ``pivots``
+    is a list, each pivot's ``(row, col)`` is appended to it, tableau row 0
+    being the cost row.
+    """
+    n = len(objective)
+    m = len(rows)
+    obj = [(-c if maximize else c) for c in objective]
+    flip = {"<=": ">=", ">=": "<=", "==": "=="}
+    eq_rows = []
+    slack_signs = []
+    for coeffs, sense, b in zip(rows, senses, rhs):
+        row = [Fraction(x) for x in coeffs]
+        b = Fraction(b)
+        if len(row) != n:
+            raise ValueError("constraint row of wrong length")
+        if sense not in flip:
+            raise ValueError(f"unknown sense {sense!r}")
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+            sense = flip[sense]
+        slack_signs.append({"<=": ONE, ">=": -ONE, "==": None}[sense])
+        eq_rows.append((row, b))
+    num_slacks = sum(1 for sign in slack_signs if sign is not None)
+    total = n + num_slacks
+    basis = []
+    artificial_cols = []
+    width = total
+    tableau = [None]
+    k = n
+    for (row, b), sign in zip(eq_rows, slack_signs):
+        full = row + [ZERO] * num_slacks
+        if sign is not None:
+            full[k] = sign
+            k += 1
+        if sign == ONE:
+            basis.append(k - 1)
+        else:
+            basis.append(width)
+            artificial_cols.append(width)
+            width += 1
+        tableau.append(full)
+    for i in range(m):
+        tail = [ZERO] * (width - total)
+        if basis[i] >= total:
+            tail[basis[i] - total] = ONE
+        tableau[i + 1] = tableau[i + 1] + tail + [eq_rows[i][1]]
+    if artificial_cols:
+        cost = [ZERO] * total + [ONE] * (width - total) + [ZERO]
+        for i in range(m):
+            if basis[i] in artificial_cols:
+                cost = [x - y for x, y in zip(cost, tableau[i + 1])]
+        tableau[0] = cost
+        _reference_simplex(tableau, basis, width, pivots)
+        if tableau[0][-1] < 0:
+            raise LPInfeasible("no feasible point")
+        i = 1
+        while i < len(tableau):
+            if basis[i - 1] in artificial_cols:
+                col = next((j for j in range(total) if tableau[i][j] != 0), None)
+                if col is None:
+                    del tableau[i]
+                    del basis[i - 1]
+                    continue
+                _reference_pivot(tableau, basis, i, col, pivots)
+            i += 1
+        tableau = [row[:total] + [row[-1]] for row in tableau]
+    cost = [Fraction(c) for c in obj] + [ZERO] * (total - n + 1)
+    tableau[0] = cost
+    for i in range(1, len(tableau)):
+        c_b = cost[basis[i - 1]]
+        if c_b != 0:
+            tableau[0] = [x - c_b * y for x, y in zip(tableau[0], tableau[i])]
+    _reference_simplex(tableau, basis, total, pivots)
+    solution = [ZERO] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i + 1][-1]
+    value = -tableau[0][-1]
+    return (-value if maximize else value), solution
 
 
 def chain_reach(states, trans, targets):
