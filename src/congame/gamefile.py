@@ -79,6 +79,9 @@ def _parse_concurrent(doc: dict) -> GameStructure:
             for a in avail:
                 if not isinstance(a, str):
                     raise GameFormatError(f"{key}[{s!r}]: move ids must be strings")
+            if len(set(avail)) != len(avail):
+                raise GameFormatError(f"{key}[{s!r}]: duplicate move ids")
+            for a in avail:
                 if a not in seen_moves:
                     seen_moves.add(a)
                     moves.append(a)

@@ -121,14 +121,16 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
     """Matrix of expected ``v``-values, one entry per move pair at ``s``."""
     rows = game.moves1[s]
     cols = game.moves2[s]
-    payoff = tuple(
-        tuple(
-            sum((p * v[t] for t, p in game.delta[(s, a, b)].items()), ZERO)
-            for b in cols
-        )
-        for a in rows
-    )
+    payoff = tuple(tuple(_expected(game.delta[(s, a, b)], v) for b in cols) for a in rows)
     return MatrixGame(rows, cols, payoff)
+
+
+def _expected(dist: Mapping[str, Fraction], v: Mapping[str, Fraction]) -> Fraction:
+    if len(dist) == 1:
+        # A validated one-entry distribution puts probability 1 on it.
+        (t,) = dist
+        return v[t]
+    return sum((p * v[t] for t, p in dist.items()), ZERO)
 
 
 def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:

@@ -5,15 +5,28 @@ Everything the improvement algorithms need from that MDP lives here: exact
 maximal reachability values (policy iteration, each policy solved by exact
 rational elimination), the properness check, and the qualitative
 winning-set computations (value-zero states for reachability, almost-sure
-safety, and the attractor construction on turn-based games).  The
-properness trap and the qualitative sets other than the attractor are
-greatest fixpoints, all computed by one pruning loop, ``_greatest_fixpoint``.
+safety, and the attractor construction on turn-based games).
+
+The properness trap and the qualitative sets other than the attractor are
+greatest fixpoints, all computed by one work-list routine,
+``_greatest_fixpoint``: it tests each state once, and tests a state again
+only when one of the states its test reads has been removed, so every
+removal is paid for once.  The tests read supports, which ``GameStructure``
+and ``InducedMDP`` build once per object, on first use, from their
+immutable transition tables.  No qualitative set or value is kept between
+calls, so a second evaluation (``--verify``) recomputes everything.
+
+Evaluating a selector needs its target-like states absorbing.  The induced
+MDP gets those self-loops directly (``_induce_absorbing``); no absorbing
+copy of the game is built per evaluation.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .model import (
@@ -25,7 +38,6 @@ from .model import (
     Selector,
     TurnBasedGame,
     ZERO,
-    make_absorbing,
 )
 
 
@@ -37,8 +49,15 @@ class InducedMDP:
     actions: dict[str, tuple[str, ...]]
     delta2: dict[tuple[str, str], dict[str, Fraction]]
 
+    @cached_property
+    def _supports(self) -> dict[tuple[str, str], frozenset[str]]:
+        return {
+            key: frozenset(t for t, p in dist.items() if p)
+            for key, dist in self.delta2.items()
+        }
+
     def dest(self, s: str, b: str) -> frozenset[str]:
-        return frozenset(t for t, p in self.delta2[(s, b)].items() if p > 0)
+        return self._supports[(s, b)]
 
 
 def induce_mdp(game: GameStructure, xi1: Selector) -> InducedMDP:
@@ -47,6 +66,12 @@ def induce_mdp(game: GameStructure, xi1: Selector) -> InducedMDP:
     delta2: dict[tuple[str, str], dict[str, Fraction]] = {}
     for s in game.states:
         mix = xi1.choice[s]
+        if len(mix) == 1 and ONE in mix.values():
+            # A pure move: the mixture is that move's distribution.
+            (a,) = mix
+            for b in game.moves2[s]:
+                delta2[(s, b)] = {t: p for t, p in game.delta[(s, a, b)].items() if p}
+            continue
         for b in game.moves2[s]:
             dist: dict[str, Fraction] = {}
             for a, pa in mix.items():
@@ -58,6 +83,21 @@ def induce_mdp(game: GameStructure, xi1: Selector) -> InducedMDP:
                     dist[t] = dist.get(t, ZERO) + pa * p
             delta2[(s, b)] = dist
     return InducedMDP(game.states, actions, delta2)
+
+
+def _induce_absorbing(
+    game: GameStructure, xi1: Selector, done: AbstractSet[str]
+) -> InducedMDP:
+    """``induce_mdp`` of ``make_absorbing(game, done)``, without that copy:
+    every action of a state in ``done`` becomes a self-loop."""
+    mdp = induce_mdp(game, xi1)
+    if not done <= mdp.actions.keys():
+        raise GameError(f"unknown states {sorted(done - mdp.actions.keys())}")
+    delta2 = dict(mdp.delta2)
+    for s in done:
+        for b in mdp.actions[s]:
+            delta2[(s, b)] = {s: ONE}
+    return InducedMDP(mdp.states, mdp.actions, delta2)
 
 
 def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fraction]:
@@ -209,19 +249,43 @@ class ImproperSelectorError(GameError):
 
 
 def _greatest_fixpoint(
-    start: Iterable[str], stays: Callable[[str, AbstractSet[str]], bool]
+    start: Iterable[str],
+    stays: Callable[[str, AbstractSet[str]], bool],
+    reads: Callable[[str], Iterable[str]],
 ) -> frozenset[str]:
     """Largest subset X of ``start`` with ``stays(s, X)`` at every s in X.
 
-    ``stays`` must be monotone in X.  Each round drops the states that fail
-    against the current set, so the loop stops within |start| rounds.
+    ``stays`` must be monotone in X, and ``stays(s, X)`` may depend only on
+    which of the states ``reads(s)`` lie in X.  A work-list: every state is
+    queued once; a state that fails its test against the current set is
+    removed, and only its predecessors (the states whose ``reads`` name it)
+    still in the set are queued again, since no other test can change.
+
+    The loop ends: a state is removed at most once, and only a removal
+    queues anything, so there are at most |start| tests plus one per read
+    edge.  The result is the greatest fixpoint: by monotonicity no state of
+    it ever fails, and when the queue empties every state left has passed
+    its test since its last read changed.
     """
     current = set(start)
-    while True:
-        kept = {s for s in current if stays(s, current)}
-        if kept == current:
-            return frozenset(current)
-        current = kept
+    pred: dict[str, list[str]] = {s: [] for s in current}
+    for s in current:
+        for t in reads(s):
+            if t in pred:
+                pred[t].append(s)
+    queue = deque(current)
+    queued = set(current)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        if stays(s, current):
+            continue
+        current.discard(s)
+        for r in pred[s]:
+            if r in current and r not in queued:
+                queued.add(r)
+                queue.append(r)
+    return frozenset(current)
 
 
 def _trap(mdp: InducedMDP, done: AbstractSet[str]) -> frozenset[str]:
@@ -241,7 +305,13 @@ def _trap(mdp: InducedMDP, done: AbstractSet[str]) -> frozenset[str]:
     return _greatest_fixpoint(
         (s for s in mdp.states if s not in done),
         lambda s, X: any(mdp.dest(s, b) <= X for b in mdp.actions[s]),
+        lambda s: {t for b in mdp.actions[s] for t in mdp.dest(s, b)},
     )
+
+
+def _successors(game: GameStructure, s: str) -> set[str]:
+    """States some move pair at ``s`` can lead to."""
+    return {t for a in game.moves1[s] for b in game.moves2[s] for t in game.dest(s, a, b)}
 
 
 def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:
@@ -253,6 +323,7 @@ def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:
         lambda s, X: any(
             all(game.dest(s, a, b) <= X for a in game.moves1[s]) for b in game.moves2[s]
         ),
+        lambda s: _successors(game, s),
     )
 
 
@@ -273,6 +344,7 @@ def almost_sure_safe_strategy(
     region = _greatest_fixpoint(
         set(F) & set(game.states),
         lambda s, X: any(confines(s, a, X) for a in game.moves1[s]),
+        lambda s: _successors(game, s),
     )
     return region, {s: next(a for a in game.moves1[s] if confines(s, a, region)) for s in region}
 
@@ -322,6 +394,7 @@ def tb_almost_sure_safe(
     alive = _greatest_fixpoint(
         set(safe) & set(tb.states),
         lambda s, X: (any if tb.partition[s] == P1 else all)(t in X for t in tb.edges[s]),
+        tb.edges.__getitem__,
     )
     strategy = {
         s: next(t for t in tb.edges[s] if t in alive)
@@ -337,8 +410,7 @@ def strategy_value_safety(
     """Exact value of Safe(F) under the memoryless strategy of ``xi1``:
     one minus the adversary's maximal probability of reaching the unsafe set."""
     unsafe = set(game.states) - set(F)
-    frozen = make_absorbing(game, unsafe)
-    reach = max_reach_values(induce_mdp(frozen, xi1), unsafe)
+    reach = max_reach_values(_induce_absorbing(game, xi1, unsafe), unsafe)
     return {s: ONE - reach[s] for s in game.states}
 
 
@@ -356,7 +428,7 @@ def strategy_value_reach(
     """
     W2 = set(W2)
     done = set(T) | W2
-    mdp = induce_mdp(make_absorbing(game, done), xi1)
+    mdp = _induce_absorbing(game, xi1, done)
     trap = _trap(mdp, done)
     if trap:
         raise ImproperSelectorError(trap)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 Valuation = dict[str, Fraction]
@@ -75,6 +76,8 @@ class GameStructure:
             for player, assignment in ((1, self.moves1), (2, self.moves2)):
                 if s not in assignment or not assignment[s]:
                     raise GameError(f"state {s!r}: empty move set for player {player}")
+                if len(set(assignment[s])) != len(assignment[s]):
+                    raise GameError(f"state {s!r}: duplicate move ids for player {player}")
                 for a in assignment[s]:
                     if a not in move_pool:
                         raise GameError(f"state {s!r}: move {a!r} not declared")
@@ -94,9 +97,16 @@ class GameStructure:
                     raise GameError(f"({s!r}, {a!r}, {b!r}): unknown successor {t!r}")
             _check_distribution(dist, f"delta({s!r}, {a!r}, {b!r})")
 
+    @cached_property
+    def _supports(self) -> dict[tuple[str, str, str], frozenset[str]]:
+        return {
+            key: frozenset(t for t, p in dist.items() if p)
+            for key, dist in self.delta.items()
+        }
+
     def dest(self, s: str, a: str, b: str) -> frozenset[str]:
-        """Support of delta(s, a, b)."""
-        return frozenset(t for t, p in self.delta[(s, a, b)].items() if p > 0)
+        """Support of delta(s, a, b), built for every move pair on first use."""
+        return self._supports[(s, a, b)]
 
 
 @dataclass(frozen=True)

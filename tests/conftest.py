@@ -15,6 +15,7 @@ from congame.model import (
     P1,
     P2,
     RANDOM,
+    Selector,
     TurnBasedGame,
     encode_turn_based_as_concurrent,
 )
@@ -115,6 +116,18 @@ def random_tb_game(
                 last = cut
             prob[s] = {t: Fraction(w, den) for t, w in zip(succ, weights)}
     return TurnBasedGame(tuple(states), partition, edges, prob)
+
+
+def random_selector(rng: random.Random, game) -> Selector:
+    """Player-1 selector with a random support and small denominators."""
+    choice = {}
+    for s in game.states:
+        moves = game.moves1[s]
+        support = rng.sample(moves, rng.randint(1, len(moves)))
+        weights = [rng.randint(1, 3) for _ in support]
+        total = sum(weights)
+        choice[s] = {a: Fraction(w, total) for a, w in zip(support, weights)}
+    return Selector(1, choice)
 
 
 def random_valuations(rng: random.Random, states) -> list[dict[str, Fraction]]:

@@ -17,7 +17,13 @@ from congame.matrix import (
     one_step_matrix,
     solve_matrix_game,
 )
-from congame.mdp import _trap, almost_sure_safe_strategy, induce_mdp
+from congame.mdp import (
+    ImproperSelectorError,
+    _trap,
+    almost_sure_safe_strategy,
+    induce_mdp,
+    max_reach_values,
+)
 from congame.model import (
     ONE,
     P1,
@@ -30,6 +36,7 @@ from congame.model import (
     TurnBasedGame,
     Valuation,
     encode_turn_based_as_concurrent,
+    make_absorbing,
     swap_players,
 )
 from congame.reach_si import ReachSIRunner, run_reach_si
@@ -52,6 +59,31 @@ def improper_witness(
 
 def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]) -> bool:
     return improper_witness(game, xi1, T, W2) is None
+
+
+def strategy_value_reach_by_copy(
+    game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]
+) -> dict[str, Fraction]:
+    """``strategy_value_reach`` evaluated on an absorbing copy of the game:
+    ``make_absorbing`` on T and W2, then ``induce_mdp``."""
+    W2 = set(W2)
+    done = set(T) | W2
+    mdp = induce_mdp(make_absorbing(game, done), xi1)
+    trap = _trap(mdp, done)
+    if trap:
+        raise ImproperSelectorError(trap)
+    reach = max_reach_values(mdp, W2)
+    return {s: ONE - reach[s] for s in game.states}
+
+
+def strategy_value_safety_by_copy(
+    game: GameStructure, xi1: Selector, F: Iterable[str]
+) -> dict[str, Fraction]:
+    """``strategy_value_safety`` evaluated on a copy of the game with the
+    unsafe states absorbing."""
+    unsafe = set(game.states) - set(F)
+    reach = max_reach_values(induce_mdp(make_absorbing(game, unsafe), xi1), unsafe)
+    return {s: ONE - reach[s] for s in game.states}
 
 
 def column_values(matrix: MatrixGame, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -3,7 +3,8 @@
 Everything here is deliberately primitive: Gaussian elimination, a
 two-phase simplex over a tableau of `Fraction`s, absorption probabilities of
 explicit Markov chains, support enumeration for matrix games, subset
-enumeration for end components and greatest fixpoints, and exhaustive
+enumeration for end components and greatest fixpoints, round-by-round
+greatest fixpoints over supports rebuilt at every test, and exhaustive
 strategy enumeration for small games.
 None of it shares code with the solver paths it checks, with one deliberate
 exception: the reachability linear program for MDP values is solved by the
@@ -386,6 +387,80 @@ def brute_force_gfp(start, stays):
             if all(stays(s, cell) for s in cell):
                 out |= cell
     return frozenset(out)
+
+
+def round_based_gfp(start, stays):
+    """Greatest fixpoint by rounds: each round drops every state that fails
+    ``stays`` against the set the round started from, until a round drops
+    nothing.  At most |start| rounds, each testing every surviving state."""
+    current = set(start)
+    while True:
+        kept = {s for s in current if stays(s, current)}
+        if kept == current:
+            return frozenset(current)
+        current = kept
+
+
+def game_support(game, s, a, b):
+    """Support of delta(s, a, b), rebuilt on every call."""
+    return frozenset(t for t, p in game.delta[(s, a, b)].items() if p > 0)
+
+
+def mdp_support(mdp, s, b):
+    """Support of delta2(s, b), rebuilt on every call."""
+    return frozenset(t for t, p in mdp.delta2[(s, b)].items() if p > 0)
+
+
+def reference_w2(game, target):
+    """Value-zero states of Reach(target): the greatest set outside the
+    target where some player-2 move confines every player-1 move."""
+    return round_based_gfp(
+        set(game.states) - set(target),
+        lambda s, X: any(
+            all(game_support(game, s, a, b) <= X for a in game.moves1[s])
+            for b in game.moves2[s]
+        ),
+    )
+
+
+def reference_almost_sure_safe(game, safe):
+    """Almost-sure Safe(safe) region of a concurrent game, with the first
+    confining player-1 move at each of its states."""
+
+    def confines(s, a, X):
+        return all(game_support(game, s, a, b) <= X for b in game.moves2[s])
+
+    region = round_based_gfp(
+        set(safe) & set(game.states),
+        lambda s, X: any(confines(s, a, X) for a in game.moves1[s]),
+    )
+    return region, {s: next(a for a in game.moves1[s] if confines(s, a, region)) for s in region}
+
+
+def reference_tb_almost_sure_safe(tb, safe):
+    """Almost-sure Safe(safe) region of a turn-based game, with the first
+    successor inside at each of its player-1 states."""
+    alive = round_based_gfp(
+        set(safe) & set(tb.states),
+        lambda s, X: (
+            any(t in X for t in tb.edges[s])
+            if tb.partition[s] == P1
+            else all(t in X for t in tb.edges[s])
+        ),
+    )
+    strategy = {
+        s: next(t for t in tb.edges[s] if t in alive) for s in alive if tb.partition[s] == P1
+    }
+    return alive, strategy
+
+
+def reference_trap(mdp, done):
+    """Greatest set outside ``done`` where every state has an action whose
+    successors all stay inside."""
+    return round_based_gfp(
+        [s for s in mdp.states if s not in done],
+        lambda s, X: any(mdp_support(mdp, s, b) <= X for b in mdp.actions[s]),
+    )
 
 
 def lp_max_reach_values(mdp, targets):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from congame import parse_game
+from congame import GameStructure, parse_game
 from congame.cli import decimal_string, main, parse_objective
 
 F = Fraction
@@ -233,3 +233,65 @@ def test_validate_non_utf8_names_path(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(game))
     assert code == 1
     assert err.startswith(f"error: {game}: not valid UTF-8: ")
+
+
+@pytest.mark.parametrize("key", ["moves1", "moves2"])
+@pytest.mark.parametrize("algorithm", ["reach-si", "safety-si", "k-uniform", "convergent", "certify"])
+def test_duplicate_move_ids_rejected(capsys, tmp_path, key, algorithm):
+    moves = {"moves1": {"s0": ["a"], "s1": ["a"]}, "moves2": {"s0": ["c"], "s1": ["c"]}}
+    moves[key]["s0"] = ["a", "b", "a"]
+    delta = {
+        s: {a: {b: {"s1": "1"} for b in moves["moves2"][s]} for a in moves["moves1"][s]}
+        for s in ("s0", "s1")
+    }
+    game = tmp_path / "dup.game"
+    game.write_text(
+        json.dumps({"type": "concurrent", "states": ["s0", "s1"], **moves, "delta": delta}),
+        encoding="utf-8",
+    )
+    objective = "reach:s1" if algorithm == "reach-si" else "safe:s0"
+    code, out, err = run_cli(
+        capsys, "solve", str(game), "--objective", objective, "--algorithm", algorithm, "--verify"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"{key}['s0']: duplicate move ids" in err
+    code, _, err = run_cli(capsys, "validate", str(game))
+    assert code == 1 and err.startswith("error:") and f"{key}['s0']" in err
+
+
+def test_reach_si_builds_no_game_copy_per_round(capsys, tmp_path, monkeypatch):
+    # Reach-si improves twice here before it stops.  One game for the
+    # turn-based encoding and one for the runner's absorbing normalization,
+    # however many rounds run; evaluating a selector and --verify build none.
+    game = tmp_path / "rounds.game"
+    game.write_text(
+        json.dumps({
+            "type": "turn-based",
+            "states": ["q0", "q1", "q2", "q3", "q4"],
+            "partition": {"q0": "P2", "q1": "P1", "q2": "P1", "q3": "P2", "q4": "R"},
+            "edges": {
+                "q0": ["q1"], "q1": ["q2", "q4"], "q2": ["q1", "q3"],
+                "q3": ["q0", "q3"], "q4": ["q0", "q1"],
+            },
+            "prob": {"q4": {"q0": "1/3", "q1": "2/3"}},
+        }),
+        encoding="utf-8",
+    )
+    built = []
+    validate = GameStructure.__post_init__
+
+    def counting(structure):
+        built.append(structure)
+        validate(structure)
+
+    monkeypatch.setattr(GameStructure, "__post_init__", counting)
+    for cap, rounds in (("1", 1), ("2", 2), ("5", 3)):
+        built.clear()
+        _, out, _ = run_cli(
+            capsys,
+            "solve", str(game), "--objective", "reach:q0", "--algorithm", "reach-si",
+            "--max-iters", cap, "--verify", "--format", "json",
+        )
+        report = json.loads(out)
+        assert report["iterations"] == rounds and report["verified"] is True
+        assert len(built) == 2

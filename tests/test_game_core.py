@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -86,6 +87,27 @@ def test_parse_rejects_non_string_turn_based_successor():
     with pytest.raises(GameFormatError) as err:
         parse_game(text)
     assert "edges['s0']" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["moves1", "moves2"])
+def test_parse_rejects_duplicate_move_ids(key):
+    moves = {"moves1": {"s0": ["a"]}, "moves2": {"s0": ["c"]}}
+    moves[key] = {"s0": ["a", "b", "a"]}
+    delta = {a: {b: {"s0": "1"} for b in moves["moves2"]["s0"]} for a in moves["moves1"]["s0"]}
+    doc = {"type": "concurrent", "states": ["s0"], **moves, "delta": {"s0": delta}}
+    with pytest.raises(GameFormatError) as err:
+        parse_game(json.dumps(doc))
+    assert f"{key}['s0']" in str(err.value) and "duplicate move" in str(err.value)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_game_structure_rejects_duplicate_move_ids(player):
+    twice, once = ("a", "b", "a"), ("c",)
+    moves1, moves2 = (twice, once) if player == 1 else (once, twice)
+    delta = {("s0", a, b): {"s0": F(1)} for a in moves1 for b in moves2}
+    with pytest.raises(GameError) as err:
+        GameStructure(("s0",), ("a", "b", "c"), {"s0": moves1}, {"s0": moves2}, delta)
+    assert f"duplicate move ids for player {player}" in str(err.value)
 
 
 def test_round_trip_serialization(fig1, fig2_tb, ex3full):

@@ -21,11 +21,26 @@ from congame import (
 from congame.mdp import _trap, almost_sure_safe_strategy
 from congame.model import P1, make_absorbing
 
-from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
+from conftest import ONE, ZERO, random_concurrent_game, random_selector, random_tb_game
 from helpers import (
-    almost_sure_safe_concurrent, improper_witness, is_proper, tb_make_absorbing,
+    almost_sure_safe_concurrent,
+    improper_witness,
+    is_absorbing,
+    is_proper,
+    strategy_value_reach_by_copy,
+    strategy_value_safety_by_copy,
+    tb_make_absorbing,
 )
-from oracles import brute_force_gfp, brute_force_mecs, chain_reach, mdp_reach_bellman_ok
+from oracles import (
+    brute_force_gfp,
+    brute_force_mecs,
+    chain_reach,
+    mdp_reach_bellman_ok,
+    reference_almost_sure_safe,
+    reference_tb_almost_sure_safe,
+    reference_trap,
+    reference_w2,
+)
 
 F = Fraction
 NOOP = "⊥"
@@ -149,6 +164,94 @@ def test_qualitative_sets_match_brute_force_gfp():
         assert set(strategy) == {s for s in alive if tb.partition[s] == P1}
         for s, t in strategy.items():
             assert t in alive and t == next(u for u in tb.edges[s] if u in alive)
+
+
+def test_qualitative_sets_match_round_based_reference():
+    # The work-list fixpoint against the round-by-round one over supports
+    # rebuilt at every test: same sets, and the same first-in-order choices.
+    rng = random.Random(41)
+    shrunk = 0
+    for _ in range(500):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 7), max_moves=3)
+        target = set(rng.sample(game.states, rng.randint(1, 2)))
+        w2 = compute_W2(game, target)
+        assert w2 == reference_w2(game, target)
+        safe = set(rng.sample(game.states, rng.randint(1, len(game.states))))
+        w1 = almost_sure_safe_strategy(game, safe)
+        assert w1 == reference_almost_sure_safe(game, safe)
+        tb = random_tb_game(rng, n_states=rng.randint(2, 8))
+        tb_safe = set(rng.sample(tb.states, rng.randint(1, len(tb.states))))
+        alive = tb_almost_sure_safe(tb, tb_safe)
+        assert alive == reference_tb_almost_sure_safe(tb, tb_safe)
+        shrunk += (
+            (len(w2) < len(game.states) - len(target))
+            + (len(w1[0]) < len(safe))
+            + (len(alive[0]) < len(tb_safe))
+        )
+    # Most fixpoints remove states, so the re-queueing is exercised.
+    assert shrunk > 900
+
+
+def test_trap_matches_round_based_reference():
+    # Random selectors, pure and mixed, on games with a random absorbing
+    # set: many of them are improper.
+    rng = random.Random(42)
+    improper = 0
+    for _ in range(500):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 7), max_moves=3)
+        done = set(rng.sample(game.states, rng.randint(0, len(game.states))))
+        frozen = make_absorbing(game, done)
+        mdp = induce_mdp(frozen, random_selector(rng, frozen))
+        trap = _trap(mdp, done)
+        assert trap == reference_trap(mdp, done)
+        improper += bool(trap)
+    assert 100 < improper < 400
+
+
+def test_induce_mdp_pure_and_mixed_match_mixture_formula():
+    rng = random.Random(43)
+    pure = 0
+    for _ in range(200):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 6), max_moves=3)
+        xi = random_selector(rng, game)
+        mdp = induce_mdp(game, xi)
+        for s in game.states:
+            pure += len(xi.choice[s]) == 1
+            for b in game.moves2[s]:
+                mixed: dict = {}
+                for a, pa in xi.choice[s].items():
+                    for t, p in game.delta[(s, a, b)].items():
+                        if p:
+                            mixed[t] = mixed.get(t, ZERO) + pa * p
+                assert mdp.delta2[(s, b)] == mixed
+    assert pure > 200
+
+
+def test_evaluation_matches_absorbing_copy():
+    # Target, W2 and unsafe states keep their outgoing edges here, so the
+    # self-loops the evaluation adds are what makes the values agree.
+    rng = random.Random(44)
+    leaky = improper = 0
+    for _ in range(300):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 6), max_moves=3)
+        target = set(rng.sample(game.states, rng.randint(1, 2)))
+        w2 = compute_W2(game, target)
+        leaky += not all(is_absorbing(game, s) for s in target | w2)
+        xi = random_selector(rng, game)
+        try:
+            expected = strategy_value_reach_by_copy(game, xi, target, w2)
+        except ImproperSelectorError as err:
+            improper += 1
+            with pytest.raises(ImproperSelectorError) as got:
+                strategy_value_reach(game, xi, target, w2)
+            assert got.value.witness == err.witness
+        else:
+            assert strategy_value_reach(game, xi, target, w2) == expected
+        safe = set(rng.sample(game.states, rng.randint(1, len(game.states))))
+        assert strategy_value_safety(game, xi, safe) == strategy_value_safety_by_copy(
+            game, xi, safe
+        )
+    assert leaky > 250 and 50 < improper < 250
 
 
 def test_max_reach_all_targets(fig1):

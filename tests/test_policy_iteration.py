@@ -11,7 +11,6 @@ import congame.linprog
 import congame.mdp
 from congame import (
     InducedMDP,
-    Selector,
     compute_W2,
     induce_mdp,
     max_reach_values,
@@ -21,22 +20,10 @@ from congame import (
 )
 from congame.model import make_absorbing
 
-from conftest import ONE, random_concurrent_game
+from conftest import ONE, random_concurrent_game, random_selector
 from oracles import chain_reach, lp_max_reach_values
 
 F = Fraction
-
-
-def random_selector(rng: random.Random, game) -> Selector:
-    """Player-1 selector with a random support and small denominators."""
-    choice = {}
-    for s in game.states:
-        moves = game.moves1[s]
-        support = rng.sample(moves, rng.randint(1, len(moves)))
-        weights = [rng.randint(1, 3) for _ in support]
-        total = sum(weights)
-        choice[s] = {a: F(w, total) for a, w in zip(support, weights)}
-    return Selector(1, choice)
 
 
 def random_game(rng: random.Random):
