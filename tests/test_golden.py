@@ -87,6 +87,17 @@ def _cases() -> dict[str, list[str]]:
         "solve", "ex3full.game", "--objective", "safe:not-s2",
         "--algorithm", "certify", "--eps", "1/10", "--verify",
     ]
+    # The turn-based reduction prints every support pair and its witness,
+    # at the start valuation and after two safety improvement rounds.
+    for name, (_, safe) in OBJECTIVES.items():
+        for iters in ("0", "2"):
+            cases[f"{name}-dump-tb-si{iters}"] = [
+                "dump-tb", f"{name}.game", "--objective", safe, "--si-iters", iters,
+            ]
+    cases["ex3full-dump-tb-si2-k3"] = [
+        "dump-tb", "ex3full.game", "--objective", "safe:not-s2", "--si-iters", "2",
+        "--k", "3",
+    ]
     # Errors: each algorithm given the objective kind it does not solve,
     # an unknown algorithm and malformed inline arguments.
     for algorithm in ("reach-si", "safety-si", "k-uniform", "convergent", "certify"):
