@@ -14,8 +14,11 @@ Subcommands:
 * ``examples``: list or write the bundled example games.
 
 Exit codes: 0 success, 1 input error, 2 iteration cap reached without the
-requested guarantee.  Identical invocations produce byte-identical output;
-nothing here depends on wall time, machine, or hash order.
+requested guarantee, 3 internal error (an ``AssertionError`` or
+``RuntimeError`` escaped a solver: a broken invariant, printed as
+``internal error: <message>`` rather than a traceback).  Identical
+invocations produce byte-identical output; nothing here depends on wall
+time, machine, or hash order.
 """
 
 from __future__ import annotations
@@ -571,6 +574,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, GameError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except (AssertionError, RuntimeError) as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

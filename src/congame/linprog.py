@@ -29,6 +29,20 @@ lrs, and it pays for no gcd inside the loop.
 - **Objectives.**  The phase-1 cost row is an integer combination of rows.
   The phase-2 objective is scaled by the lcm ``L_c`` of its denominators,
   and the value is read back as ``-T[0][-1] / (d * L_c)``.
+- **Duals.**  The final cost row holds the reduced costs ``c_j - pi . A_j``
+  of the minimization actually run, where ``pi = c_B B^-1`` prices its
+  rows.  The slack column of inequality row ``i`` is ``sigma * e_i``
+  (``sigma = -1`` for a normalized ``>=`` row, ``+1`` for ``<=``), so
+  ``pi_i = -sigma * T[0][slack] / (d * L_c)``.  A row whose right-hand side
+  was negated has flipped both ``sigma`` and the sign of its price, so the
+  price of the caller's row depends only on the caller's sense: ``+`` the
+  slack cell for ``>=``, ``-`` for ``<=``.  It is reported as the shadow
+  price ``d optimum / d rhs_i``, negated once more for a maximization (run
+  as the minimization of ``-objective``).  Equality rows keep no slack
+  column and get no dual.  On a problem with inequality rows only,
+  ``sum(rhs_i * dual_i)`` is the optimum (strong duality), and since
+  reduced costs end nonnegative, a ``>=`` row's dual is ``>= 0`` when
+  minimizing and ``<= 0`` when maximizing (the reverse for ``<=``).
 
 The pivot sequence is the one a tableau of `fractions.Fraction`s would take.
 Bland's entering rule reads only signs, which ``d > 0`` preserves.  The ratio
@@ -112,9 +126,10 @@ def solve_lp(
     senses: list[str],
     rhs: list[Fraction],
     maximize: bool = False,
-) -> tuple[Fraction, list[Fraction]]:
+) -> tuple[Fraction, list[Fraction], list[Fraction | None]]:
     """Optimize ``objective . x`` subject to ``rows[i] . x  sense_i  rhs[i]``
-    and ``x >= 0``.  Returns the optimal value and one optimal point."""
+    and ``x >= 0``.  Returns the optimal value, one optimal point, and the
+    dual price of each row (``None`` for an equality row)."""
     n = len(objective)
     m = len(rows)
     if len(senses) != m or len(rhs) != m:
@@ -205,4 +220,16 @@ def solve_lp(
         if var < n:
             solution[var] = Fraction(tableau[i + 1][-1], d)
     value = Fraction(-tableau[0][-1], d * scale)
-    return (-value if maximize else value), solution
+
+    # Slack columns follow the variables in row order.  A >= row of a
+    # minimization has dual +reduced cost whichever way it was normalized.
+    duals: list[Fraction | None] = []
+    slack = n
+    for sense in senses:
+        if sense == EQ:
+            duals.append(None)
+            continue
+        sign = 1 if (sense == GEQ) != maximize else -1
+        duals.append(Fraction(sign * tableau[0][slack], d * scale))
+        slack += 1
+    return (-value if maximize else value), solution, duals

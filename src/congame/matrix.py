@@ -3,9 +3,22 @@
 ``Pre1(v)(s)``, the best expectation of a valuation ``v`` that player 1 can
 guarantee in one step from ``s``, is the value of a one-shot matrix game
 whose payoff entries are expected successor values.  Matrix games are solved
-exactly: the maximin linear program is run through the rational simplex for
-each side, and the two optimal values are checked for equality before the
-solution is returned.
+exactly by one run of the rational simplex: the row player's maximin
+program gives the value and a row strategy, and the dual prices of its
+column constraints give a column strategy.  Before the solution is
+returned, the pair is checked as a certificate in exact arithmetic: each is
+a distribution, the row strategy earns at least the value against every
+column and the column strategy concedes at most the value to every row,
+which proves that the value is the game's.
+
+A game's one-step results are kept for as long as the game object lives,
+in ``GameStructure.one_step_cache``, keyed by payoff matrix: the solution,
+the non-local step's support pairs (``safety_si``) and the k-uniform scan
+per ``k``.  Each is a function of the payoff alone, stored by position, so
+a hit returns what a fresh computation would.  The improvement runners
+work on their own normalized copies of the game and the command line
+parses a fresh game per solve, so there the cache lasts one solve.
+Matrices with one row or one column take closed forms and bypass it.
 
 ``pre1_k`` restricts player 1 to k-uniform mixtures (all probabilities
 multiples of ``1/l`` for a common denominator ``l <= k``) and maximizes by
@@ -21,12 +34,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Mapping
 
-from .linprog import EQ, GEQ, LEQ, solve_lp
+from .linprog import EQ, GEQ, solve_lp
 from .model import BudgetExceeded, GameStructure, Selector, ZERO, ONE
 
 # Guard for the k-uniform enumerations (compositions of l <= k over a move
@@ -59,8 +72,15 @@ class MatrixSolution:
     col_strategy: tuple[Fraction, ...]
 
 
-def _solve_rows_lp(payoff, n_rows: int, n_cols: int) -> tuple[Fraction, list[Fraction]]:
-    # Variables: x_0..x_{m-1}, g+, g-; maximize g = g+ - g-.
+def _solve_lp_game(
+    payoff, n_rows: int, n_cols: int
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """The value, an optimal row strategy and an optimal column strategy.
+
+    Variables: x_0..x_{m-1}, g+, g-; maximize g = g+ - g- subject to one
+    ``>=`` row per column.  The column LP is this program's dual: the
+    shadow price of column ``b``'s row is ``-y_b``.
+    """
     objective = [ZERO] * n_rows + [ONE, -ONE]
     rows = []
     senses = []
@@ -72,24 +92,40 @@ def _solve_rows_lp(payoff, n_rows: int, n_cols: int) -> tuple[Fraction, list[Fra
     rows.append([ONE] * n_rows + [ZERO, ZERO])
     senses.append(EQ)
     rhs.append(ONE)
-    value, point = solve_lp(objective, rows, senses, rhs, maximize=True)
-    return value, point[:n_rows]
+    value, point, duals = solve_lp(objective, rows, senses, rhs, maximize=True)
+    return value, point[:n_rows], [-y for y in duals[:n_cols]]
 
 
-def _solve_cols_lp(payoff, n_rows: int, n_cols: int) -> tuple[Fraction, list[Fraction]]:
-    objective = [ZERO] * n_cols + [ONE, -ONE]
-    rows = []
-    senses = []
-    rhs = []
-    for a in range(n_rows):
-        rows.append([payoff[a][b] for b in range(n_cols)] + [-ONE, ONE])
-        senses.append(LEQ)
-        rhs.append(ZERO)
-    rows.append([ONE] * n_cols + [ZERO, ZERO])
-    senses.append(EQ)
-    rhs.append(ONE)
-    value, point = solve_lp(objective, rows, senses, rhs, maximize=False)
-    return value, point[:n_cols]
+def _scaled(numbers) -> tuple[int, list[int]]:
+    """The least common denominator ``d`` of ``numbers`` and each of them
+    times ``d``, as integers."""
+    d = math.lcm(*(x.denominator for x in numbers))
+    return d, [x.numerator * (d // x.denominator) for x in numbers]
+
+
+def _check_certificate(payoff, value: Fraction, row_mix, col_mix) -> None:
+    """Raise unless both mixtures are distributions, ``row_mix`` earns at
+    least ``value`` in every column and ``col_mix`` concedes at most
+    ``value`` in every row; together these prove ``value`` is the value.
+
+    Checked in integers: payoffs and mixtures are scaled by their least
+    common denominators, and each sum is compared against ``value`` scaled
+    by the same factors."""
+    scale, cells = _scaled([x for row in payoff for x in row])
+    n = len(payoff[0])
+    rows = [cells[i : i + n] for i in range(0, len(cells), n)]
+    dx, xs = _scaled(row_mix)
+    dy, ys = _scaled(col_mix)
+    num, den = value.numerator, value.denominator
+    if not (
+        sum(xs) == dx and min(xs) >= 0 and sum(ys) == dy and min(ys) >= 0
+        and all(sum(map(mul, xs, col)) * den >= num * scale * dx for col in zip(*rows))
+        and all(sum(map(mul, ys, row)) * den <= num * scale * dy for row in rows)
+    ):
+        raise AssertionError(
+            f"matrix game certificate failed for value {value}: "
+            f"rows {list(map(str, row_mix))}, columns {list(map(str, col_mix))}"
+        )
 
 
 def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
@@ -97,6 +133,7 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
 
     Deterministic: degenerate shapes take closed forms with first-index tie
     breaking, and the general case inherits the simplex pivoting order.
+    The general case runs one LP and checks its certificate.
     """
     payoff = game.payoff
     m, n = len(game.rows), len(game.cols)
@@ -108,13 +145,42 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
         best = min(range(n), key=lambda b: (payoff[0][b], b))
         col = tuple(ONE if b == best else ZERO for b in range(n))
         return MatrixSolution(payoff[0][best], (ONE,), col)
-    row_value, row_mix = _solve_rows_lp(payoff, m, n)
-    col_value, col_mix = _solve_cols_lp(payoff, m, n)
-    if row_value != col_value:
-        raise AssertionError(
-            f"matrix game duality gap: {row_value} vs {col_value}"
-        )
-    return MatrixSolution(row_value, tuple(row_mix), tuple(col_mix))
+    value, row_mix, col_mix = _solve_lp_game(payoff, m, n)
+    _check_certificate(payoff, value, row_mix, col_mix)
+    return MatrixSolution(value, tuple(row_mix), tuple(col_mix))
+
+
+@dataclass(slots=True)
+class _OneStep:
+    """What has been computed for one payoff matrix of a game: its solution,
+    ``safety_si``'s unrestricted support pairs, and the k-uniform scan per
+    ``k``.  Everything is by row and column position."""
+
+    solution: MatrixSolution | None = None
+    pairs: tuple | None = None
+    scans: dict[int, tuple] = field(default_factory=dict)
+
+
+def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep | None:
+    """The cache entry of ``matrix`` in ``game``, or None for a matrix with
+    one row or one column: those take closed forms and bypass the cache."""
+    if len(matrix.rows) < 2 or len(matrix.cols) < 2:
+        return None
+    cache = game.one_step_cache
+    entry = cache.get(matrix.payoff)
+    if entry is None:
+        entry = cache[matrix.payoff] = _OneStep()
+    return entry
+
+
+def _solution(game: GameStructure, matrix: MatrixGame) -> MatrixSolution:
+    """``solve_matrix_game(matrix)``, solved at most once per payoff in ``game``."""
+    entry = _one_step(game, matrix)
+    if entry is None:
+        return solve_matrix_game(matrix)
+    if entry.solution is None:
+        entry.solution = solve_matrix_game(matrix)
+    return entry.solution
 
 
 def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> MatrixGame:
@@ -135,7 +201,7 @@ def _expected(dist: Mapping[str, Fraction], v: Mapping[str, Fraction]) -> Fracti
 
 def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:
     """Value of Pre1(v) at one state, with the optimal mixture as witness."""
-    solution = solve_matrix_game(one_step_matrix(game, v, s))
+    solution = _solution(game, one_step_matrix(game, v, s))
     mix = {
         a: p for a, p in zip(game.moves1[s], solution.row_strategy) if p > 0
     }
@@ -171,6 +237,16 @@ def _reduced_compositions(n_moves: int, denom: int) -> tuple[tuple[int, tuple[in
     )
 
 
+def _check_k_uniform_budget(n_moves: int, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # Compositions of 1..k into n_moves parts: C(k + n_moves, n_moves) - 1.
+    if math.comb(k + n_moves, n_moves) - 1 > MAX_KUNIFORM_ENUMERATION:
+        raise BudgetExceeded(
+            f"k-uniform enumeration budget exceeded (k={k}, moves={n_moves})"
+        )
+
+
 def enumerate_k_uniform(n_moves: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All distributions over ``n_moves`` moves whose probabilities share a
     denominator ``l <= k``, each once, as ``(l, counts)`` with probabilities
@@ -184,28 +260,44 @@ def enumerate_k_uniform(n_moves: int, k: int) -> tuple[tuple[int, tuple[int, ...
     built from is checked against ``MAX_KUNIFORM_ENUMERATION``; a larger
     count raises ``BudgetExceeded``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # Compositions of 1..k into n_moves parts: C(k + n_moves, n_moves) - 1.
-    if math.comb(k + n_moves, n_moves) - 1 > MAX_KUNIFORM_ENUMERATION:
-        raise BudgetExceeded(
-            f"k-uniform enumeration budget exceeded (k={k}, moves={n_moves})"
-        )
+    _check_k_uniform_budget(n_moves, k)
     return tuple(itertools.chain.from_iterable(
         _reduced_compositions(n_moves, denom) for denom in range(1, k + 1)
     ))
 
 
-def _k_uniform_scan(
-    matrix: MatrixGame, k: int
-) -> tuple[Fraction, list[tuple[int, tuple[int, ...], list[int]]]]:
-    """The best worst-case payoff of a k-uniform row mixture, with every
-    mixture attaining it in enumeration order as ``(l, counts, sums)``.
+KUniformOptimum = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
 
-    ``sums[j]`` is ``l * scale`` times the payoff of column ``j``, where
-    ``scale`` is the least common denominator of the payoffs, so each
-    mixture is scored in integers.
+
+def _k_uniform_scan(matrix: MatrixGame, k: int) -> tuple[Fraction, tuple[KUniformOptimum, ...]]:
+    """The best worst-case payoff of a k-uniform row mixture, with the
+    first mixture attaining it, in enumeration order, of each (support,
+    counter-set) pair the attaining mixtures realize.
+
+    Each is ``(A, B, l, counts)``: row positions ``A`` with ``counts > 0``,
+    column positions ``B`` holding the mixture to the optimum, and
+    probabilities ``counts[i] / l``.  The first is the first optimal mixture.
+    A mixture is scored in integers: column ``j`` gets ``l * scale`` times
+    its payoff, where ``scale`` is the least common denominator of the
+    payoffs.
+
+    A single column has a closed form, checked against the same budget:
+    the optimal mixtures are those over its maximal rows, the first in
+    enumeration order is the first maximal row alone, and each support
+    ``A`` of at most ``k`` maximal rows first appears as the uniform
+    mixture at denominator ``|A|``, in subset order (by size, then
+    position).
     """
+    m = len(matrix.rows)
+    if len(matrix.cols) == 1:
+        _check_k_uniform_budget(m, k)
+        high = max(row[0] for row in matrix.payoff)
+        best = [a for a, row in enumerate(matrix.payoff) if row[0] == high]
+        return high, tuple(
+            (A, (0,), size, tuple(int(a in A) for a in range(m)))
+            for size in range(1, min(k, len(best)) + 1)
+            for A in itertools.combinations(best, size)
+        )
     scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
     cols = [
         [x.numerator * (scale // x.denominator) for x in col]
@@ -213,14 +305,42 @@ def _k_uniform_scan(
     ]
     best_low, best_denom = None, 1
     optima: list[tuple[int, tuple[int, ...], list[int]]] = []
-    for denom, counts in enumerate_k_uniform(len(matrix.rows), k):
+    for denom, counts in enumerate_k_uniform(m, k):
         sums = [sum(map(mul, counts, col)) for col in cols]
         low = min(sums)
         if best_low is None or low * best_denom > best_low * denom:
             best_low, best_denom, optima = low, denom, [(denom, counts, sums)]
         elif low * best_denom == best_low * denom:
             optima.append((denom, counts, sums))
-    return Fraction(best_low, best_denom * scale), optima
+    # The first optimum of each (support, counter-set) pair, keyed by masks.
+    first: dict[tuple[tuple[bool, ...], tuple[bool, ...]], tuple[int, tuple[int, ...]]] = {}
+    for denom, counts, sums in optima:
+        key = (tuple(map(bool, counts)), tuple(map(min(sums).__eq__, sums)))
+        if key not in first:
+            first[key] = (denom, counts)
+    return Fraction(best_low, best_denom * scale), tuple(
+        (
+            tuple(i for i, c in enumerate(counts) if c),
+            tuple(j for j, held in enumerate(cols_mask) if held),
+            denom,
+            counts,
+        )
+        for (_, cols_mask), (denom, counts) in first.items()
+    )
+
+
+def _k_uniform_optima(
+    game: GameStructure, matrix: MatrixGame, k: int
+) -> tuple[Fraction, tuple[KUniformOptimum, ...]]:
+    """``_k_uniform_scan(matrix, k)``, scanned at most once per payoff and
+    ``k`` in ``game``."""
+    entry = _one_step(game, matrix)
+    if entry is None:
+        return _k_uniform_scan(matrix, k)
+    scan = entry.scans.get(k)
+    if scan is None:
+        scan = entry.scans[k] = _k_uniform_scan(matrix, k)
+    return scan
 
 
 def pre1_k(
@@ -233,6 +353,6 @@ def pre1_k(
     returned value and mixture are ``Fraction``s.
     """
     matrix = one_step_matrix(game, v, s)
-    value, optima = _k_uniform_scan(matrix, k)
-    denom, counts, _ = optima[0]
+    value, optima = _k_uniform_optima(game, matrix, k)
+    _, _, denom, counts = optima[0]
     return value, {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}

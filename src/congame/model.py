@@ -11,7 +11,9 @@ solvers depend on exact equality tests (fixpoint detection, value classes,
 optimal-selector membership), so nothing in this package ever touches
 floating point.
 
-Objects are immutable after construction and safe to share.
+Objects are immutable after construction and safe to share.  The one
+exception is a game's memo of one-step results (``one_step_cache``), which
+only gains entries that are functions of their keys.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ class GameStructure:
     def dest(self, s: str, a: str, b: str) -> frozenset[str]:
         """Support of delta(s, a, b), built for every move pair on first use."""
         return self._supports[(s, a, b)]
+
+    @cached_property
+    def one_step_cache(self) -> dict:
+        """The one-step results (``matrix``) computed for this game so far,
+        keyed by payoff matrix; it lives and dies with the game object."""
+        return {}
 
 
 @dataclass(frozen=True)

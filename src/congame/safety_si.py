@@ -30,11 +30,13 @@ from typing import Iterable, Mapping, Sequence
 from .linprog import EQ, GEQ, LPInfeasible, solve_lp
 from .matrix import (
     MatrixGame,
-    _k_uniform_scan,
+    MatrixSolution,
+    _k_uniform_optima,
+    _one_step,
+    _solution,
     one_step_matrix,
     pre1,
     pre1_k,
-    solve_matrix_game,
 )
 from .mdp import (
     almost_sure_safe_strategy,
@@ -73,7 +75,14 @@ class SupportPair:
     witness: dict[str, Fraction]
 
 
-def _nonempty_subsets(items: Sequence[str]) -> list[tuple[str, ...]]:
+# A support pair by position: row positions A, column positions B, and the
+# witness's probabilities on A.
+PositionPair = tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]
+
+
+def _nonempty_subsets(items: Sequence) -> list[tuple]:
+    """Nonempty subsets by size, then position; a sublist's subsets come in
+    the same relative order as in the whole list's."""
     out = []
     for size in range(1, len(items) + 1):
         out.extend(itertools.combinations(items, size))
@@ -81,11 +90,11 @@ def _nonempty_subsets(items: Sequence[str]) -> list[tuple[str, ...]]:
 
 
 def _feasible_unrestricted(
-    matrix: MatrixGame, target: Fraction, A: tuple[str, ...], B: tuple[str, ...]
-) -> dict[str, Fraction] | None:
+    payoff, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
+) -> tuple[Fraction, ...] | None:
     """Maximize a shared slack below the support probabilities and above the
-    strict inequalities; a positive optimum is exactly strict feasibility."""
-    a_index = {a: i for i, a in enumerate(A)}
+    strict inequalities; a positive optimum is exactly strict feasibility.
+    Returns the witness's probabilities on the rows ``A``."""
     n = len(A) + 1  # mixture over A plus the slack variable
     t_col = len(A)
     rows: list[list[Fraction]] = []
@@ -102,9 +111,9 @@ def _feasible_unrestricted(
     senses.append(EQ)
     rhs.append(ONE)
     b_set = set(B)
-    for j, b in enumerate(matrix.cols):
-        row = [matrix.payoff[matrix.rows.index(a)][j] for a in A]
-        if b in b_set:
+    for j in range(len(payoff[0])):
+        row = [payoff[a][j] for a in A]
+        if j in b_set:
             rows.append(row + [ZERO])
             senses.append(EQ)
             rhs.append(target)
@@ -114,29 +123,78 @@ def _feasible_unrestricted(
             rhs.append(target)
     objective = [ZERO] * len(A) + [ONE]
     try:
-        slack, point = solve_lp(objective, rows, senses, rhs, maximize=True)
+        slack, point, _ = solve_lp(objective, rows, senses, rhs, maximize=True)
     except LPInfeasible:
         return None
     if slack <= 0:
         return None
-    return {a: point[a_index[a]] for a in A}
+    return tuple(point[: len(A)])
 
 
-def _k_uniform_pairs(
-    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
-) -> dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]]:
-    """All (support, counter-set) pairs realizable by k-uniform optimal
-    mixtures at ``s``, each with the first witness in enumeration order."""
-    matrix = one_step_matrix(game, v, s)
-    _, optima = _k_uniform_scan(matrix, k)
-    out: dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]] = {}
-    for denom, counts, sums in optima:
-        low = min(sums)
-        support = tuple(a for a, c in zip(matrix.rows, counts) if c)
-        key = (support, tuple(b for b, x in zip(matrix.cols, sums) if x == low))
-        if key not in out:
-            out[key] = {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}
-    return out
+def _unrestricted_pairs(game: GameStructure, matrix: MatrixGame) -> tuple[PositionPair, ...]:
+    """Every feasible pair of ``matrix`` in subset order, by position.
+
+    A matrix with one row or one column has closed forms, the slack LP's
+    own optima: on 1 x n the one row with the columns at its minimum and
+    witness 1; on m x 1 every set of maximal rows, uniformly, with the
+    column.  Other shapes are pruned (``_pruned_pairs``) once per payoff in
+    ``game``.
+    """
+    payoff = matrix.payoff
+    if len(matrix.rows) == 1:
+        low = min(payoff[0])
+        return (((0,), tuple(b for b, x in enumerate(payoff[0]) if x == low), (ONE,)),)
+    if len(matrix.cols) == 1:
+        high = max(row[0] for row in payoff)
+        best = [a for a, row in enumerate(payoff) if row[0] == high]
+        return tuple((A, (0,), (Fraction(1, len(A)),) * len(A)) for A in _nonempty_subsets(best))
+    entry = _one_step(game, matrix)
+    if entry.pairs is None:
+        entry.pairs = _pruned_pairs(payoff, _solution(game, matrix))
+    return entry.pairs
+
+
+def _pruned_pairs(payoff, solution: MatrixSolution) -> tuple[PositionPair, ...]:
+    """The feasible pairs by the slack LP, run only on the pairs that
+    complementary slackness allows.
+
+    Take the optimal column strategy ``y*`` of ``solution`` and any optimal
+    row mixture ``x``: ``y*_b > 0`` forces ``(x M)_b = v`` and ``x_a > 0``
+    forces ``(M y*)_a = v``.  So a feasible pair has ``B`` covering the
+    support of ``y*`` and ``A`` inside the rows earning ``v`` against it.
+    """
+    target, y = solution.value, solution.col_strategy
+    support = {b for b, q in enumerate(y) if q}
+    responses = [
+        a for a, row in enumerate(payoff) if sum(row[b] * y[b] for b in support) == target
+    ]
+    pairs = []
+    for A in _nonempty_subsets(responses):
+        for B in _nonempty_subsets(range(len(y))):
+            if support.issubset(B):
+                witness = _feasible_unrestricted(payoff, target, A, B)
+                if witness is not None:
+                    pairs.append((A, B, witness))
+    return tuple(pairs)
+
+
+def _k_uniform_position_pairs(
+    game: GameStructure, matrix: MatrixGame, k: int
+) -> tuple[PositionPair, ...]:
+    """Every pair realizable by a k-uniform optimal mixture of ``matrix``,
+    in enumeration order, each with the first such mixture as witness."""
+    _, optima = _k_uniform_optima(game, matrix, k)
+    return tuple(
+        (A, B, tuple(Fraction(counts[a], denom) for a in A)) for A, B, denom, counts in optima
+    )
+
+
+def _labelled(matrix: MatrixGame, pairs: Iterable[PositionPair]):
+    """Position-level pairs as ``((A, B), witness)`` in move labels."""
+    rows, cols = matrix.rows, matrix.cols
+    for A, B, probabilities in pairs:
+        support = tuple(rows[a] for a in A)
+        yield (support, tuple(cols[b] for b in B)), dict(zip(support, probabilities))
 
 
 def opt_sel_count(
@@ -144,25 +202,16 @@ def opt_sel_count(
 ) -> list[SupportPair]:
     """All feasible (support, counter-set) pairs at ``s``, in subset order
     (by size, then position), each with a stored witness mixture."""
-    subsets_a = _nonempty_subsets(game.moves1[s])
-    subsets_b = _nonempty_subsets(game.moves2[s])
-    out: list[SupportPair] = []
+    matrix = one_step_matrix(game, v, s)
     if k is None:
-        matrix = one_step_matrix(game, v, s)
-        target = solve_matrix_game(matrix).value
-        for A in subsets_a:
-            for B in subsets_b:
-                witness = _feasible_unrestricted(matrix, target, A, B)
-                if witness is not None:
-                    out.append(SupportPair(s, A, B, witness))
-        return out
-    pairs = _k_uniform_pairs(game, v, s, k)
-    for A in subsets_a:
-        for B in subsets_b:
-            witness = pairs.get((A, B))
-            if witness is not None:
-                out.append(SupportPair(s, A, B, witness))
-    return out
+        pairs = _unrestricted_pairs(game, matrix)
+    else:
+        # Subset order: by the size and positions of A, then of B.
+        pairs = sorted(
+            _k_uniform_position_pairs(game, matrix, k),
+            key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
+        )
+    return [SupportPair(s, A, B, witness) for (A, B), witness in _labelled(matrix, pairs)]
 
 
 @dataclass

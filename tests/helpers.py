@@ -44,7 +44,8 @@ from congame.safety_si import (
     ConvergentSafetyRunner,
     SupportPair,
     _feasible_unrestricted,
-    _k_uniform_pairs,
+    _k_uniform_position_pairs,
+    _labelled,
 )
 
 
@@ -129,10 +130,20 @@ def reference_pre1_k(
     return best_value, {a: p for a, p in zip(matrix.rows, best_dist) if p > 0}
 
 
+def k_uniform_pairs(
+    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
+) -> dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]]:
+    """All (support, counter-set) pairs realizable by k-uniform optimal
+    mixtures at ``s``, each with the first witness in enumeration order:
+    the package's k-uniform pairs in move labels."""
+    matrix = one_step_matrix(game, v, s)
+    return dict(_labelled(matrix, _k_uniform_position_pairs(game, matrix, k)))
+
+
 def reference_k_uniform_pairs(
     game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
 ) -> dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]]:
-    """``safety_si._k_uniform_pairs`` scored in ``Fraction`` arithmetic,
+    """``k_uniform_pairs`` scored in ``Fraction`` arithmetic,
     against ``reference_pre1_k``'s target."""
     matrix = one_step_matrix(game, v, s)
     target, _ = reference_pre1_k(game, v, s, k)
@@ -178,12 +189,14 @@ def opt_sel_feasible(
     if k is None:
         matrix = one_step_matrix(game, v, s)
         target = solve_matrix_game(matrix).value
-        witness = _feasible_unrestricted(matrix, target, A, B)
+        witness = _feasible_unrestricted(
+            matrix.payoff, target,
+            tuple(moves1.index(a) for a in A), tuple(moves2.index(b) for b in B),
+        )
         if witness is None:
             return None
-        return SupportPair(s, A, B, witness)
-    pairs = _k_uniform_pairs(game, v, s, k)
-    witness = pairs.get((A, B))
+        return SupportPair(s, A, B, dict(zip(A, witness)))
+    witness = k_uniform_pairs(game, v, s, k).get((A, B))
     if witness is None:
         return None
     return SupportPair(s, A, B, witness)

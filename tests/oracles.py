@@ -178,6 +178,30 @@ def reference_solve_lp(objective, rows, senses, rhs, maximize=False, pivots=None
     return (-value if maximize else value), solution
 
 
+def reference_solve_matrix_game(payoff):
+    """Value and optimal strategies of a matrix game by two linear programs,
+    the row player's maximin and the column player's minimax, each run on
+    the `Fraction` tableau of `reference_solve_lp`; the two values must
+    agree.  Payoffs with one row or one column are solved like any other.
+    Returns ``(value, row_strategy, col_strategy)`` as tuples."""
+    m, n = len(payoff), len(payoff[0])
+    # Rows: maximize g = g+ - g- with x^T M >= g in every column.
+    rows = [[payoff[a][b] for a in range(m)] + [-ONE, ONE] for b in range(n)]
+    rows.append([ONE] * m + [ZERO, ZERO])
+    row_value, x = reference_solve_lp(
+        [ZERO] * m + [ONE, -ONE], rows, [">="] * n + ["=="], [ZERO] * n + [ONE],
+        maximize=True,
+    )
+    # Columns: minimize h = h+ - h- with M y <= h in every row.
+    rows = [[payoff[a][b] for b in range(n)] + [-ONE, ONE] for a in range(m)]
+    rows.append([ONE] * n + [ZERO, ZERO])
+    col_value, y = reference_solve_lp(
+        [ZERO] * n + [ONE, -ONE], rows, ["<="] * m + ["=="], [ZERO] * m + [ONE],
+    )
+    assert row_value == col_value, "matrix game duality gap"
+    return row_value, tuple(x[:m]), tuple(y[:n])
+
+
 def chain_reach(states, trans, targets):
     """Exact probabilities of ever visiting ``targets`` in a Markov chain.
 
@@ -508,7 +532,7 @@ def lp_max_reach_values(mdp, targets):
                     shift += p * values[t]
             rows.append(row)
             rhs.append(shift)
-    _, point = solve_lp([ONE] * len(free), rows, [GEQ] * len(rows), rhs, maximize=False)
+    _, point, _ = solve_lp([ONE] * len(free), rows, [GEQ] * len(rows), rhs, maximize=False)
     for s, i in col.items():
         values[s] = point[i]
     return values

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import congame.cli
+import congame.matrix
+import congame.safety_si
 from congame import GameStructure, parse_game
 from congame.cli import decimal_string, main, parse_objective
+from congame.gamefile import serialize_game
+
+from conftest import random_concurrent_game
 
 F = Fraction
 
@@ -295,3 +302,65 @@ def test_reach_si_builds_no_game_copy_per_round(capsys, tmp_path, monkeypatch):
         report = json.loads(out)
         assert report["iterations"] == rounds and report["verified"] is True
         assert len(built) == 2
+
+
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_internal_error_exit_code(example_dir, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("invariant broken at s0")
+
+    monkeypatch.setattr(congame.cli, "run_safety_si", broken)
+    code, out, err = run_cli(
+        capsys,
+        "solve", str(example_dir / "fig2.game"),
+        "--objective", "safe:not-s4", "--algorithm", "safety-si",
+    )
+    assert (code, out, err) == (3, "", "internal error: invariant broken at s0\n")
+
+
+def _record_lps(monkeypatch) -> tuple[list, list]:
+    """Patch the one-step layer where it hands work to the simplex; the
+    returned lists collect the payoff of every matrix-game LP and the
+    (payoff, target, A, B) of every support-pair LP."""
+    games, pairs = [], []
+    solve_lp = congame.matrix.solve_lp
+
+    def game_lp(objective, rows, senses, rhs, maximize=False):
+        games.append(tuple(map(tuple, rows)))
+        return solve_lp(objective, rows, senses, rhs, maximize)
+
+    feasible = congame.safety_si._feasible_unrestricted
+
+    def pair_lp(payoff, target, A, B):
+        pairs.append((payoff, target, A, B))
+        return feasible(payoff, target, A, B)
+
+    monkeypatch.setattr(congame.matrix, "solve_lp", game_lp)
+    monkeypatch.setattr(congame.safety_si, "_feasible_unrestricted", pair_lp)
+    return games, pairs
+
+
+def test_one_step_cache_lives_for_one_solve(capsys, tmp_path, monkeypatch):
+    # The cache belongs to the game a solve works on.  Within one solve no
+    # payoff reaches the simplex twice, neither as a matrix game nor for the
+    # same support pair; a second identical solve in the same process
+    # starts from an empty cache, so it runs exactly as many LPs.
+    structure = random_concurrent_game(random.Random(47), n_states=5, max_moves=3)
+    assert any(len(structure.moves1[s]) == len(structure.moves2[s]) == 3 for s in structure.states)
+    game = tmp_path / "three-moves.game"
+    game.write_text(serialize_game(structure), encoding="utf-8")
+    games, pairs = _record_lps(monkeypatch)
+    runs = []
+    for _ in range(2):
+        games.clear()
+        pairs.clear()
+        code, out, _ = run_cli(
+            capsys,
+            "solve", str(game), "--objective", "safe:not-q0", "--algorithm", "safety-si",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["nonlocal_step_fired"] is True
+        assert len(games) == len(set(games)) and len(pairs) == len(set(pairs))
+        runs.append((len(games), len(pairs), out))
+    assert runs[0][0] > 0 and runs[0][1] > 0
+    assert runs[0] == runs[1]

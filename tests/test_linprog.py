@@ -39,19 +39,21 @@ def test_unbounded():
 
 def test_equality_with_negative_rhs():
     # -x - 2y == -4 and x <= 3: the cost 2x + 3y = 6 + x/2 is least at x = 0.
-    value, point = solve_lp(
+    value, point, duals = solve_lp(
         [F(2), F(3)], [[F(-1), F(-2)], [F(1), F(0)]], [EQ, LEQ], [F(-4), F(3)]
     )
     assert value == 6
     assert point == [F(0), F(2)]
+    assert duals == [None, 0]
 
 
 def test_redundant_equality_row():
     # The second equality is the first one times 3/2; minimize x - y.
     rows = [[F(1), F(1)], [F(3, 2), F(3, 2)]]
-    value, point = solve_lp([F(1), F(-1)], rows, [EQ, EQ], [F(2), F(3)])
+    value, point, duals = solve_lp([F(1), F(-1)], rows, [EQ, EQ], [F(2), F(3)])
     assert value == -2
     assert point == [F(0), F(2)]
+    assert duals == [None, None]
 
 
 def test_maximize_minimize_pair():
@@ -59,8 +61,12 @@ def test_maximize_minimize_pair():
     rows = [[F(1), F(1)], [F(1), F(3)], [F(1), F(1)]]
     senses = [LEQ, LEQ, GEQ]
     rhs = [F(4), F(6), F(1)]
-    assert solve_lp([F(1), F(2)], rows, senses, rhs, maximize=True) == (5, [F(3), F(1)])
-    assert solve_lp([F(1), F(2)], rows, senses, rhs) == (1, [F(1), F(0)])
+    # The maximum (3, 1) is bound by the two <= rows, the minimum (1, 0) by
+    # the >= row; the duals are the shadow prices d optimum / d rhs.
+    assert solve_lp([F(1), F(2)], rows, senses, rhs, maximize=True) == (
+        5, [F(3), F(1)], [F(1, 2), F(1, 2), 0]
+    )
+    assert solve_lp([F(1), F(2)], rows, senses, rhs) == (1, [F(1), F(0)], [0, 0, 1])
 
 
 @pytest.mark.parametrize(
@@ -151,7 +157,7 @@ def test_matches_fraction_tableau(monkeypatch):
         lp = _random_lp(rng)
         pivots.clear()
         phase_rows.clear()
-        got = _outcome(solve_lp, lp)
+        got = _outcome(lambda *args: solve_lp(*args)[:2], lp)
         expected_pivots: list[tuple[int, int]] = []
         expected = _outcome(
             lambda *args: oracles.reference_solve_lp(*args, pivots=expected_pivots), lp
@@ -163,3 +169,32 @@ def test_matches_fraction_tableau(monkeypatch):
     assert min(outcomes.values()) > 500, outcomes
     assert negative_pivots > 0
     assert deletions > 0
+
+
+def test_duals_are_shadow_prices():
+    """On 500 random feasible, bounded LPs with inequality rows only, the
+    duals are feasible for the dual program and ``sum(rhs * dual)`` is the
+    optimum, which proves them optimal.  A ``>=`` row's dual is ``>= 0``
+    when minimizing and ``<= 0`` when maximizing, a ``<=`` row's the
+    reverse; some right-hand sides are negative, so rows normalized by
+    negation are covered."""
+    rng = random.Random(1502)
+    solved = 0
+    while solved < 500:
+        n = rng.randint(1, 4)
+        rows = [[_number(rng) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        senses = [rng.choice((LEQ, GEQ)) for _ in rows]
+        rhs = [_number(rng) for _ in rows]
+        objective = [_number(rng) for _ in range(n)]
+        maximize = rng.random() < 0.5
+        try:
+            value, _, duals = solve_lp(objective, rows, senses, rhs, maximize)
+        except (LPInfeasible, LPUnbounded):
+            continue
+        solved += 1
+        assert sum(b * y for b, y in zip(rhs, duals)) == value
+        for sense, y in zip(senses, duals):
+            assert y >= 0 if (sense == GEQ) != maximize else y <= 0
+        for j, c in enumerate(objective):
+            priced = sum(y * row[j] for y, row in zip(duals, rows))
+            assert priced >= c if maximize else priced <= c

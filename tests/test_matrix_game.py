@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import congame.matrix
 from congame import (
     BudgetExceeded,
     MatrixGame,
@@ -16,7 +18,7 @@ from congame import (
     pure_selector,
     uniform_selector,
 )
-from congame.matrix import pre1_state
+from congame.matrix import _k_uniform_scan, pre1_state
 
 from conftest import ONE, ZERO, random_concurrent_game, random_valuations
 from helpers import (
@@ -26,7 +28,7 @@ from helpers import (
     reference_k_uniform,
     reference_pre1_k,
 )
-from oracles import matrix_value_oracle
+from oracles import matrix_value_oracle, reference_solve_matrix_game
 
 F = Fraction
 
@@ -203,6 +205,16 @@ def test_enumerate_k_uniform_budget_checked_before_cache(monkeypatch):
     assert len(enumerate_k_uniform(2, 2)) == 3
 
 
+def test_single_column_scan_keeps_the_budget(monkeypatch):
+    # One column takes a closed form, but the same budget still applies.
+    monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 5)
+    column = game_matrix([[1], [1]])
+    assert _k_uniform_scan(column, 2) == (1, (((0,), (0,), 1, (1, 0)), ((1,), (0,), 1, (0, 1)),
+                                              ((0, 1), (0,), 2, (1, 1))))
+    with pytest.raises(BudgetExceeded, match="k=3, moves=2"):
+        _k_uniform_scan(column, 3)
+
+
 def test_pre1_k_integer_scan_matches_fraction_reference():
     rng = random.Random(41)
     for _ in range(30):
@@ -262,3 +274,48 @@ def test_oracle_equivalence_outside_unit_interval():
         payoff = [[rng.choice(grid) for _ in range(n)] for _ in range(m)]
         sol = solve_matrix_game(game_matrix(payoff))
         assert sol.value == matrix_value_oracle(payoff)
+
+
+def _random_payoffs(rng: random.Random, count: int):
+    """Matrices of 1-3 rows and columns, alternately over a three-value grid
+    (many ties) and over signed entries with mixed denominators."""
+    tie_grid = [F(0), F(1, 2), F(1)]
+    signed = [F(-3), F(-1, 2), F(-1, 7), F(0), F(1, 3), F(2, 5), F(1), F(9, 4)]
+    for i in range(count):
+        grid = tie_grid if i % 2 else signed
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        yield [[rng.choice(grid) for _ in range(n)] for _ in range(m)]
+
+
+def test_one_lp_solve_matches_two_lp_reference():
+    """On 600 random matrices the one-LP solve has the two-LP reference's
+    value, the same row strategy wherever an LP runs, and a column strategy
+    (read from the duals) that holds every row to the value."""
+    rng = random.Random(1501)
+    shapes = Counter()
+    for payoff in _random_payoffs(rng, 600):
+        m, n = len(payoff), len(payoff[0])
+        shapes[(m, n)] += 1
+        sol = solve_matrix_game(game_matrix(payoff))
+        value, row_strategy, _ = reference_solve_matrix_game(payoff)
+        assert sol.value == value
+        if m > 1 and n > 1:
+            assert sol.row_strategy == row_strategy
+        y = sol.col_strategy
+        assert sum(y) == 1 and min(y) >= 0
+        for a in range(m):
+            assert sum(q * payoff[a][b] for b, q in enumerate(y)) <= value
+    assert len(shapes) == 9
+
+
+@pytest.mark.parametrize("shift", [F(1, 7), F(-1, 7)])
+def test_certificate_rejects_a_wrong_value(monkeypatch, shift):
+    real = congame.matrix.solve_lp
+
+    def off(*args, **kwargs):
+        value, point, duals = real(*args, **kwargs)
+        return value + shift, point, duals
+
+    monkeypatch.setattr(congame.matrix, "solve_lp", off)
+    with pytest.raises(AssertionError, match="certificate failed"):
+        solve_matrix_game(game_matrix([[1, 0], [F(1, 4), 1]]))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,11 +21,12 @@ from congame.matrix import one_step_matrix
 from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
-from congame.safety_si import _k_uniform_pairs
+from congame.safety_si import _nonempty_subsets
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
-    opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs, round_to_k_uniform,
+    k_uniform_pairs, opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs,
+    round_to_k_uniform,
 )
 from oracles import brute_force_k_uniform_best
 
@@ -108,6 +111,30 @@ def test_opt_sel_count_k_restricted_subset_of_unrestricted(ex3step1):
     assert k7 <= unrestricted
 
 
+def test_opt_sel_count_matches_every_pair_lp():
+    """Closed forms and complementary-slackness pruning keep exactly the
+    pairs the slack LP finds feasible over all pairs, in the same order and
+    with the same witnesses, on 600 random states of every shape from 1x1
+    to 3x3; half the valuations are constant, so every mixture ties."""
+    rng = random.Random(1503)
+    shapes = Counter()
+    while sum(shapes.values()) < 600:
+        game = random_concurrent_game(rng, max_moves=3)
+        for v in random_valuations(rng, game.states):
+            for s in game.states:
+                shapes[(len(game.moves1[s]), len(game.moves2[s]))] += 1
+                expected = []
+                for A, B in itertools.product(
+                    _nonempty_subsets(game.moves1[s]), _nonempty_subsets(game.moves2[s])
+                ):
+                    pair = opt_sel_feasible(game, v, s, A, B)
+                    if pair is not None:
+                        expected.append((pair.A, pair.B, list(pair.witness.items())))
+                got = [(p.A, p.B, list(p.witness.items())) for p in opt_sel_count(game, v, s)]
+                assert got == expected
+    assert len(shapes) == 9
+
+
 def test_k_uniform_pairs_integer_scan_matches_fraction_reference():
     rng = random.Random(43)
     for _ in range(30):
@@ -115,7 +142,7 @@ def test_k_uniform_pairs_integer_scan_matches_fraction_reference():
         for v in random_valuations(rng, game.states):
             for s in game.states:
                 for k in range(1, 7):
-                    pairs = _k_uniform_pairs(game, v, s, k)
+                    pairs = k_uniform_pairs(game, v, s, k)
                     reference = reference_k_uniform_pairs(game, v, s, k)
                     assert [(key, list(mix.items())) for key, mix in pairs.items()] == [
                         (key, list(mix.items())) for key, mix in reference.items()
