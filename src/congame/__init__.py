@@ -52,18 +52,15 @@ from .value_iter import (
 )
 from .reach_si import (
     ReachSIRunner,
-    ReachSIState,
     Runner,
     STATUS_CAPPED,
     STATUS_EPS,
     STATUS_EXACT,
-    improve_step_reach,
     run_reach_si,
 )
 from .safety_si import (
     ConvergentSafetyRunner,
     SafetySIRunner,
-    SafetySIState,
     SupportPair,
     TBReduction,
     improvement_switches,
@@ -71,11 +68,10 @@ from .safety_si import (
     run_convergent_safety_si,
     run_k_uniform_si,
     run_safety_si,
-    safety_si_step,
     tb_reduction,
 )
 from .certify import (
-    ValueBracket,
+    Certifier,
     approximate_game_value,
 )
 

@@ -9,17 +9,20 @@ convergent safety improvement (a monotone lower bound v) therefore yields
 the two-sided bracket v <= value <= 1 - u, and max_s(1 - u - v) <= eps is a
 sound stopping criterion.  If either sequence reaches its natural fixpoint
 first, the value is exact.
+
+``Certifier`` is a ``reach_si.Runner`` over the two sequences;
+``approximate_game_value`` runs it to its stop or a round cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .model import GameStructure, Selector, Valuation, ONE, swap_players
 from .reach_si import (
     ReachSIRunner,
+    Runner,
     STATUS_CAPPED,
     STATUS_EPS,
     STATUS_EXACT,
@@ -27,38 +30,73 @@ from .reach_si import (
 from .safety_si import ConvergentSafetyRunner
 
 
-@dataclass
-class ValueBracket:
-    """Simultaneous lower bounds for both players with their gap.
+class Certifier(Runner):
+    """Player 1's convergent safety sequence (``safety``) interleaved with
+    player 2's reachability improvement on the complement (``reach``, on
+    the game with the players swapped).
 
-    ``safety_lower`` bounds player 1's Safe(F) value from below and
-    ``reach_lower`` bounds player 2's Reach(S - F) value from below, so
-    pointwise safety_lower <= va(Safe(F)) <= 1 - reach_lower.  When a
-    natural fixpoint fired, ``exact_values`` holds va(Safe(F)) itself.
+    Each round steps ``safety`` and then ``reach``, testing the three
+    stopping rules after each step: ``reach`` hit its fixpoint (exact),
+    ``safety`` hit its stopping condition (exact), or the bracket ``gap``
+    fell to ``eps`` (eps-approx); the round ends at the first that holds.
+    Pointwise ``values`` <= va(Safe(F)) <= 1 - ``reach.values``, and
+    ``exact_values`` is va(Safe(F)) itself once a fixpoint fired.
+    ``selector`` (player 1's) achieves ``values`` and ``reach.selector``
+    (player 2's) achieves ``reach.values``.  There is no valuation before
+    the first round.
     """
 
-    safety_lower: Valuation
-    reach_lower: Valuation
-    gap: Fraction
-    status: str
-    rounds: int
-    exact_values: Valuation | None
-    safety_strategy: Selector | None
-    reach_strategy: Selector
+    def __init__(self, game: GameStructure, F: Iterable[str], eps: Fraction):
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        self.game = game
+        self.eps = eps
+        safe = frozenset(F) & frozenset(game.states)
+        self.safety = ConvergentSafetyRunner(game, safe)
+        self.reach = ReachSIRunner(
+            swap_players(game), [s for s in game.states if s not in safe]
+        )
 
+    @property
+    def valuations(self) -> list[Valuation]:
+        return self.safety.valuations
 
-def _gap(game: GameStructure, u: Valuation, v: Valuation) -> Fraction:
-    worst = None
-    for s in game.states:
-        slack = ONE - u[s] - v[s]
-        if slack < 0:
-            raise AssertionError(
-                f"determinacy violated at {s!r}: u={u[s]}, v={v[s]}"
-            )
-        if worst is None or slack > worst:
-            worst = slack
-    assert worst is not None
-    return worst
+    @property
+    def selector(self) -> Selector:
+        return self.safety.selector
+
+    @property
+    def gap(self) -> Fraction:
+        """max_s(1 - u - v), which determinacy keeps nonnegative."""
+        u, v = self.reach.values, self.values
+        for s in self.game.states:
+            if u[s] + v[s] > ONE:
+                raise AssertionError(f"determinacy violated at {s!r}: u={u[s]}, v={v[s]}")
+        return max(ONE - u[s] - v[s] for s in self.game.states)
+
+    @property
+    def status(self) -> str:
+        if self.reach.finished or self.safety.finished:
+            return STATUS_EXACT
+        return STATUS_EPS if self.finished else STATUS_CAPPED
+
+    @property
+    def exact_values(self) -> Valuation | None:
+        if self.reach.finished:
+            return {s: ONE - self.reach.values[s] for s in self.game.states}
+        if self.safety.finished:
+            return dict(self.values)
+        return None
+
+    def _stopped(self) -> bool:
+        return self.reach.finished or self.safety.finished or self.gap <= self.eps
+
+    def _round(self) -> bool:
+        self.safety.step()
+        if self._stopped():
+            return True
+        self.reach.step()
+        return self._stopped()
 
 
 def approximate_game_value(
@@ -66,65 +104,12 @@ def approximate_game_value(
     F: Iterable[str],
     eps: Fraction,
     max_rounds: int = 200,
-) -> ValueBracket:
-    """Interleave both monotone sequences until the bracket closes.
-
-    One outer step of each side alternates per round, checking the three
-    stopping criteria after every step: player 2's sequence hit its fixpoint
-    (exact), player 1's sequence hit its stopping condition (exact), or the
-    bracket gap fell to ``eps`` (eps-approx).  A round cap returns the best
-    bracket so far, flagged capped.
+) -> Certifier:
+    """Run the certifier until the bracket closes or for ``max_rounds``
+    rounds, which must allow one: there is no valuation before it.  A
+    capped run keeps the best bracket so far, flagged capped.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    certifier = Certifier(game, F, eps)
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    safe = frozenset(F) & frozenset(game.states)
-    complement = [s for s in game.states if s not in safe]
-    safety = ConvergentSafetyRunner(game, safe)
-    reach = ReachSIRunner(swap_players(game), complement)
-
-    rounds = 0
-    status = STATUS_CAPPED
-    exact: Valuation | None = None
-
-    def criteria() -> str | None:
-        if reach.finished:
-            return "reach-fixpoint"
-        if safety.finished:
-            return "safety-fixpoint"
-        if _gap(game, reach.values, safety.values) <= eps:
-            return "gap"
-        return None
-
-    hit = None
-    while rounds < max_rounds:
-        rounds += 1
-        safety.step()
-        hit = criteria()
-        if hit:
-            break
-        reach.step()
-        hit = criteria()
-        if hit:
-            break
-    v = safety.values
-    u = reach.values
-    if hit == "reach-fixpoint":
-        status = STATUS_EXACT
-        exact = {s: ONE - u[s] for s in game.states}
-    elif hit == "safety-fixpoint":
-        status = STATUS_EXACT
-        exact = dict(v)
-    elif hit == "gap":
-        status = STATUS_EPS
-    return ValueBracket(
-        safety_lower=dict(v),
-        reach_lower=dict(u),
-        gap=_gap(game, u, v),
-        status=status,
-        rounds=rounds,
-        exact_values=exact,
-        safety_strategy=safety.selector,
-        reach_strategy=Selector(2, {s: dict(d) for s, d in reach.selector.choice.items()}),
-    )
+    return certifier.run(max_rounds)

@@ -52,7 +52,6 @@ from .model import (
 )
 from .reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT, run_reach_si
 from .safety_si import (
-    improvement_switches,
     normalize_safety,
     run_convergent_safety_si,
     run_k_uniform_si,
@@ -243,12 +242,11 @@ def _safety_si(p: Problem) -> Solve:
 
 
 def _k_uniform(p: Problem) -> Solve:
-    """A k-uniform fixpoint is exact for the whole game only if the
-    unrestricted stopping condition also holds there."""
+    """A k-uniform fixpoint is exact for the whole game only if it is
+    ``optimal``: the unrestricted stopping condition also holds there."""
     runner = run_k_uniform_si(p.game, p.chosen, p.k)
-    switches, _ = improvement_switches(runner.game, runner.values, p.chosen, runner.w1)
     return Solve(
-        STATUS_CAPPED if switches else STATUS_EXACT, runner.values, runner.iterations,
+        STATUS_EXACT if runner.optimal else STATUS_CAPPED, runner.values, runner.iterations,
         runner.selector, runner.values,
         before={"k": runner.k}, after={"nonlocal_step_fired": runner.fired_nonlocal},
     )
@@ -261,23 +259,24 @@ def _convergent(p: Problem) -> Solve:
 
 def _certify(p: Problem) -> Solve:
     game = p.game
-    bracket = approximate_game_value(game, p.chosen, p.eps, max_rounds=p.max_iters)
+    runner = approximate_game_value(game, p.chosen, p.eps, max_rounds=p.max_iters)
+    gap = runner.gap
     before: dict = {
         "bracket": {
-            "safety_lower": _values_doc(game, bracket.safety_lower),
-            "reach_lower": _values_doc(game, bracket.reach_lower),
+            "safety_lower": _values_doc(game, runner.values),
+            "reach_lower": _values_doc(game, runner.reach.values),
             "upper": _values_doc(
-                game, {s: 1 - bracket.reach_lower[s] for s in game.states}
+                game, {s: 1 - runner.reach.values[s] for s in game.states}
             ),
-            "gap": {"exact": str(bracket.gap), "approx": decimal_string(bracket.gap)},
+            "gap": {"exact": str(gap), "approx": decimal_string(gap)},
         }
     }
-    if bracket.exact_values is not None:
-        before["exact_values"] = _values_doc(game, bracket.exact_values)
+    exact = runner.exact_values
+    if exact is not None:
+        before["exact_values"] = _values_doc(game, exact)
     return Solve(
-        bracket.status, bracket.safety_lower, bracket.rounds,
-        bracket.safety_strategy, bracket.safety_lower,
-        witness2=bracket.reach_strategy, witness2_values=bracket.reach_lower, before=before,
+        runner.status, runner.values, runner.iterations, runner.selector, runner.values,
+        witness2=runner.reach.selector, witness2_values=runner.reach.values, before=before,
     )
 
 
@@ -381,8 +380,7 @@ def _verify(game: GameStructure, kind: str, chosen: list[str], solve: Solve) -> 
     swapped = swap_players(game)
     complement = [s for s in game.states if s not in set(chosen)]
     w2 = compute_W2(swapped, complement)
-    as_p1 = Selector(1, solve.witness2.choice)
-    u = strategy_value_reach(swapped, as_p1, complement, w2)
+    u = strategy_value_reach(swapped, solve.witness2, complement, w2)
     return u == solve.witness2_values
 
 

@@ -214,7 +214,7 @@ def pre1(game: GameStructure, v: Mapping[str, Fraction]) -> tuple[dict[str, Frac
     choice: dict[str, dict[str, Fraction]] = {}
     for s in game.states:
         values[s], choice[s] = pre1_state(game, v, s)
-    return values, Selector(1, choice)
+    return values, Selector(choice)
 
 
 def _compositions(total: int, parts: int):

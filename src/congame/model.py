@@ -150,6 +150,9 @@ class TurnBasedGame:
                 dist = self.prob.get(s)
                 if dist is None:
                     raise GameError(f"random state {s!r}: no distribution")
+                for t in dist:
+                    if t not in known:
+                        raise GameError(f"random state {s!r}: unknown successor {t!r}")
                 if set(t for t, p in dist.items() if p > 0) != set(succ):
                     raise GameError(
                         f"random state {s!r}: distribution support differs from edges"
@@ -168,7 +171,6 @@ class Selector:
     selector forever is a memoryless strategy.
     """
 
-    player: int
     choice: dict[str, dict[str, Fraction]]
 
 
@@ -197,7 +199,7 @@ def uniform_selector(game: GameStructure) -> Selector:
         avail = game.moves1[s]
         n = len(avail)
         choice[s] = {a: Fraction(1, n) for a in avail}
-    return Selector(1, choice)
+    return Selector(choice)
 
 
 def pure_selector(game: GameStructure, player: int, picks: Mapping[str, str]) -> Selector:
@@ -210,7 +212,7 @@ def pure_selector(game: GameStructure, player: int, picks: Mapping[str, str]) ->
         if a not in assignment[s]:
             raise GameError(f"pure selector at {s!r}: move {a!r} unavailable")
         choice[s] = {a: ONE}
-    return Selector(player, choice)
+    return Selector(choice)
 
 
 def swap_players(game: GameStructure) -> GameStructure:

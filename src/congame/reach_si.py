@@ -12,13 +12,12 @@ so each ``Pre1`` witness is a pure move (the first best successor) and the
 loop is Hoffman-Karp pure strategy iteration, which terminates because
 pure selectors are finite.
 
-``Runner`` is the shape every capped improvement loop shares, here and in
-``safety_si``; a finished runner is its own result.
+``Runner`` is the shape every capped improvement loop shares, here, in
+``safety_si`` and in ``certify``; a finished runner is its own result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .matrix import pre1
@@ -42,54 +41,6 @@ from .model import (
 STATUS_EXACT = "exact"
 STATUS_EPS = "eps-approx"
 STATUS_CAPPED = "capped"
-
-
-@dataclass
-class ReachSIState:
-    """One point of the improvement loop: current selector, its exact value,
-    and the improvement set found when stepping away from it."""
-
-    selector: Selector
-    valuation: Valuation
-    improve_set: frozenset[str]
-
-
-def improve_step_reach(
-    game: GameStructure, state: ReachSIState, T: Iterable[str], W2: Iterable[str]
-) -> ReachSIState:
-    """One improvement step on a normalized game (T and W2 absorbing).
-
-    Rewrites the selector to a one-step-optimal mixture on the states where
-    Pre1 strictly beats the current value; elsewhere the selector is kept.
-    Returns the fixpoint state unchanged (empty improvement set) if there is
-    nothing to improve.
-    """
-    done = set(T) | set(W2)
-    v = state.valuation
-    pre_vals, witness = pre1(game, v)
-    improvable = frozenset(
-        s for s in game.states if s not in done and pre_vals[s] > v[s]
-    )
-    if not improvable:
-        return ReachSIState(state.selector, v, improvable)
-    choice = {
-        s: dict(witness.choice[s] if s in improvable else state.selector.choice[s])
-        for s in game.states
-    }
-    nxt = Selector(1, choice)
-    try:
-        value = strategy_value_reach(game, nxt, T, W2)
-    except ImproperSelectorError as err:
-        raise AssertionError(
-            f"improvement lost properness; trap {sorted(err.witness)}"
-        ) from None
-    for s in game.states:
-        if value[s] < pre_vals[s]:
-            raise AssertionError(f"improvement step decreased the bound at {s!r}")
-    for s in improvable:
-        if not value[s] > v[s]:
-            raise AssertionError(f"no strict improvement at {s!r}")
-    return ReachSIState(nxt, value, improvable)
 
 
 class Runner:
@@ -137,7 +88,9 @@ class ReachSIRunner(Runner):
     """Reachability strategy improvement (the two-sided certifier steps it
     directly, interleaved with the safety sequence).
 
-    It starts from the uniform selector or, given the turn-based game ``tb``
+    It holds the current ``selector``, the ``valuations`` of every selector
+    held and ``improve_set``, the states the last round switched.  It
+    starts from the uniform selector or, given the turn-based game ``tb``
     that ``game`` encodes, from the pure attractor selector towards the
     target and the value-zero states.  Both are proper.  From the pure
     start every selector stays pure: the ``Pre1`` witness of a one-column
@@ -162,18 +115,42 @@ class ReachSIRunner(Runner):
             raise AssertionError(
                 f"initial selector is improper; trap {sorted(err.witness)}"
             ) from None
-        self.state = ReachSIState(selector, value, frozenset())
+        self.selector = selector
         self.valuations: list[Valuation] = [value]
-
-    @property
-    def selector(self) -> Selector:
-        return self.state.selector
+        self.improve_set: frozenset[str] = frozenset()
 
     def _round(self) -> bool:
-        self.state = improve_step_reach(self.game, self.state, self.target, self.w2)
-        if not self.state.improve_set:
+        """Rewrite the selector to a one-step-optimal mixture on the states
+        where ``Pre1`` strictly beats the current value (the improvement
+        set), keeping it elsewhere; an empty improvement set is the
+        fixpoint."""
+        v = self.values
+        done = self.target | self.w2
+        pre_vals, witness = pre1(self.game, v)
+        self.improve_set = frozenset(
+            s for s in self.game.states if s not in done and pre_vals[s] > v[s]
+        )
+        if not self.improve_set:
             return True
-        self.valuations.append(self.state.valuation)
+        choice = {
+            s: dict(witness.choice[s] if s in self.improve_set else self.selector.choice[s])
+            for s in self.game.states
+        }
+        selector = Selector(choice)
+        try:
+            value = strategy_value_reach(self.game, selector, self.target, self.w2)
+        except ImproperSelectorError as err:
+            raise AssertionError(
+                f"improvement lost properness; trap {sorted(err.witness)}"
+            ) from None
+        for s in self.game.states:
+            if value[s] < pre_vals[s]:
+                raise AssertionError(f"improvement step decreased the bound at {s!r}")
+        for s in self.improve_set:
+            if not value[s] > v[s]:
+                raise AssertionError(f"no strict improvement at {s!r}")
+        self.selector = selector
+        self.valuations.append(value)
         return False
 
 

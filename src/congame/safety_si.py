@@ -18,6 +18,8 @@ of the game.
 
 ``SafetySIRunner`` runs the plain or, given k, the k-uniform loop, and
 ``ConvergentSafetyRunner`` the outer one; both are ``reach_si.Runner``s.
+A finished ``SafetySIRunner`` runs the unrestricted stopping test once and
+keeps its answer as ``optimal``; the outer loop stops on it.
 """
 
 from __future__ import annotations
@@ -94,7 +96,17 @@ def _feasible_unrestricted(
 ) -> tuple[Fraction, ...] | None:
     """Maximize a shared slack below the support probabilities and above the
     strict inequalities; a positive optimum is exactly strict feasibility.
-    Returns the witness's probabilities on the rows ``A``."""
+    Returns the witness's probabilities on the rows ``A``.
+
+    One row needs no LP: it is feasible exactly when it meets the target on
+    ``B`` and strictly exceeds it elsewhere, with witness 1.
+    """
+    b_set = set(B)
+    if len(A) == 1:
+        row = payoff[A[0]]
+        if all((x == target) if j in b_set else (x > target) for j, x in enumerate(row)):
+            return (ONE,)
+        return None
     n = len(A) + 1  # mixture over A plus the slack variable
     t_col = len(A)
     rows: list[list[Fraction]] = []
@@ -110,7 +122,6 @@ def _feasible_unrestricted(
     rows.append([ONE] * len(A) + [ZERO])
     senses.append(EQ)
     rhs.append(ONE)
-    b_set = set(B)
     for j in range(len(payoff[0])):
         row = [payoff[a][j] for a in A]
         if j in b_set:
@@ -293,20 +304,12 @@ def tb_reduction(
     return TBReduction(tb, frozenset(safe_bar), back_map, witness_store)
 
 
-@dataclass
-class SafetySIState:
-    selector: Selector
-    valuation: Valuation
-    finished: bool
-    fired_nonlocal: bool
-
-
 def _replace(selector: Selector, updates: Mapping[str, Mapping[str, Fraction]]) -> Selector:
     choice = {
         s: dict(updates[s]) if s in updates else dict(selector.choice[s])
         for s in selector.choice
     }
-    return Selector(1, choice)
+    return Selector(choice)
 
 
 def improvement_switches(
@@ -355,59 +358,16 @@ def improvement_switches(
     return switches, True
 
 
-def safety_si_step(
-    game: GameStructure,
-    state: SafetySIState,
-    F: Iterable[str],
-    W1: Iterable[str],
-    k: int | None = None,
-) -> SafetySIState:
-    """One round of safety improvement on a normalized game (W1 and the
-    unsafe states absorbing): switch the states ``improvement_switches``
-    names and evaluate the new selector exactly.  The state is finished when
-    there is nothing to switch.
-    """
-    safe = set(F)
-    v = state.valuation
-    switches, nonlocal_step = improvement_switches(game, v, safe, W1, k)
-    if not switches:
-        return SafetySIState(state.selector, v, True, False)
-    nxt = _replace(state.selector, switches)
-    value = strategy_value_safety(game, nxt, safe)
-    step = "non-local safety improvement" if nonlocal_step else "safety improvement"
-    for s in game.states:
-        if value[s] < v[s]:
-            raise AssertionError(f"{step} regressed at {s!r}")
-    if nonlocal_step:
-        if not any(value[s] > v[s] for s in switches):
-            raise AssertionError("non-local step produced no strict improvement")
-        return SafetySIState(nxt, value, False, True)
-    for s in switches:
-        if not value[s] > v[s]:
-            raise AssertionError(f"no strict local improvement at {s!r}")
-    return SafetySIState(nxt, value, False, False)
-
-
 @dataclass(frozen=True)
 class SafetyContext:
     """Normalized game (value-1 region and unsafe states absorbing) plus the
-    pure winning choices on the value-1 region, used to turn selectors for
-    the normalized game back into strategies for the original one."""
+    pure winning choices on the value-1 region, which make a selector for
+    the normalized game a strategy for the original one."""
 
     game: GameStructure
     w1: frozenset[str]
     safe: set[str]
     w1_actions: dict[str, str]
-
-    def portable(self, selector: Selector) -> Selector:
-        """Overwrite the selector on the value-1 region with the winning
-        choice; values on the normalized game are unchanged (those states
-        are absorbing there) and the result achieves its valuation on the
-        original game as well."""
-        choice = {s: dict(d) for s, d in selector.choice.items()}
-        for s, a in self.w1_actions.items():
-            choice[s] = {a: ONE}
-        return Selector(1, choice)
 
 
 def normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
@@ -419,14 +379,21 @@ def normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
 
 
 class SafetySIRunner(Runner):
-    """Safety strategy improvement from the uniform selector, over all
-    mixtures or, given ``k``, over k-uniform ones only.
+    """Safety strategy improvement, over all mixtures or, given ``k``, over
+    k-uniform ones only.
 
     k is raised to the total number of moves so the uniform start is itself
     k-uniform.  ``context`` reuses a normalization of ``game`` already made.
-    ``selector`` is portable: it achieves ``values`` on the original game
-    too.  ``fired_nonlocal`` says whether any round took the non-local step.
+    The start is the uniform selector with the pure winning choice written
+    on the value-1 region: those states are absorbing in the normalized game
+    and never switched, so ``selector`` achieves ``values`` on the original
+    game too.  ``fired_nonlocal`` says whether any round took the non-local
+    step.  ``optimal`` says the fixpoint passed the unrestricted stopping
+    condition, so ``values`` is the value of the game; it is False until
+    the runner finishes, and a k-uniform fixpoint may still fail it.
     """
+
+    optimal = False
 
     def __init__(
         self,
@@ -440,25 +407,41 @@ class SafetySIRunner(Runner):
         self.context = context if context is not None else normalize_safety(game, F)
         self.game, self.w1, self.safe = self.context.game, self.context.w1, self.context.safe
         self.k = None if k is None else max(k, len(game.moves))
-        selector = uniform_selector(self.game)
-        value = strategy_value_safety(self.game, selector, self.safe)
-        self.state = SafetySIState(selector, value, False, False)
-        self.valuations: list[Valuation] = [value]
+        choice = uniform_selector(self.game).choice
+        for s, a in self.context.w1_actions.items():
+            choice[s] = {a: ONE}
+        self.selector = Selector(choice)
+        self.valuations: list[Valuation] = [
+            strategy_value_safety(self.game, self.selector, self.safe)
+        ]
         self.fired_nonlocal = False
 
-    @property
-    def selector(self) -> Selector:
-        return self.context.portable(self.state.selector)
-
     def _round(self) -> bool:
-        previous = self.values
-        self.state = safety_si_step(self.game, self.state, self.safe, self.w1, k=self.k)
-        self.fired_nonlocal = self.fired_nonlocal or self.state.fired_nonlocal
-        if self.state.finished:
+        """Switch the states ``improvement_switches`` names and evaluate the
+        new selector exactly; nothing to switch is the fixpoint."""
+        v = self.values
+        switches, nonlocal_step = improvement_switches(self.game, v, self.safe, self.w1, self.k)
+        if not switches:
+            self.optimal = self.k is None or not improvement_switches(
+                self.game, v, self.safe, self.w1
+            )[0]
             return True
-        if not any(self.state.valuation[s] > previous[s] for s in self.game.states):
-            raise AssertionError("safety step changed nothing but did not finish")
-        self.valuations.append(self.state.valuation)
+        selector = _replace(self.selector, switches)
+        value = strategy_value_safety(self.game, selector, self.safe)
+        step = "non-local safety improvement" if nonlocal_step else "safety improvement"
+        for s in self.game.states:
+            if value[s] < v[s]:
+                raise AssertionError(f"{step} regressed at {s!r}")
+        if nonlocal_step:
+            if not any(value[s] > v[s] for s in switches):
+                raise AssertionError("non-local step produced no strict improvement")
+            self.fired_nonlocal = True
+        else:
+            for s in switches:
+                if not value[s] > v[s]:
+                    raise AssertionError(f"no strict local improvement at {s!r}")
+        self.selector = selector
+        self.valuations.append(value)
         return False
 
 
@@ -495,13 +478,13 @@ def run_k_uniform_si(
 class ConvergentSafetyRunner(Runner):
     """Outer loop growing k: each step runs the k-uniform improvement to its
     fixpoint (kept as ``inner``), records its exact strategy value and k,
-    and tests the unrestricted stopping condition (no local improvement and
-    an empty non-local set).  There is no valuation before the first step.
+    and stops when that fixpoint is ``optimal``.  There is no valuation
+    before the first step.
     """
 
     def __init__(self, game: GameStructure, F: Iterable[str]):
         self.context = normalize_safety(game, F)
-        self.game, self.w1, self.safe = self.context.game, self.context.w1, self.context.safe
+        self.game, self.safe = self.context.game, self.context.safe
         self.k = max(1, len(game.moves))
         self.valuations: list[Valuation] = []
         self.ks: list[int] = []
@@ -520,9 +503,8 @@ class ConvergentSafetyRunner(Runner):
         self.inner = inner
         self.valuations.append(inner.values)
         self.ks.append(inner.k)
-        switches, _ = improvement_switches(self.game, inner.values, self.safe, self.w1)
         self.k += 1
-        return not switches
+        return inner.optimal
 
 
 def run_convergent_safety_si(

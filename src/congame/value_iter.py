@@ -113,7 +113,7 @@ def extract_eta_selector(trace: IterationTrace, k: int) -> Selector:
             witness = trace.witnesses[ell]
             assert witness is not None
             choice[s] = dict(witness.choice[s])
-    return Selector(1, choice)
+    return Selector(choice)
 
 
 def eta_achieved_values(trace: IterationTrace, k: int) -> Valuation | None:

@@ -127,7 +127,7 @@ def random_selector(rng: random.Random, game) -> Selector:
         weights = [rng.randint(1, 3) for _ in support]
         total = sum(weights)
         choice[s] = {a: Fraction(w, total) for a, w in zip(support, weights)}
-    return Selector(1, choice)
+    return Selector(choice)
 
 
 def random_valuations(rng: random.Random, states) -> list[dict[str, Fraction]]:

@@ -43,10 +43,11 @@ from congame.reach_si import ReachSIRunner, run_reach_si
 from congame.safety_si import (
     ConvergentSafetyRunner,
     SupportPair,
-    _feasible_unrestricted,
     _k_uniform_position_pairs,
     _labelled,
 )
+
+from oracles import slack_lp_feasible
 
 
 def improper_witness(
@@ -178,7 +179,8 @@ def opt_sel_feasible(
     """Witness an optimal mixture at ``s`` with support exactly A whose
     counter-optimal move set is exactly B, or None if there is none.
 
-    Unrestricted mixtures are decided by a slack linear program; k-uniform
+    Unrestricted mixtures are decided by the slack linear program of
+    ``oracles.slack_lp_feasible`` at every support size; k-uniform
     mixtures by enumeration against the k-restricted one-step optimum.
     """
     moves1, moves2 = game.moves1[s], game.moves2[s]
@@ -189,7 +191,7 @@ def opt_sel_feasible(
     if k is None:
         matrix = one_step_matrix(game, v, s)
         target = solve_matrix_game(matrix).value
-        witness = _feasible_unrestricted(
+        witness = slack_lp_feasible(
             matrix.payoff, target,
             tuple(moves1.index(a) for a in A), tuple(moves2.index(b) for b in B),
         )

@@ -6,11 +6,12 @@ explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
 greatest fixpoints over supports rebuilt at every test, and exhaustive
 strategy enumeration for small games.
-None of it shares code with the solver paths it checks, with one deliberate
-exception: the reachability linear program for MDP values is solved by the
-package's integer simplex, so comparing it with `mdp.max_reach_values`
-(policy iteration, no LP) cross-checks the integer simplex against policy
-iteration.
+None of it shares code with the solver paths it checks, with two deliberate
+exceptions on the package's integer simplex: the reachability linear program
+for MDP values, so comparing it with `mdp.max_reach_values` (policy
+iteration, no LP) cross-checks the integer simplex against policy iteration;
+and the slack LP for support pairs, the reference for the closed forms and
+pruning of `safety_si`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from congame.linprog import GEQ, solve_lp
+from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
 from congame.model import P1, P2
 
 ZERO = Fraction(0)
@@ -200,6 +201,35 @@ def reference_solve_matrix_game(payoff):
     )
     assert row_value == col_value, "matrix game duality gap"
     return row_value, tuple(x[:m]), tuple(y[:n])
+
+
+def slack_lp_feasible(payoff, target, A, B):
+    """Strict feasibility of the support pair (rows ``A``, columns ``B``)
+    by the slack LP on the package's simplex, for every size of ``A``:
+    maximize a shared slack ``t`` below every probability on ``A`` and
+    above every column outside ``B``, with the columns in ``B`` held at
+    ``target``.  Returns the probabilities on ``A`` when the optimum is
+    positive, else None."""
+    n = len(A) + 1
+    rows, senses, rhs = [], [], []
+    for i in range(len(A)):
+        row = [ZERO] * n
+        row[i], row[-1] = ONE, -ONE
+        rows.append(row)
+        senses.append(GEQ)
+        rhs.append(ZERO)
+    rows.append([ONE] * len(A) + [ZERO])
+    senses.append(EQ)
+    rhs.append(ONE)
+    for j in range(len(payoff[0])):
+        rows.append([payoff[a][j] for a in A] + [ZERO if j in B else -ONE])
+        senses.append(EQ if j in B else GEQ)
+        rhs.append(target)
+    try:
+        slack, point, _ = solve_lp([ZERO] * len(A) + [ONE], rows, senses, rhs, maximize=True)
+    except SimplexInfeasible:
+        return None
+    return tuple(point[: len(A)]) if slack > 0 else None
 
 
 def chain_reach(states, trans, targets):
@@ -620,7 +650,7 @@ def brute_force_k_uniform_best(game, safe, k):
         for s in frozen_states:
             n = len(game.moves1[s])
             choice[s] = {a: Fraction(1, n) for a in game.moves1[s]}
-        value = strategy_value_safety(ctx.game, Selector(1, choice), ctx.safe)
+        value = strategy_value_safety(ctx.game, Selector(choice), ctx.safe)
         if best is None:
             best = value
         else:

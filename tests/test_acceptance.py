@@ -134,14 +134,14 @@ def test_criterion_04_example3_full_alg2_vs_alg4():
 def test_criterion_05_eps_certification():
     game = load_example("ex3full")
     safe = [s for s in game.states if s != "s2"]
-    bracket = approximate_game_value(game, safe, F(1, 100))
-    assert bracket.status == STATUS_EPS
-    assert bracket.gap <= F(1, 100)
-    v0 = bracket.safety_lower["s0"]
+    certifier = approximate_game_value(game, safe, F(1, 100))
+    assert certifier.status == STATUS_EPS
+    assert certifier.gap <= F(1, 100)
+    v0 = certifier.values["s0"]
     assert SQRT2_GAP_LO - F(1, 100) <= v0 <= SQRT2_GAP_HI
-    assert bracket.safety_lower["s3"] == F(3, 5)
+    assert certifier.values["s3"] == F(3, 5)
     report(
-        f"criterion 5 PASS: eps-approx with gap {bracket.gap} <= 1/100 and "
+        f"criterion 5 PASS: eps-approx with gap {certifier.gap} <= 1/100 and "
         f"v(s0) = {v0} inside [2-sqrt(2) - 1/100, 2-sqrt(2)]"
     )
 

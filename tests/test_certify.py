@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from congame import (
-    Selector,
     approximate_game_value,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
     swap_players,
 )
-from congame.reach_si import STATUS_EPS, STATUS_EXACT
+from congame.certify import Certifier
+from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 
 from conftest import ONE, random_concurrent_game
 from helpers import check_determinacy_bracket
@@ -27,17 +27,17 @@ TWO_MINUS_SQRT2_HI = F("585786437626904951198311275791") / 10**30
 
 def test_certify_fig2_exact(fig2):
     safe = [s for s in fig2.states if s != "s4"]
-    bracket = approximate_game_value(fig2, safe, F(1, 100))
-    assert bracket.status == STATUS_EXACT
-    assert bracket.exact_values is not None
-    assert bracket.exact_values["s0"] == F(2, 3)
-    assert bracket.safety_lower["s0"] == F(2, 3)
-    assert bracket.reach_lower["s0"] == F(1, 3)
-    assert bracket.gap == 0
+    certifier = approximate_game_value(fig2, safe, F(1, 100))
+    assert certifier.status == STATUS_EXACT
+    assert certifier.exact_values is not None
+    assert certifier.exact_values["s0"] == F(2, 3)
+    assert certifier.values["s0"] == F(2, 3)
+    assert certifier.reach.values["s0"] == F(1, 3)
+    assert certifier.gap == 0
     # exact values satisfy the safety fixpoint identity v = min([F], Pre1(v))
     from congame.matrix import pre1
 
-    v = bracket.exact_values
+    v = certifier.exact_values
     pre_vals, _ = pre1(fig2, v)
     for s in fig2.states:
         bound = ONE if s in set(safe) else F(0)
@@ -46,39 +46,59 @@ def test_certify_fig2_exact(fig2):
 
 def test_certify_ex3full_eps(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    bracket = approximate_game_value(ex3full, safe, F(1, 100))
-    assert bracket.status == STATUS_EPS
-    assert bracket.gap <= F(1, 100)
-    assert bracket.safety_lower["s3"] == F(3, 5)
-    v0 = bracket.safety_lower["s0"]
+    certifier = approximate_game_value(ex3full, safe, F(1, 100))
+    assert certifier.status == STATUS_EPS
+    assert certifier.gap <= F(1, 100)
+    assert certifier.values["s3"] == F(3, 5)
+    v0 = certifier.values["s0"]
     assert TWO_MINUS_SQRT2_LO - F(1, 100) <= v0 <= TWO_MINUS_SQRT2_HI
     # both bounds bracket the true value
     assert v0 <= TWO_MINUS_SQRT2_HI
-    assert ONE - bracket.reach_lower["s0"] >= TWO_MINUS_SQRT2_LO
+    assert ONE - certifier.reach.values["s0"] >= TWO_MINUS_SQRT2_LO
 
 
 def test_certify_all_safe(ex3step1):
-    bracket = approximate_game_value(ex3step1, ex3step1.states, F(1, 100))
-    assert bracket.status == STATUS_EXACT
-    assert bracket.exact_values == {s: ONE for s in ex3step1.states}
+    certifier = approximate_game_value(ex3step1, ex3step1.states, F(1, 100))
+    assert certifier.status == STATUS_EXACT
+    assert certifier.exact_values == {s: ONE for s in ex3step1.states}
 
 
 def test_certify_witnesses_achieve_bounds(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    bracket = approximate_game_value(ex3full, safe, F(1, 100))
-    achieved = strategy_value_safety(ex3full, bracket.safety_strategy, safe)
-    assert achieved == bracket.safety_lower
+    certifier = approximate_game_value(ex3full, safe, F(1, 100))
+    achieved = strategy_value_safety(ex3full, certifier.selector, safe)
+    assert achieved == certifier.values
     swapped = swap_players(ex3full)
     complement = ["s2"]
     w2 = compute_W2(swapped, complement)
-    as_p1 = Selector(1, bracket.reach_strategy.choice)
-    achieved2 = strategy_value_reach(swapped, as_p1, complement, w2)
-    assert achieved2 == bracket.reach_lower
+    achieved2 = strategy_value_reach(swapped, certifier.reach.selector, complement, w2)
+    assert achieved2 == certifier.reach.values
 
 
 def test_certify_rejects_bad_eps(fig2):
     with pytest.raises(ValueError):
         approximate_game_value(fig2, fig2.states, F(0))
+
+
+def test_certify_rejects_zero_rounds(fig2):
+    with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+        approximate_game_value(fig2, fig2.states, F(1, 100), max_rounds=0)
+
+
+def test_certifier_rounds_are_capped_and_step_a_side(ex3full):
+    # Each round steps at least one side, and run(cap) stops within cap
+    # rounds; resuming a capped run continues the same sequence.
+    safe = [s for s in ex3full.states if s != "s2"]
+    certifier = Certifier(ex3full, safe, F(1, 10**6))
+    for cap in (1, 2, 3):
+        sides = certifier.safety.iterations + certifier.reach.iterations
+        certifier.run(cap)
+        assert certifier.iterations == cap and certifier.status == STATUS_CAPPED
+        assert certifier.safety.iterations + certifier.reach.iterations > sides
+        assert certifier.exact_values is None
+    once = approximate_game_value(ex3full, safe, F(1, 10**6), max_rounds=3)
+    assert once.valuations == certifier.valuations
+    assert once.reach.valuations == certifier.reach.valuations
 
 
 def test_determinacy_bracket_fig1_complement(fig1):
@@ -126,12 +146,12 @@ def test_sandwich_lower_iterates_below_upper_iterates(ex3full):
         for w in uppers:
             assert all(v[s] <= w[s] for s in ex3full.states)
 
-    bracket = approximate_game_value(ex3full, safe, F(1, 100))
+    certifier = approximate_game_value(ex3full, safe, F(1, 100))
     swapped = swap_players(ex3full)
     trace = reach_value_iteration(swapped, ["s2"], max_steps=10)
     # player 2's reach iterates stay below 1 - (player 1's safety lower bounds)
     for u in trace.valuations:
-        assert all(u[s] <= 1 - bracket.safety_lower[s] for s in ex3full.states)
+        assert all(u[s] <= 1 - certifier.values[s] for s in ex3full.states)
 
 
 def test_certify_exact_on_turn_based_matches_oracle():
@@ -149,8 +169,8 @@ def test_certify_exact_on_turn_based_matches_oracle():
         tb = random_tb_game(rng, n_states=4, max_succ=2)
         safe = set(rng.sample(tb.states, rng.randint(1, 3)))
         game = encode_turn_based_as_concurrent(tb)
-        bracket = approximate_game_value(game, safe, F(1, 1000), max_rounds=400)
-        assert bracket.status == STATUS_EXACT
+        certifier = approximate_game_value(game, safe, F(1, 1000), max_rounds=400)
+        assert certifier.status == STATUS_EXACT
         swapped = TurnBasedGame(
             tb.states,
             {
@@ -162,4 +182,4 @@ def test_certify_exact_on_turn_based_matches_oracle():
         )
         complement = [s for s in tb.states if s not in safe]
         dual = tb_reach_value_oracle(swapped, complement)
-        assert bracket.exact_values == {s: 1 - dual[s] for s in tb.states}
+        assert certifier.exact_values == {s: 1 - dual[s] for s in tb.states}

@@ -234,6 +234,18 @@ def test_validate_rejects_non_string_edge(capsys, tmp_path):
     assert err.startswith("error:") and "successor ids must be strings" in err
 
 
+def test_validate_names_path_for_unknown_zero_probability_successor(capsys, tmp_path):
+    game = tmp_path / "bad.game"
+    game.write_text(
+        '{"type": "turn-based", "states": ["s0", "s1"], "partition": {"s0": "P1", "s1": "R"},'
+        ' "edges": {"s0": ["s1"], "s1": ["s1"]}, "prob": {"s1": {"s1": "1", "zz": "0"}}}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "validate", str(game))
+    assert code == 1 and out == ""
+    assert err == f"error: {game}: random state 's1': unknown successor 'zz'\n"
+
+
 def test_validate_non_utf8_names_path(capsys, tmp_path):
     game = tmp_path / "bad.game"
     game.write_bytes(b"\xff\xfe{}")

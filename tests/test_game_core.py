@@ -89,6 +89,17 @@ def test_parse_rejects_non_string_turn_based_successor():
     assert "edges['s0']" in str(err.value)
 
 
+def test_parse_rejects_unknown_zero_probability_successor():
+    # A zero-probability entry names no edge, but it must still name a state.
+    text = """
+    {"type": "turn-based", "states": ["s0", "s1"], "partition": {"s0": "P1", "s1": "R"},
+     "edges": {"s0": ["s1"], "s1": ["s1"]}, "prob": {"s1": {"s1": "1", "zz": "0"}}}
+    """
+    with pytest.raises(GameFormatError) as err:
+        parse_game(text)
+    assert "random state 's1': unknown successor 'zz'" in str(err.value)
+
+
 @pytest.mark.parametrize("key", ["moves1", "moves2"])
 def test_parse_rejects_duplicate_move_ids(key):
     moves = {"moves1": {"s0": ["a"]}, "moves2": {"s0": ["c"]}}

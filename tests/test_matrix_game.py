@@ -115,7 +115,7 @@ def test_pre_sel_sel(ex3step1):
     mix2_choice = {s: {b: F(1, len(ex3step1.moves2[s])) for b in ex3step1.moves2[s]} for s in ex3step1.states}
     from congame import Selector
 
-    mix2 = Selector(2, mix2_choice)
+    mix2 = Selector(mix2_choice)
     assert pre_sel_sel(ex3step1, v, "s0", mix1, mix2) == F(1, 2)
     const = {s: F(3, 7) for s in ex3step1.states}
     assert pre_sel_sel(ex3step1, const, "s0", mix1, mix2) == F(3, 7)
@@ -127,7 +127,7 @@ def test_pre1_sel(ex3step1):
     assert pre1_sel(ex3step1, v, "s0", pure_a) == 0
     from congame import Selector
 
-    equalizer = Selector(1, {
+    equalizer = Selector({
         "s0": {"a": F(3, 7), "b": F(4, 7)},
         "s1": {"⊥": ONE},
         "s2": {"⊥": ONE},

@@ -7,14 +7,12 @@ from fractions import Fraction
 from congame import (
     ReachSIRunner,
     compute_W2,
-    improve_step_reach,
     reach_value_iteration,
     run_reach_si,
     strategy_value_reach,
     uniform_selector,
 )
-from congame.reach_si import ReachSIState, STATUS_CAPPED, STATUS_EXACT
-from congame.model import make_absorbing
+from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
 from helpers import is_proper, reach_si_turn_based
@@ -50,27 +48,24 @@ def test_ex3step1_trace(ex3step1):
 
 
 def test_improve_step_strict_on_improvement_set(ex3step1):
-    w2 = compute_W2(ex3step1, {"s1"})
-    frozen = make_absorbing(ex3step1, {"s1"} | w2)
-    selector = uniform_selector(frozen)
-    v = strategy_value_reach(frozen, selector, {"s1"}, w2)
-    assert v["s0"] == F(1, 2)
-    state = ReachSIState(selector, v, frozenset())
-    nxt = improve_step_reach(frozen, state, {"s1"}, w2)
-    assert nxt.improve_set == {"s0"}
-    assert nxt.valuation["s0"] == F(4, 7)
+    runner = ReachSIRunner(ex3step1, {"s1"})
+    assert runner.selector == uniform_selector(runner.game)
+    assert runner.values == strategy_value_reach(
+        runner.game, runner.selector, {"s1"}, compute_W2(ex3step1, {"s1"})
+    )
+    assert runner.values["s0"] == F(1, 2)
+    assert runner.step()
+    assert runner.improve_set == {"s0"}
+    assert runner.values["s0"] == F(4, 7)
 
 
 def test_improve_step_noop_at_fixpoint(fig1):
-    w2 = compute_W2(fig1, {"s0"})
-    frozen = make_absorbing(fig1, {"s0"} | w2)
-    selector = uniform_selector(frozen)
-    v = strategy_value_reach(frozen, selector, {"s0"}, w2)
-    state = ReachSIState(selector, v, frozenset())
-    nxt = improve_step_reach(frozen, state, {"s0"}, w2)
-    assert nxt.improve_set == frozenset()
-    assert nxt.valuation == v
-    assert nxt.selector is selector
+    runner = ReachSIRunner(fig1, {"s0"})
+    selector, v = runner.selector, runner.values
+    assert runner.step() is False
+    assert runner.improve_set == frozenset()
+    assert runner.values == v
+    assert runner.selector is selector
 
 
 def test_monotone_and_proper_random():

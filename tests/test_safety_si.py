@@ -10,6 +10,7 @@ import pytest
 from congame import (
     ConvergentSafetyRunner,
     GameStructure,
+    SafetySIRunner,
     improvement_switches,
     opt_sel_count,
     run_convergent_safety_si,
@@ -21,14 +22,14 @@ from congame.matrix import one_step_matrix
 from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
-from congame.safety_si import _nonempty_subsets
+from congame.safety_si import _feasible_unrestricted, _nonempty_subsets
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
     k_uniform_pairs, opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs,
     round_to_k_uniform,
 )
-from oracles import brute_force_k_uniform_best
+from oracles import brute_force_k_uniform_best, slack_lp_feasible
 
 F = Fraction
 NOOP = "⊥"
@@ -133,6 +134,27 @@ def test_opt_sel_count_matches_every_pair_lp():
                 got = [(p.A, p.B, list(p.witness.items())) for p in opt_sel_count(game, v, s)]
                 assert got == expected
     assert len(shapes) == 9
+
+
+def test_feasible_unrestricted_matches_slack_lp():
+    """The one-row closed form agrees with the slack LP on random rows with
+    ties and negative entries, at targets on and off the row; two-row
+    supports run the same LP."""
+    rng = random.Random(1901)
+    grid = [F(-1), F(-1, 2), ZERO, F(1, 3), F(1, 2), ONE]
+    singles = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        payoff = [[rng.choice(grid) for _ in range(n)] for _ in range(m)]
+        target = rng.choice(payoff[0] + [rng.choice(grid)])
+        for A in _nonempty_subsets(range(m)):
+            if len(A) > 2:
+                continue
+            for B in _nonempty_subsets(range(n)):
+                got = _feasible_unrestricted(payoff, target, A, B)
+                assert got == slack_lp_feasible(payoff, target, A, B)
+                singles += len(A) == 1 and got is not None
+    assert singles > 100
 
 
 def test_k_uniform_pairs_integer_scan_matches_fraction_reference():
@@ -379,23 +401,33 @@ def test_safety_si_step_fig2_nonlocal_details(fig2):
     # First round on the stalled valuation: no local improvement, the
     # turn-based reduction lifts exactly {s0, s1}, and the new choice at s0
     # is the pure switch that forces the adversary away from the 1/3 class.
-    from congame.safety_si import SafetySIState, safety_si_step, normalize_safety
-    from congame import uniform_selector, strategy_value_safety
-
     safe = [s for s in fig2.states if s != "s4"]
-    ctx = normalize_safety(fig2, safe)
-    selector = uniform_selector(ctx.game)
-    value = strategy_value_safety(ctx.game, selector, ctx.safe)
-    switches, nonlocal_step = improvement_switches(ctx.game, value, ctx.safe, ctx.w1)
+    runner = SafetySIRunner(fig2, safe)
+    switches, nonlocal_step = improvement_switches(runner.game, runner.values, runner.safe, runner.w1)
     assert set(switches) == {"s0", "s1"} and nonlocal_step is True
-    state = SafetySIState(selector, value, False, False)
-    nxt = safety_si_step(ctx.game, state, ctx.safe, ctx.w1)
-    assert nxt.fired_nonlocal and not nxt.finished
-    assert nxt.selector.choice["s0"] == {"to-s1": ONE}
-    assert nxt.valuation["s0"] == F(2, 3)
+    assert runner.step()
+    assert runner.fired_nonlocal and not runner.finished
+    assert runner.selector.choice["s0"] == {"to-s1": ONE}
+    assert runner.values["s0"] == F(2, 3)
     # second round: nothing left anywhere
-    last = safety_si_step(ctx.game, nxt, ctx.safe, ctx.w1)
-    assert last.finished
+    assert runner.step() is False
+    assert runner.finished and runner.optimal
+
+
+def test_optimal_is_the_unrestricted_stop_at_the_fixpoint():
+    # A plain fixpoint is optimal; a k-uniform one exactly when the
+    # unrestricted round would switch nothing there.  No runner is optimal
+    # before it finishes.
+    rng = random.Random(1902)
+    for _ in range(8):
+        game = random_concurrent_game(rng, n_states=3, max_moves=2)
+        safe = set(rng.sample(game.states, rng.randint(1, 2)))
+        runner = SafetySIRunner(game, safe, k=len(game.moves))
+        assert not runner.optimal
+        runner.run(10_000)
+        assert runner.finished
+        switches, _ = improvement_switches(runner.game, runner.values, safe, runner.w1)
+        assert runner.optimal == (not switches)
 
 
 def test_improvement_switches_empty_at_fig2_value(fig2):
@@ -404,6 +436,7 @@ def test_improvement_switches_empty_at_fig2_value(fig2):
     result = run_safety_si(fig2, safe)
     assert result.status == STATUS_EXACT and result.values["s0"] == F(2, 3)
     assert improvement_switches(result.game, result.values, safe, result.w1) == ({}, True)
+    assert result.optimal
 
 
 def test_improvement_switches_at_ex3full_k_uniform_fixpoint(ex3full):
@@ -417,3 +450,4 @@ def test_improvement_switches_at_ex3full_k_uniform_fixpoint(ex3full):
     switches, nonlocal_step = improvement_switches(result.game, result.values, safe, result.w1)
     assert not nonlocal_step
     assert switches == {"s0": {"a": F(5, 12), "b": F(7, 12)}}
+    assert result.finished and not result.optimal
