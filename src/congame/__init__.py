@@ -56,7 +56,9 @@ from .reach_si import (
     STATUS_CAPPED,
     STATUS_EPS,
     STATUS_EXACT,
+    TurnBasedReachRunner,
     run_reach_si,
+    run_reach_si_turn_based,
 )
 from .safety_si import (
     ConvergentSafetyRunner,

@@ -40,17 +40,21 @@ from .mdp import (
     tb_almost_sure_safe,
 )
 from .model import (
-    P1,
     GameError,
     GameStructure,
     Selector,
     TurnBasedGame,
     Valuation,
-    edge_move,
     encode_turn_based_as_concurrent,
     swap_players,
 )
-from .reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT, run_reach_si
+from .reach_si import (
+    STATUS_CAPPED,
+    STATUS_EPS,
+    STATUS_EXACT,
+    run_reach_si,
+    run_reach_si_turn_based,
+)
 from .safety_si import (
     normalize_safety,
     run_convergent_safety_si,
@@ -219,17 +223,13 @@ def _vi(p: Problem) -> Solve:
 
 
 def _reach_si(p: Problem) -> Solve:
-    runner = run_reach_si(p.game, p.chosen, max_iters=p.max_iters, tb=p.tb)
     if p.tb is None:
-        return _improvement(runner)
+        return _improvement(run_reach_si(p.game, p.chosen, max_iters=p.max_iters))
+    runner = run_reach_si_turn_based(p.tb, p.chosen, max_iters=p.max_iters)
     # Turn-based reports name the pure strategy's successor edges and, to
     # keep their bytes, print no trace.
     frozen = runner.target | runner.w2
-    pure = {}
-    for s in sorted(p.tb.states):
-        if p.tb.partition[s] == P1 and s not in frozen:
-            (move,) = runner.selector.choice[s]
-            pure[s] = next(t for t in p.tb.edges[s] if edge_move(t) == move)
+    pure = {s: runner.picks[s] for s in sorted(runner.picks) if s not in frozen}
     return Solve(
         runner.status, runner.values, runner.iterations, runner.selector, runner.values,
         after={"pure_strategy": pure},

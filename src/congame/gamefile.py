@@ -2,7 +2,8 @@
 
 A game file is a JSON document.  Every probability is written as an exact
 rational string like ``"1/2"`` or ``"1"``; decimal floats are rejected so
-that parsing never loses precision.
+that parsing never loses precision, and so is exponent notation
+(``"1e-3"``).
 
 Concurrent games::
 
@@ -44,10 +45,13 @@ def parse_fraction(text: object, where: str) -> Fraction:
             f"{where}: probabilities must be exact rational strings, got {text!r}"
         )
     try:
-        value = Fraction(text)
+        # Exponent notation is not the documented form, and a large exponent
+        # would make ``Fraction`` build an integer of that many digits.
+        if "e" in text or "E" in text:
+            raise ValueError("exponent notation")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise GameFormatError(f"{where}: cannot parse rational {text!r}") from exc
-    return value
 
 
 def _string_list(doc: dict, key: str) -> list[str]:

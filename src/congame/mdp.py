@@ -18,7 +18,9 @@ calls, so a second evaluation (``--verify``) recomputes everything.
 
 Evaluating a selector needs its target-like states absorbing.  The induced
 MDP gets those self-loops directly (``_induce_absorbing``); no absorbing
-copy of the game is built per evaluation.
+copy of the game is built per evaluation.  A pure player-1 strategy of a
+turn-based game is evaluated the same way from the graph itself
+(``tb_induce_mdp``), without the concurrent encoding.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from typing import AbstractSet, Callable, Iterable, Mapping
 from .model import (
     GameStructure,
     GameError,
+    NOOP_MOVE,
     ONE,
     P1,
     P2,
+    RANDOM,
     Selector,
     TurnBasedGame,
     ZERO,
@@ -434,3 +438,63 @@ def strategy_value_reach(
         raise ImproperSelectorError(trap)
     reach = max_reach_values(mdp, W2)
     return {s: ONE - reach[s] for s in game.states}
+
+
+def tb_value_zero(tb: TurnBasedGame, T: Iterable[str]) -> frozenset[str]:
+    """``compute_W2`` on the graph: the greatest set outside T in which a
+    player-2 node has some successor inside and every other node has all
+    its successors inside."""
+    return _greatest_fixpoint(
+        set(tb.states) - set(T),
+        lambda s, X: (any if tb.partition[s] == P2 else all)(t in X for t in tb.edges[s]),
+        tb.edges.__getitem__,
+    )
+
+
+def tb_induce_mdp(
+    tb: TurnBasedGame, picks: Mapping[str, str], done: AbstractSet[str]
+) -> InducedMDP:
+    """Player-2 MDP of the pure player-1 strategy ``picks`` (a successor per
+    player-1 node), with every node in ``done`` absorbing.
+
+    It is ``_induce_absorbing`` of the concurrent encoding, up to action
+    names, built from the graph: a player-1 node moves to its pick and a
+    random node follows its distribution, each by the single action
+    ``NOOP_MOVE``; a player-2 node has one action per edge, in edge order,
+    named by its successor.  Every action of a node in ``done`` is a
+    self-loop.
+    """
+    actions: dict[str, tuple[str, ...]] = {}
+    delta2: dict[tuple[str, str], dict[str, Fraction]] = {}
+    for s in tb.states:
+        kind = tb.partition[s]
+        acts = tb.edges[s] if kind == P2 else (NOOP_MOVE,)
+        actions[s] = acts
+        if s in done:
+            loop = {s: ONE}
+            for b in acts:
+                delta2[(s, b)] = loop
+        elif kind == P2:
+            for t in acts:
+                delta2[(s, t)] = {t: ONE}
+        elif kind == RANDOM:
+            delta2[(s, NOOP_MOVE)] = tb.prob[s]
+        else:
+            delta2[(s, NOOP_MOVE)] = {picks[s]: ONE}
+    return InducedMDP(tb.states, actions, delta2)
+
+
+def tb_strategy_value_reach(
+    tb: TurnBasedGame, picks: Mapping[str, str], T: Iterable[str], W2: Iterable[str]
+) -> dict[str, Fraction]:
+    """``strategy_value_reach`` of the pure strategy ``picks`` on the graph:
+    one ``tb_induce_mdp`` with T and W2 absorbing serves the properness
+    check and the evaluation."""
+    W2 = set(W2)
+    done = set(T) | W2
+    mdp = tb_induce_mdp(tb, picks, done)
+    trap = _trap(mdp, done)
+    if trap:
+        raise ImproperSelectorError(trap)
+    reach = max_reach_values(mdp, W2)
+    return {s: ONE - reach[s] for s in tb.states}

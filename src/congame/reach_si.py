@@ -1,16 +1,18 @@
-"""Strategy improvement for concurrent reachability games.
+"""Strategy improvement for reachability games.
 
 The loop keeps a proper player-1 selector, recomputes its exact value by
 solving the induced MDP, and rewrites the selector on exactly the states
 where the one-step operator can beat the current value.  Starting from the
 uniform selector (which is always proper) every iterate stays proper, the
 values increase monotonically, and a natural stop (no improvable state)
-certifies the exact game value.  A turn-based game runs through the same
-loop on its concurrent encoding, started from the pure attractor selector
-instead: every one-step matrix there has a single row or a single column,
-so each ``Pre1`` witness is a pure move (the first best successor) and the
-loop is Hoffman-Karp pure strategy iteration, which terminates because
-pure selectors are finite.
+certifies the exact game value.
+
+On a turn-based game the same loop, started from the pure attractor
+selector, is Hoffman-Karp pure strategy iteration: every one-step game has
+one row or one column, so each ``Pre1`` witness is a pure move, the first
+best successor.  ``TurnBasedReachRunner`` runs it on the graph itself,
+with no concurrent encoding, no absorbing copy and no matrix games; it
+terminates because pure strategies are finite.
 
 ``Runner`` is the shape every capped improvement loop shares, here, in
 ``safety_si`` and in ``certify``; a finished runner is its own result.
@@ -18,6 +20,7 @@ pure selectors are finite.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .matrix import pre1
@@ -26,15 +29,21 @@ from .mdp import (
     compute_W2,
     strategy_value_reach,
     tb_attractor,
+    tb_strategy_value_reach,
+    tb_value_zero,
 )
 from .model import (
+    NOOP_MOVE,
+    ONE,
+    P1,
+    P2,
+    ZERO,
     GameStructure,
     Selector,
     TurnBasedGame,
     Valuation,
     edge_move,
     make_absorbing,
-    pure_selector,
     uniform_selector,
 )
 
@@ -50,11 +59,13 @@ class Runner:
     ``run(cap)`` steps until the fixpoint or ``cap`` rounds in all and
     returns the runner.  ``iterations`` counts the rounds run, ``finished``
     says the last one found the fixpoint (status exact, else capped).
-    Subclasses set ``game`` (the normalized game they improve on) and
+    Subclasses set ``game`` (the normalized game they improve on, or for a
+    runner on a turn-based graph the ``TurnBasedGame`` itself) and
     ``valuations`` (the exact value of every selector held, oldest first;
-    ``values`` is the last), provide ``selector`` (achieving ``values``)
-    and implement ``_round``, which improves once, records any new value
-    and returns True at the fixpoint.
+    ``values`` is the last), provide ``selector`` (achieving ``values``,
+    on a graph in the move names of its concurrent encoding) and implement
+    ``_round``, which improves once, records any new value and returns
+    True at the fixpoint.
     """
 
     finished = False
@@ -90,25 +101,15 @@ class ReachSIRunner(Runner):
 
     It holds the current ``selector``, the ``valuations`` of every selector
     held and ``improve_set``, the states the last round switched.  It
-    starts from the uniform selector or, given the turn-based game ``tb``
-    that ``game`` encodes, from the pure attractor selector towards the
-    target and the value-zero states.  Both are proper.  From the pure
-    start every selector stays pure: the ``Pre1`` witness of a one-column
-    matrix game is its first best row.
+    starts from the uniform selector, which is proper.  A turn-based game
+    runs on its graph instead, in ``TurnBasedReachRunner``.
     """
 
-    def __init__(self, game: GameStructure, T: Iterable[str], tb: TurnBasedGame | None = None):
+    def __init__(self, game: GameStructure, T: Iterable[str]):
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
         self.game = make_absorbing(game, self.target | self.w2)
-        if tb is None:
-            selector = uniform_selector(self.game)
-        else:
-            # The attractor never reads the edges of its base, so ``tb`` needs
-            # no absorbing copy.
-            _, attract = tb_attractor(tb, self.target | self.w2)
-            picks = {s: edge_move(t) for s, t in attract.items()}
-            selector = pure_selector(self.game, 1, picks)
+        selector = uniform_selector(self.game)
         try:
             value = strategy_value_reach(self.game, selector, self.target, self.w2)
         except ImproperSelectorError as err:
@@ -154,15 +155,106 @@ class ReachSIRunner(Runner):
         return False
 
 
-def run_reach_si(
-    game: GameStructure,
-    T: Iterable[str],
-    max_iters: int = 1000,
-    tb: TurnBasedGame | None = None,
-) -> ReachSIRunner:
-    """Full reachability strategy improvement; ``tb``, the turn-based game
-    ``game`` encodes, starts it from the pure attractor selector.
+def run_reach_si(game: GameStructure, T: Iterable[str], max_iters: int = 1000) -> ReachSIRunner:
+    """Full reachability strategy improvement.
 
     Stops when no state is improvable (exact value) or at the iteration cap.
     """
-    return ReachSIRunner(game, T, tb).run(max_iters)
+    return ReachSIRunner(game, T).run(max_iters)
+
+
+class TurnBasedReachRunner(Runner):
+    """Hoffman-Karp strategy iteration for Reach(T) on a turn-based game.
+
+    It holds player 1's pure strategy as ``picks``, one successor per
+    player-1 node, with ``valuations`` and ``improve_set`` as in
+    ``ReachSIRunner``; ``game`` is the ``TurnBasedGame`` and ``w2`` its
+    value-zero nodes.  The start picks the attractor's successor towards
+    T and W2, and the first edge where the attractor gives none; that
+    strategy is proper.  Each round switches the player-1 nodes outside T
+    and W2 whose best successor beats their value strictly to their first
+    best successor in edge order.
+
+    Round for round it is ``ReachSIRunner`` on the concurrent encoding
+    started from the same pure selector: the same W2, values, improvement
+    sets and strategies, since the ``Pre1`` witness of a one-column matrix
+    game is its first best row.  ``selector`` renders ``picks`` in the
+    encoding's move names.
+    """
+
+    def __init__(self, tb: TurnBasedGame, T: Iterable[str]):
+        self.game = tb
+        self.target = frozenset(T) & frozenset(tb.states)
+        self.w2 = tb_value_zero(tb, self.target)
+        _, attract = tb_attractor(tb, self.target | self.w2)
+        self.picks = {
+            s: attract.get(s, tb.edges[s][0]) for s in tb.states if tb.partition[s] == P1
+        }
+        try:
+            value = tb_strategy_value_reach(tb, self.picks, self.target, self.w2)
+        except ImproperSelectorError as err:
+            raise AssertionError(
+                f"initial selector is improper; trap {sorted(err.witness)}"
+            ) from None
+        self.valuations: list[Valuation] = [value]
+        self.improve_set: frozenset[str] = frozenset()
+
+    @property
+    def selector(self) -> Selector:
+        return Selector({
+            s: {edge_move(self.picks[s]) if s in self.picks else NOOP_MOVE: ONE}
+            for s in self.game.states
+        })
+
+    def _round(self) -> bool:
+        """Switch to the first best successor where it beats the current
+        value strictly; no such node is the fixpoint."""
+        tb, v = self.game, self.values
+        done = self.target | self.w2
+        switch: dict[str, str] = {}
+        for s in self.picks:
+            if s not in done:
+                best = max(tb.edges[s], key=v.__getitem__)  # the first of the maxima
+                if v[best] > v[s]:
+                    switch[s] = best
+        self.improve_set = frozenset(switch)
+        if not switch:
+            return True
+        picks = {**self.picks, **switch}
+        try:
+            value = tb_strategy_value_reach(tb, picks, self.target, self.w2)
+        except ImproperSelectorError as err:
+            raise AssertionError(
+                f"improvement lost properness; trap {sorted(err.witness)}"
+            ) from None
+        for s in tb.states:
+            if value[s] < self._pre1(v, s, done):
+                raise AssertionError(f"improvement step decreased the bound at {s!r}")
+        for s in switch:
+            if not value[s] > v[s]:
+                raise AssertionError(f"no strict improvement at {s!r}")
+        self.picks = picks
+        self.valuations.append(value)
+        return False
+
+    def _pre1(self, v: Valuation, s: str, done: frozenset[str]) -> Fraction:
+        """``Pre1(v)`` at ``s``, read off the graph; the nodes in ``done``
+        are absorbing."""
+        if s in done:
+            return v[s]
+        kind, succ = self.game.partition[s], self.game.edges[s]
+        if kind == P1:
+            return max(v[t] for t in succ)
+        if kind == P2:
+            return min(v[t] for t in succ)
+        return sum((p * v[t] for t, p in self.game.prob[s].items()), ZERO)
+
+
+def run_reach_si_turn_based(
+    tb: TurnBasedGame, T: Iterable[str], max_iters: int = 1000
+) -> TurnBasedReachRunner:
+    """Full Hoffman-Karp strategy iteration on a turn-based game.
+
+    Stops when no node is improvable (exact value) or at the iteration cap.
+    """
+    return TurnBasedReachRunner(tb, T).run(max_iters)

@@ -35,11 +35,10 @@ from congame.model import (
     Selector,
     TurnBasedGame,
     Valuation,
-    encode_turn_based_as_concurrent,
     make_absorbing,
     swap_players,
 )
-from congame.reach_si import ReachSIRunner, run_reach_si
+from congame.reach_si import ReachSIRunner
 from congame.safety_si import (
     ConvergentSafetyRunner,
     SupportPair,
@@ -266,12 +265,6 @@ def round_to_k_uniform(
         if p / q > 1 + eta or q / p > 1 + eta:
             raise AssertionError(f"rounding bound violated at {a!r}: {p} -> {q}")
     return total, rounded
-
-
-def reach_si_turn_based(tb: TurnBasedGame, T: Iterable[str]) -> ReachSIRunner:
-    """Turn-based reachability strategy improvement as ``solve`` runs it: on
-    the concurrent encoding, from the pure attractor selector."""
-    return run_reach_si(encode_turn_based_as_concurrent(tb), T, tb=tb)
 
 
 def is_absorbing(game: GameStructure, s: str) -> bool:

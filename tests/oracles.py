@@ -6,12 +6,14 @@ explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
 greatest fixpoints over supports rebuilt at every test, and exhaustive
 strategy enumeration for small games.
-None of it shares code with the solver paths it checks, with two deliberate
-exceptions on the package's integer simplex: the reachability linear program
-for MDP values, so comparing it with `mdp.max_reach_values` (policy
-iteration, no LP) cross-checks the integer simplex against policy iteration;
-and the slack LP for support pairs, the reference for the closed forms and
-pruning of `safety_si`.
+None of it shares code with the solver paths it checks, with three deliberate
+exceptions.  Two are on the package's integer simplex: the reachability
+linear program for MDP values, so comparing it with `mdp.max_reach_values`
+(policy iteration, no LP) cross-checks the integer simplex against policy
+iteration; and the slack LP for support pairs, the reference for the closed
+forms and pruning of `safety_si`.  The third is `EncodedTurnBasedReach`,
+the concurrent reachability improvement run on a turn-based game's
+encoding, the reference for the graph runner that replaced it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import itertools
 from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
-from congame.model import P1, P2
+from congame.mdp import strategy_value_reach, tb_attractor
+from congame.model import P1, P2, edge_move, encode_turn_based_as_concurrent, pure_selector
+from congame.reach_si import ReachSIRunner
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -382,6 +386,21 @@ def tb_reach_value_oracle(tb, targets):
         else:
             best = {s: max(best[s], worst[s]) for s in tb.states}
     return best
+
+
+class EncodedTurnBasedReach(ReachSIRunner):
+    """Turn-based reachability improvement on the concurrent encoding:
+    ``ReachSIRunner`` on ``encode_turn_based_as_concurrent(tb)`` restarted
+    from the pure attractor selector towards T and W2 (the first edge where
+    the attractor gives no pick).  Every one-step game there has one row or
+    one column, so its rounds run through the closed-form matrix games."""
+
+    def __init__(self, tb, T):
+        super().__init__(encode_turn_based_as_concurrent(tb), T)
+        _, attract = tb_attractor(tb, self.target | self.w2)
+        picks = {s: edge_move(t) for s, t in attract.items()}
+        self.selector = pure_selector(self.game, 1, picks)
+        self.valuations = [strategy_value_reach(self.game, self.selector, self.target, self.w2)]
 
 
 def pure_strategy_count(tb, owner) -> int:

@@ -20,6 +20,7 @@ from congame import (
     run_convergent_safety_si,
     run_k_uniform_si,
     run_reach_si,
+    run_reach_si_turn_based,
     run_safety_si,
     solve_matrix_game,
 )
@@ -30,7 +31,7 @@ from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 from congame.cli import main as cli_main
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import check_determinacy_bracket, is_proper, reach_si_turn_based, round_to_k_uniform
+from helpers import check_determinacy_bracket, is_proper, round_to_k_uniform
 from oracles import (
     brute_force_k_uniform_best,
     matrix_value_oracle,
@@ -176,7 +177,7 @@ def test_criterion_07_turn_based_oracle_equivalence():
     for _ in range(100):
         tb = random_tb_game(rng, n_states=6, max_succ=3)
         target = set(rng.sample(tb.states, rng.randint(1, 2)))
-        result = reach_si_turn_based(tb, target)
+        result = run_reach_si_turn_based(tb, target)
         oracle = tb_reach_value_oracle(tb, target)
         assert result.values == oracle
         assert result.iterations <= max(1, pure_strategy_count(tb, "P1"))

@@ -246,6 +246,35 @@ def test_validate_names_path_for_unknown_zero_probability_successor(capsys, tmp_
     assert err == f"error: {game}: random state 's1': unknown successor 'zz'\n"
 
 
+def test_validate_rejects_exponent_notation(capsys, tmp_path):
+    # Fraction would accept it, after building a 10-million-digit integer.
+    game = tmp_path / "bad.game"
+    game.write_text(
+        json.dumps({
+            "type": "concurrent", "states": ["s0"],
+            "moves1": {"s0": ["a"]}, "moves2": {"s0": ["b"]},
+            "delta": {"s0": {"a": {"b": {"s0": "1e-10000000"}}}},
+        }),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "validate", str(game))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {game}: delta['s0']['a']['b']['s0']: cannot parse rational '1e-10000000'\n"
+    )
+
+
+@pytest.mark.parametrize("eps", ["1e-3", "1E-3"])
+def test_certify_rejects_exponent_notation(example_dir, capsys, eps):
+    code, out, err = run_cli(
+        capsys,
+        "solve", str(example_dir / "fig2.game"), "--objective", "safe:not-s4",
+        "--algorithm", f"certify:{eps}",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --algorithm certify:EPS: cannot parse rational '{eps}'\n"
+
+
 def test_validate_non_utf8_names_path(capsys, tmp_path):
     game = tmp_path / "bad.game"
     game.write_bytes(b"\xff\xfe{}")
@@ -280,8 +309,8 @@ def test_duplicate_move_ids_rejected(capsys, tmp_path, key, algorithm):
 
 def test_reach_si_builds_no_game_copy_per_round(capsys, tmp_path, monkeypatch):
     # Reach-si improves twice here before it stops.  One game for the
-    # turn-based encoding and one for the runner's absorbing normalization,
-    # however many rounds run; evaluating a selector and --verify build none.
+    # turn-based encoding, however many rounds run: the solver works on the
+    # graph, and evaluating a selector and --verify build none.
     game = tmp_path / "rounds.game"
     game.write_text(
         json.dumps({
@@ -313,7 +342,7 @@ def test_reach_si_builds_no_game_copy_per_round(capsys, tmp_path, monkeypatch):
         )
         report = json.loads(out)
         assert report["iterations"] == rounds and report["verified"] is True
-        assert len(built) == 2
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("error", [AssertionError, RuntimeError])

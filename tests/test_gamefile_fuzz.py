@@ -3,11 +3,11 @@
 Valid concurrent and turn-based documents are mutated a few times each
 (dropped keys, values of the wrong type, unknown or renamed ids, added
 entries, zero-probability entries, bad, negative or unnormalized
-rationals).  Every outcome must be a parsed game, one that a turn-based
-game also encodes as a concurrent one, or a ``GameFormatError``; anything
-else escapes ``congame validate`` as an error without the file path, or as
-a traceback.  The run is derandomized and bounded, so it is the same 200
-documents every time.
+rationals, exponent notation).  Every outcome must be a parsed game, one
+that a turn-based game also encodes as a concurrent one, or a
+``GameFormatError``; anything else escapes ``congame validate`` as an
+error without the file path, or as a traceback.  The run is derandomized
+and bounded, so it is the same 200 documents every time.
 """
 
 from __future__ import annotations
@@ -38,10 +38,17 @@ BASES = {name: json.loads(example_text(name)) for name in EXAMPLE_NAMES}
 BASES["small-tb"] = SMALL_TB
 
 IDS = st.sampled_from(["zz", "", "s0", "s2", "a", "⊥", "to-s1", "P1", "R"])
-RATIONALS = st.sampled_from(
+# Exponent notation is rejected before ``Fraction`` sees it, which would
+# otherwise build an integer with as many digits as the exponent says.
+EXPONENTS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["1", "-1", "0", "2.5", "1/2"]),
+    st.sampled_from(["e", "E"]),
+    st.sampled_from(["-10000000", "+5000000", "0", "-3", "+2"]),
+)
+RATIONALS = EXPONENTS | st.sampled_from(
     ["1/0", "abc", "", " ", "1//2", "nan", "inf", "0.5", "-1/2", "-0", "0", "2", "3/2", "1/3"]
 )
-# Short strings only: Fraction("1e999999999") alone would take minutes.
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4) | RATIONALS,

@@ -6,17 +6,19 @@ from fractions import Fraction
 
 from congame import (
     ReachSIRunner,
+    TurnBasedReachRunner,
     compute_W2,
     reach_value_iteration,
     run_reach_si,
+    run_reach_si_turn_based,
     strategy_value_reach,
     uniform_selector,
 )
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import is_proper, reach_si_turn_based
-from oracles import pure_strategy_count, tb_reach_value_oracle
+from helpers import is_proper
+from oracles import EncodedTurnBasedReach, pure_strategy_count, tb_reach_value_oracle
 
 F = Fraction
 
@@ -127,7 +129,7 @@ def test_turn_based_fig2_role_swap(fig2_tb):
         fig2_tb.edges,
         fig2_tb.prob,
     )
-    result = reach_si_turn_based(swapped, {"s4"})
+    result = run_reach_si_turn_based(swapped, {"s4"})
     assert result.values["s0"] == F(1, 3)
     assert result.values["s1"] == F(1, 3)
 
@@ -141,7 +143,7 @@ def test_turn_based_unreachable_target():
         {"x": ("x",), "goal": ("goal",)},
         {"x": {"x": ONE}, "goal": {"goal": ONE}},
     )
-    result = reach_si_turn_based(tb, {"goal"})
+    result = run_reach_si_turn_based(tb, {"goal"})
     assert result.values == {"x": ZERO, "goal": ONE}
 
 
@@ -150,7 +152,39 @@ def test_turn_based_oracle_sample():
     for _ in range(25):
         tb = random_tb_game(rng, n_states=5, max_succ=3)
         target = set(rng.sample(tb.states, rng.randint(1, 2)))
-        result = reach_si_turn_based(tb, target)
+        result = run_reach_si_turn_based(tb, target)
         oracle = tb_reach_value_oracle(tb, target)
         assert result.values == oracle
         assert result.iterations <= max(1, pure_strategy_count(tb, "P1"))
+
+
+def _observed(runner):
+    return (
+        runner.valuations, runner.improve_set, runner.selector.choice, runner.w2,
+        runner.iterations, runner.status,
+    )
+
+
+def test_graph_runner_matches_encoding_step_by_step():
+    """The graph runner takes the same rounds as the concurrent path on the
+    encoding: the same W2, values, improvement sets and selectors at every
+    step, and the same results under a cap."""
+    rng = random.Random(2101)
+    steps = 0
+    for _ in range(300):
+        tb = random_tb_game(rng, n_states=rng.randint(2, 25), max_succ=rng.randint(1, 4))
+        target = set(rng.sample(tb.states, rng.randint(1, 2)))
+        graph = TurnBasedReachRunner(tb, target)
+        encoded = EncodedTurnBasedReach(tb, target)
+        assert _observed(graph) == _observed(encoded)
+        while True:
+            progress = graph.step()
+            assert encoded.step() == progress
+            assert _observed(graph) == _observed(encoded)
+            steps += 1
+            if not progress:
+                break
+        for cap in (1, 2, 3):
+            capped = run_reach_si_turn_based(tb, target, max_iters=cap)
+            assert _observed(capped) == _observed(EncodedTurnBasedReach(tb, target).run(cap))
+    assert steps > 300  # some games improve before they stop

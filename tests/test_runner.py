@@ -18,6 +18,7 @@ from congame import (
     ConvergentSafetyRunner,
     ReachSIRunner,
     SafetySIRunner,
+    TurnBasedReachRunner,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
@@ -37,10 +38,10 @@ RANDOM_TB = random_tb_game(random.Random(3), n_states=6, max_succ=3)
 CASES = {
     "reach-fig1": ("fig1", "reach", {"s0"}, ReachSIRunner, STATUS_EXACT),
     "tb-reach-fig2": (
-        FIG2, "reach", {"s2"}, lambda g, T: ReachSIRunner(g, T, tb=FIG2), STATUS_EXACT,
+        FIG2, "reach", {"s2"}, lambda g, T: TurnBasedReachRunner(FIG2, T), STATUS_EXACT,
     ),
     "tb-reach-random": (
-        RANDOM_TB, "reach", {"q5"}, lambda g, T: ReachSIRunner(g, T, tb=RANDOM_TB),
+        RANDOM_TB, "reach", {"q5"}, lambda g, T: TurnBasedReachRunner(RANDOM_TB, T),
         STATUS_EXACT,
     ),
     "reach-ex3step1": ("ex3step1", "reach", {"s1"}, ReachSIRunner, STATUS_CAPPED),

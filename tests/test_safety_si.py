@@ -15,6 +15,7 @@ from congame import (
     opt_sel_count,
     run_convergent_safety_si,
     run_k_uniform_si,
+    run_reach_si_turn_based,
     run_safety_si,
     tb_reduction,
 )
@@ -26,7 +27,7 @@ from congame.safety_si import _feasible_unrestricted, _nonempty_subsets
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
-    k_uniform_pairs, opt_sel_feasible, reach_si_turn_based, reference_k_uniform_pairs,
+    k_uniform_pairs, opt_sel_feasible, reference_k_uniform_pairs,
     round_to_k_uniform,
 )
 from oracles import brute_force_k_uniform_best, slack_lp_feasible
@@ -338,7 +339,7 @@ def test_k_uniform_turn_based_exact():
             tb.prob,
         )
         complement = [s for s in tb.states if s not in safe]
-        dual = reach_si_turn_based(swapped, complement)
+        dual = run_reach_si_turn_based(swapped, complement)
         assert all(result.values[s] == 1 - dual.values[s] for s in tb.states)
 
 
