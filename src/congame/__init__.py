@@ -15,7 +15,6 @@ from .model import (
     encode_turn_based_as_concurrent,
     indicator,
     make_absorbing,
-    pure_selector,
     swap_players,
     uniform_selector,
 )

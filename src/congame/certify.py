@@ -29,11 +29,19 @@ from .reach_si import (
 )
 from .safety_si import ConvergentSafetyRunner
 
+# Denominator bits above which the reach side rounds its witnesses
+# (``ReachSIRunner``'s ``max_bits``), well below CPython's 4300-digit
+# (about 14 284-bit) limit on printing integers.
+REACH_MAX_BITS = 1024
+
 
 class Certifier(Runner):
     """Player 1's convergent safety sequence (``safety``) interleaved with
     player 2's reachability improvement on the complement (``reach``, on
-    the game with the players swapped).
+    the game with the players swapped).  ``reach`` rounds every witness
+    with a denominator wider than ``REACH_MAX_BITS`` bits to a dyadic one
+    (see ``ReachSIRunner``), so its iterates stop doubling in bit size;
+    the exact value of any proper selector is still a lower bound.
 
     Each round steps ``safety`` and then ``reach``, testing the three
     stopping rules after each step: ``reach`` hit its fixpoint (exact),
@@ -54,7 +62,7 @@ class Certifier(Runner):
         safe = frozenset(F) & frozenset(game.states)
         self.safety = ConvergentSafetyRunner(game, safe)
         self.reach = ReachSIRunner(
-            swap_players(game), [s for s in game.states if s not in safe]
+            swap_players(game), [s for s in game.states if s not in safe], REACH_MAX_BITS
         )
 
     @property

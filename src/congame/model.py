@@ -202,19 +202,6 @@ def uniform_selector(game: GameStructure) -> Selector:
     return Selector(choice)
 
 
-def pure_selector(game: GameStructure, player: int, picks: Mapping[str, str]) -> Selector:
-    """Pure selector from a state -> move map; missing states default to the
-    first available move."""
-    assignment = game.moves1 if player == 1 else game.moves2
-    choice = {}
-    for s in game.states:
-        a = picks.get(s, assignment[s][0])
-        if a not in assignment[s]:
-            raise GameError(f"pure selector at {s!r}: move {a!r} unavailable")
-        choice[s] = {a: ONE}
-    return Selector(choice)
-
-
 def swap_players(game: GameStructure) -> GameStructure:
     """Exchange the roles of the two players (player 1 of the result is
     player 2 of the input)."""

@@ -20,10 +20,11 @@ terminates because pure strategies are finite.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .matrix import pre1
+from .matrix import MatrixGame, one_step_matrix, pre1
 from .mdp import (
     ImproperSelectorError,
     compute_W2,
@@ -95,6 +96,35 @@ class Runner:
         return self
 
 
+def _dyadic_rounding(
+    matrix: MatrixGame, mix: Mapping[str, Fraction], floor: Fraction
+) -> tuple[dict[str, Fraction], Fraction]:
+    """The coarsest dyadic rounding of ``mix`` whose one-step value in
+    ``matrix`` is at least ``floor``, with that value.
+
+    For j = 1, 2, ... every probability is rounded to the nearest multiple
+    of 2^-j and the most probable move (the first on ties) takes the rest;
+    the first j that gives a distribution reaching ``floor`` wins.  The
+    roundings tend to ``mix``, so a ``floor`` below its own one-step value
+    is met at some finite j.
+    """
+    row = {a: i for i, a in enumerate(matrix.rows)}
+    top = max(mix, key=mix.__getitem__)
+    for j in itertools.count(1):
+        scale = 1 << j
+        rounded = {a: Fraction(round(p * scale), scale) for a, p in mix.items() if a != top}
+        rest = ONE - sum(rounded.values(), ZERO)
+        if rest < 0:
+            continue
+        rounded[top] = rest
+        value = min(
+            sum((p * matrix.payoff[row[a]][b] for a, p in rounded.items()), ZERO)
+            for b in range(len(matrix.cols))
+        )
+        if value >= floor:
+            return {a: rounded[a] for a in mix if rounded[a]}, value
+
+
 class ReachSIRunner(Runner):
     """Reachability strategy improvement (the two-sided certifier steps it
     directly, interleaved with the safety sequence).
@@ -103,9 +133,19 @@ class ReachSIRunner(Runner):
     held and ``improve_set``, the states the last round switched.  It
     starts from the uniform selector, which is proper.  A turn-based game
     runs on its graph instead, in ``TurnBasedReachRunner``.
+
+    ``max_bits`` bounds the witnesses taken: a switched state whose exact
+    ``Pre1`` witness has a probability with a denominator wider than
+    ``max_bits`` bits takes instead the coarsest dyadic rounding of it
+    whose one-step value at v reaches the midpoint (v(s) + Pre1(v)(s)) / 2.
+    That value still beats v(s) strictly, so the selector stays proper and
+    the values rise strictly; a fixpoint is still one of ``Pre1``, hence
+    the exact value.  Without it, the iterates' bit size can double every
+    round.
     """
 
-    def __init__(self, game: GameStructure, T: Iterable[str]):
+    def __init__(self, game: GameStructure, T: Iterable[str], max_bits: int | None = None):
+        self.max_bits = max_bits
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
         self.game = make_absorbing(game, self.target | self.w2)
@@ -121,10 +161,10 @@ class ReachSIRunner(Runner):
         self.improve_set: frozenset[str] = frozenset()
 
     def _round(self) -> bool:
-        """Rewrite the selector to a one-step-optimal mixture on the states
-        where ``Pre1`` strictly beats the current value (the improvement
-        set), keeping it elsewhere; an empty improvement set is the
-        fixpoint."""
+        """Rewrite the selector to a one-step-optimal mixture (or its
+        rounding, see ``max_bits``) on the states where ``Pre1`` strictly
+        beats the current value (the improvement set), keeping it
+        elsewhere; an empty improvement set is the fixpoint."""
         v = self.values
         done = self.target | self.w2
         pre_vals, witness = pre1(self.game, v)
@@ -137,6 +177,19 @@ class ReachSIRunner(Runner):
             s: dict(witness.choice[s] if s in self.improve_set else self.selector.choice[s])
             for s in self.game.states
         }
+        # The one-step value of each new choice at v, which the new value
+        # must reach.
+        bound = dict(pre_vals)
+        for s in self.improve_set:
+            if self.max_bits is not None and any(
+                p.denominator.bit_length() > self.max_bits for p in choice[s].values()
+            ):
+                midpoint = (v[s] + pre_vals[s]) / 2
+                choice[s], bound[s] = _dyadic_rounding(
+                    one_step_matrix(self.game, v, s), choice[s], midpoint
+                )
+                if bound[s] < midpoint:
+                    raise AssertionError(f"rounded witness below the midpoint at {s!r}")
         selector = Selector(choice)
         try:
             value = strategy_value_reach(self.game, selector, self.target, self.w2)
@@ -145,7 +198,7 @@ class ReachSIRunner(Runner):
                 f"improvement lost properness; trap {sorted(err.witness)}"
             ) from None
         for s in self.game.states:
-            if value[s] < pre_vals[s]:
+            if value[s] < bound[s]:
                 raise AssertionError(f"improvement step decreased the bound at {s!r}")
         for s in self.improve_set:
             if not value[s] > v[s]:

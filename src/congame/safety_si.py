@@ -14,7 +14,8 @@ Even with the non-local step the plain loop may converge below the value.
 The convergent variant restricts each round to k-uniform mixtures (finitely
 many, so each inner run terminates at the exact k-uniform optimum) and
 grows k; the resulting outer sequence of strategy values rises to the value
-of the game.
+of the game.  Each round after the first starts from the last round's
+fixpoint rather than from the uniform selector.
 
 ``SafetySIRunner`` runs the plain or, given k, the k-uniform loop, and
 ``ConvergentSafetyRunner`` the outer one; both are ``reach_si.Runner``s.
@@ -387,8 +388,10 @@ class SafetySIRunner(Runner):
     The start is the uniform selector with the pure winning choice written
     on the value-1 region: those states are absorbing in the normalized game
     and never switched, so ``selector`` achieves ``values`` on the original
-    game too.  ``fired_nonlocal`` says whether any round took the non-local
-    step.  ``optimal`` says the fixpoint passed the unrestricted stopping
+    game too.  ``start`` replaces it with a selector of ``context.game``
+    that keeps those choices (and, given k, is k-uniform), such as an
+    earlier k-uniform fixpoint.  ``fired_nonlocal`` says whether any round
+    took the non-local step.  ``optimal`` says the fixpoint passed the unrestricted stopping
     condition, so ``values`` is the value of the game; it is False until
     the runner finishes, and a k-uniform fixpoint may still fail it.
     """
@@ -401,16 +404,19 @@ class SafetySIRunner(Runner):
         F: Iterable[str],
         k: int | None = None,
         context: SafetyContext | None = None,
+        start: Selector | None = None,
     ):
         if k is not None and k < 1:
             raise GameError("k must be >= 1")
         self.context = context if context is not None else normalize_safety(game, F)
         self.game, self.w1, self.safe = self.context.game, self.context.w1, self.context.safe
         self.k = None if k is None else max(k, len(game.moves))
-        choice = uniform_selector(self.game).choice
-        for s, a in self.context.w1_actions.items():
-            choice[s] = {a: ONE}
-        self.selector = Selector(choice)
+        if start is None:
+            choice = uniform_selector(self.game).choice
+            for s, a in self.context.w1_actions.items():
+                choice[s] = {a: ONE}
+            start = Selector(choice)
+        self.selector = start
         self.valuations: list[Valuation] = [
             strategy_value_safety(self.game, self.selector, self.safe)
         ]
@@ -461,15 +467,17 @@ def run_k_uniform_si(
     k: int,
     max_iters: int = 10_000,
     _context: SafetyContext | None = None,
+    _start: Selector | None = None,
 ) -> SafetySIRunner:
     """Safety improvement restricted to k-uniform mixtures, to its fixpoint.
 
     Values rise strictly whenever the selector changes and the k-uniform
     selectors are finite, so the loop terminates; the fixpoint is the exact
     optimum over k-uniform memoryless strategies.  ``max_iters`` is a
-    budget, not a cap: running out of it raises.
+    budget, not a cap: running out of it raises.  ``_start`` is
+    ``SafetySIRunner``'s ``start``.
     """
-    runner = SafetySIRunner(game, F, k, _context).run(max_iters)
+    runner = SafetySIRunner(game, F, k, _context, _start).run(max_iters)
     if not runner.finished:
         raise RuntimeError("k-uniform improvement failed to terminate within budget")
     return runner
@@ -480,6 +488,11 @@ class ConvergentSafetyRunner(Runner):
     fixpoint (kept as ``inner``), records its exact strategy value and k,
     and stops when that fixpoint is ``optimal``.  There is no valuation
     before the first step.
+
+    The first inner run starts from the uniform selector; each later one
+    starts warm from the last fixpoint, which is k-uniform and hence
+    (k+1)-uniform.  Every inner run still ends at the exact k-uniform
+    optimum, so only the number of inner steps depends on the start.
     """
 
     def __init__(self, game: GameStructure, F: Iterable[str]):
@@ -495,7 +508,10 @@ class ConvergentSafetyRunner(Runner):
         return self.inner.selector
 
     def _round(self) -> bool:
-        inner = run_k_uniform_si(self.game, self.safe, self.k, _context=self.context)
+        start = None if self.inner is None else self.inner.selector
+        inner = run_k_uniform_si(
+            self.game, self.safe, self.k, _context=self.context, _start=start
+        )
         if self.valuations:
             for s in self.game.states:
                 if inner.values[s] < self.values[s]:

@@ -58,6 +58,19 @@ def improper_witness(
     return _trap(induce_mdp(game, xi1), set(T) | set(W2)) or None
 
 
+def pure_selector(game: GameStructure, player: int, picks: Mapping[str, str]) -> Selector:
+    """Pure selector from a state -> move map; missing states default to the
+    first available move."""
+    assignment = game.moves1 if player == 1 else game.moves2
+    choice = {}
+    for s in game.states:
+        a = picks.get(s, assignment[s][0])
+        if a not in assignment[s]:
+            raise GameError(f"pure selector at {s!r}: move {a!r} unavailable")
+        choice[s] = {a: ONE}
+    return Selector(choice)
+
+
 def is_proper(game: GameStructure, xi1: Selector, T: Iterable[str], W2: Iterable[str]) -> bool:
     return improper_witness(game, xi1, T, W2) is None
 

@@ -6,14 +6,17 @@ explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
 greatest fixpoints over supports rebuilt at every test, and exhaustive
 strategy enumeration for small games.
-None of it shares code with the solver paths it checks, with three deliberate
+None of it shares code with the solver paths it checks, with four deliberate
 exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
 (policy iteration, no LP) cross-checks the integer simplex against policy
 iteration; and the slack LP for support pairs, the reference for the closed
 forms and pruning of `safety_si`.  The third is `EncodedTurnBasedReach`,
 the concurrent reachability improvement run on a turn-based game's
-encoding, the reference for the graph runner that replaced it.
+encoding, the reference for the graph runner that replaced it.  The fourth
+is `ColdConvergentSafety`, the convergent safety loop with every k-uniform
+run started from the uniform selector, the reference for the warm-started
+rounds.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
 from congame.mdp import strategy_value_reach, tb_attractor
-from congame.model import P1, P2, edge_move, encode_turn_based_as_concurrent, pure_selector
+from congame.model import P1, P2, Selector, edge_move, encode_turn_based_as_concurrent
 from congame.reach_si import ReachSIRunner
+from congame.safety_si import ConvergentSafetyRunner, run_k_uniform_si
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -398,9 +402,29 @@ class EncodedTurnBasedReach(ReachSIRunner):
     def __init__(self, tb, T):
         super().__init__(encode_turn_based_as_concurrent(tb), T)
         _, attract = tb_attractor(tb, self.target | self.w2)
-        picks = {s: edge_move(t) for s, t in attract.items()}
-        self.selector = pure_selector(self.game, 1, picks)
+        moves = self.game.moves1
+        self.selector = Selector({
+            s: {edge_move(attract[s]) if s in attract else moves[s][0]: ONE}
+            for s in self.game.states
+        })
         self.valuations = [strategy_value_reach(self.game, self.selector, self.target, self.w2)]
+
+
+class ColdConvergentSafety(ConvergentSafetyRunner):
+    """The convergent safety loop with every inner k-uniform run started
+    cold, from the uniform selector with the W1 choices written in."""
+
+    def _round(self) -> bool:
+        inner = run_k_uniform_si(self.game, self.safe, self.k, _context=self.context)
+        if self.valuations:
+            for s in self.game.states:
+                if inner.values[s] < self.values[s]:
+                    raise AssertionError(f"outer sequence regressed at {s!r}")
+        self.inner = inner
+        self.valuations.append(inner.values)
+        self.ks.append(inner.k)
+        self.k += 1
+        return inner.optimal
 
 
 def pure_strategy_count(tb, owner) -> int:

@@ -121,9 +121,15 @@ def test_criterion_04_example3_full_alg2_vs_alg4():
     assert all(v["s3"] < F(3, 5) for v in plain.valuations)
 
     convergent = ConvergentSafetyRunner(game, safe)
-    for _ in range(6):
+    for round_no in range(6):
         assert convergent.step()  # the value is irrational: no round is the last
-        assert convergent.inner.fired_nonlocal  # the non-local step fires every round
+        if round_no == 0:
+            # Later rounds start warm from a fixpoint that holds the switch.
+            assert convergent.inner.fired_nonlocal
+    # Run cold, every k-uniform fixpoint needs the non-local step.
+    assert convergent.ks == list(range(5, 11))
+    for k in convergent.ks:
+        assert run_k_uniform_si(game, safe, k).fired_nonlocal
     assert all(v["s3"] == F(3, 5) for v in convergent.valuations)
     assert all(v["s4"] == F(3, 5) and v["s5"] == F(3, 5) for v in convergent.valuations)
     report(

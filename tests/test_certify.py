@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from congame import (
     swap_players,
 )
 from congame.certify import Certifier
+from congame.cli import main
+from congame.gamefile import parse_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 
 from conftest import ONE, random_concurrent_game
@@ -183,3 +186,47 @@ def test_certify_exact_on_turn_based_matches_oracle():
         complement = [s for s in tb.states if s not in safe]
         dual = tb_reach_value_oracle(swapped, complement)
         assert certifier.exact_values == {s: 1 - dual[s] for s in tb.states}
+
+
+# A 3-state game from the benchmark's generator (3 states, up to 3 moves,
+# seed "certify-kuniform:104:9").  With exact Pre1 witnesses its reach
+# iterates double in bit size every round and certify:1/100 ended in
+# CPython's 4300-digit limit on printing integers.
+DIGIT_LIMIT_GAME = {
+    "type": "concurrent",
+    "states": ["q0", "q1", "q2"],
+    "moves1": {"q0": ["a", "b"], "q1": ["a", "b", "c"], "q2": ["a", "b", "c"]},
+    "moves2": {"q0": ["a"], "q1": ["a"], "q2": ["a", "b", "c"]},
+    "delta": {
+        "q0": {"a": {"a": {"q0": "1"}}, "b": {"a": {"q0": "1/2", "q2": "1/2"}}},
+        "q1": {"a": {"a": {"q2": "1"}}, "b": {"a": {"q1": "1"}}, "c": {"a": {"q0": "1"}}},
+        "q2": {
+            "a": {"a": {"q1": "1"}, "b": {"q0": "1"}, "c": {"q1": "2/3", "q2": "1/3"}},
+            "b": {
+                "a": {"q2": "2/3", "q0": "1/3"}, "b": {"q1": "1"}, "c": {"q0": "1/3", "q1": "2/3"},
+            },
+            "c": {"a": {"q1": "1"}, "b": {"q2": "1/2", "q0": "1/2"}, "c": {"q0": "1"}},
+        },
+    },
+}
+
+
+def _bits(x: Fraction) -> int:
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def test_certify_reach_side_stays_under_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(DIGIT_LIMIT_GAME), encoding="utf-8")
+    code = main([
+        "solve", str(path), "--objective", "safe:not-q0", "--algorithm", "certify:1/100",
+        "--verify", "--format", "json",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verified"] is True
+    assert report["iterations"] == 14
+    game = parse_game(json.dumps(DIGIT_LIMIT_GAME))
+    certifier = approximate_game_value(game, ["q1", "q2"], F(1, 100))
+    assert certifier.iterations == 14
+    assert all(_bits(x) < 2048 for v in certifier.reach.valuations for x in v.values())

@@ -13,7 +13,6 @@ from congame import (
     encode_turn_based_as_concurrent,
     make_absorbing,
     parse_game,
-    pure_selector,
     serialize_game,
     uniform_selector,
 )
@@ -21,7 +20,7 @@ from congame.matrix import pre1
 from congame.model import indicator
 
 from conftest import random_concurrent_game, random_tb_game
-from helpers import destinations, is_absorbing, is_turn_based, value_classes
+from helpers import destinations, is_absorbing, is_turn_based, pure_selector, value_classes
 
 F = Fraction
 

@@ -87,6 +87,11 @@ def _cases() -> dict[str, list[str]]:
         "solve", "ex3full.game", "--objective", "safe:not-s2",
         "--algorithm", "certify", "--eps", "1/10", "--verify",
     ]
+    # Small eps: 66 convergent rounds, k from 5 to 70.
+    cases["ex3full-safe-certify-1e4-json"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2",
+        "--algorithm", "certify:1/10000", "--verify", "--format", "json",
+    ]
     # The turn-based reduction prints every support pair and its witness,
     # at the start valuation and after two safety improvement rounds.
     for name, (_, safe) in OBJECTIVES.items():

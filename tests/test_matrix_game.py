@@ -15,7 +15,6 @@ from congame import (
     pre1,
     pre1_k,
     solve_matrix_game,
-    pure_selector,
     uniform_selector,
 )
 from congame.matrix import _k_uniform_scan, pre1_state
@@ -25,6 +24,7 @@ from helpers import (
     k_uniform_distributions,
     pre1_sel,
     pre_sel_sel,
+    pure_selector,
     reference_k_uniform,
     reference_pre1_k,
 )

@@ -11,7 +11,6 @@ from congame import (
     encode_turn_based_as_concurrent,
     induce_mdp,
     max_reach_values,
-    pure_selector,
     strategy_value_reach,
     strategy_value_safety,
     tb_almost_sure_safe,
@@ -27,6 +26,7 @@ from helpers import (
     improper_witness,
     is_absorbing,
     is_proper,
+    pure_selector,
     strategy_value_reach_by_copy,
     strategy_value_safety_by_copy,
     tb_make_absorbing,

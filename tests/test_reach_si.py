@@ -9,15 +9,18 @@ from congame import (
     TurnBasedReachRunner,
     compute_W2,
     reach_value_iteration,
+    run_convergent_safety_si,
     run_reach_si,
     run_reach_si_turn_based,
     strategy_value_reach,
+    swap_players,
     uniform_selector,
 )
-from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
+from congame.matrix import MatrixGame
+from congame.reach_si import STATUS_CAPPED, STATUS_EXACT, _dyadic_rounding
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import is_proper
+from helpers import is_proper, strategy_value_reach_by_copy
 from oracles import EncodedTurnBasedReach, pure_strategy_count, tb_reach_value_oracle
 
 F = Fraction
@@ -188,3 +191,41 @@ def test_graph_runner_matches_encoding_step_by_step():
             capped = run_reach_si_turn_based(tb, target, max_iters=cap)
             assert _observed(capped) == _observed(EncodedTurnBasedReach(tb, target).run(cap))
     assert steps > 300  # some games improve before they stop
+
+
+def test_dyadic_rounding_is_the_coarsest_reaching_the_floor():
+    # Row m0 earns 0 and the rest 1.  j = 1 rounds every other row to 0
+    # (value 0), j = 2 rounds each to 1/4, five of which leave m0 a negative
+    # rest, and j = 3 gives the others 1/8 each: value 5/8.
+    eps = F(1, 1000)
+    rows = tuple(f"m{i}" for i in range(6))
+    matrix = MatrixGame(rows, ("x",), tuple((ZERO if a == "m0" else ONE,) for a in rows))
+    mix = {a: F(1, 6) + 5 * eps if a == "m0" else F(1, 6) - eps for a in rows}
+    rounded, value = _dyadic_rounding(matrix, mix, F(1, 2))
+    assert value == F(5, 8)
+    assert rounded == {"m0": F(3, 8), **{a: F(1, 8) for a in rows[1:]}}
+    assert _dyadic_rounding(matrix, mix, ZERO) == ({"m0": ONE}, ZERO)
+
+
+def test_bounded_bit_witnesses_stay_sound():
+    # A 1-bit bound rounds nearly every witness that is not dyadic.  Every
+    # value is still the exact value of the proper selector held (checked
+    # again on an absorbing copy), so it stays at most 1 minus player 2's
+    # lower bound for avoiding the target.
+    rng = random.Random(2502)
+    rounded_runs = 0
+    for _ in range(300):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 4), max_moves=3)
+        target = {game.states[0]}
+        bounded = ReachSIRunner(game, target, max_bits=1).run(12)
+        if bounded.valuations == run_reach_si(game, target, 12).valuations:
+            continue
+        rounded_runs += 1
+        assert bounded.values == strategy_value_reach_by_copy(
+            bounded.game, bounded.selector, target, bounded.w2
+        )
+        avoid = run_convergent_safety_si(
+            swap_players(game), [s for s in game.states if s not in target], max_outer=12
+        )
+        assert all(bounded.values[s] + avoid.values[s] <= ONE for s in game.states)
+    assert rounded_runs >= 10

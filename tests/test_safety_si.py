@@ -30,7 +30,7 @@ from helpers import (
     k_uniform_pairs, opt_sel_feasible, reference_k_uniform_pairs,
     round_to_k_uniform,
 )
-from oracles import brute_force_k_uniform_best, slack_lp_feasible
+from oracles import ColdConvergentSafety, brute_force_k_uniform_best, slack_lp_feasible
 
 F = Fraction
 NOOP = "⊥"
@@ -364,15 +364,56 @@ def test_convergent_fig2(fig2):
 def test_convergent_ex3full(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
     runner = ConvergentSafetyRunner(ex3full, safe)
-    for _ in range(6):
-        runner.step()
-        assert runner.inner.fired_nonlocal
+    for round_no in range(6):
+        assert runner.step()
+        if round_no == 0:
+            # Later rounds start warm from a fixpoint that holds the switch.
+            assert runner.inner.fired_nonlocal
+    assert runner.ks == list(range(5, 11))
+    for k in runner.ks:
+        assert run_k_uniform_si(ex3full, safe, k).fired_nonlocal  # a cold run
     assert runner.status == STATUS_CAPPED
     assert all(v["s3"] == F(3, 5) for v in runner.valuations)
     at_s0 = [v["s0"] for v in runner.valuations]
     for earlier, later in zip(at_s0, at_s0[1:]):
         assert later >= earlier
     assert all(x * x - 4 * x + 2 > 0 for x in at_s0)  # below 2 - sqrt(2)
+
+
+def _same_as_cold(game, safe, rounds):
+    # Selectors are not compared: where the k-uniform optimum does not rise
+    # with k, a warm round keeps the last fixpoint while a cold one may end
+    # at another k-uniform optimum of the same value (on ex3full at k = 7,
+    # s0 mixes 2/5 warm and 3/7 cold).
+    warm = ConvergentSafetyRunner(game, safe).run(rounds)
+    cold = ColdConvergentSafety(game, safe).run(rounds)
+    assert warm.valuations == cold.valuations
+    assert warm.ks == cold.ks
+    assert warm.status == cold.status
+    return warm
+
+
+# Seeds in 300..3999 whose game runs past the first convergent round (all
+# of them to the cap); below 300 none does.
+MULTI_ROUND_SEEDS = (
+    714, 844, 1021, 1678, 1879, 2382, 2512, 2768, 2963, 3124, 3374, 3497, 3618, 3764, 3971,
+)
+
+
+def test_convergent_warm_rounds_match_cold_random():
+    for seed in (*range(300), *MULTI_ROUND_SEEDS):
+        rng = random.Random(f"warm:{seed}")
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 4), max_moves=3)
+        safe = set(rng.sample(game.states, rng.randint(1, len(game.states))))
+        warm = _same_as_cold(game, safe, 8)
+        if seed in MULTI_ROUND_SEEDS:
+            assert warm.iterations == 8
+
+
+@pytest.mark.parametrize("name,unsafe", [("ex3full", "s2"), ("ex3step1", "s1")])
+def test_convergent_warm_rounds_match_cold_examples(request, name, unsafe):
+    game = request.getfixturevalue(name)
+    _same_as_cold(game, [s for s in game.states if s != unsafe], 30)
 
 
 def test_convergent_all_unsafe(ex3step1):
