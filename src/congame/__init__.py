@@ -56,8 +56,6 @@ from .reach_si import (
     STATUS_EPS,
     STATUS_EXACT,
     TurnBasedReachRunner,
-    run_reach_si,
-    run_reach_si_turn_based,
 )
 from .safety_si import (
     ConvergentSafetyRunner,
@@ -66,14 +64,9 @@ from .safety_si import (
     TBReduction,
     improvement_switches,
     opt_sel_count,
-    run_convergent_safety_si,
     run_k_uniform_si,
-    run_safety_si,
     tb_reduction,
 )
-from .certify import (
-    Certifier,
-    approximate_game_value,
-)
+from .certify import Certifier
 
 __all__ = [name for name in dir() if not name.startswith("_")]

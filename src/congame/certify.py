@@ -11,7 +11,7 @@ sound stopping criterion.  If either sequence reaches its natural fixpoint
 first, the value is exact.
 
 ``Certifier`` is a ``reach_si.Runner`` over the two sequences;
-``approximate_game_value`` runs it to its stop or a round cap.
+``Certifier(game, F, eps).run(cap)`` runs it to its stop or ``cap`` rounds.
 """
 
 from __future__ import annotations
@@ -29,19 +29,15 @@ from .reach_si import (
 )
 from .safety_si import ConvergentSafetyRunner
 
-# Denominator bits above which the reach side rounds its witnesses
-# (``ReachSIRunner``'s ``max_bits``), well below CPython's 4300-digit
-# (about 14 284-bit) limit on printing integers.
-REACH_MAX_BITS = 1024
-
 
 class Certifier(Runner):
     """Player 1's convergent safety sequence (``safety``) interleaved with
     player 2's reachability improvement on the complement (``reach``, on
     the game with the players swapped).  ``reach`` rounds every witness
-    with a denominator wider than ``REACH_MAX_BITS`` bits to a dyadic one
-    (see ``ReachSIRunner``), so its iterates stop doubling in bit size;
-    the exact value of any proper selector is still a lower bound.
+    with a denominator wider than ``reach_si.MAX_WITNESS_BITS`` bits to a
+    dyadic one (see ``ReachSIRunner``), so its iterates stop doubling in
+    bit size; the exact value of any proper selector is still a lower
+    bound.
 
     Each round steps ``safety`` and then ``reach``, testing the three
     stopping rules after each step: ``reach`` hit its fixpoint (exact),
@@ -51,7 +47,8 @@ class Certifier(Runner):
     ``exact_values`` is va(Safe(F)) itself once a fixpoint fired.
     ``selector`` (player 1's) achieves ``values`` and ``reach.selector``
     (player 2's) achieves ``reach.values``.  There is no valuation before
-    the first round.
+    the first round, so ``run`` needs a cap of at least 1; a capped run
+    keeps the best bracket so far.
     """
 
     def __init__(self, game: GameStructure, F: Iterable[str], eps: Fraction):
@@ -61,9 +58,7 @@ class Certifier(Runner):
         self.eps = eps
         safe = frozenset(F) & frozenset(game.states)
         self.safety = ConvergentSafetyRunner(game, safe)
-        self.reach = ReachSIRunner(
-            swap_players(game), [s for s in game.states if s not in safe], REACH_MAX_BITS
-        )
+        self.reach = ReachSIRunner(swap_players(game), [s for s in game.states if s not in safe])
 
     @property
     def valuations(self) -> list[Valuation]:
@@ -106,18 +101,3 @@ class Certifier(Runner):
         self.reach.step()
         return self._stopped()
 
-
-def approximate_game_value(
-    game: GameStructure,
-    F: Iterable[str],
-    eps: Fraction,
-    max_rounds: int = 200,
-) -> Certifier:
-    """Run the certifier until the bracket closes or for ``max_rounds``
-    rounds, which must allow one: there is no valuation before it.  A
-    capped run keeps the best bracket so far, flagged capped.
-    """
-    certifier = Certifier(game, F, eps)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    return certifier.run(max_rounds)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .certify import approximate_game_value
+from .certify import Certifier
 from .examples import EXAMPLE_NAMES, EXAMPLE_OBJECTIVES, example_text
 from .gamefile import GameFormatError, load_game, parse_fraction, serialize_game
 from .mdp import (
@@ -52,14 +52,14 @@ from .reach_si import (
     STATUS_CAPPED,
     STATUS_EPS,
     STATUS_EXACT,
-    run_reach_si,
-    run_reach_si_turn_based,
+    ReachSIRunner,
+    TurnBasedReachRunner,
 )
 from .safety_si import (
+    ConvergentSafetyRunner,
+    SafetySIRunner,
     normalize_safety,
-    run_convergent_safety_si,
     run_k_uniform_si,
-    run_safety_si,
     tb_reduction,
 )
 from .value_iter import (
@@ -224,8 +224,8 @@ def _vi(p: Problem) -> Solve:
 
 def _reach_si(p: Problem) -> Solve:
     if p.tb is None:
-        return _improvement(run_reach_si(p.game, p.chosen, max_iters=p.max_iters))
-    runner = run_reach_si_turn_based(p.tb, p.chosen, max_iters=p.max_iters)
+        return _improvement(ReachSIRunner(p.game, p.chosen).run(p.max_iters))
+    runner = TurnBasedReachRunner(p.tb, p.chosen).run(p.max_iters)
     # Turn-based reports name the pure strategy's successor edges and, to
     # keep their bytes, print no trace.
     frozen = runner.target | runner.w2
@@ -237,7 +237,7 @@ def _reach_si(p: Problem) -> Solve:
 
 
 def _safety_si(p: Problem) -> Solve:
-    runner = run_safety_si(p.game, p.chosen, max_iters=p.max_iters)
+    runner = SafetySIRunner(p.game, p.chosen).run(p.max_iters)
     return _improvement(runner, after={"nonlocal_step_fired": runner.fired_nonlocal})
 
 
@@ -253,13 +253,13 @@ def _k_uniform(p: Problem) -> Solve:
 
 
 def _convergent(p: Problem) -> Solve:
-    runner = run_convergent_safety_si(p.game, p.chosen, max_outer=p.max_iters)
+    runner = ConvergentSafetyRunner(p.game, p.chosen).run(p.max_iters)
     return _improvement(runner, before={"ks": runner.ks})
 
 
 def _certify(p: Problem) -> Solve:
     game = p.game
-    runner = approximate_game_value(game, p.chosen, p.eps, max_rounds=p.max_iters)
+    runner = Certifier(game, p.chosen, p.eps).run(p.max_iters)
     gap = runner.gap
     before: dict = {
         "bracket": {
@@ -461,8 +461,7 @@ def _dump_tb(args: argparse.Namespace) -> int:
             if not (0 <= value <= 1):
                 raise CliError(f"valuation[{s!r}] = {value} outside [0, 1]")
     else:
-        result = run_safety_si(game, chosen, max_iters=args.si_iters)
-        v = result.values
+        v = SafetySIRunner(game, chosen).run(args.si_iters).values
     reduction = tb_reduction(ctx.game, v, ctx.safe, args.k)
     winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
     back_map_doc = {}

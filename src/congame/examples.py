@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .gamefile import parse_game
-from .model import GameStructure, TurnBasedGame
-
 EXAMPLE_NAMES = ("fig1", "fig2", "ex3step1", "ex3full")
 
 # Objective each example is normally studied with.
@@ -36,6 +33,3 @@ def example_text(name: str) -> str:
         .read_text(encoding="utf-8")
     )
 
-
-def load_example(name: str) -> GameStructure | TurnBasedGame:
-    return parse_game(example_text(name))

@@ -15,7 +15,8 @@ with no concurrent encoding, no absorbing copy and no matrix games; it
 terminates because pure strategies are finite.
 
 ``Runner`` is the shape every capped improvement loop shares, here, in
-``safety_si`` and in ``certify``; a finished runner is its own result.
+``safety_si`` and in ``certify``; building one and calling ``run(cap)`` is
+the only way to run a loop, and a finished runner is its own result.
 """
 
 from __future__ import annotations
@@ -52,13 +53,18 @@ STATUS_EXACT = "exact"
 STATUS_EPS = "eps-approx"
 STATUS_CAPPED = "capped"
 
+# Denominator bits above which ``ReachSIRunner`` rounds a witness, well
+# below CPython's 4300-digit (about 14 284-bit) limit on printing integers.
+MAX_WITNESS_BITS = 1024
+
 
 class Runner:
     """A capped improvement loop.
 
     ``step()`` runs one round and returns True while progress is possible;
     ``run(cap)`` steps until the fixpoint or ``cap`` rounds in all and
-    returns the runner.  ``iterations`` counts the rounds run, ``finished``
+    returns the runner; a runner with no valuation yet needs a cap of at
+    least 1.  ``iterations`` counts the rounds run, ``finished``
     says the last one found the fixpoint (status exact, else capped).
     Subclasses set ``game`` (the normalized game they improve on, or for a
     runner on a turn-based graph the ``TurnBasedGame`` itself) and
@@ -91,6 +97,8 @@ class Runner:
         raise NotImplementedError
 
     def run(self, max_iters: int):
+        if max_iters < 1 and not self.valuations:
+            raise ValueError("max_iters must be at least 1 before the first round")
         while self.iterations < max_iters and not self.finished:
             self.step()
         return self
@@ -134,18 +142,17 @@ class ReachSIRunner(Runner):
     starts from the uniform selector, which is proper.  A turn-based game
     runs on its graph instead, in ``TurnBasedReachRunner``.
 
-    ``max_bits`` bounds the witnesses taken: a switched state whose exact
-    ``Pre1`` witness has a probability with a denominator wider than
-    ``max_bits`` bits takes instead the coarsest dyadic rounding of it
-    whose one-step value at v reaches the midpoint (v(s) + Pre1(v)(s)) / 2.
-    That value still beats v(s) strictly, so the selector stays proper and
-    the values rise strictly; a fixpoint is still one of ``Pre1``, hence
-    the exact value.  Without it, the iterates' bit size can double every
-    round.
+    The witnesses taken are bounded: a switched state whose exact ``Pre1``
+    witness has a probability with a denominator wider than
+    ``MAX_WITNESS_BITS`` bits takes instead the coarsest dyadic rounding of
+    it whose one-step value at v reaches the midpoint
+    (v(s) + Pre1(v)(s)) / 2.  That value still beats v(s) strictly, so the
+    selector stays proper and the values rise strictly; a fixpoint is still
+    one of ``Pre1``, hence the exact value.  Without the bound, the
+    iterates' bit size can double every round.
     """
 
-    def __init__(self, game: GameStructure, T: Iterable[str], max_bits: int | None = None):
-        self.max_bits = max_bits
+    def __init__(self, game: GameStructure, T: Iterable[str]):
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
         self.game = make_absorbing(game, self.target | self.w2)
@@ -162,7 +169,7 @@ class ReachSIRunner(Runner):
 
     def _round(self) -> bool:
         """Rewrite the selector to a one-step-optimal mixture (or its
-        rounding, see ``max_bits``) on the states where ``Pre1`` strictly
+        rounding, see the class) on the states where ``Pre1`` strictly
         beats the current value (the improvement set), keeping it
         elsewhere; an empty improvement set is the fixpoint."""
         v = self.values
@@ -181,9 +188,7 @@ class ReachSIRunner(Runner):
         # must reach.
         bound = dict(pre_vals)
         for s in self.improve_set:
-            if self.max_bits is not None and any(
-                p.denominator.bit_length() > self.max_bits for p in choice[s].values()
-            ):
+            if any(p.denominator.bit_length() > MAX_WITNESS_BITS for p in choice[s].values()):
                 midpoint = (v[s] + pre_vals[s]) / 2
                 choice[s], bound[s] = _dyadic_rounding(
                     one_step_matrix(self.game, v, s), choice[s], midpoint
@@ -206,14 +211,6 @@ class ReachSIRunner(Runner):
         self.selector = selector
         self.valuations.append(value)
         return False
-
-
-def run_reach_si(game: GameStructure, T: Iterable[str], max_iters: int = 1000) -> ReachSIRunner:
-    """Full reachability strategy improvement.
-
-    Stops when no state is improvable (exact value) or at the iteration cap.
-    """
-    return ReachSIRunner(game, T).run(max_iters)
 
 
 class TurnBasedReachRunner(Runner):
@@ -302,12 +299,3 @@ class TurnBasedReachRunner(Runner):
             return min(v[t] for t in succ)
         return sum((p * v[t] for t, p in self.game.prob[s].items()), ZERO)
 
-
-def run_reach_si_turn_based(
-    tb: TurnBasedGame, T: Iterable[str], max_iters: int = 1000
-) -> TurnBasedReachRunner:
-    """Full Hoffman-Karp strategy iteration on a turn-based game.
-
-    Stops when no node is improvable (exact value) or at the iteration cap.
-    """
-    return TurnBasedReachRunner(tb, T).run(max_iters)

@@ -381,7 +381,9 @@ def normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
 
 class SafetySIRunner(Runner):
     """Safety strategy improvement, over all mixtures or, given ``k``, over
-    k-uniform ones only.
+    k-uniform ones only.  A natural stop certifies the exact value, but on
+    genuinely concurrent games the plain loop may improve forever, so its
+    cap flags a partial trace.
 
     k is raised to the total number of moves so the uniform start is itself
     k-uniform.  ``context`` reuses a normalization of ``game`` already made.
@@ -451,16 +453,6 @@ class SafetySIRunner(Runner):
         return False
 
 
-def run_safety_si(game: GameStructure, F: Iterable[str], max_iters: int = 100) -> SafetySIRunner:
-    """Safety strategy improvement from the uniform selector.
-
-    Monotone; a natural stop (neither step can move) certifies the exact
-    value, but on genuinely concurrent games the loop may improve forever,
-    so the iteration cap flags a partial trace instead.
-    """
-    return SafetySIRunner(game, F).run(max_iters)
-
-
 def run_k_uniform_si(
     game: GameStructure,
     F: Iterable[str],
@@ -487,7 +479,7 @@ class ConvergentSafetyRunner(Runner):
     """Outer loop growing k: each step runs the k-uniform improvement to its
     fixpoint (kept as ``inner``), records its exact strategy value and k,
     and stops when that fixpoint is ``optimal``.  There is no valuation
-    before the first step.
+    before the first step, so ``run`` needs a cap of at least 1.
 
     The first inner run starts from the uniform selector; each later one
     starts warm from the last fixpoint, which is k-uniform and hence
@@ -522,15 +514,3 @@ class ConvergentSafetyRunner(Runner):
         self.k += 1
         return inner.optimal
 
-
-def run_convergent_safety_si(
-    game: GameStructure, F: Iterable[str], max_outer: int = 50
-) -> ConvergentSafetyRunner:
-    """Convergent safety improvement: k-uniform fixpoints for growing k.
-
-    Stops when the unrestricted condition certifies optimality, or at the
-    cap, which must allow one round: there is no valuation before it.
-    """
-    if max_outer < 1:
-        raise ValueError("max_outer must be at least 1")
-    return ConvergentSafetyRunner(game, F).run(max_outer)

@@ -9,7 +9,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from congame.examples import load_example
 from congame.model import (
     GameStructure,
     P1,
@@ -19,6 +18,7 @@ from congame.model import (
     TurnBasedGame,
     encode_turn_based_as_concurrent,
 )
+from helpers import load_example
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

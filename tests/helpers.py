@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from congame.examples import example_text
+from congame.gamefile import parse_game
 from congame.matrix import (
     MatrixGame,
     _compositions,
@@ -47,6 +49,11 @@ from congame.safety_si import (
 )
 
 from oracles import slack_lp_feasible
+
+
+def load_example(name: str) -> GameStructure | TurnBasedGame:
+    """A bundled example game, parsed."""
+    return parse_game(example_text(name))
 
 
 def improper_witness(

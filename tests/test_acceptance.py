@@ -12,26 +12,23 @@ import random
 from fractions import Fraction
 
 from congame import (
+    Certifier,
     ConvergentSafetyRunner,
     MatrixGame,
     ReachSIRunner,
-    approximate_game_value,
+    SafetySIRunner,
+    TurnBasedReachRunner,
     reach_value_iteration,
-    run_convergent_safety_si,
     run_k_uniform_si,
-    run_reach_si,
-    run_reach_si_turn_based,
-    run_safety_si,
     solve_matrix_game,
 )
-from congame.examples import load_example
 from congame.matrix import pre1
 from congame.model import encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 from congame.cli import main as cli_main
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import check_determinacy_bracket, is_proper, round_to_k_uniform
+from helpers import check_determinacy_bracket, is_proper, load_example, round_to_k_uniform
 from oracles import (
     brute_force_k_uniform_best,
     matrix_value_oracle,
@@ -59,7 +56,7 @@ def test_criterion_01_example1_reproduction():
     assert trace.converged
     assert trace.valuations[3] == fixpoint
     assert trace.valuations[4] == trace.valuations[3]
-    si = run_reach_si(game, {"s0"})
+    si = ReachSIRunner(game, {"s0"}).run(1000)
     assert si.status == STATUS_EXACT
     assert si.values == fixpoint
     report("criterion 1 PASS: value iteration and improvement both hit (1,0,1/2,1/2,1/2) exactly")
@@ -69,7 +66,7 @@ def test_criterion_02_example2_reproduction():
     tb = load_example("fig2")
     game = encode_turn_based_as_concurrent(tb)
     safe = [s for s in game.states if s != "s4"]
-    result = run_safety_si(game, safe, max_iters=5)
+    result = SafetySIRunner(game, safe).run(5)
     assert result.status == STATUS_EXACT
     assert result.iterations <= 5
     assert result.values == {
@@ -89,7 +86,7 @@ def test_criterion_03_example3_step1():
     assert all(b > a for a, b in zip(vi_seq, vi_seq[1:]))
     assert not trace.converged and len(vi_seq) == 51  # no natural stop in 50 steps
 
-    si = run_reach_si(game, {"s1"}, max_iters=50)
+    si = ReachSIRunner(game, {"s1"}).run(50)
     si_seq = [v["s0"] for v in si.valuations]
     assert si_seq[:3] == prefix[1:]
     assert all(b > a for a, b in zip(si_seq, si_seq[1:]))
@@ -115,7 +112,7 @@ def test_criterion_04_example3_full_alg2_vs_alg4():
     game = load_example("ex3full")
     safe = [s for s in game.states if s != "s2"]
 
-    plain = run_safety_si(game, safe, max_iters=50)
+    plain = SafetySIRunner(game, safe).run(50)
     assert plain.status == STATUS_CAPPED
     assert not plain.fired_nonlocal
     assert all(v["s3"] < F(3, 5) for v in plain.valuations)
@@ -141,7 +138,7 @@ def test_criterion_04_example3_full_alg2_vs_alg4():
 def test_criterion_05_eps_certification():
     game = load_example("ex3full")
     safe = [s for s in game.states if s != "s2"]
-    certifier = approximate_game_value(game, safe, F(1, 100))
+    certifier = Certifier(game, safe, F(1, 100)).run(200)
     assert certifier.status == STATUS_EPS
     assert certifier.gap <= F(1, 100)
     v0 = certifier.values["s0"]
@@ -183,7 +180,7 @@ def test_criterion_07_turn_based_oracle_equivalence():
     for _ in range(100):
         tb = random_tb_game(rng, n_states=6, max_succ=3)
         target = set(rng.sample(tb.states, rng.randint(1, 2)))
-        result = run_reach_si_turn_based(tb, target)
+        result = TurnBasedReachRunner(tb, target).run(1000)
         oracle = tb_reach_value_oracle(tb, target)
         assert result.values == oracle
         assert result.iterations <= max(1, pure_strategy_count(tb, "P1"))
@@ -233,12 +230,12 @@ def test_criterion_09_property_suite():
     for _ in range(8):
         game = random_concurrent_game(rng, n_states=3)
         safe = set(rng.sample(game.states, rng.randint(1, 2)))
-        plain = run_safety_si(game, safe, max_iters=6)
+        plain = SafetySIRunner(game, safe).run(6)
         for earlier, later in zip(plain.valuations, plain.valuations[1:]):
             monotone_checks += 1
             if any(later[s] < earlier[s] for s in game.states):
                 violations += 1
-        conv = run_convergent_safety_si(game, safe, max_outer=3)
+        conv = ConvergentSafetyRunner(game, safe).run(3)
         for earlier, later in zip(conv.valuations, conv.valuations[1:]):
             monotone_checks += 1
             if any(later[s] < earlier[s] for s in game.states):

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from congame import (
-    approximate_game_value,
+    ConvergentSafetyRunner,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
@@ -15,7 +16,7 @@ from congame import (
 )
 from congame.certify import Certifier
 from congame.cli import main
-from congame.gamefile import parse_game
+from congame.gamefile import parse_game, serialize_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
 
 from conftest import ONE, random_concurrent_game
@@ -30,7 +31,7 @@ TWO_MINUS_SQRT2_HI = F("585786437626904951198311275791") / 10**30
 
 def test_certify_fig2_exact(fig2):
     safe = [s for s in fig2.states if s != "s4"]
-    certifier = approximate_game_value(fig2, safe, F(1, 100))
+    certifier = Certifier(fig2, safe, F(1, 100)).run(200)
     assert certifier.status == STATUS_EXACT
     assert certifier.exact_values is not None
     assert certifier.exact_values["s0"] == F(2, 3)
@@ -49,7 +50,7 @@ def test_certify_fig2_exact(fig2):
 
 def test_certify_ex3full_eps(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    certifier = approximate_game_value(ex3full, safe, F(1, 100))
+    certifier = Certifier(ex3full, safe, F(1, 100)).run(200)
     assert certifier.status == STATUS_EPS
     assert certifier.gap <= F(1, 100)
     assert certifier.values["s3"] == F(3, 5)
@@ -61,14 +62,14 @@ def test_certify_ex3full_eps(ex3full):
 
 
 def test_certify_all_safe(ex3step1):
-    certifier = approximate_game_value(ex3step1, ex3step1.states, F(1, 100))
+    certifier = Certifier(ex3step1, ex3step1.states, F(1, 100)).run(200)
     assert certifier.status == STATUS_EXACT
     assert certifier.exact_values == {s: ONE for s in ex3step1.states}
 
 
 def test_certify_witnesses_achieve_bounds(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    certifier = approximate_game_value(ex3full, safe, F(1, 100))
+    certifier = Certifier(ex3full, safe, F(1, 100)).run(200)
     achieved = strategy_value_safety(ex3full, certifier.selector, safe)
     assert achieved == certifier.values
     swapped = swap_players(ex3full)
@@ -80,12 +81,12 @@ def test_certify_witnesses_achieve_bounds(ex3full):
 
 def test_certify_rejects_bad_eps(fig2):
     with pytest.raises(ValueError):
-        approximate_game_value(fig2, fig2.states, F(0))
+        Certifier(fig2, fig2.states, F(0))
 
 
 def test_certify_rejects_zero_rounds(fig2):
-    with pytest.raises(ValueError, match="max_rounds must be at least 1"):
-        approximate_game_value(fig2, fig2.states, F(1, 100), max_rounds=0)
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        Certifier(fig2, fig2.states, F(1, 100)).run(0)
 
 
 def test_certifier_rounds_are_capped_and_step_a_side(ex3full):
@@ -99,7 +100,7 @@ def test_certifier_rounds_are_capped_and_step_a_side(ex3full):
         assert certifier.iterations == cap and certifier.status == STATUS_CAPPED
         assert certifier.safety.iterations + certifier.reach.iterations > sides
         assert certifier.exact_values is None
-    once = approximate_game_value(ex3full, safe, F(1, 10**6), max_rounds=3)
+    once = Certifier(ex3full, safe, F(1, 10**6)).run(3)
     assert once.valuations == certifier.valuations
     assert once.reach.valuations == certifier.reach.valuations
 
@@ -136,20 +137,16 @@ def test_determinacy_bracket_random():
 def test_sandwich_lower_iterates_below_upper_iterates(ex3full):
     # Every achieved safety value sits below every upper-iteration bound,
     # and every reachability iterate sits below the certified upper bound.
-    from congame import (
-        reach_value_iteration,
-        run_convergent_safety_si,
-        safety_value_iteration_upper,
-    )
+    from congame import reach_value_iteration, safety_value_iteration_upper
 
     safe = [s for s in ex3full.states if s != "s2"]
     uppers = safety_value_iteration_upper(ex3full, safe, steps=8)
-    lowers = run_convergent_safety_si(ex3full, safe, max_outer=4).valuations
+    lowers = ConvergentSafetyRunner(ex3full, safe).run(4).valuations
     for v in lowers:
         for w in uppers:
             assert all(v[s] <= w[s] for s in ex3full.states)
 
-    certifier = approximate_game_value(ex3full, safe, F(1, 100))
+    certifier = Certifier(ex3full, safe, F(1, 100)).run(200)
     swapped = swap_players(ex3full)
     trace = reach_value_iteration(swapped, ["s2"], max_steps=10)
     # player 2's reach iterates stay below 1 - (player 1's safety lower bounds)
@@ -172,7 +169,7 @@ def test_certify_exact_on_turn_based_matches_oracle():
         tb = random_tb_game(rng, n_states=4, max_succ=2)
         safe = set(rng.sample(tb.states, rng.randint(1, 3)))
         game = encode_turn_based_as_concurrent(tb)
-        certifier = approximate_game_value(game, safe, F(1, 1000), max_rounds=400)
+        certifier = Certifier(game, safe, F(1, 1000)).run(400)
         assert certifier.status == STATUS_EXACT
         swapped = TurnBasedGame(
             tb.states,
@@ -227,6 +224,36 @@ def test_certify_reach_side_stays_under_the_digit_limit(tmp_path, capsys):
     assert report["verified"] is True
     assert report["iterations"] == 14
     game = parse_game(json.dumps(DIGIT_LIMIT_GAME))
-    certifier = approximate_game_value(game, ["q1", "q2"], F(1, 100))
+    certifier = Certifier(game, ["q1", "q2"], F(1, 100)).run(200)
     assert certifier.iterations == 14
     assert all(_bits(x) < 2048 for v in certifier.reach.valuations for x in v.values())
+
+
+def _rationals(doc):
+    """Every exact rational printed anywhere in a JSON report."""
+    if isinstance(doc, dict):
+        for value in doc.values():
+            yield from _rationals(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _rationals(value)
+    elif isinstance(doc, str) and re.fullmatch(r"\d+(/\d+)?", doc):
+        yield F(doc)
+
+
+def test_reach_si_stays_under_the_digit_limit(tmp_path, capsys):
+    # The same game with the players swapped, so player 1 reaches q0.  With
+    # exact witnesses reach-si's iterates double in bit size every round and
+    # 12 rounds end in CPython's 4300-digit limit on printing integers.
+    path = tmp_path / "swapped.json"
+    game = swap_players(parse_game(json.dumps(DIGIT_LIMIT_GAME)))
+    path.write_text(serialize_game(game), encoding="utf-8")
+    code = main([
+        "solve", str(path), "--objective", "reach:q0", "--algorithm", "reach-si",
+        "--max-iters", "14", "--verify", "--format", "json",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verified"] is True
+    assert report["iterations"] == 14
+    assert all(_bits(x) <= 2048 for x in _rationals(report))

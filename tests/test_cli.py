@@ -350,7 +350,7 @@ def test_internal_error_exit_code(example_dir, capsys, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error("invariant broken at s0")
 
-    monkeypatch.setattr(congame.cli, "run_safety_si", broken)
+    monkeypatch.setattr(congame.cli.SafetySIRunner, "run", broken)
     code, out, err = run_cli(
         capsys,
         "solve", str(example_dir / "fig2.game"),

@@ -4,14 +4,13 @@ import random
 from fractions import Fraction
 
 
+import congame.reach_si
 from congame import (
+    ConvergentSafetyRunner,
     ReachSIRunner,
     TurnBasedReachRunner,
     compute_W2,
     reach_value_iteration,
-    run_convergent_safety_si,
-    run_reach_si,
-    run_reach_si_turn_based,
     strategy_value_reach,
     swap_players,
     uniform_selector,
@@ -27,7 +26,7 @@ F = Fraction
 
 
 def test_fig1_terminates_immediately(fig1):
-    result = run_reach_si(fig1, {"s0"})
+    result = ReachSIRunner(fig1, {"s0"}).run(1000)
     assert result.status == STATUS_EXACT
     assert result.iterations == 1
     assert result.values == {
@@ -36,13 +35,13 @@ def test_fig1_terminates_immediately(fig1):
 
 
 def test_target_everything(fig1):
-    result = run_reach_si(fig1, fig1.states)
+    result = ReachSIRunner(fig1, fig1.states).run(1000)
     assert result.status == STATUS_EXACT
     assert all(result.values[s] == 1 for s in fig1.states)
 
 
 def test_ex3step1_trace(ex3step1):
-    result = run_reach_si(ex3step1, {"s1"}, max_iters=50)
+    result = ReachSIRunner(ex3step1, {"s1"}).run(50)
     assert result.status == STATUS_CAPPED
     at_s0 = [v["s0"] for v in result.valuations]
     assert at_s0[:4] == [F(1, 2), F(4, 7), F(7, 12), F(24, 41)]
@@ -96,7 +95,7 @@ def test_dominates_value_iteration():
         target = set(rng.sample(game.states, rng.randint(1, 2)))
         steps = 5
         trace = reach_value_iteration(game, target, max_steps=steps)
-        result = run_reach_si(game, target, max_iters=steps)
+        result = ReachSIRunner(game, target).run(steps)
         for i, v in enumerate(result.valuations):
             if i < len(trace.valuations):
                 u = trace.valuations[i]
@@ -111,7 +110,7 @@ def test_natural_termination_is_pre1_fixpoint():
     for _ in range(20):
         game = random_concurrent_game(rng, n_states=3)
         target = {game.states[0]}
-        result = run_reach_si(game, target, max_iters=30)
+        result = ReachSIRunner(game, target).run(30)
         if result.status == STATUS_EXACT:
             found += 1
             values, _ = pre1(result.game, result.values)
@@ -132,7 +131,7 @@ def test_turn_based_fig2_role_swap(fig2_tb):
         fig2_tb.edges,
         fig2_tb.prob,
     )
-    result = run_reach_si_turn_based(swapped, {"s4"})
+    result = TurnBasedReachRunner(swapped, {"s4"}).run(1000)
     assert result.values["s0"] == F(1, 3)
     assert result.values["s1"] == F(1, 3)
 
@@ -146,7 +145,7 @@ def test_turn_based_unreachable_target():
         {"x": ("x",), "goal": ("goal",)},
         {"x": {"x": ONE}, "goal": {"goal": ONE}},
     )
-    result = run_reach_si_turn_based(tb, {"goal"})
+    result = TurnBasedReachRunner(tb, {"goal"}).run(1000)
     assert result.values == {"x": ZERO, "goal": ONE}
 
 
@@ -155,7 +154,7 @@ def test_turn_based_oracle_sample():
     for _ in range(25):
         tb = random_tb_game(rng, n_states=5, max_succ=3)
         target = set(rng.sample(tb.states, rng.randint(1, 2)))
-        result = run_reach_si_turn_based(tb, target)
+        result = TurnBasedReachRunner(tb, target).run(1000)
         oracle = tb_reach_value_oracle(tb, target)
         assert result.values == oracle
         assert result.iterations <= max(1, pure_strategy_count(tb, "P1"))
@@ -188,7 +187,7 @@ def test_graph_runner_matches_encoding_step_by_step():
             if not progress:
                 break
         for cap in (1, 2, 3):
-            capped = run_reach_si_turn_based(tb, target, max_iters=cap)
+            capped = TurnBasedReachRunner(tb, target).run(cap)
             assert _observed(capped) == _observed(EncodedTurnBasedReach(tb, target).run(cap))
     assert steps > 300  # some games improve before they stop
 
@@ -207,25 +206,28 @@ def test_dyadic_rounding_is_the_coarsest_reaching_the_floor():
     assert _dyadic_rounding(matrix, mix, ZERO) == ({"m0": ONE}, ZERO)
 
 
-def test_bounded_bit_witnesses_stay_sound():
+def test_bounded_bit_witnesses_stay_sound(monkeypatch):
     # A 1-bit bound rounds nearly every witness that is not dyadic.  Every
     # value is still the exact value of the proper selector held (checked
     # again on an absorbing copy), so it stays at most 1 minus player 2's
-    # lower bound for avoiding the target.
+    # lower bound for avoiding the target.  The reference run takes the
+    # exact witnesses, under a bound no denominator reaches.
     rng = random.Random(2502)
     rounded_runs = 0
     for _ in range(300):
         game = random_concurrent_game(rng, n_states=rng.randint(2, 4), max_moves=3)
         target = {game.states[0]}
-        bounded = ReachSIRunner(game, target, max_bits=1).run(12)
-        if bounded.valuations == run_reach_si(game, target, 12).valuations:
+        monkeypatch.setattr(congame.reach_si, "MAX_WITNESS_BITS", 1)
+        bounded = ReachSIRunner(game, target).run(12)
+        monkeypatch.setattr(congame.reach_si, "MAX_WITNESS_BITS", 10**9)
+        if bounded.valuations == ReachSIRunner(game, target).run(12).valuations:
             continue
         rounded_runs += 1
         assert bounded.values == strategy_value_reach_by_copy(
             bounded.game, bounded.selector, target, bounded.w2
         )
-        avoid = run_convergent_safety_si(
-            swap_players(game), [s for s in game.states if s not in target], max_outer=12
-        )
+        avoid = ConvergentSafetyRunner(
+            swap_players(game), [s for s in game.states if s not in target]
+        ).run(12)
         assert all(bounded.values[s] + avoid.values[s] <= ONE for s in game.states)
     assert rounded_runs >= 10

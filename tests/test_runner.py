@@ -23,11 +23,11 @@ from congame import (
     strategy_value_reach,
     strategy_value_safety,
 )
-from congame.examples import load_example
 from congame.model import TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
 from conftest import random_tb_game
+from helpers import load_example
 
 CAP = 4
 FIG2 = load_example("fig2")

@@ -12,11 +12,9 @@ from congame import (
     GameStructure,
     SafetySIRunner,
     improvement_switches,
+    TurnBasedReachRunner,
     opt_sel_count,
-    run_convergent_safety_si,
     run_k_uniform_si,
-    run_reach_si_turn_based,
-    run_safety_si,
     tb_reduction,
 )
 from congame.matrix import one_step_matrix
@@ -238,7 +236,7 @@ def test_tb_reduction_witness_pattern_random():
 
 def test_safety_si_fig2(fig2):
     safe = [s for s in fig2.states if s != "s4"]
-    result = run_safety_si(fig2, safe, max_iters=5)
+    result = SafetySIRunner(fig2, safe).run(5)
     assert result.status == STATUS_EXACT
     assert result.iterations <= 5
     assert result.values == {
@@ -250,7 +248,7 @@ def test_safety_si_fig2(fig2):
 
 def test_safety_si_ex3full_never_fires(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    result = run_safety_si(ex3full, safe, max_iters=50)
+    result = SafetySIRunner(ex3full, safe).run(50)
     assert result.status == STATUS_CAPPED
     assert not result.fired_nonlocal
     assert all(v["s3"] < F(3, 5) for v in result.valuations)
@@ -265,7 +263,7 @@ def test_safety_si_all_absorbing_safe():
     from congame.model import make_absorbing
 
     frozen = make_absorbing(game, game.states)
-    result = run_safety_si(frozen, frozen.states, max_iters=3)
+    result = SafetySIRunner(frozen, frozen.states).run(3)
     assert result.status == STATUS_EXACT
     assert all(result.values[s] == 1 for s in frozen.states)
 
@@ -339,7 +337,7 @@ def test_k_uniform_turn_based_exact():
             tb.prob,
         )
         complement = [s for s in tb.states if s not in safe]
-        dual = run_reach_si_turn_based(swapped, complement)
+        dual = TurnBasedReachRunner(swapped, complement).run(1000)
         assert all(result.values[s] == 1 - dual.values[s] for s in tb.states)
 
 
@@ -356,7 +354,7 @@ def test_k_uniform_oracle_tiny():
 
 def test_convergent_fig2(fig2):
     safe = [s for s in fig2.states if s != "s4"]
-    result = run_convergent_safety_si(fig2, safe, max_outer=5)
+    result = ConvergentSafetyRunner(fig2, safe).run(5)
     assert result.status == STATUS_EXACT
     assert result.values["s0"] == F(2, 3)
 
@@ -417,15 +415,15 @@ def test_convergent_warm_rounds_match_cold_examples(request, name, unsafe):
 
 
 def test_convergent_all_unsafe(ex3step1):
-    result = run_convergent_safety_si(ex3step1, set(), max_outer=3)
+    result = ConvergentSafetyRunner(ex3step1, set()).run(3)
     assert result.status == STATUS_EXACT
     assert all(v == 0 for v in result.values.values())
 
 
 def test_convergent_rejects_zero_rounds(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    with pytest.raises(ValueError, match="max_outer must be at least 1"):
-        run_convergent_safety_si(ex3full, safe, max_outer=0)
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        ConvergentSafetyRunner(ex3full, safe).run(0)
 
 
 def test_k_uniform_fixpoint_monotone_in_k():
@@ -475,7 +473,7 @@ def test_optimal_is_the_unrestricted_stop_at_the_fixpoint():
 def test_improvement_switches_empty_at_fig2_value(fig2):
     # fig2's safety value: neither step finds a state to switch.
     safe = [s for s in fig2.states if s != "s4"]
-    result = run_safety_si(fig2, safe)
+    result = SafetySIRunner(fig2, safe).run(100)
     assert result.status == STATUS_EXACT and result.values["s0"] == F(2, 3)
     assert improvement_switches(result.game, result.values, safe, result.w1) == ({}, True)
     assert result.optimal
