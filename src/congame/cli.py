@@ -18,12 +18,14 @@ requested guarantee, 3 internal error (an ``AssertionError`` or
 ``RuntimeError`` escaped a solver: a broken invariant, printed as
 ``internal error: <message>`` rather than a traceback).  Identical
 invocations produce byte-identical output; nothing here depends on wall
-time, machine, or hash order.
+time, machine, or hash order.  ``main`` may be called repeatedly in one
+process: the argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +34,14 @@ from typing import Callable, NamedTuple
 
 from .certify import Certifier
 from .examples import EXAMPLE_NAMES, EXAMPLE_OBJECTIVES, example_text
-from .gamefile import GameFormatError, load_game, parse_fraction, serialize_game
+from .gamefile import (
+    GameFormatError,
+    dump_json,
+    format_fraction,
+    load_game,
+    parse_fraction,
+    serialize_game,
+)
 from .mdp import (
     compute_W2,
     strategy_value_reach,
@@ -79,11 +88,14 @@ class CliError(Exception):
 
 
 def decimal_string(x: Fraction, digits: int = APPROX_DIGITS) -> str:
-    """Round-to-nearest decimal rendering of a nonnegative exact rational."""
+    """Round-to-nearest decimal rendering of a nonnegative exact rational.
+
+    ``n = floor(x * 10**digits + 1/2)``, computed in integers as
+    ``(2 * num * 10**digits + den) // (2 * den)``; ties round up.
+    """
     scale = 10**digits
-    scaled = x * scale
-    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    whole, frac = divmod(n, scale)
+    num, den = x.numerator, x.denominator
+    whole, frac = divmod((2 * num * scale + den) // (2 * den), scale)
     return f"{whole}.{frac:0{digits}d}"
 
 
@@ -121,14 +133,14 @@ def _strategy_doc(game: GameStructure, selector: Selector | None) -> dict | None
     if selector is None:
         return None
     return {
-        s: {a: str(p) for a, p in selector.choice[s].items() if p > 0}
+        s: {a: format_fraction(p) for a, p in selector.choice[s].items() if p > 0}
         for s in game.states
     }
 
 
 def _values_doc(game: GameStructure, values) -> dict:
     return {
-        s: {"exact": str(values[s]), "approx": decimal_string(values[s])}
+        s: {"exact": format_fraction(values[s]), "approx": decimal_string(values[s])}
         for s in game.states
     }
 
@@ -268,7 +280,7 @@ def _certify(p: Problem) -> Solve:
             "upper": _values_doc(
                 game, {s: 1 - runner.reach.values[s] for s in game.states}
             ),
-            "gap": {"exact": str(gap), "approx": decimal_string(gap)},
+            "gap": {"exact": format_fraction(gap), "approx": decimal_string(gap)},
         }
     }
     exact = runner.exact_values
@@ -348,13 +360,17 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
     report["values"] = _values_doc(game, solve.values)
     report["strategy"] = _strategy_doc(game, solve.witness)
     if solve.witness_values is not None:
-        report["witness_values"] = {s: str(solve.witness_values[s]) for s in game.states}
+        report["witness_values"] = {
+            s: format_fraction(solve.witness_values[s]) for s in game.states
+        }
     if args.trace and solve.trace is not None:
-        report["trace"] = [{s: str(v[s]) for s in game.states} for v in solve.trace]
+        report["trace"] = [
+            {s: format_fraction(v[s]) for s in game.states} for v in solve.trace
+        ]
     report.update(solve.after)
     if solve.witness2_values is not None:
         report["reach_witness_values"] = {
-            s: str(solve.witness2_values[s]) for s in game.states
+            s: format_fraction(solve.witness2_values[s]) for s in game.states
         }
 
     if args.verify:
@@ -434,7 +450,7 @@ def _render_text(report: dict) -> str:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+        sys.stdout.write(dump_json(report) + "\n")
     else:
         sys.stdout.write(_render_text(report))
 
@@ -476,7 +492,7 @@ def _dump_tb(args: argparse.Namespace) -> int:
         "back_map": back_map_doc,
         "safe_states": [s for s in reduction.game.states if s in reduction.safe_bar],
         "almost_sure_safe": [s for s in reduction.game.states if s in winning],
-        "valuation": {s: str(v[s]) for s in game.states},
+        "valuation": {s: format_fraction(v[s]) for s in game.states},
     }
     sys.stdout.write(serialize_game(reduction.game, extra=extra) + "\n")
     return 0
@@ -512,7 +528,10 @@ def _examples(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="congame",
         description="Exact solvers for concurrent stochastic reachability and safety games",

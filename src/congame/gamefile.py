@@ -25,12 +25,17 @@ Turn-based games::
 
 Unknown top-level keys (for instance ``back_map`` annotations emitted by
 ``dump-tb``) are ignored, so dumped games parse back unchanged.
+
+Writing goes through two helpers that the command line shares:
+``format_fraction`` prints a rational in full, however many digits it has,
+and ``dump_json`` writes an indented document.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .model import GameStructure, TurnBasedGame, GameError
 
@@ -52,6 +57,29 @@ def parse_fraction(text: object, where: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise GameFormatError(f"{where}: cannot parse rational {text!r}") from exc
+
+
+def format_fraction(x: Fraction) -> str:
+    """``str(x)``, also past CPython's limit on printing long integers
+    (``sys.get_int_max_str_digits``), which this never changes."""
+    try:
+        return str(x)
+    except ValueError:
+        numerator = _int_str(x.numerator)
+        return numerator if x.denominator == 1 else f"{numerator}/{_int_str(x.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of ``n``: halves too long for ``str`` are split at a
+    power of ten and printed separately."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half the decimal digits
+        high, low = divmod(n, 10**half)
+        return _int_str(high) + _int_str(low).zfill(half)
 
 
 def _string_list(doc: dict, key: str) -> list[str]:
@@ -185,7 +213,13 @@ def load_game(path: str) -> GameStructure | TurnBasedGame:
 
 
 def serialize_game(game: GameStructure | TurnBasedGame, extra: dict | None = None) -> str:
-    """Render a game back to its document form (parse/serialize round-trips)."""
+    """Render a game back to its document form (parse/serialize round-trips).
+
+    Probabilities print in full (``format_fraction``), and ``dump_json``
+    writes the document as the standard library would with ``indent=2``
+    and ``ensure_ascii=False``.  ``extra`` holds further
+    top-level keys, such as ``dump-tb``'s annotations.
+    """
     doc: dict = {}
     if isinstance(game, GameStructure):
         doc["type"] = "concurrent"
@@ -200,7 +234,7 @@ def serialize_game(game: GameStructure | TurnBasedGame, extra: dict | None = Non
                 for b in game.moves2[s]:
                     dist = game.delta[(s, a, b)]
                     by_b[b] = {
-                        t: str(p) for t, p in dist.items() if p > 0
+                        t: format_fraction(p) for t, p in dist.items() if p > 0
                     }
                 by_a[a] = by_b
             delta[s] = by_a
@@ -211,10 +245,70 @@ def serialize_game(game: GameStructure | TurnBasedGame, extra: dict | None = Non
         doc["partition"] = {s: game.partition[s] for s in game.states}
         doc["edges"] = {s: list(game.edges[s]) for s in game.states}
         doc["prob"] = {
-            s: {t: str(p) for t, p in game.prob[s].items()}
+            s: {t: format_fraction(p) for t, p in game.prob[s].items()}
             for s in game.states
             if s in game.prob
         }
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+    return dump_json(doc)
+
+
+def dump_json(doc) -> str:
+    """The standard library's text for ``indent=2, ensure_ascii=False``,
+    byte for byte, for documents of ``str``, ``int``, ``bool``, ``None``,
+    ``list`` and ``dict`` with ``str`` keys; anything else raises
+    ``TypeError``.
+
+    The standard writer falls back to its pure-Python encoder whenever
+    ``indent`` is set; this one does less per value and escapes strings
+    with the C-backed ``encode_basestring``.
+    """
+    out: list[str] = []
+    _write_value(doc, out, "\n")
+    return "".join(out)
+
+
+def _write_value(value, out: list[str], newline: str) -> None:
+    """Append ``value`` to ``out``; its nested lines start with ``newline``
+    and two more spaces."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _write_value(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if isinstance(item, str):
+                # Most values are strings: write them without a call.
+                out.append(f"{separator}{encode_basestring(key)}: {encode_basestring(item)}")
+            else:
+                out.append(f"{separator}{encode_basestring(key)}: ")
+                _write_value(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

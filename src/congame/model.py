@@ -18,6 +18,7 @@ only gains entries that are functions of their keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,14 +43,24 @@ class BudgetExceeded(GameError):
 
 
 def _check_distribution(dist: Mapping[str, Fraction], where: str) -> None:
-    total = ZERO
+    """Every probability is a nonnegative ``Fraction`` and they sum to 1.
+
+    The entries are checked in order, type before sign; the sum is taken in
+    integers over the lcm of the denominators, and a single entry of 1,
+    the common case, needs no sum.
+    """
+    if len(dist) == 1:
+        (p,) = dist.values()
+        if isinstance(p, Fraction) and p == 1:
+            return
     for key, p in dist.items():
         if not isinstance(p, Fraction):
             raise GameError(f"{where}: probability of {key!r} is not an exact rational")
-        if p < 0:
+        if p.numerator < 0:
             raise GameError(f"{where}: negative probability {p} for {key!r}")
-        total += p
-    if total != 1:
+    common = math.lcm(*(p.denominator for p in dist.values()))
+    if sum(p.numerator * (common // p.denominator) for p in dist.values()) != common:
+        total = sum(dist.values(), ZERO)
         raise GameError(f"{where}: probabilities sum to {total}, expected 1")
 
 

@@ -100,7 +100,11 @@ def _feasible_unrestricted(
     Returns the witness's probabilities on the rows ``A``.
 
     One row needs no LP: it is feasible exactly when it meets the target on
-    ``B`` and strictly exceeds it elsewhere, with witness 1.
+    ``B`` and strictly exceeds it elsewhere, with witness 1.  For more rows,
+    a column's entry under any mixture over ``A`` lies between the column's
+    least and greatest entry on ``A``, so the LP runs only when every column
+    in ``B`` brackets the target and every other column exceeds it
+    somewhere.
     """
     b_set = set(B)
     if len(A) == 1:
@@ -108,6 +112,10 @@ def _feasible_unrestricted(
         if all((x == target) if j in b_set else (x > target) for j, x in enumerate(row)):
             return (ONE,)
         return None
+    for j in range(len(payoff[0])):
+        column = [payoff[a][j] for a in A]
+        if not (min(column) <= target <= max(column) if j in b_set else max(column) > target):
+            return None
     n = len(A) + 1  # mixture over A plus the slack variable
     t_col = len(A)
     rows: list[list[Fraction]] = []

@@ -11,12 +11,12 @@ exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
 (policy iteration, no LP) cross-checks the integer simplex against policy
 iteration; and the slack LP for support pairs, the reference for the closed
-forms and pruning of `safety_si`.  The third is `EncodedTurnBasedReach`,
-the concurrent reachability improvement run on a turn-based game's
-encoding, the reference for the graph runner that replaced it.  The fourth
-is `ColdConvergentSafety`, the convergent safety loop with every k-uniform
-run started from the uniform selector, the reference for the warm-started
-rounds.
+forms, pruning and pre-filter of `safety_si`.  The third is
+`EncodedTurnBasedReach`, the concurrent reachability improvement run on a
+turn-based game's encoding, the reference for the graph runner that
+replaced it.  The fourth is `ColdConvergentSafety`, the convergent safety
+loop with every k-uniform run started from the uniform selector, the
+reference for the warm-started rounds.
 """
 
 from __future__ import annotations
@@ -238,6 +238,31 @@ def slack_lp_feasible(payoff, target, A, B):
     except SimplexInfeasible:
         return None
     return tuple(point[: len(A)]) if slack > 0 else None
+
+
+def slack_lp_pruned_pairs(payoff, solution):
+    """``safety_si._pruned_pairs`` with every candidate pair decided by the
+    slack LP alone: the same complementary-slackness candidates (``B``
+    covering the optimal column strategy's support, ``A`` inside the rows
+    that earn the value against it) in the same order, with no closed form
+    and no pre-filter."""
+    target, y = solution.value, solution.col_strategy
+    support = {b for b, q in enumerate(y) if q}
+    responses = [
+        a for a, row in enumerate(payoff) if sum(row[b] * y[b] for b in support) == target
+    ]
+
+    def subsets(items):
+        return [c for size in range(1, len(items) + 1) for c in itertools.combinations(items, size)]
+
+    pairs = []
+    for A in subsets(responses):
+        for B in subsets(range(len(y))):
+            if support.issubset(B):
+                witness = slack_lp_feasible(payoff, target, A, B)
+                if witness is not None:
+                    pairs.append((A, B, witness))
+    return tuple(pairs)
 
 
 def chain_reach(states, trans, targets):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from congame.certify import Certifier
 from congame.cli import main
 from congame.gamefile import parse_game, serialize_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
+from congame.value_iter import safety_value_iteration_upper
 
 from conftest import ONE, random_concurrent_game
 from helpers import check_determinacy_bracket
@@ -257,3 +259,29 @@ def test_reach_si_stays_under_the_digit_limit(tmp_path, capsys):
     assert report["verified"] is True
     assert report["iterations"] == 14
     assert all(_bits(x) <= 2048 for x in _rationals(report))
+
+
+def test_vi_prints_values_past_the_digit_limit(tmp_path, capsys):
+    # Ten safety value iteration steps on the game above give q2 a value of
+    # 20751 bits, past CPython's 4300-digit limit on printing integers; the
+    # report prints it in full and the run ends capped.
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(DIGIT_LIMIT_GAME), encoding="utf-8")
+    code = main([
+        "solve", str(path), "--objective", "safe:not-q0", "--algorithm", "vi",
+        "--max-iters", "10", "--format", "json",
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    report = json.loads(captured.out)
+    assert report["status"] == STATUS_CAPPED
+    game = parse_game(json.dumps(DIGIT_LIMIT_GAME))
+    last = safety_value_iteration_upper(game, ["q1", "q2"], steps=10)[-1]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = {s: str(last[s]) for s in game.states}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert {s: cell["exact"] for s, cell in report["values"].items()} == expected
+    assert max(map(len, expected.values())) > 2 * limit

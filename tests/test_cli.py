@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ import congame.cli
 import congame.matrix
 import congame.safety_si
 from congame import GameStructure, parse_game
-from congame.cli import decimal_string, main, parse_objective
+from congame.cli import build_parser, decimal_string, main, parse_objective
 from congame.gamefile import serialize_game
 
 from conftest import random_concurrent_game
@@ -405,3 +409,48 @@ def test_one_step_cache_lives_for_one_solve(capsys, tmp_path, monkeypatch):
         runs.append((len(games), len(pairs), out))
     assert runs[0][0] > 0 and runs[0][1] > 0
     assert runs[0] == runs[1]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv):
+    path = os.environ.get("PYTHONPATH")
+    src = str(Path(congame.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "congame.cli", *argv],
+        env=env, capture_output=True, encoding="utf-8", timeout=120, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_matches_fresh_processes(capsys, example_dir, monkeypatch):
+    # main reuses one parser for the life of the process; every call must
+    # still print what a fresh interpreter prints for the same argv.  The
+    # width is fixed because argparse wraps its usage line to the terminal.
+    monkeypatch.setenv("COLUMNS", "80")
+    fig1, fig2 = str(example_dir / "fig1.game"), str(example_dir / "fig2.game")
+    runs = [
+        ["solve", fig1, "--objective", "reach:s0", "--algorithm", "reach-si", "--verify",
+         "--format", "json"],
+        ["validate", fig2],
+        ["solve", fig1, "--algorithm", "vi"],
+        ["dump-tb", str(example_dir / "ex3full.game"), "--objective", "safe:not-s2",
+         "--si-iters", "1", "--k", "2"],
+        ["solve", fig2, "--objective", "reach:s2", "--algorithm", "reach-si", "--trace"],
+        ["solve", fig1, "--objective", "reach:s0", "--algorithm", "reach-si", "--verify",
+         "--format", "json"],
+    ]
+    results = [_in_process(capsys, argv) for argv in runs]
+    assert build_parser() is build_parser()
+    assert results[2][0] == 2 and "required: --objective" in results[2][2]
+    assert results[0] == results[-1]
+    for argv, result in zip(runs, results):
+        assert result == _fresh_process(argv)

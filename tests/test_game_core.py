@@ -17,7 +17,7 @@ from congame import (
     uniform_selector,
 )
 from congame.matrix import pre1
-from congame.model import indicator
+from congame.model import P1, RANDOM, TurnBasedGame, indicator
 
 from conftest import random_concurrent_game, random_tb_game
 from helpers import destinations, is_absorbing, is_turn_based, pure_selector, value_classes
@@ -54,6 +54,37 @@ def test_parse_rejects_bad_probability_sum():
     with pytest.raises(GameFormatError) as err:
         parse_game(text)
     assert "'s'" in str(err.value) and "9/10" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ({"s": 0.5}, "probability of 's' is not an exact rational"),
+        ({"s": 1}, "probability of 's' is not an exact rational"),
+        ({"s": F(1, 2), "t": 0.5}, "probability of 't' is not an exact rational"),
+        ({"s": F(-1, 4), "t": 0.5}, "negative probability -1/4 for 's'"),
+        ({"s": F(5, 4), "t": F(-1, 4)}, "negative probability -1/4 for 't'"),
+        ({"s": F(1, 4), "t": F(1, 2)}, "probabilities sum to 3/4, expected 1"),
+        ({"s": F(1, 2)}, "probabilities sum to 1/2, expected 1"),
+        ({}, "probabilities sum to 0, expected 1"),
+    ],
+)
+def test_distribution_check_messages(dist, message):
+    def build(d):
+        delta = {("s", "x", "y"): d, ("t", "x", "y"): {"t": F(1)}}
+        moves = {"s": ("x",), "t": ("x",)}
+        return GameStructure(("s", "t"), ("x", "y"), moves, {"s": ("y",), "t": ("y",)}, delta)
+
+    with pytest.raises(GameError) as err:
+        build(dist)
+    assert str(err.value) == f"delta('s', 'x', 'y'): {message}"
+    build({"s": F(1, 3), "t": F(2, 3)})
+
+
+def test_random_state_distribution_check_message():
+    with pytest.raises(GameError, match=r"^prob\('r'\): probabilities sum to 3/4, expected 1$"):
+        TurnBasedGame(("r", "u"), {"r": RANDOM, "u": P1}, {"r": ("r", "u"), "u": ("u",)},
+                      {"r": {"r": F(1, 4), "u": F(1, 2)}})
 
 
 def test_parse_rejects_float_probability():

@@ -17,18 +17,23 @@ from congame import (
     run_k_uniform_si,
     tb_reduction,
 )
-from congame.matrix import one_step_matrix
+from congame.matrix import MatrixGame, one_step_matrix, solve_matrix_game
 from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
-from congame.safety_si import _feasible_unrestricted, _nonempty_subsets
+from congame.safety_si import _feasible_unrestricted, _nonempty_subsets, _pruned_pairs
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
     k_uniform_pairs, opt_sel_feasible, reference_k_uniform_pairs,
     round_to_k_uniform,
 )
-from oracles import ColdConvergentSafety, brute_force_k_uniform_best, slack_lp_feasible
+from oracles import (
+    ColdConvergentSafety,
+    brute_force_k_uniform_best,
+    slack_lp_feasible,
+    slack_lp_pruned_pairs,
+)
 
 F = Fraction
 NOOP = "⊥"
@@ -491,3 +496,21 @@ def test_improvement_switches_at_ex3full_k_uniform_fixpoint(ex3full):
     assert not nonlocal_step
     assert switches == {"s0": {"a": F(5, 12), "b": F(7, 12)}}
     assert result.finished and not result.optimal
+
+
+def test_pruned_pairs_match_the_slack_lp_alone():
+    """The pre-filter in front of the slack LP rejects only infeasible
+    pairs: on random small matrices with ties, the pruned pairs equal those
+    the LP finds by itself among the same candidates."""
+    rng = random.Random(2027)
+    grid = [ZERO, F(1, 3), F(1, 2), ONE]
+    multi_row = 0
+    for _ in range(2000):
+        m, n = rng.randint(2, 3), rng.randint(2, 3)
+        payoff = tuple(tuple(rng.choice(grid) for _ in range(n)) for _ in range(m))
+        matrix = MatrixGame(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
+        solution = solve_matrix_game(matrix)
+        got = _pruned_pairs(payoff, solution)
+        assert got == slack_lp_pruned_pairs(payoff, solution)
+        multi_row += sum(len(A) > 1 for A, _, _ in got)
+    assert multi_row > 100
