@@ -64,7 +64,6 @@ from .safety_si import (
     TBReduction,
     improvement_switches,
     opt_sel_count,
-    run_k_uniform_si,
     tb_reduction,
 )
 from .certify import Certifier

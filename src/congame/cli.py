@@ -64,13 +64,8 @@ from .reach_si import (
     ReachSIRunner,
     TurnBasedReachRunner,
 )
-from .safety_si import (
-    ConvergentSafetyRunner,
-    SafetySIRunner,
-    normalize_safety,
-    run_k_uniform_si,
-    tb_reduction,
-)
+from . import safety_si
+from .safety_si import ConvergentSafetyRunner, SafetySIRunner, tb_reduction
 from .value_iter import (
     HypothesisViolation,
     eta_achieved_values,
@@ -255,8 +250,10 @@ def _safety_si(p: Problem) -> Solve:
 
 def _k_uniform(p: Problem) -> Solve:
     """A k-uniform fixpoint is exact for the whole game only if it is
-    ``optimal``: the unrestricted stopping condition also holds there."""
-    runner = run_k_uniform_si(p.game, p.chosen, p.k)
+    ``optimal``: the unrestricted stopping condition also holds there.  A
+    run that uses up its budget of steps is capped."""
+    # The budget is read from the module at call time, like the convergent loop's.
+    runner = SafetySIRunner(p.game, p.chosen, p.k).run(safety_si.K_UNIFORM_MAX_STEPS)
     return Solve(
         STATUS_EXACT if runner.optimal else STATUS_CAPPED, runner.values, runner.iterations,
         runner.selector, runner.values,
@@ -330,6 +327,8 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
     for option, given in (("EPS", args.eps), ("K", args.k)):
         if given is not None and algorithm.inline != option:
             raise CliError(f"{name} does not read --{option.lower()}")
+        if given is not None and inline is not None:
+            raise CliError(f"{name}: give {option} inline or as --{option.lower()}, not both")
     takes = algorithm.inline if inline else ""
     if takes == "EPS":
         eps = parse_fraction(inline, f"--algorithm {name}:EPS")
@@ -460,7 +459,9 @@ def _dump_tb(args: argparse.Namespace) -> int:
     kind, chosen = parse_objective(args.objective, game.states)
     if kind != "safe":
         raise CliError("dump-tb takes a safe objective")
-    ctx = normalize_safety(game, chosen)
+    if args.si_iters < 0:
+        raise CliError("--si-iters must be >= 0")
+    runner = SafetySIRunner(game, chosen)
     if args.valuation:
         try:
             with open(args.valuation, "r", encoding="utf-8") as handle:
@@ -477,8 +478,8 @@ def _dump_tb(args: argparse.Namespace) -> int:
             if not (0 <= value <= 1):
                 raise CliError(f"valuation[{s!r}] = {value} outside [0, 1]")
     else:
-        v = SafetySIRunner(game, chosen).run(args.si_iters).values
-    reduction = tb_reduction(ctx.game, v, ctx.safe, args.k)
+        v = runner.run(args.si_iters).values
+    reduction = tb_reduction(runner.game, v, runner.safe, args.k)
     winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
     back_map_doc = {}
     for node, origin in reduction.back_map.items():

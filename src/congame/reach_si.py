@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .matrix import MatrixGame, one_step_matrix, pre1
+from .matrix import MatrixGame, one_step_matrix, pre1_state
 from .mdp import (
     ImproperSelectorError,
     compute_W2,
@@ -45,7 +45,6 @@ from .model import (
     TurnBasedGame,
     Valuation,
     edge_move,
-    make_absorbing,
     uniform_selector,
 )
 
@@ -66,8 +65,9 @@ class Runner:
     returns the runner; a runner with no valuation yet needs a cap of at
     least 1.  ``iterations`` counts the rounds run, ``finished``
     says the last one found the fixpoint (status exact, else capped).
-    Subclasses set ``game`` (the normalized game they improve on, or for a
-    runner on a turn-based graph the ``TurnBasedGame`` itself) and
+    Subclasses set ``game`` (the game they improve on: as given, or
+    normalized by ``SafetySIRunner``, or for a runner on a turn-based graph
+    the ``TurnBasedGame`` itself) and
     ``valuations`` (the exact value of every selector held, oldest first;
     ``values`` is the last), provide ``selector`` (achieving ``values``,
     on a graph in the move names of its concurrent encoding) and implement
@@ -139,7 +139,9 @@ class ReachSIRunner(Runner):
 
     It holds the current ``selector``, the ``valuations`` of every selector
     held and ``improve_set``, the states the last round switched.  It
-    starts from the uniform selector, which is proper.  A turn-based game
+    runs on ``game`` as given, with no absorbing copy: the evaluation
+    holds T and W2 absorbing and the rounds never look at them.  It starts
+    from the uniform selector, which is proper.  A turn-based game
     runs on its graph instead, in ``TurnBasedReachRunner``.
 
     The witnesses taken are bounded: a switched state whose exact ``Pre1``
@@ -155,7 +157,7 @@ class ReachSIRunner(Runner):
     def __init__(self, game: GameStructure, T: Iterable[str]):
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
-        self.game = make_absorbing(game, self.target | self.w2)
+        self.game = game
         selector = uniform_selector(self.game)
         try:
             value = strategy_value_reach(self.game, selector, self.target, self.w2)
@@ -174,22 +176,23 @@ class ReachSIRunner(Runner):
         elsewhere; an empty improvement set is the fixpoint."""
         v = self.values
         done = self.target | self.w2
-        pre_vals, witness = pre1(self.game, v)
-        self.improve_set = frozenset(
-            s for s in self.game.states if s not in done and pre_vals[s] > v[s]
-        )
+        # The one-step value of each new choice at v, which the new value
+        # must reach; on T and W2, which the evaluation holds absorbing, v.
+        bound = dict(v)
+        witness = {}
+        for s in self.game.states:
+            if s not in done:
+                bound[s], witness[s] = pre1_state(self.game, v, s)
+        self.improve_set = frozenset(s for s in witness if bound[s] > v[s])
         if not self.improve_set:
             return True
         choice = {
-            s: dict(witness.choice[s] if s in self.improve_set else self.selector.choice[s])
+            s: dict(witness[s] if s in self.improve_set else self.selector.choice[s])
             for s in self.game.states
         }
-        # The one-step value of each new choice at v, which the new value
-        # must reach.
-        bound = dict(pre_vals)
         for s in self.improve_set:
             if any(p.denominator.bit_length() > MAX_WITNESS_BITS for p in choice[s].values()):
-                midpoint = (v[s] + pre_vals[s]) / 2
+                midpoint = (v[s] + bound[s]) / 2
                 choice[s], bound[s] = _dyadic_rounding(
                     one_step_matrix(self.game, v, s), choice[s], midpoint
                 )

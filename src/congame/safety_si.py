@@ -11,14 +11,16 @@ this game marks the states where switching mixtures forces the adversary to
 concede, and the stored mixture witnesses become the new selector there.
 
 Even with the non-local step the plain loop may converge below the value.
-The convergent variant restricts each round to k-uniform mixtures (finitely
-many, so each inner run terminates at the exact k-uniform optimum) and
-grows k; the resulting outer sequence of strategy values rises to the value
-of the game.  Each round after the first starts from the last round's
-fixpoint rather than from the uniform selector.
+The convergent variant restricts the loop to k-uniform mixtures (finitely
+many, so each run terminates at the exact k-uniform optimum) and grows k;
+the resulting outer sequence of strategy values rises to the value of the
+game.  It is one monotone sequence: a k-uniform fixpoint is (k+1)-uniform,
+so the run for k + 1 continues from it.
 
 ``SafetySIRunner`` runs the plain or, given k, the k-uniform loop, and
-``ConvergentSafetyRunner`` the outer one; both are ``reach_si.Runner``s.
+``widen()`` moves a k-uniform runner on to k + 1.  ``ConvergentSafetyRunner``
+drives one such runner through the outer loop, giving each round a budget
+of ``K_UNIFORM_MAX_STEPS`` steps; both are ``reach_si.Runner``s.
 A finished ``SafetySIRunner`` runs the unrestricted stopping test once and
 keeps its answer as ``optimal``; the outer loop stops on it.
 """
@@ -367,24 +369,10 @@ def improvement_switches(
     return switches, True
 
 
-@dataclass(frozen=True)
-class SafetyContext:
-    """Normalized game (value-1 region and unsafe states absorbing) plus the
-    pure winning choices on the value-1 region, which make a selector for
-    the normalized game a strategy for the original one."""
-
-    game: GameStructure
-    w1: frozenset[str]
-    safe: set[str]
-    w1_actions: dict[str, str]
-
-
-def normalize_safety(game: GameStructure, F: Iterable[str]) -> SafetyContext:
-    safe = set(F) & set(game.states)
-    w1, w1_actions = almost_sure_safe_strategy(game, safe)
-    unsafe = set(game.states) - safe
-    normalized = make_absorbing(game, w1 | unsafe)
-    return SafetyContext(normalized, w1, safe, w1_actions)
+# Steps a k-uniform run may take to reach its fixpoint.  Values rise
+# strictly and k-uniform selectors are finite, so the fixpoint is always
+# reached; a run that uses up this budget stops short of it.
+K_UNIFORM_MAX_STEPS = 10_000
 
 
 class SafetySIRunner(Runner):
@@ -393,44 +381,44 @@ class SafetySIRunner(Runner):
     genuinely concurrent games the plain loop may improve forever, so its
     cap flags a partial trace.
 
-    k is raised to the total number of moves so the uniform start is itself
-    k-uniform.  ``context`` reuses a normalization of ``game`` already made.
-    The start is the uniform selector with the pure winning choice written
-    on the value-1 region: those states are absorbing in the normalized game
-    and never switched, so ``selector`` achieves ``values`` on the original
-    game too.  ``start`` replaces it with a selector of ``context.game``
-    that keeps those choices (and, given k, is k-uniform), such as an
-    earlier k-uniform fixpoint.  ``fired_nonlocal`` says whether any round
-    took the non-local step.  ``optimal`` says the fixpoint passed the unrestricted stopping
+    The runner improves on the normalized ``game``: ``w1`` (the value-1
+    region of Safe(``safe``)) and the unsafe states are absorbing.  k is
+    raised to the total number of moves so the uniform start is itself
+    k-uniform.  The start is the uniform selector with the pure winning
+    choice written on ``w1``: those states are never switched, so
+    ``selector`` achieves ``values`` on the original game too.
+    ``fired_nonlocal`` says whether any round took the non-local step.
+    ``optimal`` says the fixpoint passed the unrestricted stopping
     condition, so ``values`` is the value of the game; it is False until
     the runner finishes, and a k-uniform fixpoint may still fail it.
     """
 
     optimal = False
 
-    def __init__(
-        self,
-        game: GameStructure,
-        F: Iterable[str],
-        k: int | None = None,
-        context: SafetyContext | None = None,
-        start: Selector | None = None,
-    ):
+    def __init__(self, game: GameStructure, F: Iterable[str], k: int | None = None):
         if k is not None and k < 1:
             raise GameError("k must be >= 1")
-        self.context = context if context is not None else normalize_safety(game, F)
-        self.game, self.w1, self.safe = self.context.game, self.context.w1, self.context.safe
+        self.safe = set(F) & set(game.states)
+        self.w1, w1_actions = almost_sure_safe_strategy(game, self.safe)
+        self.game = make_absorbing(game, self.w1 | (set(game.states) - self.safe))
         self.k = None if k is None else max(k, len(game.moves))
-        if start is None:
-            choice = uniform_selector(self.game).choice
-            for s, a in self.context.w1_actions.items():
-                choice[s] = {a: ONE}
-            start = Selector(choice)
-        self.selector = start
+        choice = uniform_selector(self.game).choice
+        for s, a in w1_actions.items():
+            choice[s] = {a: ONE}
+        self.selector = Selector(choice)
         self.valuations: list[Valuation] = [
             strategy_value_safety(self.game, self.selector, self.safe)
         ]
         self.fired_nonlocal = False
+
+    def widen(self) -> None:
+        """Raise k by one and let ``run`` continue from the current
+        selector.  That is sound: a k-uniform selector is (k+1)-uniform, so
+        a k-uniform fixpoint is a valid start for the (k+1)-uniform loop,
+        which still ends at the exact (k+1)-uniform optimum."""
+        self.k += 1
+        self.finished = False
+        self.optimal = False
 
     def _round(self) -> bool:
         """Switch the states ``improvement_switches`` names and evaluate the
@@ -461,64 +449,36 @@ class SafetySIRunner(Runner):
         return False
 
 
-def run_k_uniform_si(
-    game: GameStructure,
-    F: Iterable[str],
-    k: int,
-    max_iters: int = 10_000,
-    _context: SafetyContext | None = None,
-    _start: Selector | None = None,
-) -> SafetySIRunner:
-    """Safety improvement restricted to k-uniform mixtures, to its fixpoint.
-
-    Values rise strictly whenever the selector changes and the k-uniform
-    selectors are finite, so the loop terminates; the fixpoint is the exact
-    optimum over k-uniform memoryless strategies.  ``max_iters`` is a
-    budget, not a cap: running out of it raises.  ``_start`` is
-    ``SafetySIRunner``'s ``start``.
-    """
-    runner = SafetySIRunner(game, F, k, _context, _start).run(max_iters)
-    if not runner.finished:
-        raise RuntimeError("k-uniform improvement failed to terminate within budget")
-    return runner
-
-
 class ConvergentSafetyRunner(Runner):
-    """Outer loop growing k: each step runs the k-uniform improvement to its
-    fixpoint (kept as ``inner``), records its exact strategy value and k,
-    and stops when that fixpoint is ``optimal``.  There is no valuation
-    before the first step, so ``run`` needs a cap of at least 1.
-
-    The first inner run starts from the uniform selector; each later one
-    starts warm from the last fixpoint, which is k-uniform and hence
-    (k+1)-uniform.  Every inner run still ends at the exact k-uniform
-    optimum, so only the number of inner steps depends on the start.
+    """Outer loop growing k over one k-uniform ``inner`` runner: each step
+    widens it (from the second step on), runs it to its fixpoint, records
+    the exact strategy value and k, and stops when that fixpoint is
+    ``optimal``.  There is no valuation before the first step, so ``run``
+    needs a cap of at least 1.  An inner run that does not finish within
+    ``K_UNIFORM_MAX_STEPS`` steps raises ``RuntimeError``.
     """
 
     def __init__(self, game: GameStructure, F: Iterable[str]):
-        self.context = normalize_safety(game, F)
-        self.game, self.safe = self.context.game, self.context.safe
-        self.k = max(1, len(game.moves))
+        self.inner = SafetySIRunner(game, F, 1)
+        self.game, self.safe = self.inner.game, self.inner.safe
         self.valuations: list[Valuation] = []
         self.ks: list[int] = []
-        self.inner: SafetySIRunner | None = None
 
     @property
     def selector(self) -> Selector:
         return self.inner.selector
 
     def _round(self) -> bool:
-        start = None if self.inner is None else self.inner.selector
-        inner = run_k_uniform_si(
-            self.game, self.safe, self.k, _context=self.context, _start=start
-        )
+        inner = self.inner
+        if self.ks:
+            inner.widen()
+        inner.run(inner.iterations + K_UNIFORM_MAX_STEPS)
+        if not inner.finished:
+            raise RuntimeError("k-uniform improvement failed to terminate within budget")
         if self.valuations:
             for s in self.game.states:
                 if inner.values[s] < self.values[s]:
                     raise AssertionError(f"outer sequence regressed at {s!r}")
-        self.inner = inner
         self.valuations.append(inner.values)
         self.ks.append(inner.k)
-        self.k += 1
         return inner.optimal
-

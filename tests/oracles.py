@@ -28,7 +28,7 @@ from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
 from congame.mdp import strategy_value_reach, tb_attractor
 from congame.model import P1, P2, Selector, edge_move, encode_turn_based_as_concurrent
 from congame.reach_si import ReachSIRunner
-from congame.safety_si import ConvergentSafetyRunner, run_k_uniform_si
+from congame.safety_si import K_UNIFORM_MAX_STEPS, ConvergentSafetyRunner, SafetySIRunner
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -436,11 +436,19 @@ class EncodedTurnBasedReach(ReachSIRunner):
 
 
 class ColdConvergentSafety(ConvergentSafetyRunner):
-    """The convergent safety loop with every inner k-uniform run started
-    cold, from the uniform selector with the W1 choices written in."""
+    """The convergent safety loop with every inner k-uniform run a fresh
+    runner, started cold from the uniform selector with the W1 choices
+    written in."""
+
+    def __init__(self, game, F):
+        super().__init__(game, F)
+        self.original = game
 
     def _round(self) -> bool:
-        inner = run_k_uniform_si(self.game, self.safe, self.k, _context=self.context)
+        k = self.ks[-1] + 1 if self.ks else self.inner.k
+        inner = SafetySIRunner(self.original, self.safe, k).run(K_UNIFORM_MAX_STEPS)
+        if not inner.finished:
+            raise RuntimeError("k-uniform improvement failed to terminate within budget")
         if self.valuations:
             for s in self.game.states:
                 if inner.values[s] < self.values[s]:
@@ -448,7 +456,6 @@ class ColdConvergentSafety(ConvergentSafetyRunner):
         self.inner = inner
         self.valuations.append(inner.values)
         self.ks.append(inner.k)
-        self.k += 1
         return inner.optimal
 
 
@@ -699,11 +706,10 @@ def brute_force_k_uniform_best(game, safe, k):
     import itertools
 
     from congame import Selector, strategy_value_safety
-    from congame.safety_si import normalize_safety
     from helpers import k_uniform_distributions
 
-    ctx = normalize_safety(game, safe)
-    frozen_states = ctx.w1 | (set(game.states) - ctx.safe)
+    runner = SafetySIRunner(game, safe)
+    frozen_states = runner.w1 | (set(game.states) - runner.safe)
     spots = [s for s in game.states if s not in frozen_states]
     options = {
         s: [
@@ -718,7 +724,7 @@ def brute_force_k_uniform_best(game, safe, k):
         for s in frozen_states:
             n = len(game.moves1[s])
             choice[s] = {a: Fraction(1, n) for a in game.moves1[s]}
-        value = strategy_value_safety(ctx.game, Selector(choice), ctx.safe)
+        value = strategy_value_safety(runner.game, Selector(choice), runner.safe)
         if best is None:
             best = value
         else:

@@ -19,12 +19,12 @@ from congame import (
     SafetySIRunner,
     TurnBasedReachRunner,
     reach_value_iteration,
-    run_k_uniform_si,
     solve_matrix_game,
 )
 from congame.matrix import pre1
 from congame.model import encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
+from congame.safety_si import K_UNIFORM_MAX_STEPS
 from congame.cli import main as cli_main
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
@@ -126,7 +126,7 @@ def test_criterion_04_example3_full_alg2_vs_alg4():
     # Run cold, every k-uniform fixpoint needs the non-local step.
     assert convergent.ks == list(range(5, 11))
     for k in convergent.ks:
-        assert run_k_uniform_si(game, safe, k).fired_nonlocal
+        assert SafetySIRunner(game, safe, k).run(K_UNIFORM_MAX_STEPS).fired_nonlocal
     assert all(v["s3"] == F(3, 5) for v in convergent.valuations)
     assert all(v["s4"] == F(3, 5) and v["s5"] == F(3, 5) for v in convergent.valuations)
     report(
@@ -196,7 +196,7 @@ def test_criterion_08_k_uniform_oracle_equivalence():
         game = random_concurrent_game(rng, n_states=3, max_moves=2)
         safe = set(rng.sample(game.states, rng.randint(1, 2)))
         k = rng.randint(1, 4)
-        result = run_k_uniform_si(game, safe, k)
+        result = SafetySIRunner(game, safe, k).run(K_UNIFORM_MAX_STEPS)
         assert result.k <= 4
         oracle = brute_force_k_uniform_best(game, safe, result.k)
         assert result.values == oracle

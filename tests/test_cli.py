@@ -119,6 +119,33 @@ def test_capped_exit_code(example_dir, capsys):
     assert "status: capped" in out
 
 
+def test_k_uniform_budget_is_a_status(example_dir, capsys, monkeypatch):
+    # This k-uniform run needs two steps to its fixpoint; a budget of one
+    # stops it short, which is reported as capped, not as an error.
+    monkeypatch.setattr(congame.safety_si, "K_UNIFORM_MAX_STEPS", 1)
+    code, out, err = run_cli(
+        capsys,
+        "solve", str(example_dir / "ex3step1.game"),
+        "--objective", "safe:not-s1", "--algorithm", "k-uniform",
+    )
+    assert (code, err) == (2, "")
+    assert "status: capped\niterations: 1\n" in out
+
+
+@pytest.mark.parametrize(
+    "algorithm,option",
+    [(["k-uniform:3"], ["--k", "7"]), (["certify:1/10"], ["--eps", "1/1000"])],
+)
+def test_option_given_twice_rejected(example_dir, capsys, algorithm, option):
+    code, out, err = run_cli(
+        capsys,
+        "solve", str(example_dir / "ex3full.game"), "--objective", "safe:not-s2",
+        "--algorithm", *algorithm, *option,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and f"inline or as {option[0]}, not both" in err
+
+
 def test_input_error_exit_code(example_dir, capsys, tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text('{"type": "concurrent"}', encoding="utf-8")
@@ -218,6 +245,15 @@ def test_dump_tb_rejects_bad_valuation(example_dir, capsys, tmp_path):
     )
     assert code == 1
     assert "missing states" in err
+
+
+def test_dump_tb_rejects_negative_si_iters(example_dir, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "dump-tb", str(example_dir / "fig2.game"),
+        "--objective", "safe:not-s4", "--si-iters", "-5",
+    )
+    assert (code, out, err) == (1, "", "error: --si-iters must be >= 0\n")
 
 
 def test_validate(example_dir, capsys):

@@ -104,6 +104,7 @@ def test_dominates_value_iteration():
 
 def test_natural_termination_is_pre1_fixpoint():
     from congame.matrix import pre1
+    from congame.model import make_absorbing
 
     rng = random.Random(43)
     found = 0
@@ -113,7 +114,9 @@ def test_natural_termination_is_pre1_fixpoint():
         result = ReachSIRunner(game, target).run(30)
         if result.status == STATUS_EXACT:
             found += 1
-            values, _ = pre1(result.game, result.values)
+            # The runner holds T and W2 absorbing without building the copy.
+            absorbing = make_absorbing(game, result.target | result.w2)
+            values, _ = pre1(absorbing, result.values)
             assert values == result.values
     assert found > 0
 

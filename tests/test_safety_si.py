@@ -14,14 +14,18 @@ from congame import (
     improvement_switches,
     TurnBasedReachRunner,
     opt_sel_count,
-    run_k_uniform_si,
     tb_reduction,
 )
 from congame.matrix import MatrixGame, one_step_matrix, solve_matrix_game
 from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
 
-from congame.safety_si import _feasible_unrestricted, _nonempty_subsets, _pruned_pairs
+from congame.safety_si import (
+    K_UNIFORM_MAX_STEPS,
+    _feasible_unrestricted,
+    _nonempty_subsets,
+    _pruned_pairs,
+)
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
@@ -314,7 +318,7 @@ def test_round_to_k_uniform_bounds_random():
 
 def test_k_uniform_ex3full(ex3full):
     safe = [s for s in ex3full.states if s != "s2"]
-    result = run_k_uniform_si(ex3full, safe, 5)
+    result = SafetySIRunner(ex3full, safe, 5).run(K_UNIFORM_MAX_STEPS)
     assert result.fired_nonlocal
     assert result.values["s3"] == F(3, 5)
     assert result.values["s4"] == F(3, 5)
@@ -331,7 +335,7 @@ def test_k_uniform_turn_based_exact():
         tb = random_tb_game(rng, n_states=4, max_succ=2)
         safe = set(rng.sample(tb.states, rng.randint(1, 3)))
         game = encode_turn_based_as_concurrent(tb)
-        result = run_k_uniform_si(game, safe, 1)
+        result = SafetySIRunner(game, safe, 1).run(K_UNIFORM_MAX_STEPS)
         swapped = TurnBasedGame(
             tb.states,
             {
@@ -352,7 +356,7 @@ def test_k_uniform_oracle_tiny():
         game = random_concurrent_game(rng, n_states=3, max_moves=2)
         safe = set(rng.sample(game.states, rng.randint(1, 2)))
         k = rng.randint(1, 4)
-        result = run_k_uniform_si(game, safe, k)
+        result = SafetySIRunner(game, safe, k).run(K_UNIFORM_MAX_STEPS)
         oracle = brute_force_k_uniform_best(game, safe, result.k)
         assert result.values == oracle
 
@@ -374,13 +378,39 @@ def test_convergent_ex3full(ex3full):
             assert runner.inner.fired_nonlocal
     assert runner.ks == list(range(5, 11))
     for k in runner.ks:
-        assert run_k_uniform_si(ex3full, safe, k).fired_nonlocal  # a cold run
+        cold = SafetySIRunner(ex3full, safe, k).run(K_UNIFORM_MAX_STEPS)
+        assert cold.fired_nonlocal
     assert runner.status == STATUS_CAPPED
     assert all(v["s3"] == F(3, 5) for v in runner.valuations)
     at_s0 = [v["s0"] for v in runner.valuations]
     for earlier, later in zip(at_s0, at_s0[1:]):
         assert later >= earlier
     assert all(x * x - 4 * x + 2 > 0 for x in at_s0)  # below 2 - sqrt(2)
+
+
+def test_widen_continues_from_the_fixpoint(ex3full):
+    # widen() reopens a finished k-uniform runner at k + 1 without touching
+    # its selector; running on reaches the same (k+1)-uniform optimum as a
+    # cold run.
+    safe = [s for s in ex3full.states if s != "s2"]
+    runner = SafetySIRunner(ex3full, safe, 5).run(K_UNIFORM_MAX_STEPS)
+    assert runner.finished and not runner.optimal
+    fixpoint, steps = runner.selector, runner.iterations
+    runner.widen()
+    assert runner.k == 6 and not runner.finished and not runner.optimal
+    assert runner.selector is fixpoint and runner.iterations == steps
+    runner.run(steps + K_UNIFORM_MAX_STEPS)
+    cold = SafetySIRunner(ex3full, safe, 6).run(K_UNIFORM_MAX_STEPS)
+    assert runner.finished and runner.values == cold.values
+
+
+def test_convergent_drives_one_inner_runner(ex3full):
+    safe = [s for s in ex3full.states if s != "s2"]
+    runner = ConvergentSafetyRunner(ex3full, safe)
+    inner = runner.inner
+    runner.run(3)
+    assert runner.inner is inner and inner.k == runner.ks[-1] == 7
+    assert runner.valuations[-1] is inner.values
 
 
 def _same_as_cold(game, safe, rounds):
@@ -437,8 +467,8 @@ def test_k_uniform_fixpoint_monotone_in_k():
         game = random_concurrent_game(rng, n_states=3, max_moves=2)
         safe = set(rng.sample(game.states, rng.randint(1, 2)))
         base = len(game.moves)
-        smaller = run_k_uniform_si(game, safe, base)
-        larger = run_k_uniform_si(game, safe, base + 1)
+        smaller = SafetySIRunner(game, safe, base).run(K_UNIFORM_MAX_STEPS)
+        larger = SafetySIRunner(game, safe, base + 1).run(K_UNIFORM_MAX_STEPS)
         assert all(smaller.values[s] <= larger.values[s] for s in game.states)
 
 
@@ -488,7 +518,7 @@ def test_improvement_switches_at_ex3full_k_uniform_fixpoint(ex3full):
     # The 5-uniform fixpoint stops the restricted loop but not the
     # unrestricted one: s0 improves locally, so the report says capped.
     safe = [s for s in ex3full.states if s != "s2"]
-    result = run_k_uniform_si(ex3full, safe, 5)
+    result = SafetySIRunner(ex3full, safe, 5).run(K_UNIFORM_MAX_STEPS)
     assert result.k == 5
     restricted = improvement_switches(result.game, result.values, safe, result.w1, result.k)
     assert restricted == ({}, True)
