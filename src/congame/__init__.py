@@ -14,7 +14,6 @@ from .model import (
     Valuation,
     encode_turn_based_as_concurrent,
     indicator,
-    make_absorbing,
     swap_players,
     uniform_selector,
 )

@@ -69,7 +69,6 @@ from .safety_si import ConvergentSafetyRunner, SafetySIRunner, tb_reduction
 from .value_iter import (
     HypothesisViolation,
     eta_achieved_values,
-    extract_eta_selector,
     extract_optimal_safety_selector,
     reach_value_iteration,
     safety_value_iteration_upper,
@@ -206,10 +205,9 @@ def _vi(p: Problem) -> Solve:
         result = reach_value_iteration(p.game, p.chosen, max_steps=p.max_iters)
         last = result.steps()
         try:
-            achieved = eta_achieved_values(result, last)
+            witness, achieved = eta_achieved_values(result, last) or (None, None)
         except HypothesisViolation:
-            achieved = None
-        witness = extract_eta_selector(result, last) if achieved is not None else None
+            witness = achieved = None
         status = STATUS_EXACT if result.converged else STATUS_CAPPED
         return Solve(
             status, result.valuations[-1], last, witness, achieved, result.valuations,
@@ -479,7 +477,7 @@ def _dump_tb(args: argparse.Namespace) -> int:
                 raise CliError(f"valuation[{s!r}] = {value} outside [0, 1]")
     else:
         v = runner.run(args.si_iters).values
-    reduction = tb_reduction(runner.game, v, runner.safe, args.k)
+    reduction = tb_reduction(game, v, runner.safe, runner.done, args.k)
     winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
     back_map_doc = {}
     for node, origin in reduction.back_map.items():

@@ -15,10 +15,10 @@ A game's one-step results are kept for as long as the game object lives,
 in ``GameStructure.one_step_cache``, keyed by payoff matrix: the solution,
 the non-local step's support pairs (``safety_si``) and the k-uniform scan
 per ``k``.  Each is a function of the payoff alone, stored by position, so
-a hit returns what a fresh computation would.  The improvement runners
-work on their own normalized copies of the game and the command line
-parses a fresh game per solve, so there the cache lasts one solve.
-Matrices with one row or one column take closed forms and bypass it.
+a hit returns what a fresh computation would.  Solvers hold states by
+``done`` sets, not absorbing copies, so the cache lives on the game they
+were given: on the command line, the game parsed for one solve.  Matrices
+with one row or one column take closed forms and bypass it.
 
 ``pre1_k`` restricts player 1 to k-uniform mixtures (all probabilities
 multiples of ``1/l`` for a common denominator ``l <= k``) and maximizes by
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .linprog import EQ, GEQ, solve_lp
 from .model import BudgetExceeded, GameStructure, Selector, ZERO, ONE
@@ -208,12 +208,19 @@ def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[
     return solution.value, mix
 
 
-def pre1(game: GameStructure, v: Mapping[str, Fraction]) -> tuple[dict[str, Fraction], Selector]:
-    """Pointwise sup-inf one-step operator with a witness selector."""
+def pre1(
+    game: GameStructure, v: Mapping[str, Fraction], done: AbstractSet[str] = frozenset()
+) -> tuple[dict[str, Fraction], Selector]:
+    """Pointwise sup-inf one-step operator with a witness selector; a state
+    in ``done`` is held at ``v[s]`` with its first move as witness, which
+    is what the matrix game of a self-loop (every entry ``v[s]``) returns."""
     values: dict[str, Fraction] = {}
     choice: dict[str, dict[str, Fraction]] = {}
     for s in game.states:
-        values[s], choice[s] = pre1_state(game, v, s)
+        if s in done:
+            values[s], choice[s] = v[s], {game.moves1[s][0]: ONE}
+        else:
+            values[s], choice[s] = pre1_state(game, v, s)
     return values, Selector(choice)
 
 

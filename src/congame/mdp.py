@@ -16,11 +16,11 @@ and ``InducedMDP`` build once per object, on first use, from their
 immutable transition tables.  No qualitative set or value is kept between
 calls, so a second evaluation (``--verify``) recomputes everything.
 
-Evaluating a selector needs its target-like states absorbing.  The induced
-MDP gets those self-loops directly (``_induce_absorbing``); no absorbing
-copy of the game is built per evaluation.  A pure player-1 strategy of a
-turn-based game is evaluated the same way from the graph itself
-(``tb_induce_mdp``), without the concurrent encoding.
+Evaluating a selector needs its target-like states absorbing.  They are
+passed as a ``done`` set, each of whose actions ``induce_mdp`` makes a
+self-loop; no absorbing copy of the game is built.  A pure player-1
+strategy of a turn-based game is evaluated the same way from the graph
+itself (``tb_induce_mdp``), without the concurrent encoding.
 """
 
 from __future__ import annotations
@@ -64,11 +64,21 @@ class InducedMDP:
         return self._supports[(s, b)]
 
 
-def induce_mdp(game: GameStructure, xi1: Selector) -> InducedMDP:
-    """Mixture transition function: delta2(s, b) = sum_a delta(s, a, b) xi1(s)(a)."""
+def induce_mdp(
+    game: GameStructure, xi1: Selector, done: AbstractSet[str] = frozenset()
+) -> InducedMDP:
+    """Mixture transition function: delta2(s, b) = sum_a delta(s, a, b) xi1(s)(a),
+    except that every action of a state in ``done`` is a self-loop."""
+    if not done <= game.moves2.keys():
+        raise GameError(f"unknown states {sorted(done - game.moves2.keys())}")
     actions = {s: game.moves2[s] for s in game.states}
     delta2: dict[tuple[str, str], dict[str, Fraction]] = {}
     for s in game.states:
+        if s in done:
+            loop = {s: ONE}
+            for b in game.moves2[s]:
+                delta2[(s, b)] = loop
+            continue
         mix = xi1.choice[s]
         if len(mix) == 1 and ONE in mix.values():
             # A pure move: the mixture is that move's distribution.
@@ -87,21 +97,6 @@ def induce_mdp(game: GameStructure, xi1: Selector) -> InducedMDP:
                     dist[t] = dist.get(t, ZERO) + pa * p
             delta2[(s, b)] = dist
     return InducedMDP(game.states, actions, delta2)
-
-
-def _induce_absorbing(
-    game: GameStructure, xi1: Selector, done: AbstractSet[str]
-) -> InducedMDP:
-    """``induce_mdp`` of ``make_absorbing(game, done)``, without that copy:
-    every action of a state in ``done`` becomes a self-loop."""
-    mdp = induce_mdp(game, xi1)
-    if not done <= mdp.actions.keys():
-        raise GameError(f"unknown states {sorted(done - mdp.actions.keys())}")
-    delta2 = dict(mdp.delta2)
-    for s in done:
-        for b in mdp.actions[s]:
-            delta2[(s, b)] = {s: ONE}
-    return InducedMDP(mdp.states, mdp.actions, delta2)
 
 
 def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fraction]:
@@ -414,7 +409,7 @@ def strategy_value_safety(
     """Exact value of Safe(F) under the memoryless strategy of ``xi1``:
     one minus the adversary's maximal probability of reaching the unsafe set."""
     unsafe = set(game.states) - set(F)
-    reach = max_reach_values(_induce_absorbing(game, xi1, unsafe), unsafe)
+    reach = max_reach_values(induce_mdp(game, xi1, unsafe), unsafe)
     return {s: ONE - reach[s] for s in game.states}
 
 
@@ -432,7 +427,7 @@ def strategy_value_reach(
     """
     W2 = set(W2)
     done = set(T) | W2
-    mdp = _induce_absorbing(game, xi1, done)
+    mdp = induce_mdp(game, xi1, done)
     trap = _trap(mdp, done)
     if trap:
         raise ImproperSelectorError(trap)
@@ -457,8 +452,8 @@ def tb_induce_mdp(
     """Player-2 MDP of the pure player-1 strategy ``picks`` (a successor per
     player-1 node), with every node in ``done`` absorbing.
 
-    It is ``_induce_absorbing`` of the concurrent encoding, up to action
-    names, built from the graph: a player-1 node moves to its pick and a
+    It is ``induce_mdp`` of the concurrent encoding with the same ``done``,
+    up to action names, built from the graph: a player-1 node moves to its pick and a
     random node follows its distribution, each by the single action
     ``NOOP_MOVE``; a player-2 node has one action per edge, in edge order,
     named by its successor.  Every action of a node in ``done`` is a

@@ -185,24 +185,6 @@ class Selector:
     choice: dict[str, dict[str, Fraction]]
 
 
-def make_absorbing(game: GameStructure, keep: Iterable[str]) -> GameStructure:
-    """Replace every transition of the states in ``keep`` by a self-loop.
-
-    Move sets are unchanged, so any selector valid for ``game`` stays valid
-    for the result.  Idempotent.
-    """
-    keep = set(keep)
-    unknown = keep - set(game.states)
-    if unknown:
-        raise GameError(f"make_absorbing: unknown states {sorted(unknown)}")
-    delta = dict(game.delta)
-    for s in keep:
-        for a in game.moves1[s]:
-            for b in game.moves2[s]:
-                delta[(s, a, b)] = {s: ONE}
-    return GameStructure(game.states, game.moves, game.moves1, game.moves2, delta)
-
-
 def uniform_selector(game: GameStructure) -> Selector:
     """Player-1 selector playing all available moves uniformly at random."""
     choice = {}

@@ -65,9 +65,8 @@ class Runner:
     returns the runner; a runner with no valuation yet needs a cap of at
     least 1.  ``iterations`` counts the rounds run, ``finished``
     says the last one found the fixpoint (status exact, else capped).
-    Subclasses set ``game`` (the game they improve on: as given, or
-    normalized by ``SafetySIRunner``, or for a runner on a turn-based graph
-    the ``TurnBasedGame`` itself) and
+    Subclasses set ``game`` (the game they improve on, as given: for a
+    runner on a turn-based graph the ``TurnBasedGame`` itself) and
     ``valuations`` (the exact value of every selector held, oldest first;
     ``values`` is the last), provide ``selector`` (achieving ``values``,
     on a graph in the move names of its concurrent encoding) and implement

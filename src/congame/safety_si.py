@@ -30,12 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .linprog import EQ, GEQ, LPInfeasible, solve_lp
 from .matrix import (
     MatrixGame,
     MatrixSolution,
+    _check_k_uniform_budget,
     _k_uniform_optima,
     _one_step,
     _solution,
@@ -59,7 +60,6 @@ from .model import (
     TurnBasedGame,
     Valuation,
     ZERO,
-    make_absorbing,
     uniform_selector,
 )
 from .reach_si import Runner
@@ -74,7 +74,6 @@ class SupportPair:
     moves that hold it to that optimum (all others strictly exceed it).
     """
 
-    state: str
     A: tuple[str, ...]
     B: tuple[str, ...]
     witness: dict[str, Fraction]
@@ -219,6 +218,21 @@ def _labelled(matrix: MatrixGame, pairs: Iterable[PositionPair]):
         yield (support, tuple(cols[b] for b in B)), dict(zip(support, probabilities))
 
 
+def _held_pairs(game: GameStructure, s: str, k: int | None) -> list[SupportPair]:
+    """``opt_sel_count`` at ``s`` as if every move pair looped back to it.
+    On that constant matrix every nonempty support A of at most ``k`` moves
+    is held by every column, in subset order, and its witness is uniform:
+    the slack LP's unique optimum and the k-uniform scan's first mixture on
+    A.  The k-uniform budget is checked as the scan would check it."""
+    if k is not None:
+        _check_k_uniform_budget(len(game.moves1[s]), k)
+    return [
+        SupportPair(A, game.moves2[s], {a: Fraction(1, len(A)) for a in A})
+        for A in _nonempty_subsets(game.moves1[s])
+        if k is None or len(A) <= k
+    ]
+
+
 def opt_sel_count(
     game: GameStructure, v: Mapping[str, Fraction], s: str, k: int | None = None
 ) -> list[SupportPair]:
@@ -233,7 +247,7 @@ def opt_sel_count(
             _k_uniform_position_pairs(game, matrix, k),
             key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
         )
-    return [SupportPair(s, A, B, witness) for (A, B), witness in _labelled(matrix, pairs)]
+    return [SupportPair(A, B, witness) for (A, B), witness in _labelled(matrix, pairs)]
 
 
 @dataclass
@@ -260,14 +274,16 @@ def _resp_node(s: str, A: tuple[str, ...], b: str) -> str:
 
 
 def tb_reduction(
-    game: GameStructure, v: Mapping[str, Fraction], F: Iterable[str], k: int | None = None
+    game: GameStructure, v: Mapping[str, Fraction], F: Iterable[str],
+    done: AbstractSet[str] = frozenset(), k: int | None = None,
 ) -> TBReduction:
     """Build the turn-based game of optimal-support choices under ``v``.
 
     Player 1 picks a feasible (support, counter-set) pair at each original
     state; player 2 then picks a move from the counter set; a uniform random
     state spreads over every successor the supported moves can produce
-    against that response.
+    against that response.  A state in ``done`` is held, as if every move
+    pair looped back to it (``_held_pairs``).
     """
     safe = set(F)
     order = {t: i for i, t in enumerate(game.states)}
@@ -279,8 +295,9 @@ def tb_reduction(
     witness_store: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict[str, Fraction]] = {}
     safe_bar: set[str] = {s for s in game.states if s in safe}
     for s in game.states:
+        held = s in done
         pair_nodes = []
-        for pair in opt_sel_count(game, v, s, k):
+        for pair in _held_pairs(game, s, k) if held else opt_sel_count(game, v, s, k):
             node = _pair_node(s, pair.A, pair.B)
             pair_nodes.append(node)
             states.append(node)
@@ -302,9 +319,7 @@ def tb_reduction(
                 back_map[resp] = ("resp", s, pair.A, b)
                 if s in safe:
                     safe_bar.add(resp)
-                successors: set[str] = set()
-                for a in pair.A:
-                    successors |= game.dest(s, a, b)
+                successors = {s} if held else set().union(*(game.dest(s, a, b) for a in pair.A))
                 ordered = sorted(successors, key=order.__getitem__)
                 edges[resp] = tuple(ordered)
                 share = Fraction(1, len(ordered))
@@ -333,9 +348,9 @@ def improvement_switches(
     """The states one safety improvement round would switch at ``v``, with
     their new mixtures, and whether the non-local step produced them.
 
-    The game is normalized (W1 and the unsafe states absorbing).  The local
-    step comes first: states outside W1 and the unsafe states where the
-    one-step optimum strictly beats ``v``.  Only when there are none does the
+    W1 and the unsafe states are held (see ``tb_reduction``).  The local
+    step comes first: the other states where the one-step optimum strictly
+    beats ``v``.  Only when there are none does the
     non-local step run: the states the turn-based reduction makes almost
     surely safe, with the stored mixture witnesses.  ``k`` restricts every
     mixture considered to k-uniform ones.  An empty result with ``k=None``
@@ -345,13 +360,16 @@ def improvement_switches(
     w1 = set(W1)
     done = w1 | (set(game.states) - safe)
     if k is None:
-        pre_vals, witness = pre1(game, v)
+        pre_vals, witness = pre1(game, v, done)
         local_witness = witness.choice
     else:
         pre_vals = {}
         local_witness = {}
         for s in game.states:
-            pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
+            if s in done:  # no scan, but the scan's budget check, in state order
+                _check_k_uniform_budget(len(game.moves1[s]), k)
+            else:
+                pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
     local = {
         s: local_witness[s]
         for s in game.states
@@ -359,7 +377,7 @@ def improvement_switches(
     }
     if local:
         return local, False
-    reduction = tb_reduction(game, v, safe, k)
+    reduction = tb_reduction(game, v, safe, done, k)
     winning, tb_strategy = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
     switches = {}
     for s in game.states:
@@ -381,12 +399,12 @@ class SafetySIRunner(Runner):
     genuinely concurrent games the plain loop may improve forever, so its
     cap flags a partial trace.
 
-    The runner improves on the normalized ``game``: ``w1`` (the value-1
-    region of Safe(``safe``)) and the unsafe states are absorbing.  k is
-    raised to the total number of moves so the uniform start is itself
-    k-uniform.  The start is the uniform selector with the pure winning
-    choice written on ``w1``: those states are never switched, so
-    ``selector`` achieves ``values`` on the original game too.
+    The runner improves on ``game`` as given and holds the states in
+    ``done``: ``w1`` (the value-1 region of Safe(``safe``)) and the unsafe
+    states, which the rounds never switch.  k is raised to the total number
+    of moves so the uniform start is itself k-uniform.  The start is the
+    uniform selector with the pure winning choice written on ``w1``, which
+    keeps the play in ``w1`` forever, so ``w1`` keeps value 1.
     ``fired_nonlocal`` says whether any round took the non-local step.
     ``optimal`` says the fixpoint passed the unrestricted stopping
     condition, so ``values`` is the value of the game; it is False until
@@ -400,9 +418,10 @@ class SafetySIRunner(Runner):
             raise GameError("k must be >= 1")
         self.safe = set(F) & set(game.states)
         self.w1, w1_actions = almost_sure_safe_strategy(game, self.safe)
-        self.game = make_absorbing(game, self.w1 | (set(game.states) - self.safe))
+        self.game = game
+        self.done = self.w1 | (set(game.states) - self.safe)
         self.k = None if k is None else max(k, len(game.moves))
-        choice = uniform_selector(self.game).choice
+        choice = uniform_selector(game).choice
         for s, a in w1_actions.items():
             choice[s] = {a: ONE}
         self.selector = Selector(choice)

@@ -30,7 +30,6 @@ from .model import (
     Valuation,
     ZERO,
     indicator,
-    make_absorbing,
     uniform_selector,
 )
 
@@ -48,9 +47,9 @@ class IterationTrace:
     """Record of a reachability value iteration.
 
     ``valuations[k]`` is the k-th iterate; ``witnesses[k]`` (for k >= 1) is
-    the optimal selector that produced it from ``valuations[k-1]``.  The
-    trace keeps the normalized game (target and value-zero states absorbing)
-    so selectors extracted from it can be evaluated directly.
+    the optimal selector that produced it from ``valuations[k-1]``.  ``game``
+    is the game as given; the iteration holds ``target`` and ``w2`` at their
+    values, and so does the evaluation of a selector extracted from it.
     """
 
     game: GameStructure
@@ -75,18 +74,19 @@ class IterationTrace:
 def reach_value_iteration(game: GameStructure, T: Iterable[str], max_steps: int) -> IterationTrace:
     """Iterate ``u_{k+1} = Pre1(u_k)`` from the target indicator.
 
-    Stops at an exact fixpoint (the repeated valuation is kept in the trace
-    so equality is visible) or after ``max_steps`` applications.
+    The target and the value-zero states are held at their values.  Stops
+    at an exact fixpoint (the repeated valuation is kept in the trace so
+    equality is visible) or after ``max_steps`` applications.
     """
     target = frozenset(T) & frozenset(game.states)
     w2 = compute_W2(game, target)
-    normalized = make_absorbing(game, target | w2)
-    trace = IterationTrace(normalized, target, w2)
-    u = indicator(normalized, target)
+    trace = IterationTrace(game, target, w2)
+    held = target | w2
+    u = indicator(game, target)
     trace.valuations.append(u)
     trace.witnesses.append(None)
     for _ in range(max_steps):
-        nxt, witness = pre1(normalized, u)
+        nxt, witness = pre1(game, u, held)
         trace.valuations.append(nxt)
         trace.witnesses.append(witness)
         if nxt == u:
@@ -116,10 +116,10 @@ def extract_eta_selector(trace: IterationTrace, k: int) -> Selector:
     return Selector(choice)
 
 
-def eta_achieved_values(trace: IterationTrace, k: int) -> Valuation | None:
-    """Exact strategy value of the entry-time selector for iterate k, if the
-    selector is proper and its value dominates iterate k-1 pointwise, else
-    None.
+def eta_achieved_values(trace: IterationTrace, k: int) -> tuple[Selector, Valuation] | None:
+    """The entry-time selector for iterate k with its exact strategy value,
+    if the selector is proper and its value dominates iterate k-1
+    pointwise, else None.
 
     Only meaningful when ``u_{k-1}`` is positive outside the value-zero
     region; outside that regime a HypothesisViolation is raised instead of
@@ -139,7 +139,7 @@ def eta_achieved_values(trace: IterationTrace, k: int) -> Valuation | None:
     except ImproperSelectorError:
         return None
     if all(achieved[s] >= previous[s] for s in trace.game.states):
-        return achieved
+        return eta, achieved
     return None
 
 
@@ -172,16 +172,15 @@ def extract_optimal_safety_selector(
 ) -> Selector:
     """Memoryless optimal safety strategy from a safety fixpoint valuation.
 
-    Requires, on the game with unsafe states absorbing, v = Pre1(v) exactly
-    and v = 0 outside F; the per-state optimal matrix-game mixtures then
-    guarantee Safe(F) with probability at least v.
+    Requires v = 0 outside F and, with the unsafe states held, v = Pre1(v)
+    exactly; the per-state optimal matrix-game mixtures then guarantee
+    Safe(F) with probability at least v.
     """
-    safe = set(F)
-    frozen = make_absorbing(game, set(game.states) - safe)
+    unsafe = set(game.states) - set(F)
     for s in game.states:
-        if s not in safe and v[s] != 0:
+        if s in unsafe and v[s] != 0:
             raise NotAFixpoint(f"v({s!r}) = {v[s]} but {s!r} is unsafe")
-    pre_vals, witness = pre1(frozen, v)
+    pre_vals, witness = pre1(game, v, unsafe)
     mismatch = [s for s in game.states if pre_vals[s] != v[s]]
     if mismatch:
         raise NotAFixpoint(

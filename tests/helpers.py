@@ -37,7 +37,6 @@ from congame.model import (
     Selector,
     TurnBasedGame,
     Valuation,
-    make_absorbing,
     swap_players,
 )
 from congame.reach_si import ReachSIRunner
@@ -54,6 +53,26 @@ from oracles import slack_lp_feasible
 def load_example(name: str) -> GameStructure | TurnBasedGame:
     """A bundled example game, parsed."""
     return parse_game(example_text(name))
+
+
+def make_absorbing(game: GameStructure, keep: Iterable[str]) -> GameStructure:
+    """A copy of ``game`` in which every transition of the states in
+    ``keep`` is a self-loop: the reference for the ``done`` sets the
+    solvers pass instead.
+
+    Move sets are unchanged, so any selector valid for ``game`` stays valid
+    for the result.  Idempotent.
+    """
+    keep = set(keep)
+    unknown = keep - set(game.states)
+    if unknown:
+        raise GameError(f"make_absorbing: unknown states {sorted(unknown)}")
+    delta = dict(game.delta)
+    for s in keep:
+        for a in game.moves1[s]:
+            for b in game.moves2[s]:
+                delta[(s, a, b)] = {s: ONE}
+    return GameStructure(game.states, game.moves, game.moves1, game.moves2, delta)
 
 
 def improper_witness(
@@ -216,11 +235,11 @@ def opt_sel_feasible(
         )
         if witness is None:
             return None
-        return SupportPair(s, A, B, dict(zip(A, witness)))
+        return SupportPair(A, B, dict(zip(A, witness)))
     witness = k_uniform_pairs(game, v, s, k).get((A, B))
     if witness is None:
         return None
-    return SupportPair(s, A, B, witness)
+    return SupportPair(A, B, witness)
 
 
 def destinations(game: GameStructure, s: str, xi1: Selector, xi2: Selector) -> frozenset[str]:

@@ -706,10 +706,11 @@ def brute_force_k_uniform_best(game, safe, k):
     import itertools
 
     from congame import Selector, strategy_value_safety
-    from helpers import k_uniform_distributions
+    from helpers import k_uniform_distributions, make_absorbing
 
     runner = SafetySIRunner(game, safe)
     frozen_states = runner.w1 | (set(game.states) - runner.safe)
+    frozen = make_absorbing(game, frozen_states)
     spots = [s for s in game.states if s not in frozen_states]
     options = {
         s: [
@@ -724,7 +725,7 @@ def brute_force_k_uniform_best(game, safe, k):
         for s in frozen_states:
             n = len(game.moves1[s])
             choice[s] = {a: Fraction(1, n) for a in game.moves1[s]}
-        value = strategy_value_safety(runner.game, Selector(choice), runner.safe)
+        value = strategy_value_safety(frozen, Selector(choice), runner.safe)
         if best is None:
             best = value
         else:

@@ -365,14 +365,7 @@ def test_reach_si_builds_no_game_copy_per_round(capsys, tmp_path, monkeypatch):
         }),
         encoding="utf-8",
     )
-    built = []
-    validate = GameStructure.__post_init__
-
-    def counting(structure):
-        built.append(structure)
-        validate(structure)
-
-    monkeypatch.setattr(GameStructure, "__post_init__", counting)
+    built = _count_games(monkeypatch)
     for cap, rounds in (("1", 1), ("2", 2), ("5", 3)):
         built.clear()
         _, out, _ = run_cli(
@@ -383,6 +376,50 @@ def test_reach_si_builds_no_game_copy_per_round(capsys, tmp_path, monkeypatch):
         report = json.loads(out)
         assert report["iterations"] == rounds and report["verified"] is True
         assert len(built) == 1
+
+
+def _count_games(monkeypatch) -> list:
+    """Record every ``GameStructure`` built from now on."""
+    built = []
+    validate = GameStructure.__post_init__
+
+    def counting(structure):
+        built.append(structure)
+        validate(structure)
+
+    monkeypatch.setattr(GameStructure, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    ("argv", "games"),
+    [
+        (["solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "safety-si"], 1),
+        (["solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "k-uniform"], 1),
+        (["solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "convergent"], 1),
+        (["solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "vi"], 1),
+        (["solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "vi"], 1),
+        (["dump-tb", "ex3full.game", "--objective", "safe:not-s2", "--si-iters", "2"], 1),
+        # The certifier's reach side and --verify each swap the players.
+        (["solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "certify"], 3),
+    ],
+)
+def test_every_solve_runs_on_the_parsed_game(capsys, example_dir, monkeypatch, argv, games):
+    # Held states are passed as sets, so no solver builds an absorbing copy
+    # of the game: the parsed game is the only one, apart from the
+    # player-swapped games of certify.
+    built = _count_games(monkeypatch)
+    argv = [argv[0], str(example_dir / argv[1]), *argv[2:]]
+    if argv[0] == "solve":
+        argv += ["--max-iters", "8", "--verify", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    if argv[0] == "solve":
+        report = json.loads(out)
+        assert report.get("verified") is True
+        if "vi" in argv and "safe:not-s0" in argv:
+            assert report["status"] == "exact"
+    assert len(built) == games
 
 
 @pytest.mark.parametrize("error", [AssertionError, RuntimeError])

@@ -11,7 +11,6 @@ from congame import (
     GameFormatError,
     GameStructure,
     encode_turn_based_as_concurrent,
-    make_absorbing,
     parse_game,
     serialize_game,
     uniform_selector,
@@ -20,7 +19,14 @@ from congame.matrix import pre1
 from congame.model import P1, RANDOM, TurnBasedGame, indicator
 
 from conftest import random_concurrent_game, random_tb_game
-from helpers import destinations, is_absorbing, is_turn_based, pure_selector, value_classes
+from helpers import (
+    destinations,
+    is_absorbing,
+    is_turn_based,
+    make_absorbing,
+    pure_selector,
+    value_classes,
+)
 
 F = Fraction
 

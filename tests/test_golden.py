@@ -103,6 +103,20 @@ def _cases() -> dict[str, list[str]]:
         "dump-tb", "ex3full.game", "--objective", "safe:not-s2", "--si-iters", "2",
         "--k", "3",
     ]
+    # A held state with 2 x 2 moves: s0 is unsafe here, so it is held at
+    # its value.  Value iteration's safety witness plays its first move
+    # there; the reduction lists every support at s0 against both columns,
+    # and with k = 1 only the single moves.
+    cases["ex3step1-safe-not-s0-vi-text"] = [
+        "solve", "ex3step1.game", "--objective", "safe:not-s0", "--algorithm", "vi",
+        "--verify",
+    ]
+    cases["ex3step1-dump-tb-not-s0"] = [
+        "dump-tb", "ex3step1.game", "--objective", "safe:not-s0",
+    ]
+    cases["ex3step1-dump-tb-not-s0-k1"] = [
+        "dump-tb", "ex3step1.game", "--objective", "safe:not-s0", "--k", "1",
+    ]
     # Errors: each algorithm given the objective kind it does not solve,
     # an unknown algorithm and malformed inline arguments.
     for algorithm in ("reach-si", "safety-si", "k-uniform", "convergent", "certify"):

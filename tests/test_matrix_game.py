@@ -146,7 +146,8 @@ def test_pre1_fig1_step(fig1):
 
 
 def test_pre1_dominates_indicator_on_targets(ex3full):
-    from congame.model import indicator, make_absorbing
+    from congame.model import indicator
+    from helpers import make_absorbing
 
     frozen = make_absorbing(ex3full, {"s1"})
     v = indicator(frozen, {"s1"})

@@ -18,7 +18,7 @@ from congame import (
     uniform_selector,
 )
 from congame.mdp import _trap, almost_sure_safe_strategy
-from congame.model import P1, make_absorbing
+from congame.model import P1
 
 from conftest import ONE, ZERO, random_concurrent_game, random_selector, random_tb_game
 from helpers import (
@@ -26,6 +26,7 @@ from helpers import (
     improper_witness,
     is_absorbing,
     is_proper,
+    make_absorbing,
     pure_selector,
     strategy_value_reach_by_copy,
     strategy_value_safety_by_copy,

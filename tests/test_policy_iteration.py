@@ -18,9 +18,9 @@ from congame import (
     strategy_value_safety,
     uniform_selector,
 )
-from congame.model import make_absorbing
 
 from conftest import ONE, random_concurrent_game, random_selector
+from helpers import make_absorbing
 from oracles import chain_reach, lp_max_reach_values
 
 F = Fraction

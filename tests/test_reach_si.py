@@ -104,7 +104,7 @@ def test_dominates_value_iteration():
 
 def test_natural_termination_is_pre1_fixpoint():
     from congame.matrix import pre1
-    from congame.model import make_absorbing
+    from helpers import make_absorbing
 
     rng = random.Random(43)
     found = 0

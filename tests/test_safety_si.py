@@ -269,7 +269,7 @@ def test_safety_si_ex3full_never_fires(ex3full):
 def test_safety_si_all_absorbing_safe():
     rng = random.Random(52)
     game = random_concurrent_game(rng, n_states=3)
-    from congame.model import make_absorbing
+    from helpers import make_absorbing
 
     frozen = make_absorbing(game, game.states)
     result = SafetySIRunner(frozen, frozen.states).run(3)

@@ -95,7 +95,8 @@ def test_eta_achieves_previous_iterate(fig1):
 
 def test_eta_is_value_achieving_fig1(fig1):
     trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    assert eta_achieved_values(trace, 4) is not None
+    selector, _ = eta_achieved_values(trace, 4)
+    assert selector == extract_eta_selector(trace, 4)
 
 
 def test_eta_hypothesis_violation_small_k(fig1):
@@ -108,7 +109,8 @@ def test_eta_single_state_game():
     rng = random.Random(32)
     game = random_concurrent_game(rng, n_states=1)
     trace = reach_value_iteration(game, {"q0"}, max_steps=3)
-    assert eta_achieved_values(trace, 1) is not None
+    selector, _ = eta_achieved_values(trace, 1)
+    assert selector == extract_eta_selector(trace, 1)
 
 
 def test_value_class_structure_on_vi_traces():
@@ -129,7 +131,7 @@ def test_value_class_structure_on_vi_traces():
 def test_safety_upper_all_safe_absorbing():
     rng = random.Random(34)
     game = random_concurrent_game(rng, n_states=3)
-    from congame.model import make_absorbing
+    from helpers import make_absorbing
 
     frozen = make_absorbing(game, game.states)
     iterates = safety_value_iteration_upper(frozen, frozen.states, steps=4)
@@ -170,7 +172,7 @@ def test_extract_safety_selector_fig2(fig2):
 def test_extract_safety_selector_all_safe():
     rng = random.Random(35)
     game = random_concurrent_game(rng, n_states=3)
-    from congame.model import make_absorbing
+    from helpers import make_absorbing
 
     frozen = make_absorbing(game, frozen_states := set(game.states))
     v = {s: ONE for s in game.states}
@@ -188,17 +190,16 @@ def test_extract_safety_selector_rejects_non_fixpoint(fig2):
 
 def test_eta_identity_on_random_traces():
     # Pre_{1:eta_k}(u_{k-1}) = u_k on every trace, not just the worked example.
-    from helpers import pre1_sel
+    from helpers import make_absorbing, pre1_sel
 
     rng = random.Random(36)
     for _ in range(10):
         game = random_concurrent_game(rng, n_states=4)
         target = set(rng.sample(game.states, rng.randint(1, 2)))
         trace = reach_value_iteration(game, target, max_steps=5)
+        # The iteration holds the target and value-zero states.
+        held = make_absorbing(game, trace.target | trace.w2)
         for k in range(1, len(trace.valuations)):
             eta = extract_eta_selector(trace, k)
-            for s in trace.game.states:
-                assert (
-                    pre1_sel(trace.game, trace.valuations[k - 1], s, eta)
-                    == trace.valuations[k][s]
-                )
+            for s in game.states:
+                assert pre1_sel(held, trace.valuations[k - 1], s, eta) == trace.valuations[k][s]
