@@ -65,7 +65,7 @@ from .reach_si import (
     TurnBasedReachRunner,
 )
 from . import safety_si
-from .safety_si import ConvergentSafetyRunner, SafetySIRunner, tb_reduction
+from .safety_si import ConvergentSafetyRunner, SafetySIRunner, safety_regions, tb_reduction
 from .value_iter import (
     HypothesisViolation,
     eta_achieved_values,
@@ -459,7 +459,6 @@ def _dump_tb(args: argparse.Namespace) -> int:
         raise CliError("dump-tb takes a safe objective")
     if args.si_iters < 0:
         raise CliError("--si-iters must be >= 0")
-    runner = SafetySIRunner(game, chosen)
     if args.valuation:
         try:
             with open(args.valuation, "r", encoding="utf-8") as handle:
@@ -475,9 +474,11 @@ def _dump_tb(args: argparse.Namespace) -> int:
         for s, value in v.items():
             if not (0 <= value <= 1):
                 raise CliError(f"valuation[{s!r}] = {value} outside [0, 1]")
+        safe, _, _, done = safety_regions(game, chosen)
     else:
-        v = runner.run(args.si_iters).values
-    reduction = tb_reduction(game, v, runner.safe, runner.done, args.k)
+        runner = SafetySIRunner(game, chosen).run(args.si_iters)
+        v, safe, done = runner.values, runner.safe, runner.done
+    reduction = tb_reduction(game, v, safe, done, args.k)
     winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
     back_map_doc = {}
     for node, origin in reduction.back_map.items():

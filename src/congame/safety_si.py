@@ -3,12 +3,18 @@
 Local one-step improvement alone does not converge to safety values: the
 adversary can be indifferent among all successors of a state while a better
 strategy exists (it only pays off once the adversary is forced to commit).
-The fix is a non-local step.  When no state improves locally, build a
-turn-based game in which player 1 picks a (support, counter-move-set) pair
-of an optimal mixture at each state and player 2 is restricted to the
+The fix is a non-local step.  When no state improves locally, consider
+the turn-based game in which player 1 picks a (support, counter-move-set)
+pair of an optimal mixture at each state and player 2 is restricted to the
 counter-optimal responses of that mixture; the almost-sure safe region of
 this game marks the states where switching mixtures forces the adversary to
 concede, and the stored mixture witnesses become the new selector there.
+That region is qualitative: the game's random nodes are uniform over their
+successors, so it is the greatest set of safe states at each of which some
+pair leads only back into the set.  The solve computes it that way, as one
+greatest fixpoint on the concurrent game (``improvement_switches``);
+``tb_reduction`` materializes the turn-based game itself, for
+``congame dump-tb``.
 
 Even with the non-local step the plain loop may converge below the value.
 The convergent variant restricts the loop to k-uniform mixtures (finitely
@@ -44,11 +50,7 @@ from .matrix import (
     pre1,
     pre1_k,
 )
-from .mdp import (
-    almost_sure_safe_strategy,
-    strategy_value_safety,
-    tb_almost_sure_safe,
-)
+from .mdp import _greatest_fixpoint, almost_sure_safe_strategy, strategy_value_safety
 from .model import (
     GameStructure,
     GameError,
@@ -273,6 +275,24 @@ def _resp_node(s: str, A: tuple[str, ...], b: str) -> str:
     return f"{s}/[{'+'.join(A)}]/{b}"
 
 
+def _state_pairs(
+    game: GameStructure, v: Mapping[str, Fraction], s: str, held: bool, k: int | None
+) -> list[SupportPair]:
+    """The (support, counter-set) pairs player 1 offers at ``s``: every
+    pair looping back to ``s`` at a held state, else ``opt_sel_count``."""
+    return _held_pairs(game, s, k) if held else opt_sel_count(game, v, s, k)
+
+
+def _pair_successors(
+    game: GameStructure, s: str, held: bool, A: Iterable[str], B: Iterable[str]
+) -> set[str]:
+    """States the support ``A`` can lead to against the responses ``B`` at
+    ``s``; only ``s`` itself at a held state."""
+    if held:
+        return {s}
+    return {t for a in A for b in B for t in game.dest(s, a, b)}
+
+
 def tb_reduction(
     game: GameStructure, v: Mapping[str, Fraction], F: Iterable[str],
     done: AbstractSet[str] = frozenset(), k: int | None = None,
@@ -284,6 +304,11 @@ def tb_reduction(
     state spreads over every successor the supported moves can produce
     against that response.  A state in ``done`` is held, as if every move
     pair looped back to it (``_held_pairs``).
+
+    This is the materialized view of the non-local step, printed by
+    ``congame dump-tb``.  The solve never builds it: ``improvement_switches``
+    computes its almost-sure safe region directly on ``game``, from the same
+    pairs (``_state_pairs``) and the same successor sets (``_pair_successors``).
     """
     safe = set(F)
     order = {t: i for i, t in enumerate(game.states)}
@@ -297,7 +322,7 @@ def tb_reduction(
     for s in game.states:
         held = s in done
         pair_nodes = []
-        for pair in _held_pairs(game, s, k) if held else opt_sel_count(game, v, s, k):
+        for pair in _state_pairs(game, v, s, held, k):
             node = _pair_node(s, pair.A, pair.B)
             pair_nodes.append(node)
             states.append(node)
@@ -319,7 +344,7 @@ def tb_reduction(
                 back_map[resp] = ("resp", s, pair.A, b)
                 if s in safe:
                     safe_bar.add(resp)
-                successors = {s} if held else set().union(*(game.dest(s, a, b) for a in pair.A))
+                successors = _pair_successors(game, s, held, pair.A, (b,))
                 ordered = sorted(successors, key=order.__getitem__)
                 edges[resp] = tuple(ordered)
                 share = Fraction(1, len(ordered))
@@ -338,6 +363,11 @@ def _replace(selector: Selector, updates: Mapping[str, Mapping[str, Fraction]]) 
     return Selector(choice)
 
 
+def _held(game: GameStructure, safe: AbstractSet[str], w1: AbstractSet[str]) -> AbstractSet[str]:
+    """The states a safety round holds: W1 and the unsafe states."""
+    return w1 | (set(game.states) - safe)
+
+
 def improvement_switches(
     game: GameStructure,
     v: Mapping[str, Fraction],
@@ -350,15 +380,20 @@ def improvement_switches(
 
     W1 and the unsafe states are held (see ``tb_reduction``).  The local
     step comes first: the other states where the one-step optimum strictly
-    beats ``v``.  Only when there are none does the
-    non-local step run: the states the turn-based reduction makes almost
-    surely safe, with the stored mixture witnesses.  ``k`` restricts every
-    mixture considered to k-uniform ones.  An empty result with ``k=None``
-    is the unrestricted stopping condition: ``v`` is the value of the game.
+    beats ``v``.  Only when there are none does the non-local step run: the
+    states outside W1 that the turn-based reduction makes almost surely
+    safe, each with the witness of its first surviving pair.  That region
+    is computed without building the reduction, as the greatest set X of
+    safe states at each of which some pair (A, B) has every successor
+    ``dest(s, a, b)``, a in A and b in B, inside X: a pair node survives in
+    the reduction exactly when its response nodes do, and a uniform response
+    node exactly when all its successors do.  ``k`` restricts every mixture
+    considered to k-uniform ones.  An empty result with ``k=None`` is the
+    unrestricted stopping condition: ``v`` is the value of the game.
     """
     safe = set(F)
     w1 = set(W1)
-    done = w1 | (set(game.states) - safe)
+    done = _held(game, safe, w1)
     if k is None:
         pre_vals, witness = pre1(game, v, done)
         local_witness = witness.choice
@@ -377,14 +412,36 @@ def improvement_switches(
     }
     if local:
         return local, False
-    reduction = tb_reduction(game, v, safe, done, k)
-    winning, tb_strategy = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
-    switches = {}
-    for s in game.states:
-        if s in winning and s not in w1 and s in safe:
-            _, _, A, B = reduction.back_map[tb_strategy[s]]
-            switches[s] = reduction.witness_store[(s, A, B)]
+    options = {
+        s: [
+            (pair.witness, _pair_successors(game, s, s in done, pair.A, pair.B))
+            for pair in _state_pairs(game, v, s, s in done, k)
+        ]
+        for s in game.states
+        if s in safe
+    }
+    alive = _greatest_fixpoint(
+        options,
+        lambda s, X: any(successors <= X for _, successors in options[s]),
+        lambda s: set().union(*(successors for _, successors in options[s])),
+    )
+    switches = {
+        s: next(witness for witness, successors in options[s] if successors <= alive)
+        for s in game.states
+        if s in alive and s not in w1
+    }
     return switches, True
+
+
+def safety_regions(
+    game: GameStructure, F: Iterable[str]
+) -> tuple[set[str], frozenset[str], dict[str, str], AbstractSet[str]]:
+    """The states of ``F`` in ``game``; the value-1 region W1 of
+    Safe(``F``) with its pure winning choices; and the states a safety
+    round holds, W1 and the unsafe states."""
+    safe = set(F) & set(game.states)
+    w1, w1_actions = almost_sure_safe_strategy(game, safe)
+    return safe, w1, w1_actions, _held(game, safe, w1)
 
 
 # Steps a k-uniform run may take to reach its fixpoint.  Values rise
@@ -416,10 +473,8 @@ class SafetySIRunner(Runner):
     def __init__(self, game: GameStructure, F: Iterable[str], k: int | None = None):
         if k is not None and k < 1:
             raise GameError("k must be >= 1")
-        self.safe = set(F) & set(game.states)
-        self.w1, w1_actions = almost_sure_safe_strategy(game, self.safe)
+        self.safe, self.w1, w1_actions, self.done = safety_regions(game, F)
         self.game = game
-        self.done = self.w1 | (set(game.states) - self.safe)
         self.k = None if k is None else max(k, len(game.moves))
         choice = uniform_selector(game).choice
         for s, a in w1_actions.items():

@@ -16,7 +16,10 @@ forms, pruning and pre-filter of `safety_si`.  The third is
 turn-based game's encoding, the reference for the graph runner that
 replaced it.  The fourth is `ColdConvergentSafety`, the convergent safety
 loop with every k-uniform run started from the uniform selector, the
-reference for the warm-started rounds.
+reference for the warm-started rounds.  The fifth is `reduction_switches`,
+the safety improvement round with its non-local step read off the
+materialized turn-based reduction (`tb_reduction`, `tb_almost_sure_safe`),
+the reference for the fixpoint the solver runs on the concurrent game.
 """
 
 from __future__ import annotations
@@ -25,10 +28,16 @@ import itertools
 from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
-from congame.mdp import strategy_value_reach, tb_attractor
+from congame.matrix import _check_k_uniform_budget, pre1, pre1_k
+from congame.mdp import strategy_value_reach, tb_almost_sure_safe, tb_attractor
 from congame.model import P1, P2, Selector, edge_move, encode_turn_based_as_concurrent
 from congame.reach_si import ReachSIRunner
-from congame.safety_si import K_UNIFORM_MAX_STEPS, ConvergentSafetyRunner, SafetySIRunner
+from congame.safety_si import (
+    K_UNIFORM_MAX_STEPS,
+    ConvergentSafetyRunner,
+    SafetySIRunner,
+    tb_reduction,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -457,6 +466,40 @@ class ColdConvergentSafety(ConvergentSafetyRunner):
         self.valuations.append(inner.values)
         self.ks.append(inner.k)
         return inner.optimal
+
+
+def reduction_switches(game, v, F, W1, k=None):
+    """One safety improvement round's switches and whether the non-local
+    step produced them, with the non-local step run on the turn-based
+    reduction itself: build ``tb_reduction``, take ``tb_almost_sure_safe``
+    of it, and send each winning state outside W1 to the witness of the
+    pair its winning strategy picks.  The local step is a copy of the
+    solver's."""
+    safe = set(F)
+    w1 = set(W1)
+    done = w1 | (set(game.states) - safe)
+    if k is None:
+        pre_vals, witness = pre1(game, v, done)
+        local_witness = witness.choice
+    else:
+        pre_vals = {}
+        local_witness = {}
+        for s in game.states:
+            if s in done:
+                _check_k_uniform_budget(len(game.moves1[s]), k)
+            else:
+                pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
+    local = {s: local_witness[s] for s in game.states if s not in done and pre_vals[s] > v[s]}
+    if local:
+        return local, False
+    reduction = tb_reduction(game, v, safe, done, k)
+    winning, tb_strategy = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
+    switches = {}
+    for s in game.states:
+        if s in winning and s not in w1 and s in safe:
+            _, _, A, B = reduction.back_map[tb_strategy[s]]
+            switches[s] = reduction.witness_store[(s, A, B)]
+    return switches, True
 
 
 def pure_strategy_count(tb, owner) -> int:

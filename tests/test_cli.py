@@ -12,6 +12,7 @@ import pytest
 
 import congame.cli
 import congame.matrix
+import congame.mdp
 import congame.safety_si
 from congame import GameStructure, parse_game
 from congame.cli import build_parser, decimal_string, main, parse_objective
@@ -235,6 +236,29 @@ def test_dump_tb_with_valuation_file(example_dir, capsys, tmp_path):
     assert doc["valuation"]["s0"] == "1/3"
 
 
+def test_dump_tb_with_valuation_evaluates_no_strategy(example_dir, capsys, tmp_path, monkeypatch):
+    # Given a valuation, dump-tb needs only the safe states, W1 and the held
+    # states; no selector is evaluated.
+    calls = []
+    for module in (congame.mdp, congame.safety_si, congame.cli):
+        real = module.strategy_value_safety
+        monkeypatch.setattr(
+            module, "strategy_value_safety",
+            lambda *args, real=real: calls.append(args) or real(*args),
+        )
+    vfile = tmp_path / "v.json"
+    valuation = {"s0": "1/2", "s1": "1", "s2": "0", "s3": "1/2", "s4": "1/2", "s5": "1"}
+    vfile.write_text(json.dumps(valuation), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "dump-tb", str(example_dir / "ex3full.game"),
+        "--objective", "safe:not-s2", "--valuation", str(vfile),
+    )
+    assert code == 0, err
+    assert json.loads(out)["valuation"]["s0"] == "1/2"
+    assert calls == []
+
+
 def test_dump_tb_rejects_bad_valuation(example_dir, capsys, tmp_path):
     vfile = tmp_path / "v.json"
     vfile.write_text('{"s0": "1/3"}', encoding="utf-8")
@@ -420,6 +444,58 @@ def test_every_solve_runs_on_the_parsed_game(capsys, example_dir, monkeypatch, a
         if "vi" in argv and "safe:not-s0" in argv:
             assert report["status"] == "exact"
     assert len(built) == games
+
+
+@pytest.mark.parametrize("algorithm", ["safety-si", "k-uniform", "convergent", "certify:1/100"])
+def test_safety_solves_build_no_reduction(capsys, example_dir, monkeypatch, algorithm):
+    # fig2's safety solves all take the non-local step, which runs on the
+    # concurrent game: the turn-based reduction, or any turn-based game, is
+    # built only by dump-tb.
+    def refuse(*args, **kwargs):
+        raise AssertionError("turn-based game built during a solve")
+
+    monkeypatch.setattr(congame.safety_si, "tb_reduction", refuse)
+    monkeypatch.setattr(congame.safety_si, "TurnBasedGame", refuse)
+    fired = []
+    real = congame.safety_si.improvement_switches
+
+    def recording(*args):
+        switches, nonlocal_step = real(*args)
+        fired.append(nonlocal_step and bool(switches))
+        return switches, nonlocal_step
+
+    monkeypatch.setattr(congame.safety_si, "improvement_switches", recording)
+    code, _, err = run_cli(
+        capsys,
+        "solve", str(example_dir / "fig2.game"),
+        "--objective", "safe:not-s4", "--algorithm", algorithm, "--verify",
+    )
+    assert (code, err) == (0, "")
+    assert any(fired)
+
+
+def test_safety_solve_reads_no_node_names(capsys, tmp_path):
+    # The reduction names a pair node by its moves joined with "+", so the
+    # supports ("a", "b") and ("a+b",) share a name.  Only dump-tb builds
+    # the names; the solve's non-local step keeps pairs as tuples.
+    moves = ["a", "b", "a+b"]
+    game = {
+        "type": "concurrent",
+        "states": ["s0"],
+        "moves1": {"s0": moves},
+        "moves2": {"s0": ["c"]},
+        "delta": {"s0": {a: {"c": {"s0": "1"}} for a in moves}},
+    }
+    path = tmp_path / "plus.game"
+    path.write_text(json.dumps(game), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "solve", str(path), "--objective", "safe:s0", "--algorithm", "safety-si",
+        "--verify", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "exact" and report["verified"] is True
 
 
 @pytest.mark.parametrize("error", [AssertionError, RuntimeError])

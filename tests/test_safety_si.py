@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import congame.matrix
 from congame import (
+    BudgetExceeded,
     ConvergentSafetyRunner,
     GameStructure,
     SafetySIRunner,
@@ -35,6 +37,7 @@ from helpers import (
 from oracles import (
     ColdConvergentSafety,
     brute_force_k_uniform_best,
+    reduction_switches,
     slack_lp_feasible,
     slack_lp_pruned_pairs,
 )
@@ -526,6 +529,39 @@ def test_improvement_switches_at_ex3full_k_uniform_fixpoint(ex3full):
     assert not nonlocal_step
     assert switches == {"s0": {"a": F(5, 12), "b": F(7, 12)}}
     assert result.finished and not result.optimal
+
+
+def _round_outcome(switches_fn, game, v, safe, w1, k):
+    try:
+        switches, nonlocal_step = switches_fn(game, v, safe, w1, k)
+    except BudgetExceeded as exc:
+        return "budget", str(exc)
+    return list(switches.items()), nonlocal_step
+
+
+def test_improvement_switches_match_the_materialized_reduction(monkeypatch):
+    """The non-local step's fixpoint on the concurrent game switches the
+    same states, in the same order and to the same witnesses, as reading
+    them off the turn-based reduction, and fails on the same budget.  Each
+    side runs on its own copy of the game, so neither reads the other's
+    one-step cache."""
+    rng = random.Random(3030)
+    outcomes = Counter()
+    default_budget = congame.matrix.MAX_KUNIFORM_ENUMERATION
+    for _ in range(300):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 5), max_moves=3)
+        twin = GameStructure(game.states, game.moves, game.moves1, game.moves2, game.delta)
+        safe = {s for s in game.states if rng.random() < 0.75}
+        w1 = {s for s in game.states if rng.random() < 0.3}
+        k = rng.choice((None, 1, 2, 3, 4))
+        # A budget of 30 rejects k = 4 at three moves (34 compositions).
+        budget = rng.choice((30, default_budget))
+        monkeypatch.setattr(congame.matrix, "MAX_KUNIFORM_ENUMERATION", budget)
+        for v in random_valuations(rng, game.states):
+            got = _round_outcome(improvement_switches, game, v, safe, w1, k)
+            assert got == _round_outcome(reduction_switches, twin, v, safe, w1, k)
+            outcomes["budget" if got[0] == "budget" else (got[1], bool(got[0]))] += 1
+    assert all(outcomes[key] >= 30 for key in ("budget", (False, True), (True, True), (True, False)))
 
 
 def test_pruned_pairs_match_the_slack_lp_alone():
