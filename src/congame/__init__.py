@@ -40,13 +40,9 @@ from .mdp import (
 )
 from .value_iter import (
     HypothesisViolation,
-    IterationTrace,
-    NotAFixpoint,
+    ValueIterationRunner,
     eta_achieved_values,
     extract_eta_selector,
-    extract_optimal_safety_selector,
-    reach_value_iteration,
-    safety_value_iteration_upper,
 )
 from .reach_si import (
     ReachSIRunner,

@@ -66,13 +66,7 @@ from .reach_si import (
 )
 from . import safety_si
 from .safety_si import ConvergentSafetyRunner, SafetySIRunner, safety_regions, tb_reduction
-from .value_iter import (
-    HypothesisViolation,
-    eta_achieved_values,
-    extract_optimal_safety_selector,
-    reach_value_iteration,
-    safety_value_iteration_upper,
-)
+from .value_iter import HypothesisViolation, ValueIterationRunner, eta_achieved_values
 
 APPROX_DIGITS = 20
 
@@ -202,28 +196,23 @@ def _improvement(runner, **fields) -> Solve:
 
 def _vi(p: Problem) -> Solve:
     if p.kind == "reach":
-        result = reach_value_iteration(p.game, p.chosen, max_steps=p.max_iters)
-        last = result.steps()
+        runner = ValueIterationRunner.reach(p.game, p.chosen).run(p.max_iters)
         try:
-            witness, achieved = eta_achieved_values(result, last) or (None, None)
+            witness, achieved = eta_achieved_values(runner, runner.iterations) or (None, None)
         except HypothesisViolation:
             witness = achieved = None
-        status = STATUS_EXACT if result.converged else STATUS_CAPPED
         return Solve(
-            status, result.valuations[-1], last, witness, achieved, result.valuations,
-            after={"w2": sorted(result.w2)},
+            runner.status, runner.values, runner.iterations, witness, achieved,
+            runner.valuations, after={"w2": sorted(runner.w2)},
         )
-    iterates = safety_value_iteration_upper(p.game, p.chosen, steps=p.max_iters)
-    exact = len(iterates) >= 2 and iterates[-1] == iterates[-2]
-    values = iterates[-1]
+    runner = ValueIterationRunner.safety(p.game, p.chosen).run(p.max_iters)
     witness = witness_values = None
-    if exact:
-        witness = extract_optimal_safety_selector(p.game, values, p.chosen)
+    if runner.finished:  # the last round's witness is optimal there (see value_iter)
+        witness = runner.witnesses[-1]
         witness_values = strategy_value_safety(p.game, witness, p.chosen)
     return Solve(
-        STATUS_EXACT if exact else STATUS_CAPPED, values, len(iterates) - 1,
-        witness, witness_values, iterates,
-        after={"bound_side": "exact" if exact else "upper"},
+        runner.status, runner.values, runner.iterations, witness, witness_values,
+        runner.valuations, after={"bound_side": "exact" if runner.finished else "upper"},
     )
 
 
@@ -457,6 +446,13 @@ def _dump_tb(args: argparse.Namespace) -> int:
     kind, chosen = parse_objective(args.objective, game.states)
     if kind != "safe":
         raise CliError("dump-tb takes a safe objective")
+    # The reduction's node names join state and move names with these, so a
+    # name containing one could make two nodes share a name.
+    clash = [name for name in (*game.states, *game.moves) if any(c in name for c in "+/[]")]
+    if clash:
+        raise CliError(
+            f"dump-tb needs state and move names without '+', '/', '[' or ']': {', '.join(clash)}"
+        )
     if args.si_iters < 0:
         raise CliError("--si-iters must be >= 0")
     if args.valuation:

@@ -421,13 +421,19 @@ def strategy_value_reach(
     Against a proper selector the adversary's best response maximizes the
     probability of reaching the value-zero region, so the value is one minus
     that maximal probability.  Improper selectors are rejected with their
-    trap as witness, because the identity fails for them.  One induced MDP,
-    with T and W2 absorbing, serves both the properness check and the
-    evaluation.
+    trap as witness, because the identity fails for them.
     """
+    return _proper_reach_value(induce_mdp, game, xi1, T, W2)
+
+
+def _proper_reach_value(
+    induce, game, strategy, T: Iterable[str], W2: Iterable[str]
+) -> dict[str, Fraction]:
+    """One induced MDP, ``induce(game, strategy, done)`` with T and W2
+    absorbing, serves both the properness check and the evaluation."""
     W2 = set(W2)
     done = set(T) | W2
-    mdp = induce_mdp(game, xi1, done)
+    mdp = induce(game, strategy, done)
     trap = _trap(mdp, done)
     if trap:
         raise ImproperSelectorError(trap)
@@ -482,14 +488,6 @@ def tb_induce_mdp(
 def tb_strategy_value_reach(
     tb: TurnBasedGame, picks: Mapping[str, str], T: Iterable[str], W2: Iterable[str]
 ) -> dict[str, Fraction]:
-    """``strategy_value_reach`` of the pure strategy ``picks`` on the graph:
-    one ``tb_induce_mdp`` with T and W2 absorbing serves the properness
-    check and the evaluation."""
-    W2 = set(W2)
-    done = set(T) | W2
-    mdp = tb_induce_mdp(tb, picks, done)
-    trap = _trap(mdp, done)
-    if trap:
-        raise ImproperSelectorError(trap)
-    reach = max_reach_values(mdp, W2)
-    return {s: ONE - reach[s] for s in tb.states}
+    """``strategy_value_reach`` of the pure strategy ``picks`` on the graph,
+    through ``tb_induce_mdp``."""
+    return _proper_reach_value(tb_induce_mdp, tb, picks, T, W2)

@@ -14,9 +14,10 @@ best successor.  ``TurnBasedReachRunner`` runs it on the graph itself,
 with no concurrent encoding, no absorbing copy and no matrix games; it
 terminates because pure strategies are finite.
 
-``Runner`` is the shape every capped improvement loop shares, here, in
-``safety_si`` and in ``certify``; building one and calling ``run(cap)`` is
-the only way to run a loop, and a finished runner is its own result.
+``Runner`` is the capped loop every solve runs in: the improvement loops
+here, in ``safety_si`` and in ``certify``, and value iteration in
+``value_iter``.  Building one and calling ``run(cap)`` is the only way to
+run a loop, and a finished runner is its own result.
 """
 
 from __future__ import annotations
@@ -58,20 +59,25 @@ MAX_WITNESS_BITS = 1024
 
 
 class Runner:
-    """A capped improvement loop.
+    """A capped loop and its history.
 
     ``step()`` runs one round and returns True while progress is possible;
     ``run(cap)`` steps until the fixpoint or ``cap`` rounds in all and
     returns the runner; a runner with no valuation yet needs a cap of at
     least 1.  ``iterations`` counts the rounds run, ``finished``
     says the last one found the fixpoint (status exact, else capped).
-    Subclasses set ``game`` (the game they improve on, as given: for a
-    runner on a turn-based graph the ``TurnBasedGame`` itself) and
-    ``valuations`` (the exact value of every selector held, oldest first;
-    ``values`` is the last), provide ``selector`` (achieving ``values``,
-    on a graph in the move names of its concurrent encoding) and implement
-    ``_round``, which improves once, records any new value and returns
-    True at the fixpoint.
+    Subclasses set ``game`` (the game they run on, as given: for a runner
+    on a turn-based graph the ``TurnBasedGame`` itself) and ``valuations``
+    (every valuation recorded, oldest first; ``values`` is the last) and
+    implement ``_round``, which runs once, records any new valuation and
+    returns True at the fixpoint.
+
+    The improvement runners (the two here, those of ``safety_si`` and the
+    ``Certifier``) also provide ``selector``, which achieves ``values``
+    (on a graph, in the move names of its concurrent encoding): their
+    ``valuations`` are the exact values of the selectors held.  The
+    iterates of ``value_iter.ValueIterationRunner`` are bounds that no
+    selector it holds achieves.
     """
 
     finished = False
@@ -101,6 +107,21 @@ class Runner:
         while self.iterations < max_iters and not self.finished:
             self.step()
         return self
+
+
+_IMPROPER_START = "initial selector is improper"
+_LOST_PROPERNESS = "improvement lost properness"
+
+
+def _kept_proper(runner, evaluate, strategy, broken: str) -> Valuation:
+    """``evaluate(game, strategy, target, w2)`` of ``runner``'s game for a
+    strategy the loop keeps proper: an improper one is a broken invariant,
+    raised as an AssertionError that starts with ``broken`` and names the
+    trap."""
+    try:
+        return evaluate(runner.game, strategy, runner.target, runner.w2)
+    except ImproperSelectorError as err:
+        raise AssertionError(f"{broken}; trap {sorted(err.witness)}") from None
 
 
 def _dyadic_rounding(
@@ -157,14 +178,8 @@ class ReachSIRunner(Runner):
         self.target = frozenset(T) & frozenset(game.states)
         self.w2 = compute_W2(game, self.target)
         self.game = game
-        selector = uniform_selector(self.game)
-        try:
-            value = strategy_value_reach(self.game, selector, self.target, self.w2)
-        except ImproperSelectorError as err:
-            raise AssertionError(
-                f"initial selector is improper; trap {sorted(err.witness)}"
-            ) from None
-        self.selector = selector
+        self.selector = uniform_selector(self.game)
+        value = _kept_proper(self, strategy_value_reach, self.selector, _IMPROPER_START)
         self.valuations: list[Valuation] = [value]
         self.improve_set: frozenset[str] = frozenset()
 
@@ -198,12 +213,7 @@ class ReachSIRunner(Runner):
                 if bound[s] < midpoint:
                     raise AssertionError(f"rounded witness below the midpoint at {s!r}")
         selector = Selector(choice)
-        try:
-            value = strategy_value_reach(self.game, selector, self.target, self.w2)
-        except ImproperSelectorError as err:
-            raise AssertionError(
-                f"improvement lost properness; trap {sorted(err.witness)}"
-            ) from None
+        value = _kept_proper(self, strategy_value_reach, selector, _LOST_PROPERNESS)
         for s in self.game.states:
             if value[s] < bound[s]:
                 raise AssertionError(f"improvement step decreased the bound at {s!r}")
@@ -242,12 +252,7 @@ class TurnBasedReachRunner(Runner):
         self.picks = {
             s: attract.get(s, tb.edges[s][0]) for s in tb.states if tb.partition[s] == P1
         }
-        try:
-            value = tb_strategy_value_reach(tb, self.picks, self.target, self.w2)
-        except ImproperSelectorError as err:
-            raise AssertionError(
-                f"initial selector is improper; trap {sorted(err.witness)}"
-            ) from None
+        value = _kept_proper(self, tb_strategy_value_reach, self.picks, _IMPROPER_START)
         self.valuations: list[Valuation] = [value]
         self.improve_set: frozenset[str] = frozenset()
 
@@ -273,12 +278,7 @@ class TurnBasedReachRunner(Runner):
         if not switch:
             return True
         picks = {**self.picks, **switch}
-        try:
-            value = tb_strategy_value_reach(tb, picks, self.target, self.w2)
-        except ImproperSelectorError as err:
-            raise AssertionError(
-                f"improvement lost properness; trap {sorted(err.witness)}"
-            ) from None
+        value = _kept_proper(self, tb_strategy_value_reach, picks, _LOST_PROPERNESS)
         for s in tb.states:
             if value[s] < self._pre1(v, s, done):
                 raise AssertionError(f"improvement step decreased the bound at {s!r}")

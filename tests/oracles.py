@@ -6,7 +6,7 @@ explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
 greatest fixpoints over supports rebuilt at every test, and exhaustive
 strategy enumeration for small games.
-None of it shares code with the solver paths it checks, with four deliberate
+None of it shares code with the solver paths it checks, with six deliberate
 exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
 (policy iteration, no LP) cross-checks the integer simplex against policy
@@ -20,6 +20,10 @@ reference for the warm-started rounds.  The fifth is `reduction_switches`,
 the safety improvement round with its non-local step read off the
 materialized turn-based reduction (`tb_reduction`, `tb_almost_sure_safe`),
 the reference for the fixpoint the solver runs on the concurrent game.
+The sixth is value iteration as standalone loops over `pre1`
+(`reach_value_iteration`, `safety_value_iteration_upper`) with the safety
+selector extraction at a fixpoint (`extract_optimal_safety_selector`), the
+references for `value_iter.ValueIterationRunner`.
 """
 
 from __future__ import annotations
@@ -29,8 +33,16 @@ from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
 from congame.matrix import _check_k_uniform_budget, pre1, pre1_k
-from congame.mdp import strategy_value_reach, tb_almost_sure_safe, tb_attractor
-from congame.model import P1, P2, Selector, edge_move, encode_turn_based_as_concurrent
+from congame.mdp import compute_W2, strategy_value_reach, tb_almost_sure_safe, tb_attractor
+from congame.model import (
+    P1,
+    P2,
+    GameError,
+    Selector,
+    edge_move,
+    encode_turn_based_as_concurrent,
+    indicator,
+)
 from congame.reach_si import ReachSIRunner
 from congame.safety_si import (
     K_UNIFORM_MAX_STEPS,
@@ -776,19 +788,20 @@ def brute_force_k_uniform_best(game, safe, k):
     return best
 
 
-def value_class_structure_ok(trace, k, target) -> int:
-    """Check the value-class structure of a reachability iteration trace at
-    step k: from a positive-value state, every adversary response either can
-    climb to a strictly higher class or stays in the class and can fall to a
-    strictly earlier entry time.  Returns the number of checks performed."""
+def value_class_structure_ok(runner, k, target) -> int:
+    """Check the value-class structure of a reach ``ValueIterationRunner``
+    at iterate k: from a positive-value state, every adversary response
+    either can climb to a strictly higher class or stays in the class and
+    can fall to a strictly earlier entry time.  Returns the number of checks
+    performed."""
     from congame import extract_eta_selector
     from helpers import value_classes
 
-    game = trace.game
-    u_k = trace.valuations[k]
+    game = runner.game
+    u_k = runner.valuations[k]
     classes = value_classes(u_k)
-    eta = extract_eta_selector(trace, k)
-    done = set(target) | set(trace.w2)
+    eta = extract_eta_selector(runner, k)
+    done = set(target) | set(runner.w2)
     checked = 0
     for s in game.states:
         if s in done or u_k[s] == 0:
@@ -803,6 +816,61 @@ def value_class_structure_ok(trace, k, target) -> int:
                 checked += 1
                 continue
             assert dest <= classes.class_of(r), (s, b, dest)
-            assert any(trace.entry_time(t, k) < trace.entry_time(s, k) for t in dest)
+            assert any(runner.entry_time(t, k) < runner.entry_time(s, k) for t in dest)
             checked += 1
     return checked
+
+
+def reach_value_iteration(game, T, max_steps):
+    """``u_{k+1} = Pre1(u_k)`` from the target indicator with the target and
+    the value-zero states held, to an exact fixpoint (the repeated valuation
+    kept) or ``max_steps`` applications: (valuations, witnesses, converged),
+    ``witnesses[0]`` None."""
+    target = frozenset(T) & frozenset(game.states)
+    held = target | compute_W2(game, target)
+    u = indicator(game, target)
+    valuations, witnesses = [u], [None]
+    for _ in range(max_steps):
+        nxt, witness = pre1(game, u, held)
+        valuations.append(nxt)
+        witnesses.append(witness)
+        if nxt == u:
+            return valuations, witnesses, True
+        u = nxt
+    return valuations, witnesses, False
+
+
+def safety_value_iteration_upper(game, F, steps):
+    """``w_{i+1} = min([F], Pre1(w_i))`` from all-ones, with nothing held,
+    to an exact fixpoint (the repeated valuation kept) or ``steps``
+    applications."""
+    safe = set(F)
+    w = {s: ONE for s in game.states}
+    out = [dict(w)]
+    for _ in range(steps):
+        pre_vals, _ = pre1(game, w)
+        nxt = {s: min(ONE if s in safe else ZERO, pre_vals[s]) for s in game.states}
+        out.append(nxt)
+        if nxt == w:
+            break
+        w = nxt
+    return out
+
+
+class NotAFixpoint(GameError):
+    """The valuation does not satisfy the safety fixpoint identity."""
+
+
+def extract_optimal_safety_selector(game, v, F):
+    """The optimal matrix-game mixtures at a safety fixpoint v (v = 0 off F
+    and, with the unsafe states held, v = Pre1(v)), a memoryless optimal
+    safety strategy; NotAFixpoint if v is not one."""
+    unsafe = set(game.states) - set(F)
+    for s in game.states:
+        if s in unsafe and v[s] != 0:
+            raise NotAFixpoint(f"v({s!r}) = {v[s]} but {s!r} is unsafe")
+    pre_vals, witness = pre1(game, v, unsafe)
+    mismatch = [s for s in game.states if pre_vals[s] != v[s]]
+    if mismatch:
+        raise NotAFixpoint(f"Pre1(v) differs from v at {sorted(mismatch)}; not a safety fixpoint")
+    return witness

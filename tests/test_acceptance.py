@@ -18,7 +18,7 @@ from congame import (
     ReachSIRunner,
     SafetySIRunner,
     TurnBasedReachRunner,
-    reach_value_iteration,
+    ValueIterationRunner,
     solve_matrix_game,
 )
 from congame.matrix import pre1
@@ -52,10 +52,10 @@ def report(line: str) -> None:
 def test_criterion_01_example1_reproduction():
     game = load_example("fig1")
     fixpoint = {"s0": ONE, "s1": ZERO, "s2": F(1, 2), "s3": F(1, 2), "s4": F(1, 2)}
-    trace = reach_value_iteration(game, {"s0"}, max_steps=10)
-    assert trace.converged
-    assert trace.valuations[3] == fixpoint
-    assert trace.valuations[4] == trace.valuations[3]
+    vi = ValueIterationRunner.reach(game, {"s0"}).run(10)
+    assert vi.finished
+    assert vi.valuations[3] == fixpoint
+    assert vi.valuations[4] == vi.valuations[3]
     si = ReachSIRunner(game, {"s0"}).run(1000)
     assert si.status == STATUS_EXACT
     assert si.values == fixpoint
@@ -80,11 +80,11 @@ def test_criterion_03_example3_step1():
     game = load_example("ex3step1")
     prefix = [ZERO, F(1, 2), F(4, 7), F(7, 12)]
 
-    trace = reach_value_iteration(game, {"s1"}, max_steps=50)
-    vi_seq = [u["s0"] for u in trace.valuations]
+    vi = ValueIterationRunner.reach(game, {"s1"}).run(50)
+    vi_seq = [u["s0"] for u in vi.valuations]
     assert vi_seq[:4] == prefix
     assert all(b > a for a, b in zip(vi_seq, vi_seq[1:]))
-    assert not trace.converged and len(vi_seq) == 51  # no natural stop in 50 steps
+    assert not vi.finished and len(vi_seq) == 51  # no natural stop in 50 steps
 
     si = ReachSIRunner(game, {"s1"}).run(50)
     si_seq = [v["s0"] for v in si.valuations]
@@ -263,9 +263,9 @@ def test_criterion_09_property_suite():
     for _ in range(10):
         game = random_concurrent_game(rng, n_states=4)
         target = set(rng.sample(game.states, rng.randint(1, 2)))
-        trace = reach_value_iteration(game, target, max_steps=6)
-        for k in range(1, len(trace.valuations)):
-            structure_checks += value_class_structure_ok(trace, k, target)
+        vi = ValueIterationRunner.reach(game, target).run(6)
+        for k in range(1, len(vi.valuations)):
+            structure_checks += value_class_structure_ok(vi, k, target)
     assert structure_checks > 0
 
     # Rounding construction ratio bounds.

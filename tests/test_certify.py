@@ -10,6 +10,9 @@ import pytest
 
 from congame import (
     ConvergentSafetyRunner,
+    GameStructure,
+    SafetySIRunner,
+    ValueIterationRunner,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
@@ -19,10 +22,10 @@ from congame.certify import Certifier
 from congame.cli import main
 from congame.gamefile import parse_game, serialize_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EPS, STATUS_EXACT
-from congame.value_iter import safety_value_iteration_upper
 
-from conftest import ONE, random_concurrent_game
+from conftest import ONE, random_concurrent_game, random_distribution
 from helpers import check_determinacy_bracket
+from oracles import safety_value_iteration_upper
 
 F = Fraction
 
@@ -136,24 +139,62 @@ def test_determinacy_bracket_random():
             assert later <= earlier
 
 
-def test_sandwich_lower_iterates_below_upper_iterates(ex3full):
-    # Every achieved safety value sits below every upper-iteration bound,
-    # and every reachability iterate sits below the certified upper bound.
-    from congame import reach_value_iteration, safety_value_iteration_upper
-
-    safe = [s for s in ex3full.states if s != "s2"]
-    uppers = safety_value_iteration_upper(ex3full, safe, steps=8)
-    lowers = ConvergentSafetyRunner(ex3full, safe).run(4).valuations
+def _assert_sandwich(game, safe, reach_rounds):
+    """Every achieved safety value (plain and convergent improvement, the
+    certifier) sits below every safety value-iteration iterate, and every
+    reach value-iteration iterate of player 2 below one minus each of the
+    certifier's lower bounds.  True if the certifier's last lower bound is
+    strictly between 0 and 1 somewhere."""
+    uppers = ValueIterationRunner.safety(game, safe).run(8).valuations
+    certifier = Certifier(game, safe, F(1, 100)).run(200)
+    lowers = [
+        *SafetySIRunner(game, safe).run(4).valuations,
+        *ConvergentSafetyRunner(game, safe).run(4).valuations,
+        *certifier.valuations,
+    ]
     for v in lowers:
         for w in uppers:
-            assert all(v[s] <= w[s] for s in ex3full.states)
+            assert all(v[s] <= w[s] for s in game.states)
+    unsafe = [s for s in game.states if s not in set(safe)]
+    reach = ValueIterationRunner.reach(swap_players(game), unsafe).run(reach_rounds)
+    for u in reach.valuations:
+        for v in certifier.valuations:
+            assert all(u[s] <= 1 - v[s] for s in game.states)
+    return any(0 < x < 1 for x in certifier.values.values())
 
-    certifier = Certifier(ex3full, safe, F(1, 100)).run(200)
-    swapped = swap_players(ex3full)
-    trace = reach_value_iteration(swapped, ["s2"], max_steps=10)
-    # player 2's reach iterates stay below 1 - (player 1's safety lower bounds)
-    for u in trace.valuations:
-        assert all(u[s] <= 1 - certifier.values[s] for s in ex3full.states)
+
+def _game_with_sinks(rng):
+    """One to three states with 1-3 moves per player, every move pair
+    going to them or to the absorbing ``good`` and ``bad``, so that
+    safety values strictly between 0 and 1 are common."""
+    inner = [f"q{i}" for i in range(rng.randint(1, 3))]
+    states = inner + ["good", "bad"]
+    moves1 = {"good": ("a",), "bad": ("a",)}
+    moves2 = {"good": ("a",), "bad": ("a",)}
+    delta = {("good", "a", "a"): {"good": ONE}, ("bad", "a", "a"): {"bad": ONE}}
+    for s in inner:
+        moves1[s] = ("a", "b", "c")[: rng.randint(1, 3)]
+        moves2[s] = ("a", "b", "c")[: rng.randint(1, 3)]
+        for a in moves1[s]:
+            for b in moves2[s]:
+                delta[(s, a, b)] = random_distribution(rng, states, max_den=5)
+    return GameStructure(tuple(states), ("a", "b", "c"), moves1, moves2, delta)
+
+
+def test_sandwich_lower_iterates_below_upper_iterates(ex3full):
+    _assert_sandwich(ex3full, [s for s in ex3full.states if s != "s2"], 10)
+    rng = random.Random(63)
+    fractional = 0
+    for i in range(130):
+        if i < 30:
+            game = random_concurrent_game(rng, n_states=rng.randint(2, 4), max_moves=3)
+            safe = rng.sample(game.states, rng.randint(1, len(game.states)))
+        else:
+            game = _game_with_sinks(rng)
+            safe = [s for s in game.states if s != "bad" and rng.random() < 0.9]
+        # Ten reach rounds can reach 100 000-bit denominators on these games.
+        fractional += _assert_sandwich(game, safe, 6)
+    assert fractional >= 25, fractional
 
 
 def test_certify_exact_on_turn_based_matches_oracle():

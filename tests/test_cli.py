@@ -13,6 +13,7 @@ import pytest
 import congame.cli
 import congame.matrix
 import congame.mdp
+import congame.reach_si
 import congame.safety_si
 from congame import GameStructure, parse_game
 from congame.cli import build_parser, decimal_string, main, parse_objective
@@ -498,6 +499,53 @@ def test_safety_solve_reads_no_node_names(capsys, tmp_path):
     assert report["status"] == "exact" and report["verified"] is True
 
 
+def _separator_game():
+    """At s0 the supports (a, b) and (a+b) are both optimal against
+    response c at the valuation below, and their reduction nodes would share
+    the name s0/[a+b]/c."""
+    loops = {h: {"go": {"go": {h: "1/2", "bad": "1/2"}}} for h in ("h1", "h2", "h3", "q")}
+    return {
+        "type": "concurrent",
+        "states": ["s0", "h1", "h2", "h3", "q", "bad"],
+        "moves1": {"s0": ["a", "b", "a+b"], **dict.fromkeys(["h1", "h2", "h3", "q", "bad"], ["go"])},
+        "moves2": {"s0": ["c", "d"], **dict.fromkeys(["h1", "h2", "h3", "q", "bad"], ["go"])},
+        "delta": {
+            "s0": {
+                "a": {"c": {"h1": "1"}, "d": {"q": "1"}},
+                "b": {"c": {"h2": "1"}, "d": {"q": "1"}},
+                "a+b": {"c": {"h3": "1"}, "d": {"h3": "1"}},
+            },
+            **loops,
+            "bad": {"go": {"go": {"bad": "1"}}},
+        },
+    }
+
+
+@pytest.mark.parametrize("rename", [None, "state", "move"])
+def test_dump_tb_rejects_names_with_node_separators(capsys, tmp_path, rename):
+    # Given such names the reduction could merge nodes of different
+    # supports and still exit 0; dump-tb refuses them instead.
+    game = _separator_game()
+    if rename == "state":  # a separator in a state name only
+        text = json.dumps(game).replace('"a+b"', '"e"').replace('"h3"', '"h/3"')
+    elif rename == "move":  # the moves a, b, a+b become a, b, [b]
+        text = json.dumps(game).replace('"a+b"', '"[b]"')
+    else:
+        text = json.dumps(game)
+    path = tmp_path / "sep.game"
+    path.write_text(text, encoding="utf-8")
+    states = parse_game(text).states
+    values = {"s0": "1/2", "q": "1", "bad": "0"}
+    valuation = tmp_path / "v.json"
+    valuation.write_text(json.dumps({s: values.get(s, "1/2") for s in states}), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "dump-tb", str(path), "--objective", "safe:not-bad", "--valuation", str(valuation),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: dump-tb needs state and move names without")
+    assert {"a+b": "a+b", "state": "h/3", "move": "[b]"}[rename or "a+b"] in err
+
+
 @pytest.mark.parametrize("error", [AssertionError, RuntimeError])
 def test_internal_error_exit_code(example_dir, capsys, monkeypatch, error):
     def broken(*args, **kwargs):
@@ -603,3 +651,34 @@ def test_repeated_main_matches_fresh_processes(capsys, example_dir, monkeypatch)
     assert results[0] == results[-1]
     for argv, result in zip(runs, results):
         assert result == _fresh_process(argv)
+
+
+# A solve of each objective kind for every algorithm: the file, the objective.
+RUNNER_SOLVES = {
+    "reach": (("fig1", "reach:s0"), ("fig2", "reach:s2")),
+    "safe": (("fig2", "safe:not-s4"), ("ex3full", "safe:not-s2")),
+}
+
+
+@pytest.mark.parametrize("name", list(congame.cli.ALGORITHMS))
+def test_every_solve_loop_is_runner_run(capsys, example_dir, monkeypatch, name):
+    # Runner.run is the one capped loop: every algorithm, on every kind of
+    # objective it takes (fig2 as a turn-based game too), goes through it.
+    calls = []
+    real = congame.reach_si.Runner.run
+
+    def counting(self, max_iters):
+        calls.append(type(self).__name__)
+        return real(self, max_iters)
+
+    monkeypatch.setattr(congame.reach_si.Runner, "run", counting)
+    kind = congame.cli.ALGORITHMS[name].kind
+    for objective_kind in ("reach", "safe") if kind is None else (kind,):
+        for example, objective in RUNNER_SOLVES[objective_kind]:
+            calls.clear()
+            code, _, err = run_cli(
+                capsys, "solve", str(example_dir / f"{example}.game"),
+                "--objective", objective, "--algorithm", name, "--max-iters", "3",
+            )
+            assert code in (0, 2) and err == ""
+            assert calls, (name, example, objective)

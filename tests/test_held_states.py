@@ -1,7 +1,7 @@
 """Held states by ``done`` sets against the absorbing copies they replace.
 
 Every routine that holds states (``pre1``, ``induce_mdp``,
-``tb_reduction``, value iteration and the safety selector extraction) must
+``tb_reduction`` and value iteration for both objectives) must
 return exactly what the same computation returns on
 ``helpers.make_absorbing`` of the game with nothing held, including the
 witnesses at held states.  The games are random, and between them the held
@@ -17,19 +17,17 @@ import pytest
 
 from congame import (
     GameError,
-    NotAFixpoint,
-    extract_optimal_safety_selector,
+    ValueIterationRunner,
     induce_mdp,
     pre1,
-    reach_value_iteration,
-    safety_value_iteration_upper,
     tb_reduction,
     uniform_selector,
 )
-from congame.model import indicator
+from congame.model import ONE, ZERO, indicator
 
 from conftest import random_concurrent_game, random_selector
 from helpers import make_absorbing
+from oracles import NotAFixpoint, extract_optimal_safety_selector
 
 VALUES = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(1, 2), Fraction(2, 5))
 
@@ -83,14 +81,14 @@ def test_tb_reduction_holds_like_a_copy(k):
 def test_reach_value_iteration_holds_like_a_copy():
     for rng, game, _, _ in _cases(65, 60):
         target = set(rng.sample(game.states, rng.randint(1, 2)))
-        trace = reach_value_iteration(game, target, max_steps=6)
-        frozen = make_absorbing(game, trace.target | trace.w2)
-        u = indicator(frozen, trace.target)
-        assert trace.valuations[0] == u
-        for k in range(1, len(trace.valuations)):
+        runner = ValueIterationRunner.reach(game, target).run(6)
+        frozen = make_absorbing(game, runner.target | runner.w2)
+        u = indicator(frozen, runner.target)
+        assert runner.valuations[0] == u
+        for k in range(1, len(runner.valuations)):
             u, witness = pre1(frozen, u)
-            assert trace.valuations[k] == u
-            assert trace.witnesses[k].choice == witness.choice
+            assert runner.valuations[k] == u
+            assert runner.witnesses[k].choice == witness.choice
 
 
 def test_safety_selector_extraction_holds_like_a_copy():
@@ -99,10 +97,18 @@ def test_safety_selector_extraction_holds_like_a_copy():
         safe = [s for s in game.states if rng.random() < 0.6] or [game.states[0]]
         unsafe = set(game.states) - set(safe)
         frozen = make_absorbing(game, unsafe)
-        # Both are zero where unsafe.  The last upper iterate is often a
-        # fixpoint; the random valuation seldom is.
-        iterates = safety_value_iteration_upper(frozen, safe, steps=12)
-        for w in (iterates[-1], {s: 0 if s in unsafe else v[s] for s in game.states}):
+        # Every round of the safety iteration is min([F], Pre1) on the copy,
+        # witnesses included.
+        runner = ValueIterationRunner.safety(game, safe).run(12)
+        w = {s: ONE for s in game.states}
+        for k in range(1, len(runner.valuations)):
+            values, witness = pre1(frozen, w)
+            w = {s: ZERO if s in unsafe else values[s] for s in game.states}
+            assert runner.valuations[k] == w
+            assert runner.witnesses[k].choice == witness.choice
+        # Both are zero where unsafe.  The last iterate is often a fixpoint;
+        # the random valuation seldom is.
+        for w in (runner.values, {s: 0 if s in unsafe else v[s] for s in game.states}):
             values, witness = pre1(frozen, w)
             if values != w:
                 with pytest.raises(NotAFixpoint):

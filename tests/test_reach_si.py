@@ -3,14 +3,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 
 import congame.reach_si
 from congame import (
     ConvergentSafetyRunner,
     ReachSIRunner,
     TurnBasedReachRunner,
+    ValueIterationRunner,
     compute_W2,
-    reach_value_iteration,
     strategy_value_reach,
     swap_players,
     uniform_selector,
@@ -94,11 +96,11 @@ def test_dominates_value_iteration():
         game = random_concurrent_game(rng, n_states=4)
         target = set(rng.sample(game.states, rng.randint(1, 2)))
         steps = 5
-        trace = reach_value_iteration(game, target, max_steps=steps)
+        vi = ValueIterationRunner.reach(game, target).run(steps)
         result = ReachSIRunner(game, target).run(steps)
         for i, v in enumerate(result.valuations):
-            if i < len(trace.valuations):
-                u = trace.valuations[i]
+            if i < len(vi.valuations):
+                u = vi.valuations[i]
                 assert all(v[s] >= u[s] for s in game.states)
 
 
@@ -234,3 +236,27 @@ def test_bounded_bit_witnesses_stay_sound(monkeypatch):
         ).run(12)
         assert all(bounded.values[s] + avoid.values[s] <= ONE for s in game.states)
     assert rounded_runs >= 10
+
+
+@pytest.mark.parametrize("graph", [False, True])
+def test_lost_properness_is_an_internal_error(fig2_tb, fig2, monkeypatch, graph):
+    # Both runners keep their strategy proper; an improper one, at the start
+    # or after a round, is a broken invariant with its own message.
+    from congame import ImproperSelectorError
+
+    name = "tb_strategy_value_reach" if graph else "strategy_value_reach"
+    runner_class = TurnBasedReachRunner if graph else ReachSIRunner
+    game = fig2_tb if graph else fig2
+
+    def improper(*args):
+        raise ImproperSelectorError(frozenset({"s1", "s0"}))
+
+    real = getattr(congame.reach_si, name)
+    monkeypatch.setattr(congame.reach_si, name, improper)
+    with pytest.raises(AssertionError, match=r"^initial selector is improper; trap \['s0', 's1'\]$"):
+        runner_class(game, {"s2"})
+    monkeypatch.setattr(congame.reach_si, name, real)
+    runner = runner_class(game, {"s2"})
+    monkeypatch.setattr(congame.reach_si, name, improper)
+    with pytest.raises(AssertionError, match=r"^improvement lost properness; trap \['s0', 's1'\]$"):
+        runner.step()

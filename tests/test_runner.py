@@ -1,11 +1,14 @@
-"""The runner contract every capped improvement loop keeps.
+"""The runner contract every capped loop keeps.
 
-After every ``step()``: the runner's selector achieves its values exactly
-on the original game (and is pure on a turn-based game), and the
-valuation trace never decreases.
-``run(n)`` stops at ``n`` steps with status capped, or earlier at the
-fixpoint with status exact, and a ``step()`` after the fixpoint returns
-False and changes nothing.
+The loop part, for every runner: a ``step()`` only appends to the
+valuation trace, and returns True until the fixpoint; ``run(n)`` stops at
+``n`` steps with status capped, or earlier at the fixpoint with status
+exact; a ``step()`` after the fixpoint returns False and changes nothing.
+The improvement part: after every ``step()`` the runner's selector
+achieves its values exactly on the original game (and is pure on a
+turn-based game), and the trace never decreases.  Value iteration records
+one witness per iterate instead, and its trace rises (reach) or falls
+(safety) monotonically.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from congame import (
     ReachSIRunner,
     SafetySIRunner,
     TurnBasedReachRunner,
+    ValueIterationRunner,
     compute_W2,
     strategy_value_reach,
     strategy_value_safety,
@@ -52,6 +56,12 @@ CASES = {
     ),
     "convergent-fig2": ("fig2", "safe", "s4", ConvergentSafetyRunner, STATUS_EXACT),
     "convergent-ex3full": ("ex3full", "safe", "s2", ConvergentSafetyRunner, STATUS_CAPPED),
+    "vi-reach-fig1": ("fig1", "reach", {"s0"}, ValueIterationRunner.reach, STATUS_EXACT),
+    "vi-reach-ex3step1": (
+        "ex3step1", "reach", {"s1"}, ValueIterationRunner.reach, STATUS_CAPPED,
+    ),
+    "vi-safe-fig2": ("fig2", "safe", "s3", ValueIterationRunner.safety, STATUS_EXACT),
+    "vi-safe-ex3full": ("ex3full", "safe", "s2", ValueIterationRunner.safety, STATUS_CAPPED),
 }
 
 
@@ -80,14 +90,22 @@ def test_runner_contract(case):
     game, objective, factory, achieved = _setup(case)
     runner = factory(game, objective)
     pure = case.startswith("tb-")
+    vi = case.startswith("vi-")
+    # Value iteration for safety descends; everything else rises.
+    descends = vi and CASES[case][1] == "safe"
     while runner.iterations < CAP:
         before = list(runner.valuations)
         progress = runner.step()
-        assert achieved(runner.selector) == runner.values
+        if vi:
+            assert len(runner.witnesses) == len(runner.valuations)
+        else:
+            assert achieved(runner.selector) == runner.values
         if pure:
             assert all(list(d.values()) == [1] for d in runner.selector.choice.values())
         assert runner.valuations[: len(before)] == before
         for earlier, later in zip(runner.valuations, runner.valuations[1:]):
+            if descends:
+                earlier, later = later, earlier
             assert all(earlier[s] <= later[s] for s in game.states)
         assert progress == (not runner.finished)
         if runner.finished:
@@ -95,11 +113,11 @@ def test_runner_contract(case):
 
     if runner.finished:
         iterations, valuations = runner.iterations, list(runner.valuations)
-        selector = runner.selector.choice
+        selector = _selector(runner)
         assert runner.step() is False
         assert runner.iterations == iterations
         assert runner.valuations == valuations
-        assert runner.selector.choice == selector
+        assert _selector(runner) == selector
 
     capped = factory(game, objective).run(CAP)
     assert capped.status == CASES[case][-1]
@@ -109,4 +127,11 @@ def test_runner_contract(case):
     else:
         assert capped.iterations <= CAP and capped.finished
     assert capped.valuations == runner.valuations
-    assert capped.selector.choice == runner.selector.choice
+    assert _selector(capped) == _selector(runner)
+
+
+def _selector(runner):
+    """The improvement selector's choices, or value iteration's witnesses'."""
+    if isinstance(runner, ValueIterationRunner):
+        return [w and w.choice for w in runner.witnesses]
+    return runner.selector.choice

@@ -7,19 +7,30 @@ import pytest
 
 from congame import (
     HypothesisViolation,
-    NotAFixpoint,
+    ValueIterationRunner,
     eta_achieved_values,
     extract_eta_selector,
-    extract_optimal_safety_selector,
-    reach_value_iteration,
-    safety_value_iteration_upper,
     strategy_value_safety,
 )
 
 from conftest import ONE, ZERO, random_concurrent_game
-from oracles import value_class_structure_ok
+from oracles import (
+    NotAFixpoint,
+    extract_optimal_safety_selector,
+    reach_value_iteration,
+    safety_value_iteration_upper,
+    value_class_structure_ok,
+)
 
 F = Fraction
+
+
+def reach_vi(game, T, cap):
+    return ValueIterationRunner.reach(game, T).run(cap)
+
+
+def safety_vi(game, safe, cap):
+    return ValueIterationRunner.safety(game, safe).run(cap)
 
 
 def fig1_table():
@@ -33,21 +44,21 @@ def fig1_table():
 
 
 def test_vi_fig1_full_table(fig1):
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    assert trace.valuations == fig1_table()
-    assert trace.converged
-    assert trace.valuations[4] == trace.valuations[3]
+    runner = reach_vi(fig1, {"s0"}, 10)
+    assert runner.valuations == fig1_table()
+    assert runner.finished
+    assert runner.valuations[4] == runner.valuations[3]
 
 
 def test_vi_target_everything(fig1):
-    trace = reach_value_iteration(fig1, fig1.states, max_steps=3)
-    assert all(u == {s: ONE for s in fig1.states} for u in trace.valuations)
+    runner = reach_vi(fig1, fig1.states, 3)
+    assert all(u == {s: ONE for s in fig1.states} for u in runner.valuations)
 
 
 def test_vi_ex3step1_prefix(ex3step1):
-    trace = reach_value_iteration(ex3step1, {"s1"}, max_steps=4)
-    assert [u["s0"] for u in trace.valuations] == [ZERO, F(1, 2), F(4, 7), F(7, 12), F(24, 41)]
-    assert not trace.converged
+    runner = reach_vi(ex3step1, {"s1"}, 4)
+    assert [u["s0"] for u in runner.valuations] == [ZERO, F(1, 2), F(4, 7), F(7, 12), F(24, 41)]
+    assert not runner.finished
 
 
 def test_vi_monotone_random():
@@ -55,62 +66,62 @@ def test_vi_monotone_random():
     for _ in range(20):
         game = random_concurrent_game(rng, n_states=4)
         target = set(rng.sample(game.states, rng.randint(1, 2)))
-        trace = reach_value_iteration(game, target, max_steps=8)
-        for earlier, later in zip(trace.valuations, trace.valuations[1:]):
+        runner = reach_vi(game, target, 8)
+        for earlier, later in zip(runner.valuations, runner.valuations[1:]):
             assert all(earlier[s] <= later[s] for s in game.states)
 
 
 def test_entry_times_fig1(fig1):
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    assert trace.entry_time("s0", 3) == 0
-    assert trace.entry_time("s2", 3) == 1
-    assert trace.entry_time("s3", 3) == 2
-    assert trace.entry_time("s4", 3) == 3
-    assert trace.entry_time("s4", 4) == 3
+    runner = reach_vi(fig1, {"s0"}, 10)
+    assert runner.entry_time("s0", 3) == 0
+    assert runner.entry_time("s2", 3) == 1
+    assert runner.entry_time("s3", 3) == 2
+    assert runner.entry_time("s4", 3) == 3
+    assert runner.entry_time("s4", 4) == 3
 
 
 def test_eta_selector_fig1(fig1):
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    eta3 = extract_eta_selector(trace, 3)
+    runner = reach_vi(fig1, {"s0"}, 10)
+    eta3 = extract_eta_selector(runner, 3)
     assert eta3.choice["s3"] == {"b": ONE}
     # target and value-zero states fall back to uniform
     assert eta3.choice["s0"] == {"⊥": ONE}
 
 
 def test_eta_selector_stable_after_fixpoint(fig1):
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    assert extract_eta_selector(trace, 4).choice == extract_eta_selector(trace, 3).choice
+    runner = reach_vi(fig1, {"s0"}, 10)
+    assert extract_eta_selector(runner, 4).choice == extract_eta_selector(runner, 3).choice
 
 
 def test_eta_achieves_previous_iterate(fig1):
     # The entry-time selector satisfies Pre_{1:eta_k}(u_{k-1}) = u_k exactly.
     from helpers import pre1_sel
 
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
+    runner = reach_vi(fig1, {"s0"}, 10)
     for k in (2, 3, 4):
-        eta = extract_eta_selector(trace, k)
-        for s in trace.game.states:
-            assert pre1_sel(trace.game, trace.valuations[k - 1], s, eta) == trace.valuations[k][s]
+        eta = extract_eta_selector(runner, k)
+        for s in runner.game.states:
+            assert pre1_sel(runner.game, runner.valuations[k - 1], s, eta) == runner.valuations[k][s]
 
 
 def test_eta_is_value_achieving_fig1(fig1):
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
-    selector, _ = eta_achieved_values(trace, 4)
-    assert selector == extract_eta_selector(trace, 4)
+    runner = reach_vi(fig1, {"s0"}, 10)
+    selector, _ = eta_achieved_values(runner, 4)
+    assert selector == extract_eta_selector(runner, 4)
 
 
 def test_eta_hypothesis_violation_small_k(fig1):
-    trace = reach_value_iteration(fig1, {"s0"}, max_steps=10)
+    runner = reach_vi(fig1, {"s0"}, 10)
     with pytest.raises(HypothesisViolation):
-        eta_achieved_values(trace, 1)
+        eta_achieved_values(runner, 1)
 
 
 def test_eta_single_state_game():
     rng = random.Random(32)
     game = random_concurrent_game(rng, n_states=1)
-    trace = reach_value_iteration(game, {"q0"}, max_steps=3)
-    selector, _ = eta_achieved_values(trace, 1)
-    assert selector == extract_eta_selector(trace, 1)
+    runner = reach_vi(game, {"q0"}, 3)
+    selector, _ = eta_achieved_values(runner, 1)
+    assert selector == extract_eta_selector(runner, 1)
 
 
 def test_value_class_structure_on_vi_traces():
@@ -122,9 +133,9 @@ def test_value_class_structure_on_vi_traces():
     for _ in range(15):
         game = random_concurrent_game(rng, n_states=4)
         target = set(rng.sample(game.states, rng.randint(1, 2)))
-        trace = reach_value_iteration(game, target, max_steps=6)
-        for k in range(1, len(trace.valuations)):
-            checked += value_class_structure_ok(trace, k, target)
+        runner = reach_vi(game, target, 6)
+        for k in range(1, len(runner.valuations)):
+            checked += value_class_structure_ok(runner, k, target)
     assert checked > 0
 
 
@@ -134,13 +145,13 @@ def test_safety_upper_all_safe_absorbing():
     from helpers import make_absorbing
 
     frozen = make_absorbing(game, game.states)
-    iterates = safety_value_iteration_upper(frozen, frozen.states, steps=4)
+    iterates = safety_vi(frozen, frozen.states, 4).valuations
     assert all(w == {s: ONE for s in frozen.states} for w in iterates)
 
 
 def test_safety_upper_fig2(fig2):
     safe = [s for s in fig2.states if s != "s4"]
-    iterates = safety_value_iteration_upper(fig2, safe, steps=20)
+    iterates = safety_vi(fig2, safe, 20).valuations
     expected = {"s0": F(2, 3), "s1": F(2, 3), "s2": F(1, 3), "s3": F(2, 3), "s4": ZERO, "s5": ONE}
     assert iterates[-1] == expected
     assert iterates[-2] == expected  # reached the fixpoint exactly
@@ -150,7 +161,7 @@ def test_safety_upper_fig2(fig2):
 
 def test_safety_upper_ex3step1_descends(ex3step1):
     safe = ["s0", "s1"]
-    iterates = safety_value_iteration_upper(ex3step1, safe, steps=12)
+    iterates = safety_vi(ex3step1, safe, 12).valuations
     at_s0 = [w["s0"] for w in iterates]
     for earlier, later in zip(at_s0, at_s0[1:]):
         assert later <= earlier
@@ -161,9 +172,13 @@ def test_safety_upper_ex3step1_descends(ex3step1):
 
 
 def test_extract_safety_selector_fig2(fig2):
+    # At the fixpoint the last round's witness is the optimal selector.
     safe = [s for s in fig2.states if s != "s4"]
     v = {"s0": F(2, 3), "s1": F(2, 3), "s2": F(1, 3), "s3": F(2, 3), "s4": ZERO, "s5": ONE}
-    selector = extract_optimal_safety_selector(fig2, v, safe)
+    runner = safety_vi(fig2, safe, 20)
+    assert runner.finished and runner.values == v
+    selector = runner.witnesses[-1]
+    assert selector.choice == extract_optimal_safety_selector(fig2, v, safe).choice
     assert selector.choice["s0"] == {"to-s1": ONE}
     achieved = strategy_value_safety(fig2, selector, safe)
     assert all(achieved[s] >= v[s] for s in fig2.states)
@@ -176,7 +191,10 @@ def test_extract_safety_selector_all_safe():
 
     frozen = make_absorbing(game, frozen_states := set(game.states))
     v = {s: ONE for s in game.states}
-    selector = extract_optimal_safety_selector(frozen, v, frozen_states)
+    runner = safety_vi(frozen, frozen_states, 5)
+    assert runner.finished and runner.iterations == 1 and runner.values == v
+    selector = runner.witnesses[-1]
+    assert selector.choice == extract_optimal_safety_selector(frozen, v, frozen_states).choice
     achieved = strategy_value_safety(frozen, selector, frozen_states)
     assert achieved == v
 
@@ -189,17 +207,51 @@ def test_extract_safety_selector_rejects_non_fixpoint(fig2):
 
 
 def test_eta_identity_on_random_traces():
-    # Pre_{1:eta_k}(u_{k-1}) = u_k on every trace, not just the worked example.
+    # Pre_{1:eta_k}(u_{k-1}) = u_k on every run, not just the worked example.
     from helpers import make_absorbing, pre1_sel
 
     rng = random.Random(36)
     for _ in range(10):
         game = random_concurrent_game(rng, n_states=4)
         target = set(rng.sample(game.states, rng.randint(1, 2)))
-        trace = reach_value_iteration(game, target, max_steps=5)
+        runner = reach_vi(game, target, 5)
         # The iteration holds the target and value-zero states.
-        held = make_absorbing(game, trace.target | trace.w2)
-        for k in range(1, len(trace.valuations)):
-            eta = extract_eta_selector(trace, k)
+        held = make_absorbing(game, runner.target | runner.w2)
+        for k in range(1, len(runner.valuations)):
+            eta = extract_eta_selector(runner, k)
             for s in game.states:
-                assert pre1_sel(held, trace.valuations[k - 1], s, eta) == trace.valuations[k][s]
+                assert pre1_sel(held, runner.valuations[k - 1], s, eta) == runner.valuations[k][s]
+
+
+def test_runner_matches_the_reference_loops():
+    # Both objectives against the standalone loops, with natural stops and
+    # caps: every iterate, every reach witness, the round count and the
+    # fixpoint flag, and at a safety fixpoint the last witness against the
+    # reference extraction.
+    rng = random.Random(37)
+    seen = {"reach-exact": 0, "reach-capped": 0, "safe-exact": 0, "safe-capped": 0}
+    for _ in range(240):
+        game = random_concurrent_game(rng, n_states=rng.randint(1, 4), max_moves=3)
+        chosen = rng.sample(game.states, rng.randint(1, len(game.states)))
+        cap = rng.randint(1, 8)
+
+        runner = reach_vi(game, chosen, cap)
+        valuations, witnesses, converged = reach_value_iteration(game, chosen, cap)
+        assert runner.valuations == valuations
+        assert [w and w.choice for w in runner.witnesses] == [w and w.choice for w in witnesses]
+        assert runner.iterations == len(valuations) - 1
+        assert runner.finished == converged
+        seen["reach-exact" if converged else "reach-capped"] += 1
+
+        runner = safety_vi(game, chosen, cap)
+        iterates = safety_value_iteration_upper(game, chosen, cap)
+        assert runner.valuations == iterates
+        assert runner.iterations == len(iterates) - 1
+        exact = len(iterates) >= 2 and iterates[-1] == iterates[-2]
+        assert runner.finished == exact
+        assert len(runner.witnesses) == len(iterates)
+        if exact:
+            reference = extract_optimal_safety_selector(game, iterates[-1], chosen)
+            assert runner.witnesses[-1].choice == reference.choice
+        seen["safe-exact" if exact else "safe-capped"] += 1
+    assert min(seen.values()) >= 40, seen
