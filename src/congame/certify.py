@@ -51,6 +51,9 @@ class Certifier(Runner):
     keeps the best bracket so far.
     """
 
+    # The (reach, safety) valuations ``gap`` was last computed at, and the gap.
+    _gap: tuple[Valuation, Valuation, Fraction] | None = None
+
     def __init__(self, game: GameStructure, F: Iterable[str], eps: Fraction):
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -70,12 +73,17 @@ class Certifier(Runner):
 
     @property
     def gap(self) -> Fraction:
-        """max_s(1 - u - v), which determinacy keeps nonnegative."""
+        """max_s(1 - u - v), which determinacy keeps nonnegative.  It is
+        checked and computed once per pair of valuation objects: a round
+        in which a side does not move, and the report, read it again."""
         u, v = self.reach.values, self.values
-        for s in self.game.states:
-            if u[s] + v[s] > ONE:
-                raise AssertionError(f"determinacy violated at {s!r}: u={u[s]}, v={v[s]}")
-        return max(ONE - u[s] - v[s] for s in self.game.states)
+        last = self._gap
+        if last is None or last[0] is not u or last[1] is not v:
+            for s in self.game.states:
+                if u[s] + v[s] > ONE:
+                    raise AssertionError(f"determinacy violated at {s!r}: u={u[s]}, v={v[s]}")
+            last = self._gap = (u, v, max(ONE - u[s] - v[s] for s in self.game.states))
+        return last[2]
 
     @property
     def status(self) -> str:

@@ -15,10 +15,12 @@ A game's one-step results are kept for as long as the game object lives,
 in ``GameStructure.one_step_cache``, keyed by payoff matrix: the solution,
 the non-local step's support pairs (``safety_si``) and the k-uniform scan
 per ``k``.  Each is a function of the payoff alone, stored by position, so
-a hit returns what a fresh computation would.  Solvers hold states by
-``done`` sets, not absorbing copies, so the cache lives on the game they
-were given: on the command line, the game parsed for one solve.  Matrices
-with one row or one column take closed forms and bypass it.
+a hit returns what a fresh computation would.  A scan at ``k`` is also the
+start of the payoff's scans at larger ``k``, which score only the
+denominator layers it lacks.  Solvers hold states by ``done`` sets, not
+absorbing copies, so the cache lives on the game they were given: on the
+command line, the game parsed for one solve.  Matrices with one row or
+one column take closed forms and bypass it.
 
 ``pre1_k`` restricts player 1 to k-uniform mixtures (all probabilities
 multiples of ``1/l`` for a common denominator ``l <= k``) and maximizes by
@@ -201,11 +203,7 @@ def _expected(dist: Mapping[str, Fraction], v: Mapping[str, Fraction]) -> Fracti
 
 def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:
     """Value of Pre1(v) at one state, with the optimal mixture as witness."""
-    solution = _solution(game, one_step_matrix(game, v, s))
-    mix = {
-        a: p for a, p in zip(game.moves1[s], solution.row_strategy) if p > 0
-    }
-    return solution.value, mix
+    return _pre1_matrix(game, one_step_matrix(game, v, s))
 
 
 def pre1(
@@ -274,9 +272,12 @@ def enumerate_k_uniform(n_moves: int, k: int) -> tuple[tuple[int, tuple[int, ...
 
 
 KUniformOptimum = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
+KUniformScan = tuple[Fraction, tuple[KUniformOptimum, ...]]
 
 
-def _k_uniform_scan(matrix: MatrixGame, k: int) -> tuple[Fraction, tuple[KUniformOptimum, ...]]:
+def _k_uniform_scan(
+    matrix: MatrixGame, k: int, k0: int = 0, scan: KUniformScan | None = None
+) -> KUniformScan:
     """The best worst-case payoff of a k-uniform row mixture, with the
     first mixture attaining it, in enumeration order, of each (support,
     counter-set) pair the attaining mixtures realize.
@@ -284,25 +285,35 @@ def _k_uniform_scan(matrix: MatrixGame, k: int) -> tuple[Fraction, tuple[KUnifor
     Each is ``(A, B, l, counts)``: row positions ``A`` with ``counts > 0``,
     column positions ``B`` holding the mixture to the optimum, and
     probabilities ``counts[i] / l``.  The first is the first optimal mixture.
-    A mixture is scored in integers: column ``j`` gets ``l * scale`` times
-    its payoff, where ``scale`` is the least common denominator of the
-    payoffs.
 
-    A single column has a closed form, checked against the same budget:
-    the optimal mixtures are those over its maximal rows, the first in
-    enumeration order is the first maximal row alone, and each support
-    ``A`` of at most ``k`` maximal rows first appears as the uniform
-    mixture at denominator ``|A|``, in subset order (by size, then
-    position).
+    The scan is a fold over denominator layers: layer ``l`` holds the
+    mixtures whose least denominator is ``l`` (``_reduced_compositions``),
+    so the k-uniform mixtures are layers 1..k in enumeration order.  Given
+    ``scan``, this function's result at ``k0 < k``, only layers
+    ``k0 + 1 .. k`` are scored and folded onto it; without, the fold starts
+    from nothing, and the result is the same either way.  Each layer is
+    scored on its own and merged: a strictly higher layer best replaces the
+    optima, an equal one appends the pairs it realizes that are not listed
+    yet, and a lower one leaves the scan as it was.  A mixture is scored in
+    integers: column ``j`` gets ``l * scale`` times its payoff, where
+    ``scale`` is the least common denominator of the payoffs.  One row has
+    only the pure mixture, in layer 1.  The budget is checked first,
+    against ``k``.
+
+    A single column has a closed form: the optimal mixtures are those over
+    its maximal rows, the first in enumeration order is the first maximal
+    row alone, and layer ``l`` adds each support ``A`` of ``l`` maximal
+    rows, as the uniform mixture on ``A``, in subset order.
     """
     m = len(matrix.rows)
+    _check_k_uniform_budget(m, k)
+    value, optima = scan if scan is not None else (None, ())
     if len(matrix.cols) == 1:
-        _check_k_uniform_budget(m, k)
         high = max(row[0] for row in matrix.payoff)
         best = [a for a, row in enumerate(matrix.payoff) if row[0] == high]
-        return high, tuple(
+        return high, optima + tuple(
             (A, (0,), size, tuple(int(a in A) for a in range(m)))
-            for size in range(1, min(k, len(best)) + 1)
+            for size in range(k0 + 1, min(k, len(best)) + 1)
             for A in itertools.combinations(best, size)
         )
     scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
@@ -310,44 +321,67 @@ def _k_uniform_scan(matrix: MatrixGame, k: int) -> tuple[Fraction, tuple[KUnifor
         [x.numerator * (scale // x.denominator) for x in col]
         for col in zip(*matrix.payoff)
     ]
-    best_low, best_denom = None, 1
-    optima: list[tuple[int, tuple[int, ...], list[int]]] = []
-    for denom, counts in enumerate_k_uniform(m, k):
-        sums = [sum(map(mul, counts, col)) for col in cols]
-        low = min(sums)
-        if best_low is None or low * best_denom > best_low * denom:
-            best_low, best_denom, optima = low, denom, [(denom, counts, sums)]
-        elif low * best_denom == best_low * denom:
-            optima.append((denom, counts, sums))
-    # The first optimum of each (support, counter-set) pair, keyed by masks.
-    first: dict[tuple[tuple[bool, ...], tuple[bool, ...]], tuple[int, tuple[int, ...]]] = {}
-    for denom, counts, sums in optima:
-        key = (tuple(map(bool, counts)), tuple(map(min(sums).__eq__, sums)))
-        if key not in first:
-            first[key] = (denom, counts)
-    return Fraction(best_low, best_denom * scale), tuple(
-        (
-            tuple(i for i, c in enumerate(counts) if c),
-            tuple(j for j, held in enumerate(cols_mask) if held),
-            denom,
-            counts,
+    for denom in range(k0 + 1, (k if m > 1 else 1) + 1):
+        best_low = None
+        ties: list[tuple[tuple[int, ...], list[int]]] = []
+        for _, counts in _reduced_compositions(m, denom):
+            sums = [sum(map(mul, counts, col)) for col in cols]
+            low = min(sums)
+            if best_low is None or low > best_low:
+                best_low, ties = low, [(counts, sums)]
+            elif low == best_low:
+                ties.append((counts, sums))
+        # The sign of best_low / (denom * scale) - value.
+        ahead = 1 if value is None else (
+            best_low * value.denominator - value.numerator * denom * scale
         )
-        for (_, cols_mask), (denom, counts) in first.items()
-    )
+        if ahead < 0:
+            continue
+        listed = set() if ahead > 0 else {(A, B) for A, B, _, _ in optima}
+        found = []
+        for counts, sums in ties:
+            A = tuple(i for i, c in enumerate(counts) if c)
+            B = tuple(j for j, x in enumerate(sums) if x == best_low)
+            if (A, B) not in listed:
+                listed.add((A, B))
+                found.append((A, B, denom, counts))
+        if ahead > 0:
+            value, optima = Fraction(best_low, denom * scale), tuple(found)
+        else:
+            optima += tuple(found)
+    return value, optima
 
 
-def _k_uniform_optima(
-    game: GameStructure, matrix: MatrixGame, k: int
-) -> tuple[Fraction, tuple[KUniformOptimum, ...]]:
+def _k_uniform_optima(game: GameStructure, matrix: MatrixGame, k: int) -> KUniformScan:
     """``_k_uniform_scan(matrix, k)``, scanned at most once per payoff and
-    ``k`` in ``game``."""
+    ``k`` in ``game``, and grown from the payoff's cached scan at the
+    largest ``k0 < k``, if any, so that a run raising k one step at a time
+    scores each denominator layer of a payoff once."""
     entry = _one_step(game, matrix)
     if entry is None:
         return _k_uniform_scan(matrix, k)
-    scan = entry.scans.get(k)
+    scans = entry.scans
+    scan = scans.get(k)
     if scan is None:
-        scan = entry.scans[k] = _k_uniform_scan(matrix, k)
+        k0 = max((j for j in scans if j < k), default=0)
+        scan = scans[k] = _k_uniform_scan(matrix, k, k0, scans.get(k0))
     return scan
+
+
+def _pre1_matrix(
+    game: GameStructure, matrix: MatrixGame, k: int | None = None
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """The value of ``matrix`` for the row player, over all mixtures or,
+    given ``k``, over k-uniform ones, with the optimal mixture the solver
+    or the scan returns first, by row label."""
+    if k is None:
+        solution = _solution(game, matrix)
+        return solution.value, {
+            a: p for a, p in zip(matrix.rows, solution.row_strategy) if p > 0
+        }
+    value, optima = _k_uniform_optima(game, matrix, k)
+    _, _, denom, counts = optima[0]
+    return value, {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}
 
 
 def pre1_k(
@@ -359,7 +393,4 @@ def pre1_k(
     is deterministic.  Mixtures are scored in integer arithmetic; only the
     returned value and mixture are ``Fraction``s.
     """
-    matrix = one_step_matrix(game, v, s)
-    value, optima = _k_uniform_optima(game, matrix, k)
-    _, _, denom, counts = optima[0]
-    return value, {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}
+    return _pre1_matrix(game, one_step_matrix(game, v, s), k)

@@ -27,8 +27,9 @@ so the run for k + 1 continues from it.
 ``widen()`` moves a k-uniform runner on to k + 1.  ``ConvergentSafetyRunner``
 drives one such runner through the outer loop, giving each round a budget
 of ``K_UNIFORM_MAX_STEPS`` steps; both are ``reach_si.Runner``s.
-A finished ``SafetySIRunner`` runs the unrestricted stopping test once and
-keeps its answer as ``optimal``; the outer loop stops on it.
+A finished ``SafetySIRunner`` runs the unrestricted stopping test once per
+fixpoint valuation and keeps its answer as ``optimal``; the outer loop
+stops on it.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ from .matrix import (
     _check_k_uniform_budget,
     _k_uniform_optima,
     _one_step,
+    _pre1_matrix,
     _solution,
     one_step_matrix,
-    pre1,
-    pre1_k,
 )
 from .mdp import _greatest_fixpoint, almost_sure_safe_strategy, strategy_value_safety
 from .model import (
@@ -240,7 +240,11 @@ def opt_sel_count(
 ) -> list[SupportPair]:
     """All feasible (support, counter-set) pairs at ``s``, in subset order
     (by size, then position), each with a stored witness mixture."""
-    matrix = one_step_matrix(game, v, s)
+    return _matrix_pairs(game, one_step_matrix(game, v, s), k)
+
+
+def _matrix_pairs(game: GameStructure, matrix: MatrixGame, k: int | None) -> list[SupportPair]:
+    """``opt_sel_count`` on the one-step matrix of its state."""
     if k is None:
         pairs = _unrestricted_pairs(game, matrix)
     else:
@@ -275,14 +279,6 @@ def _resp_node(s: str, A: tuple[str, ...], b: str) -> str:
     return f"{s}/[{'+'.join(A)}]/{b}"
 
 
-def _state_pairs(
-    game: GameStructure, v: Mapping[str, Fraction], s: str, held: bool, k: int | None
-) -> list[SupportPair]:
-    """The (support, counter-set) pairs player 1 offers at ``s``: every
-    pair looping back to ``s`` at a held state, else ``opt_sel_count``."""
-    return _held_pairs(game, s, k) if held else opt_sel_count(game, v, s, k)
-
-
 def _pair_successors(
     game: GameStructure, s: str, held: bool, A: Iterable[str], B: Iterable[str]
 ) -> set[str]:
@@ -302,13 +298,14 @@ def tb_reduction(
     Player 1 picks a feasible (support, counter-set) pair at each original
     state; player 2 then picks a move from the counter set; a uniform random
     state spreads over every successor the supported moves can produce
-    against that response.  A state in ``done`` is held, as if every move
-    pair looped back to it (``_held_pairs``).
+    against that response.  Player 1 offers ``opt_sel_count``'s pairs at a
+    state, or, at a state in ``done``, which is held, every pair looping
+    back to it (``_held_pairs``).
 
     This is the materialized view of the non-local step, printed by
     ``congame dump-tb``.  The solve never builds it: ``improvement_switches``
     computes its almost-sure safe region directly on ``game``, from the same
-    pairs (``_state_pairs``) and the same successor sets (``_pair_successors``).
+    pairs and the same successor sets (``_pair_successors``).
     """
     safe = set(F)
     order = {t: i for i, t in enumerate(game.states)}
@@ -322,7 +319,8 @@ def tb_reduction(
     for s in game.states:
         held = s in done
         pair_nodes = []
-        for pair in _state_pairs(game, v, s, held, k):
+        pairs = _held_pairs(game, s, k) if held else opt_sel_count(game, v, s, k)
+        for pair in pairs:
             node = _pair_node(s, pair.A, pair.B)
             pair_nodes.append(node)
             states.append(node)
@@ -390,32 +388,34 @@ def improvement_switches(
     node exactly when all its successors do.  ``k`` restricts every mixture
     considered to k-uniform ones.  An empty result with ``k=None`` is the
     unrestricted stopping condition: ``v`` is the value of the game.
+
+    Each state that is not held gets its one-step matrix built once, and
+    both steps read it: the local step's ``pre1_state`` or ``pre1_k`` and
+    the non-local step's ``opt_sel_count``, through their matrix-taking
+    cores.
     """
     safe = set(F)
     w1 = set(W1)
     done = _held(game, safe, w1)
-    if k is None:
-        pre_vals, witness = pre1(game, v, done)
-        local_witness = witness.choice
-    else:
-        pre_vals = {}
-        local_witness = {}
-        for s in game.states:
-            if s in done:  # no scan, but the scan's budget check, in state order
+    matrices: dict[str, MatrixGame] = {}
+    local: dict[str, dict[str, Fraction]] = {}
+    for s in game.states:
+        if s in done:
+            if k is not None:  # no scan, but the scan's budget check, in state order
                 _check_k_uniform_budget(len(game.moves1[s]), k)
-            else:
-                pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
-    local = {
-        s: local_witness[s]
-        for s in game.states
-        if s not in done and pre_vals[s] > v[s]
-    }
+            continue
+        matrix = matrices[s] = one_step_matrix(game, v, s)
+        value, mix = _pre1_matrix(game, matrix, k)
+        if value > v[s]:
+            local[s] = mix
     if local:
         return local, False
     options = {
         s: [
             (pair.witness, _pair_successors(game, s, s in done, pair.A, pair.B))
-            for pair in _state_pairs(game, v, s, s in done, k)
+            for pair in (
+                _held_pairs(game, s, k) if s in done else _matrix_pairs(game, matrices[s], k)
+            )
         ]
         for s in game.states
         if s in safe
@@ -465,10 +465,14 @@ class SafetySIRunner(Runner):
     ``fired_nonlocal`` says whether any round took the non-local step.
     ``optimal`` says the fixpoint passed the unrestricted stopping
     condition, so ``values`` is the value of the game; it is False until
-    the runner finishes, and a k-uniform fixpoint may still fail it.
+    the runner finishes, and a k-uniform fixpoint may still fail it.  The
+    test runs once per valuation object: a widened runner whose fixpoint
+    has not moved reads the answer it found before.
     """
 
     optimal = False
+    # The last valuation the unrestricted stopping test ran at, and its answer.
+    _stop_test: tuple[Valuation, bool] | None = None
 
     def __init__(self, game: GameStructure, F: Iterable[str], k: int | None = None):
         if k is not None and k < 1:
@@ -500,9 +504,7 @@ class SafetySIRunner(Runner):
         v = self.values
         switches, nonlocal_step = improvement_switches(self.game, v, self.safe, self.w1, self.k)
         if not switches:
-            self.optimal = self.k is None or not improvement_switches(
-                self.game, v, self.safe, self.w1
-            )[0]
+            self.optimal = self.k is None or self._unrestricted_stop(v)
             return True
         selector = _replace(self.selector, switches)
         value = strategy_value_safety(self.game, selector, self.safe)
@@ -521,6 +523,14 @@ class SafetySIRunner(Runner):
         self.selector = selector
         self.valuations.append(value)
         return False
+
+
+    def _unrestricted_stop(self, v: Valuation) -> bool:
+        """Whether ``improvement_switches`` over all mixtures finds nothing
+        at ``v``, computed once per valuation object."""
+        if self._stop_test is None or self._stop_test[0] is not v:
+            self._stop_test = (v, not improvement_switches(self.game, v, self.safe, self.w1)[0])
+        return self._stop_test[1]
 
 
 class ConvergentSafetyRunner(Runner):

@@ -92,6 +92,13 @@ def _cases() -> dict[str, list[str]]:
         "solve", "ex3full.game", "--objective", "safe:not-s2",
         "--algorithm", "certify:1/10000", "--verify", "--format", "json",
     ]
+    # Smaller eps: 404 convergent rounds, so each k-uniform scan is grown
+    # by hundreds of denominator layers.
+    cases["ex3full-safe-certify-eps1e-5-json"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2",
+        "--algorithm", "certify:1/100000", "--verify", "--max-iters", "2000",
+        "--format", "json",
+    ]
     # The turn-based reduction prints every support pair and its witness,
     # at the start valuation and after two safety improvement rounds.
     for name, (_, safe) in OBJECTIVES.items():

@@ -3,8 +3,9 @@
 The golden cases run in process, under one hash seed.  These run the CLI in
 fresh interpreters under two ``PYTHONHASHSEED`` values, on invocations that
 reach set and dict iteration in every solver layer (the certifier with its
-witness audit, a k-uniform fixpoint, turn-based reach-si and the turn-based
-reduction), and compare their standard output byte for byte.
+witness audit, a k-uniform fixpoint, convergent rounds that grow cached
+k-uniform scans, turn-based reach-si and the turn-based reduction), and
+compare their standard output byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ INVOCATIONS = {
     "k-uniform": [
         "solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "k-uniform:5",
         "--verify",
+    ],
+    "convergent": [
+        "solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "convergent",
+        "--max-iters", "16", "--verify",
     ],
     "tb-reach-si": [
         "solve", "fig2.game", "--objective", "reach:s2", "--algorithm", "reach-si", "--verify",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -214,6 +215,70 @@ def test_single_column_scan_keeps_the_budget(monkeypatch):
                                               ((0, 1), (0,), 2, (1, 1))))
     with pytest.raises(BudgetExceeded, match="k=3, moves=2"):
         _k_uniform_scan(column, 3)
+
+
+def _tied_matrix(rng: random.Random) -> MatrixGame:
+    """A random 1-3 x 1-3 payoff with denominators 1-12, often with ties: a
+    duplicated row, a duplicated column or every entry the same."""
+    def entry():
+        d = rng.randint(1, 12)
+        return F(rng.randint(0, d), d)
+
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    payoff = [[entry() for _ in range(n)] for _ in range(m)]
+    kind = rng.choice(("plain", "row", "column", "constant"))
+    if kind == "row":
+        payoff[-1] = list(payoff[0])
+    elif kind == "column":
+        for row in payoff:
+            row[-1] = row[0]
+    elif kind == "constant":
+        c = entry()
+        payoff = [[c] * n for _ in range(m)]
+    return game_matrix(payoff)
+
+
+def test_extended_scan_equals_a_fresh_scan(ex3step1):
+    # Growing the scan at k0 by layers k0+1..k gives a fresh scan's value
+    # and optima, in order, called directly and through a game's cache.
+    rng = random.Random(32)
+    for _ in range(120):
+        matrix = _tied_matrix(rng)
+        fresh = {k: _k_uniform_scan(matrix, k) for k in range(1, 10)}
+        for k in range(2, 10):
+            for k0 in range(1, k):
+                assert _k_uniform_scan(matrix, k, k0, fresh[k0]) == fresh[k]
+                game = dataclasses.replace(ex3step1)  # an empty one-step cache
+                congame.matrix._k_uniform_optima(game, matrix, k0)
+                assert congame.matrix._k_uniform_optima(game, matrix, k) == fresh[k]
+        # Out of order: each request grows the largest cached scan below it.
+        game = dataclasses.replace(ex3step1)
+        for k in rng.sample(range(1, 10), 9):
+            assert congame.matrix._k_uniform_optima(game, matrix, k) == fresh[k]
+
+
+def test_extended_scan_keeps_the_budget(monkeypatch, ex3step1):
+    # Compositions of 1..k over m moves: C(k + m, m) - 1, at most 9 here.
+    monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 9)
+    cases = (
+        ([[1, 0], [0, 1]], 3, 4, "k=4, moves=2"),
+        ([[1], [1]], 3, 4, "k=4, moves=2"),
+        ([[0, 1], [1, 0], [F(1, 2), F(1, 2)]], 2, 3, "k=3, moves=3"),
+        ([[F(1, 3), 1]], 9, 10, "k=10, moves=1"),
+    )
+    for payoff, k0, k, where in cases:
+        matrix = game_matrix(payoff)
+        scan = _k_uniform_scan(matrix, k0)
+        message = f"k-uniform enumeration budget exceeded ({where})"
+        with pytest.raises(BudgetExceeded) as fresh:
+            _k_uniform_scan(matrix, k)
+        with pytest.raises(BudgetExceeded) as extended:
+            _k_uniform_scan(matrix, k, k0, scan)
+        game = dataclasses.replace(ex3step1)
+        congame.matrix._k_uniform_optima(game, matrix, k0)
+        with pytest.raises(BudgetExceeded) as cached:
+            congame.matrix._k_uniform_optima(game, matrix, k)
+        assert str(fresh.value) == str(extended.value) == str(cached.value) == message
 
 
 def test_pre1_k_integer_scan_matches_fraction_reference():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import congame.matrix
+import congame.safety_si
 from congame import (
     BudgetExceeded,
     ConvergentSafetyRunner,
@@ -421,8 +423,11 @@ def _same_as_cold(game, safe, rounds):
     # with k, a warm round keeps the last fixpoint while a cold one may end
     # at another k-uniform optimum of the same value (on ex3full at k = 7,
     # s0 mixes 2/5 warm and 3/7 cold).
+    # The cold run gets a copy of the game, whose one-step cache starts
+    # empty, so it scans every payoff itself rather than reading (or
+    # growing) the warm run's scans.
     warm = ConvergentSafetyRunner(game, safe).run(rounds)
-    cold = ColdConvergentSafety(game, safe).run(rounds)
+    cold = ColdConvergentSafety(dataclasses.replace(game), safe).run(rounds)
     assert warm.valuations == cold.valuations
     assert warm.ks == cold.ks
     assert warm.status == cold.status
@@ -450,6 +455,83 @@ def test_convergent_warm_rounds_match_cold_random():
 def test_convergent_warm_rounds_match_cold_examples(request, name, unsafe):
     game = request.getfixturevalue(name)
     _same_as_cold(game, [s for s in game.states if s != unsafe], 30)
+
+
+def _ex3full_convergent(ex3full, rounds=16):
+    """``rounds`` convergent rounds on a copy of ex3full with an empty
+    one-step cache (k from 5 to 20)."""
+    game = dataclasses.replace(ex3full)
+    runner = ConvergentSafetyRunner(game, [s for s in game.states if s != "s2"]).run(rounds)
+    assert runner.iterations == rounds and not runner.finished
+    return runner
+
+
+def test_convergent_scores_each_payoff_layer_once(ex3full, monkeypatch):
+    # Raising k one step at a time grows each payoff's cached scan by the
+    # new denominator layers only.  Matrices with one row or one column
+    # take closed forms and are not cached, so only the others count.
+    scan, layer = congame.matrix._k_uniform_scan, congame.matrix._reduced_compositions
+    scanning: list[MatrixGame] = []
+    scored: Counter = Counter()
+
+    def recording_scan(matrix, *args):
+        scanning.append(matrix)
+        try:
+            return scan(matrix, *args)
+        finally:
+            scanning.pop()
+
+    def recording_layer(n_moves, denom):
+        matrix = scanning[-1]
+        if len(matrix.rows) > 1 and len(matrix.cols) > 1:
+            scored[(matrix.payoff, denom)] += 1
+        return layer(n_moves, denom)
+
+    monkeypatch.setattr(congame.matrix, "_k_uniform_scan", recording_scan)
+    monkeypatch.setattr(congame.matrix, "_reduced_compositions", recording_layer)
+    _ex3full_convergent(ex3full)
+    assert scored and max(scored.values()) == 1
+    assert max(denom for _, denom in scored) == 20
+
+
+def test_convergent_runs_one_stopping_test_per_valuation(ex3full, monkeypatch):
+    # A widened runner whose fixpoint did not move reuses its answer.
+    switches = congame.safety_si.improvement_switches
+    tested = []
+
+    def recording(game, v, F, W1, k=None):
+        if k is None:
+            tested.append(tuple(v[s] for s in game.states))
+        return switches(game, v, F, W1, k)
+
+    monkeypatch.setattr(congame.safety_si, "improvement_switches", recording)
+    _ex3full_convergent(ex3full)
+    assert tested and len(tested) == len(set(tested))
+
+
+def test_improvement_switches_builds_each_matrix_once(ex3full, monkeypatch):
+    # The local and the non-local step read one matrix per state that is
+    # not held.
+    switches = congame.safety_si.improvement_switches
+    matrix = congame.matrix.one_step_matrix
+    built: list[list[str]] = []
+
+    def recording_switches(game, v, F, W1, k=None):
+        built.append([])
+        return switches(game, v, F, W1, k)
+
+    def recording_matrix(game, v, s):
+        built[-1].append(s)
+        return matrix(game, v, s)
+
+    monkeypatch.setattr(congame.safety_si, "improvement_switches", recording_switches)
+    monkeypatch.setattr(congame.safety_si, "one_step_matrix", recording_matrix)
+    monkeypatch.setattr(congame.matrix, "one_step_matrix", recording_matrix)
+    runner = _ex3full_convergent(ex3full)
+    held = runner.inner.done
+    assert built and all(states for states in built)
+    for states in built:
+        assert len(states) == len(set(states)) and not held & set(states)
 
 
 def test_convergent_all_unsafe(ex3step1):
