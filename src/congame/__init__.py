@@ -21,10 +21,10 @@ from .gamefile import GameFormatError, load_game, parse_game, serialize_game
 from .matrix import (
     MatrixGame,
     MatrixSolution,
-    enumerate_k_uniform,
     one_step_matrix,
+    optimal_pairs,
     pre1,
-    pre1_k,
+    pre1_matrix,
     solve_matrix_game,
 )
 from .mdp import (

@@ -1,4 +1,4 @@
-"""Zero-sum matrix games and the one-step Pre operators built on them.
+"""Zero-sum matrix games and every one-step answer built on them.
 
 ``Pre1(v)(s)``, the best expectation of a valuation ``v`` that player 1 can
 guarantee in one step from ``s``, is the value of a one-shot matrix game
@@ -11,24 +11,31 @@ a distribution, the row strategy earns at least the value against every
 column and the column strategy concedes at most the value to every row,
 which proves that the value is the game's.
 
+Every one-step question a solver asks is a function of one payoff matrix
+and is answered here: ``pre1_matrix`` gives the value and an optimal row
+mixture, and ``optimal_pairs`` the (support, counter-move-set) pairs of the
+optimal mixtures that the non-local safety step reads, both over all
+mixtures or, given ``k``, over k-uniform ones.  This is the only module
+that runs the simplex.
+
 A game's one-step results are kept for as long as the game object lives,
 in ``GameStructure.one_step_cache``, keyed by payoff matrix: the solution,
-the non-local step's support pairs (``safety_si``) and the k-uniform scan
-per ``k``.  Each is a function of the payoff alone, stored by position, so
-a hit returns what a fresh computation would.  A scan at ``k`` is also the
-start of the payoff's scans at larger ``k``, which score only the
-denominator layers it lacks.  Solvers hold states by ``done`` sets, not
-absorbing copies, so the cache lives on the game they were given: on the
-command line, the game parsed for one solve.  Matrices with one row or
-one column take closed forms and bypass it.
+the support pairs and the k-uniform scan per ``k``.  Each is a function of
+the payoff alone, stored by position, so a hit returns what a fresh
+computation would.  A scan at ``k`` is also the start of the payoff's scans
+at larger ``k``, which score only the denominator layers it lacks.  Solvers
+hold states by ``done`` sets, not absorbing copies, so the cache lives on
+the game they were given: on the command line, the game parsed for one
+solve.  Matrices with one row or one column take closed forms and bypass
+it.
 
-``pre1_k`` restricts player 1 to k-uniform mixtures (all probabilities
-multiples of ``1/l`` for a common denominator ``l <= k``) and maximizes by
-enumeration.  The mixtures are integer count vectors, each listed once at
-its least denominator and built once per (move count, denominator); they
-are scored in integers against the one-step matrix scaled by the common
-denominator of its entries, and only the result becomes a ``Fraction``.
-The enumeration budget is checked up front from the composition count.
+The k-uniform mixtures (all probabilities multiples of ``1/l`` for a
+common denominator ``l <= k``) are maximized by enumeration.  They are
+integer count vectors, each listed once at its least denominator and built
+once per (move count, denominator); they are scored in integers against
+the one-step matrix scaled by the common denominator of its entries, and
+only the result becomes a ``Fraction``.  The enumeration budget is checked
+up front from the composition count.
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Sequence
 
-from .linprog import EQ, GEQ, solve_lp
+from .linprog import EQ, GEQ, LPInfeasible, solve_lp
 from .model import BudgetExceeded, GameStructure, Selector, ZERO, ONE
 
 # Guard for the k-uniform enumerations (compositions of l <= k over a move
@@ -155,8 +162,8 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
 @dataclass(slots=True)
 class _OneStep:
     """What has been computed for one payoff matrix of a game: its solution,
-    ``safety_si``'s unrestricted support pairs, and the k-uniform scan per
-    ``k``.  Everything is by row and column position."""
+    its unrestricted support pairs, and the k-uniform scan per ``k``.
+    Everything is by row and column position."""
 
     solution: MatrixSolution | None = None
     pairs: tuple | None = None
@@ -201,11 +208,6 @@ def _expected(dist: Mapping[str, Fraction], v: Mapping[str, Fraction]) -> Fracti
     return sum((p * v[t] for t, p in dist.items()), ZERO)
 
 
-def pre1_state(game: GameStructure, v: Mapping[str, Fraction], s: str) -> tuple[Fraction, dict[str, Fraction]]:
-    """Value of Pre1(v) at one state, with the optimal mixture as witness."""
-    return _pre1_matrix(game, one_step_matrix(game, v, s))
-
-
 def pre1(
     game: GameStructure, v: Mapping[str, Fraction], done: AbstractSet[str] = frozenset()
 ) -> tuple[dict[str, Fraction], Selector]:
@@ -218,7 +220,7 @@ def pre1(
         if s in done:
             values[s], choice[s] = v[s], {game.moves1[s][0]: ONE}
         else:
-            values[s], choice[s] = pre1_state(game, v, s)
+            values[s], choice[s] = pre1_matrix(game, one_step_matrix(game, v, s))
     return values, Selector(choice)
 
 
@@ -250,25 +252,6 @@ def _check_k_uniform_budget(n_moves: int, k: int) -> None:
         raise BudgetExceeded(
             f"k-uniform enumeration budget exceeded (k={k}, moves={n_moves})"
         )
-
-
-def enumerate_k_uniform(n_moves: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """All distributions over ``n_moves`` moves whose probabilities share a
-    denominator ``l <= k``, each once, as ``(l, counts)`` with probabilities
-    ``counts[i] / l``: denominators ascending, each distribution at its
-    least denominator, in a fixed order within one denominator.
-
-    The entries of each denominator are built once and shared by every
-    later call, so together they take no more memory than the table for
-    the largest ``k`` requested.
-    Before they are consulted, the number of compositions the table is
-    built from is checked against ``MAX_KUNIFORM_ENUMERATION``; a larger
-    count raises ``BudgetExceeded``.
-    """
-    _check_k_uniform_budget(n_moves, k)
-    return tuple(itertools.chain.from_iterable(
-        _reduced_compositions(n_moves, denom) for denom in range(1, k + 1)
-    ))
 
 
 KUniformOptimum = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
@@ -368,12 +351,17 @@ def _k_uniform_optima(game: GameStructure, matrix: MatrixGame, k: int) -> KUnifo
     return scan
 
 
-def _pre1_matrix(
+def pre1_matrix(
     game: GameStructure, matrix: MatrixGame, k: int | None = None
 ) -> tuple[Fraction, dict[str, Fraction]]:
     """The value of ``matrix`` for the row player, over all mixtures or,
     given ``k``, over k-uniform ones, with the optimal mixture the solver
-    or the scan returns first, by row label."""
+    or the scan returns first, by row label.
+
+    The k-uniform optimum goes to the earliest mixture in enumeration
+    order, so the result is deterministic; mixtures are scored in integer
+    arithmetic, and only the value and the mixture are ``Fraction``s.
+    """
     if k is None:
         solution = _solution(game, matrix)
         return solution.value, {
@@ -384,13 +372,136 @@ def _pre1_matrix(
     return value, {a: Fraction(c, denom) for a, c in zip(matrix.rows, counts) if c}
 
 
-def pre1_k(
-    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
-) -> tuple[Fraction, dict[str, Fraction]]:
-    """Best one-step value over k-uniform player-1 mixtures at ``s``.
+# A support pair by position: row positions A, column positions B, and the
+# witness's probabilities on A.
+PositionPair = tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]
 
-    Ties go to the earliest mixture in the enumeration order, so the result
-    is deterministic.  Mixtures are scored in integer arithmetic; only the
-    returned value and mixture are ``Fraction``s.
+
+def optimal_pairs(
+    game: GameStructure, matrix: MatrixGame, k: int | None = None
+) -> tuple[PositionPair, ...]:
+    """Every (support, counter-move-set) pair ``(A, B)`` an optimal row
+    mixture of ``matrix`` realizes, over all mixtures or, given ``k``, over
+    k-uniform ones, in subset order (by the size and positions of ``A``,
+    then of ``B``), each with a witness: a row mixture with support exactly
+    ``A`` attaining the optimum, held to it by exactly the columns ``B``.
+
+    Unrestricted, the witness is the slack LP's (``_feasible_unrestricted``).
+    A matrix with one row or one column has closed forms, the slack LP's own
+    optima: on 1 x n the one row with the columns at its minimum and
+    witness 1; on m x 1 every set of maximal rows, uniformly, with the
+    column.  Other shapes are pruned (``_pruned_pairs``) once per payoff in
+    ``game``.  Given ``k``, the pairs and witnesses are those of the
+    k-uniform scan, whose witness is the first mixture in enumeration order
+    realizing the pair.
     """
-    return _pre1_matrix(game, one_step_matrix(game, v, s), k)
+    if k is not None:
+        _, optima = _k_uniform_optima(game, matrix, k)
+        return tuple(sorted(
+            ((A, B, tuple(Fraction(counts[a], denom) for a in A)) for A, B, denom, counts in optima),
+            key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
+        ))
+    payoff = matrix.payoff
+    if len(matrix.rows) == 1:
+        low = min(payoff[0])
+        return (((0,), tuple(b for b, x in enumerate(payoff[0]) if x == low), (ONE,)),)
+    if len(matrix.cols) == 1:
+        high = max(row[0] for row in payoff)
+        best = [a for a, row in enumerate(payoff) if row[0] == high]
+        return tuple((A, (0,), (Fraction(1, len(A)),) * len(A)) for A in _nonempty_subsets(best))
+    entry = _one_step(game, matrix)
+    if entry.pairs is None:
+        entry.pairs = _pruned_pairs(payoff, _solution(game, matrix))
+    return entry.pairs
+
+
+def _nonempty_subsets(items: Sequence) -> list[tuple]:
+    """Nonempty subsets by size, then position; a sublist's subsets come in
+    the same relative order as in the whole list's."""
+    out = []
+    for size in range(1, len(items) + 1):
+        out.extend(itertools.combinations(items, size))
+    return out
+
+
+def _pruned_pairs(payoff, solution: MatrixSolution) -> tuple[PositionPair, ...]:
+    """The feasible pairs by the slack LP, run only on the pairs that
+    complementary slackness allows.
+
+    Take the optimal column strategy ``y*`` of ``solution`` and any optimal
+    row mixture ``x``: ``y*_b > 0`` forces ``(x M)_b = v`` and ``x_a > 0``
+    forces ``(M y*)_a = v``.  So a feasible pair has ``B`` covering the
+    support of ``y*`` and ``A`` inside the rows earning ``v`` against it.
+    """
+    target, y = solution.value, solution.col_strategy
+    support = {b for b, q in enumerate(y) if q}
+    responses = [
+        a for a, row in enumerate(payoff) if sum(row[b] * y[b] for b in support) == target
+    ]
+    pairs = []
+    for A in _nonempty_subsets(responses):
+        for B in _nonempty_subsets(range(len(y))):
+            if support.issubset(B):
+                witness = _feasible_unrestricted(payoff, target, A, B)
+                if witness is not None:
+                    pairs.append((A, B, witness))
+    return tuple(pairs)
+
+
+def _feasible_unrestricted(
+    payoff, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
+) -> tuple[Fraction, ...] | None:
+    """Maximize a shared slack below the support probabilities and above the
+    strict inequalities; a positive optimum is exactly strict feasibility.
+    Returns the witness's probabilities on the rows ``A``.
+
+    One row needs no LP: it is feasible exactly when it meets the target on
+    ``B`` and strictly exceeds it elsewhere, with witness 1.  For more rows,
+    a column's entry under any mixture over ``A`` lies between the column's
+    least and greatest entry on ``A``, so the LP runs only when every column
+    in ``B`` brackets the target and every other column exceeds it
+    somewhere.
+    """
+    b_set = set(B)
+    if len(A) == 1:
+        row = payoff[A[0]]
+        if all((x == target) if j in b_set else (x > target) for j, x in enumerate(row)):
+            return (ONE,)
+        return None
+    for j in range(len(payoff[0])):
+        column = [payoff[a][j] for a in A]
+        if not (min(column) <= target <= max(column) if j in b_set else max(column) > target):
+            return None
+    n = len(A) + 1  # mixture over A plus the slack variable
+    t_col = len(A)
+    rows: list[list[Fraction]] = []
+    senses: list[str] = []
+    rhs: list[Fraction] = []
+    for i in range(len(A)):
+        row = [ZERO] * n
+        row[i] = ONE
+        row[t_col] = -ONE
+        rows.append(row)
+        senses.append(GEQ)
+        rhs.append(ZERO)
+    rows.append([ONE] * len(A) + [ZERO])
+    senses.append(EQ)
+    rhs.append(ONE)
+    for j in range(len(payoff[0])):
+        row = [payoff[a][j] for a in A]
+        if j in b_set:
+            rows.append(row + [ZERO])
+            senses.append(EQ)
+            rhs.append(target)
+        else:
+            rows.append(row + [-ONE])
+            senses.append(GEQ)
+            rhs.append(target)
+    objective = [ZERO] * len(A) + [ONE]
+    try:
+        slack, point, _ = solve_lp(objective, rows, senses, rhs, maximize=True)
+    except LPInfeasible:
+        return None
+    if slack <= 0:
+        return None
+    return tuple(point[: len(A)])

@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .matrix import MatrixGame, one_step_matrix, pre1_state
+from .matrix import MatrixGame, one_step_matrix, pre1_matrix
 from .mdp import (
     ImproperSelectorError,
     compute_W2,
@@ -193,10 +193,10 @@ class ReachSIRunner(Runner):
         # The one-step value of each new choice at v, which the new value
         # must reach; on T and W2, which the evaluation holds absorbing, v.
         bound = dict(v)
+        matrices = {s: one_step_matrix(self.game, v, s) for s in self.game.states if s not in done}
         witness = {}
-        for s in self.game.states:
-            if s not in done:
-                bound[s], witness[s] = pre1_state(self.game, v, s)
+        for s, matrix in matrices.items():
+            bound[s], witness[s] = pre1_matrix(self.game, matrix)
         self.improve_set = frozenset(s for s in witness if bound[s] > v[s])
         if not self.improve_set:
             return True
@@ -207,9 +207,7 @@ class ReachSIRunner(Runner):
         for s in self.improve_set:
             if any(p.denominator.bit_length() > MAX_WITNESS_BITS for p in choice[s].values()):
                 midpoint = (v[s] + bound[s]) / 2
-                choice[s], bound[s] = _dyadic_rounding(
-                    one_step_matrix(self.game, v, s), choice[s], midpoint
-                )
+                choice[s], bound[s] = _dyadic_rounding(matrices[s], choice[s], midpoint)
                 if bound[s] < midpoint:
                     raise AssertionError(f"rounded witness below the midpoint at {s!r}")
         selector = Selector(choice)

@@ -14,7 +14,9 @@ successors, so it is the greatest set of safe states at each of which some
 pair leads only back into the set.  The solve computes it that way, as one
 greatest fixpoint on the concurrent game (``improvement_switches``);
 ``tb_reduction`` materializes the turn-based game itself, for
-``congame dump-tb``.
+``congame dump-tb``.  Both read each state's pairs from
+``matrix.optimal_pairs``, by row and column position; ``SupportPair`` and
+``opt_sel_count`` are the same pairs in move labels.
 
 Even with the non-local step the plain loop may converge below the value.
 The convergent variant restricts the loop to k-uniform mixtures (finitely
@@ -34,21 +36,17 @@ stops on it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
-from .linprog import EQ, GEQ, LPInfeasible, solve_lp
 from .matrix import (
     MatrixGame,
-    MatrixSolution,
+    PositionPair,
     _check_k_uniform_budget,
-    _k_uniform_optima,
-    _one_step,
-    _pre1_matrix,
-    _solution,
     one_step_matrix,
+    optimal_pairs,
+    pre1_matrix,
 )
 from .mdp import _greatest_fixpoint, almost_sure_safe_strategy, strategy_value_safety
 from .model import (
@@ -61,7 +59,6 @@ from .model import (
     Selector,
     TurnBasedGame,
     Valuation,
-    ZERO,
     uniform_selector,
 )
 from .reach_si import Runner
@@ -80,180 +77,22 @@ class SupportPair:
     B: tuple[str, ...]
     witness: dict[str, Fraction]
 
-
-# A support pair by position: row positions A, column positions B, and the
-# witness's probabilities on A.
-PositionPair = tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]
-
-
-def _nonempty_subsets(items: Sequence) -> list[tuple]:
-    """Nonempty subsets by size, then position; a sublist's subsets come in
-    the same relative order as in the whole list's."""
-    out = []
-    for size in range(1, len(items) + 1):
-        out.extend(itertools.combinations(items, size))
-    return out
-
-
-def _feasible_unrestricted(
-    payoff, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
-) -> tuple[Fraction, ...] | None:
-    """Maximize a shared slack below the support probabilities and above the
-    strict inequalities; a positive optimum is exactly strict feasibility.
-    Returns the witness's probabilities on the rows ``A``.
-
-    One row needs no LP: it is feasible exactly when it meets the target on
-    ``B`` and strictly exceeds it elsewhere, with witness 1.  For more rows,
-    a column's entry under any mixture over ``A`` lies between the column's
-    least and greatest entry on ``A``, so the LP runs only when every column
-    in ``B`` brackets the target and every other column exceeds it
-    somewhere.
-    """
-    b_set = set(B)
-    if len(A) == 1:
-        row = payoff[A[0]]
-        if all((x == target) if j in b_set else (x > target) for j, x in enumerate(row)):
-            return (ONE,)
-        return None
-    for j in range(len(payoff[0])):
-        column = [payoff[a][j] for a in A]
-        if not (min(column) <= target <= max(column) if j in b_set else max(column) > target):
-            return None
-    n = len(A) + 1  # mixture over A plus the slack variable
-    t_col = len(A)
-    rows: list[list[Fraction]] = []
-    senses: list[str] = []
-    rhs: list[Fraction] = []
-    for i in range(len(A)):
-        row = [ZERO] * n
-        row[i] = ONE
-        row[t_col] = -ONE
-        rows.append(row)
-        senses.append(GEQ)
-        rhs.append(ZERO)
-    rows.append([ONE] * len(A) + [ZERO])
-    senses.append(EQ)
-    rhs.append(ONE)
-    for j in range(len(payoff[0])):
-        row = [payoff[a][j] for a in A]
-        if j in b_set:
-            rows.append(row + [ZERO])
-            senses.append(EQ)
-            rhs.append(target)
-        else:
-            rows.append(row + [-ONE])
-            senses.append(GEQ)
-            rhs.append(target)
-    objective = [ZERO] * len(A) + [ONE]
-    try:
-        slack, point, _ = solve_lp(objective, rows, senses, rhs, maximize=True)
-    except LPInfeasible:
-        return None
-    if slack <= 0:
-        return None
-    return tuple(point[: len(A)])
-
-
-def _unrestricted_pairs(game: GameStructure, matrix: MatrixGame) -> tuple[PositionPair, ...]:
-    """Every feasible pair of ``matrix`` in subset order, by position.
-
-    A matrix with one row or one column has closed forms, the slack LP's
-    own optima: on 1 x n the one row with the columns at its minimum and
-    witness 1; on m x 1 every set of maximal rows, uniformly, with the
-    column.  Other shapes are pruned (``_pruned_pairs``) once per payoff in
-    ``game``.
-    """
-    payoff = matrix.payoff
-    if len(matrix.rows) == 1:
-        low = min(payoff[0])
-        return (((0,), tuple(b for b, x in enumerate(payoff[0]) if x == low), (ONE,)),)
-    if len(matrix.cols) == 1:
-        high = max(row[0] for row in payoff)
-        best = [a for a, row in enumerate(payoff) if row[0] == high]
-        return tuple((A, (0,), (Fraction(1, len(A)),) * len(A)) for A in _nonempty_subsets(best))
-    entry = _one_step(game, matrix)
-    if entry.pairs is None:
-        entry.pairs = _pruned_pairs(payoff, _solution(game, matrix))
-    return entry.pairs
-
-
-def _pruned_pairs(payoff, solution: MatrixSolution) -> tuple[PositionPair, ...]:
-    """The feasible pairs by the slack LP, run only on the pairs that
-    complementary slackness allows.
-
-    Take the optimal column strategy ``y*`` of ``solution`` and any optimal
-    row mixture ``x``: ``y*_b > 0`` forces ``(x M)_b = v`` and ``x_a > 0``
-    forces ``(M y*)_a = v``.  So a feasible pair has ``B`` covering the
-    support of ``y*`` and ``A`` inside the rows earning ``v`` against it.
-    """
-    target, y = solution.value, solution.col_strategy
-    support = {b for b, q in enumerate(y) if q}
-    responses = [
-        a for a, row in enumerate(payoff) if sum(row[b] * y[b] for b in support) == target
-    ]
-    pairs = []
-    for A in _nonempty_subsets(responses):
-        for B in _nonempty_subsets(range(len(y))):
-            if support.issubset(B):
-                witness = _feasible_unrestricted(payoff, target, A, B)
-                if witness is not None:
-                    pairs.append((A, B, witness))
-    return tuple(pairs)
-
-
-def _k_uniform_position_pairs(
-    game: GameStructure, matrix: MatrixGame, k: int
-) -> tuple[PositionPair, ...]:
-    """Every pair realizable by a k-uniform optimal mixture of ``matrix``,
-    in enumeration order, each with the first such mixture as witness."""
-    _, optima = _k_uniform_optima(game, matrix, k)
-    return tuple(
-        (A, B, tuple(Fraction(counts[a], denom) for a in A)) for A, B, denom, counts in optima
-    )
-
-
-def _labelled(matrix: MatrixGame, pairs: Iterable[PositionPair]):
-    """Position-level pairs as ``((A, B), witness)`` in move labels."""
-    rows, cols = matrix.rows, matrix.cols
-    for A, B, probabilities in pairs:
-        support = tuple(rows[a] for a in A)
-        yield (support, tuple(cols[b] for b in B)), dict(zip(support, probabilities))
-
-
-def _held_pairs(game: GameStructure, s: str, k: int | None) -> list[SupportPair]:
-    """``opt_sel_count`` at ``s`` as if every move pair looped back to it.
-    On that constant matrix every nonempty support A of at most ``k`` moves
-    is held by every column, in subset order, and its witness is uniform:
-    the slack LP's unique optimum and the k-uniform scan's first mixture on
-    A.  The k-uniform budget is checked as the scan would check it."""
-    if k is not None:
-        _check_k_uniform_budget(len(game.moves1[s]), k)
-    return [
-        SupportPair(A, game.moves2[s], {a: Fraction(1, len(A)) for a in A})
-        for A in _nonempty_subsets(game.moves1[s])
-        if k is None or len(A) <= k
-    ]
+    @classmethod
+    def from_positions(cls, matrix: MatrixGame, pair: PositionPair) -> SupportPair:
+        """``pair``, one of ``optimal_pairs(game, matrix)``, in move labels."""
+        A, B, probabilities = pair
+        support = tuple(matrix.rows[a] for a in A)
+        return cls(support, tuple(matrix.cols[b] for b in B), dict(zip(support, probabilities)))
 
 
 def opt_sel_count(
     game: GameStructure, v: Mapping[str, Fraction], s: str, k: int | None = None
 ) -> list[SupportPair]:
     """All feasible (support, counter-set) pairs at ``s``, in subset order
-    (by size, then position), each with a stored witness mixture."""
-    return _matrix_pairs(game, one_step_matrix(game, v, s), k)
-
-
-def _matrix_pairs(game: GameStructure, matrix: MatrixGame, k: int | None) -> list[SupportPair]:
-    """``opt_sel_count`` on the one-step matrix of its state."""
-    if k is None:
-        pairs = _unrestricted_pairs(game, matrix)
-    else:
-        # Subset order: by the size and positions of A, then of B.
-        pairs = sorted(
-            _k_uniform_position_pairs(game, matrix, k),
-            key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
-        )
-    return [SupportPair(A, B, witness) for (A, B), witness in _labelled(matrix, pairs)]
+    (by size, then position), each with a stored witness mixture:
+    ``optimal_pairs`` of the one-step matrix at ``s``, in move labels."""
+    matrix = one_step_matrix(game, v, s)
+    return [SupportPair.from_positions(matrix, pair) for pair in optimal_pairs(game, matrix, k)]
 
 
 @dataclass
@@ -279,16 +118,6 @@ def _resp_node(s: str, A: tuple[str, ...], b: str) -> str:
     return f"{s}/[{'+'.join(A)}]/{b}"
 
 
-def _pair_successors(
-    game: GameStructure, s: str, held: bool, A: Iterable[str], B: Iterable[str]
-) -> set[str]:
-    """States the support ``A`` can lead to against the responses ``B`` at
-    ``s``; only ``s`` itself at a held state."""
-    if held:
-        return {s}
-    return {t for a in A for b in B for t in game.dest(s, a, b)}
-
-
 def tb_reduction(
     game: GameStructure, v: Mapping[str, Fraction], F: Iterable[str],
     done: AbstractSet[str] = frozenset(), k: int | None = None,
@@ -299,13 +128,14 @@ def tb_reduction(
     state; player 2 then picks a move from the counter set; a uniform random
     state spreads over every successor the supported moves can produce
     against that response.  Player 1 offers ``opt_sel_count``'s pairs at a
-    state, or, at a state in ``done``, which is held, every pair looping
-    back to it (``_held_pairs``).
+    state.  A state in ``done`` is held: every move pair loops back to it,
+    so it offers the pairs ``opt_sel_count`` finds on its matrix with every
+    entry ``v[s]``, each leading only to the state itself.
 
     This is the materialized view of the non-local step, printed by
     ``congame dump-tb``.  The solve never builds it: ``improvement_switches``
     computes its almost-sure safe region directly on ``game``, from the same
-    pairs and the same successor sets (``_pair_successors``).
+    pairs and the same successor sets.
     """
     safe = set(F)
     order = {t: i for i, t in enumerate(game.states)}
@@ -318,9 +148,14 @@ def tb_reduction(
     safe_bar: set[str] = {s for s in game.states if s in safe}
     for s in game.states:
         held = s in done
+        if held:
+            rows, cols = game.moves1[s], game.moves2[s]
+            matrix = MatrixGame(rows, cols, ((v[s],) * len(cols),) * len(rows))
+        else:
+            matrix = one_step_matrix(game, v, s)
         pair_nodes = []
-        pairs = _held_pairs(game, s, k) if held else opt_sel_count(game, v, s, k)
-        for pair in pairs:
+        for position_pair in optimal_pairs(game, matrix, k):
+            pair = SupportPair.from_positions(matrix, position_pair)
             node = _pair_node(s, pair.A, pair.B)
             pair_nodes.append(node)
             states.append(node)
@@ -342,7 +177,7 @@ def tb_reduction(
                 back_map[resp] = ("resp", s, pair.A, b)
                 if s in safe:
                     safe_bar.add(resp)
-                successors = _pair_successors(game, s, held, pair.A, (b,))
+                successors = {s} if held else {t for a in pair.A for t in game.dest(s, a, b)}
                 ordered = sorted(successors, key=order.__getitem__)
                 edges[resp] = tuple(ordered)
                 share = Fraction(1, len(ordered))
@@ -385,14 +220,15 @@ def improvement_switches(
     safe states at each of which some pair (A, B) has every successor
     ``dest(s, a, b)``, a in A and b in B, inside X: a pair node survives in
     the reduction exactly when its response nodes do, and a uniform response
-    node exactly when all its successors do.  ``k`` restricts every mixture
-    considered to k-uniform ones.  An empty result with ``k=None`` is the
-    unrestricted stopping condition: ``v`` is the value of the game.
+    node exactly when all its successors do.  A safe state in W1 is always
+    in X, since each of its pairs loops back to it.  ``k`` restricts every
+    mixture considered to k-uniform ones.  An empty result with ``k=None``
+    is the unrestricted stopping condition: ``v`` is the value of the game.
 
     Each state that is not held gets its one-step matrix built once, and
-    both steps read it: the local step's ``pre1_state`` or ``pre1_k`` and
-    the non-local step's ``opt_sel_count``, through their matrix-taking
-    cores.
+    both steps read it: the local step's ``pre1_matrix`` and the non-local
+    step's ``optimal_pairs``, whose pairs stay by position until a state
+    is switched.
     """
     safe = set(F)
     w1 = set(W1)
@@ -405,31 +241,30 @@ def improvement_switches(
                 _check_k_uniform_budget(len(game.moves1[s]), k)
             continue
         matrix = matrices[s] = one_step_matrix(game, v, s)
-        value, mix = _pre1_matrix(game, matrix, k)
+        value, mix = pre1_matrix(game, matrix, k)
         if value > v[s]:
             local[s] = mix
     if local:
         return local, False
-    options = {
-        s: [
-            (pair.witness, _pair_successors(game, s, s in done, pair.A, pair.B))
-            for pair in (
-                _held_pairs(game, s, k) if s in done else _matrix_pairs(game, matrices[s], k)
-            )
-        ]
-        for s in game.states
-        if s in safe
-    }
+    # Each safe state outside W1 with its pairs and their successor sets.
+    options: dict[str, list[tuple[PositionPair, set[str]]]] = {}
+    for s in game.states:
+        if s in safe and s not in w1:
+            rows, cols = matrices[s].rows, matrices[s].cols
+            options[s] = [
+                (pair, {t for a in pair[0] for b in pair[1] for t in game.dest(s, rows[a], cols[b])})
+                for pair in optimal_pairs(game, matrices[s], k)
+            ]
     alive = _greatest_fixpoint(
-        options,
-        lambda s, X: any(successors <= X for _, successors in options[s]),
-        lambda s: set().union(*(successors for _, successors in options[s])),
+        [s for s in game.states if s in safe],
+        lambda s, X: s in w1 or any(successors <= X for _, successors in options[s]),
+        lambda s: set().union(*(successors for _, successors in options[s])) if s in options else (),
     )
-    switches = {
-        s: next(witness for witness, successors in options[s] if successors <= alive)
-        for s in game.states
-        if s in alive and s not in w1
-    }
+    switches = {}
+    for s in options:
+        if s in alive:
+            A, _, probabilities = next(pair for pair, successors in options[s] if successors <= alive)
+            switches[s] = {matrices[s].rows[a]: p for a, p in zip(A, probabilities)}
     return switches, True
 
 

@@ -15,7 +15,8 @@ from congame.gamefile import parse_game
 from congame.matrix import (
     MatrixGame,
     _compositions,
-    enumerate_k_uniform,
+    _k_uniform_optima,
+    _reduced_compositions,
     one_step_matrix,
     solve_matrix_game,
 )
@@ -40,12 +41,7 @@ from congame.model import (
     swap_players,
 )
 from congame.reach_si import ReachSIRunner
-from congame.safety_si import (
-    ConvergentSafetyRunner,
-    SupportPair,
-    _k_uniform_position_pairs,
-    _labelled,
-)
+from congame.safety_si import ConvergentSafetyRunner, SupportPair
 
 from oracles import slack_lp_feasible
 
@@ -136,8 +132,14 @@ def column_values(matrix: MatrixGame, weights: Sequence[Fraction]) -> tuple[Frac
 
 
 def k_uniform_distributions(n_moves: int, k: int) -> list[tuple[Fraction, ...]]:
-    """``enumerate_k_uniform``'s table read as probability tuples."""
-    return [tuple(Fraction(c, denom) for c in counts) for denom, counts in enumerate_k_uniform(n_moves, k)]
+    """The k-uniform distributions over ``n_moves`` moves in the order the
+    k-uniform scan scores them: the layers ``_reduced_compositions(n_moves,
+    l)`` for l = 1..k, read as probability tuples."""
+    return [
+        tuple(Fraction(c, denom) for c in counts)
+        for denom in range(1, k + 1)
+        for _, counts in _reduced_compositions(n_moves, denom)
+    ]
 
 
 def reference_k_uniform(n_moves: int, k: int) -> list[tuple[Fraction, ...]]:
@@ -157,7 +159,8 @@ def reference_k_uniform(n_moves: int, k: int) -> list[tuple[Fraction, ...]]:
 def reference_pre1_k(
     game: GameStructure, v: Mapping[str, Fraction], s: str, k: int
 ) -> tuple[Fraction, dict[str, Fraction]]:
-    """``pre1_k`` scored in ``Fraction`` arithmetic, one mixture at a time."""
+    """``pre1_matrix`` at ``s`` with ``k``, scored in ``Fraction``
+    arithmetic, one mixture at a time."""
     matrix = one_step_matrix(game, v, s)
     best_value: Fraction | None = None
     best_dist: tuple[Fraction, ...] | None = None
@@ -174,9 +177,16 @@ def k_uniform_pairs(
 ) -> dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, Fraction]]:
     """All (support, counter-set) pairs realizable by k-uniform optimal
     mixtures at ``s``, each with the first witness in enumeration order:
-    the package's k-uniform pairs in move labels."""
+    the package's k-uniform scan, in enumeration order and move labels."""
     matrix = one_step_matrix(game, v, s)
-    return dict(_labelled(matrix, _k_uniform_position_pairs(game, matrix, k)))
+    _, optima = _k_uniform_optima(game, matrix, k)
+    pairs = {}
+    for A, B, denom, counts in optima:
+        support = tuple(matrix.rows[a] for a in A)
+        pairs[(support, tuple(matrix.cols[b] for b in B))] = {
+            matrix.rows[a]: Fraction(counts[a], denom) for a in A
+        }
+    return pairs
 
 
 def reference_k_uniform_pairs(

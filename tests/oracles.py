@@ -11,7 +11,7 @@ exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
 (policy iteration, no LP) cross-checks the integer simplex against policy
 iteration; and the slack LP for support pairs, the reference for the closed
-forms, pruning and pre-filter of `safety_si`.  The third is
+forms, pruning and pre-filter of `matrix.optimal_pairs`.  The third is
 `EncodedTurnBasedReach`, the concurrent reachability improvement run on a
 turn-based game's encoding, the reference for the graph runner that
 replaced it.  The fourth is `ColdConvergentSafety`, the convergent safety
@@ -32,7 +32,7 @@ import itertools
 from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
-from congame.matrix import _check_k_uniform_budget, pre1, pre1_k
+from congame.matrix import _check_k_uniform_budget, one_step_matrix, pre1, pre1_matrix
 from congame.mdp import compute_W2, strategy_value_reach, tb_almost_sure_safe, tb_attractor
 from congame.model import (
     P1,
@@ -262,7 +262,7 @@ def slack_lp_feasible(payoff, target, A, B):
 
 
 def slack_lp_pruned_pairs(payoff, solution):
-    """``safety_si._pruned_pairs`` with every candidate pair decided by the
+    """``matrix._pruned_pairs`` with every candidate pair decided by the
     slack LP alone: the same complementary-slackness candidates (``B``
     covering the optimal column strategy's support, ``A`` inside the rows
     that earn the value against it) in the same order, with no closed form
@@ -500,7 +500,7 @@ def reduction_switches(game, v, F, W1, k=None):
             if s in done:
                 _check_k_uniform_budget(len(game.moves1[s]), k)
             else:
-                pre_vals[s], local_witness[s] = pre1_k(game, v, s, k)
+                pre_vals[s], local_witness[s] = pre1_matrix(game, one_step_matrix(game, v, s), k)
     local = {s: local_witness[s] for s in game.states if s not in done and pre_vals[s] > v[s]}
     if local:
         return local, False

@@ -563,22 +563,24 @@ def test_internal_error_exit_code(example_dir, capsys, monkeypatch, error):
 def _record_lps(monkeypatch) -> tuple[list, list]:
     """Patch the one-step layer where it hands work to the simplex; the
     returned lists collect the payoff of every matrix-game LP and the
-    (payoff, target, A, B) of every support-pair LP."""
+    (payoff, target, A, B) of every support-pair LP.  Both live in
+    ``matrix``, so each kind is recorded at its own LP builder rather than
+    at the simplex they share."""
     games, pairs = [], []
-    solve_lp = congame.matrix.solve_lp
+    game_lp_of = congame.matrix._solve_lp_game
 
-    def game_lp(objective, rows, senses, rhs, maximize=False):
-        games.append(tuple(map(tuple, rows)))
-        return solve_lp(objective, rows, senses, rhs, maximize)
+    def game_lp(payoff, n_rows, n_cols):
+        games.append(payoff)
+        return game_lp_of(payoff, n_rows, n_cols)
 
-    feasible = congame.safety_si._feasible_unrestricted
+    feasible = congame.matrix._feasible_unrestricted
 
     def pair_lp(payoff, target, A, B):
         pairs.append((payoff, target, A, B))
         return feasible(payoff, target, A, B)
 
-    monkeypatch.setattr(congame.matrix, "solve_lp", game_lp)
-    monkeypatch.setattr(congame.safety_si, "_feasible_unrestricted", pair_lp)
+    monkeypatch.setattr(congame.matrix, "_solve_lp_game", game_lp)
+    monkeypatch.setattr(congame.matrix, "_feasible_unrestricted", pair_lp)
     return games, pairs
 
 

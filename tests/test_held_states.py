@@ -4,7 +4,9 @@ Every routine that holds states (``pre1``, ``induce_mdp``,
 ``tb_reduction`` and value iteration for both objectives) must
 return exactly what the same computation returns on
 ``helpers.make_absorbing`` of the game with nothing held, including the
-witnesses at held states.  The games are random, and between them the held
+witnesses at held states.  ``improvement_switches`` holds W1 and the
+unsafe states itself, so it must return the same on the game and on the
+copy with those states absorbing.  The games are random, and between them the held
 states take every shape from 1 x 1 to 3 x 3 moves.
 """
 
@@ -18,6 +20,7 @@ import pytest
 from congame import (
     GameError,
     ValueIterationRunner,
+    improvement_switches,
     induce_mdp,
     pre1,
     tb_reduction,
@@ -76,6 +79,21 @@ def test_tb_reduction_holds_like_a_copy(k):
         assert got.back_map == ref.back_map
         assert got.witness_store == ref.witness_store
         assert got.safe_bar == ref.safe_bar
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_improvement_switches_holds_like_a_copy(k):
+    # Switches are compared in dict order, witnesses included.
+    nonlocal_switches = 0
+    for rng, game, v, w1 in _cases(64, 80):
+        safe = {s for s in game.states if rng.random() < 0.7}
+        frozen = make_absorbing(game, w1 | (set(game.states) - safe))
+        switches, nonlocal_step = improvement_switches(game, v, safe, w1, k)
+        ref_switches, ref_nonlocal = improvement_switches(frozen, v, safe, w1, k)
+        assert list(switches.items()) == list(ref_switches.items())
+        assert nonlocal_step == ref_nonlocal
+        nonlocal_switches += nonlocal_step and bool(switches)
+    assert nonlocal_switches >= 5
 
 
 def test_reach_value_iteration_holds_like_a_copy():

@@ -1,0 +1,72 @@
+"""The one-step layer boundary of ``src/congame``, read from the source.
+
+``matrix`` answers every one-step question, so it is the only module that
+runs the simplex or touches a game's one-step cache, and the other modules
+use it through its public names.  The one private name they may import is
+``_check_k_uniform_budget``: a held state takes the k-uniform budget check
+without a scan.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import congame
+
+SOURCES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(congame.__file__).parent.glob("*.py"))
+}
+
+
+def _imports(tree: ast.Module):
+    """``(module, name)`` for each name imported from a package module,
+    with ``module`` relative to the package ("" for the package itself)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "congame" and not module.startswith("congame."):
+                    continue
+                module = module.removeprefix("congame").removeprefix(".")
+            for alias in node.names:
+                yield module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("congame."):
+                    yield alias.name.removeprefix("congame."), None
+
+
+def test_only_matrix_imports_linprog():
+    users = {
+        name
+        for name, tree in SOURCES.items()
+        for module, imported in _imports(tree)
+        if module == "linprog" or (module == "" and imported == "linprog")
+    }
+    assert users == {"matrix"}
+
+
+def test_only_matrix_reads_the_one_step_cache():
+    readers = {
+        name
+        for name, tree in SOURCES.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "one_step_cache" for node in ast.walk(tree))
+    }
+    assert readers == {"matrix"}
+    # model defines it.
+    assert any(
+        isinstance(node, ast.FunctionDef) and node.name == "one_step_cache"
+        for node in ast.walk(SOURCES["model"])
+    )
+
+
+def test_matrix_private_names_stay_in_matrix():
+    private = {
+        (name, imported)
+        for name, tree in SOURCES.items()
+        for module, imported in _imports(tree)
+        if module == "matrix" and imported and imported.startswith("_")
+    }
+    assert {imported for _, imported in private} <= {"_check_k_uniform_budget"}

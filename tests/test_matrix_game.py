@@ -11,14 +11,13 @@ import congame.matrix
 from congame import (
     BudgetExceeded,
     MatrixGame,
-    enumerate_k_uniform,
     one_step_matrix,
     pre1,
-    pre1_k,
+    pre1_matrix,
     solve_matrix_game,
     uniform_selector,
 )
-from congame.matrix import _k_uniform_scan, pre1_state
+from congame.matrix import _k_uniform_scan
 
 from conftest import ONE, ZERO, random_concurrent_game, random_valuations
 from helpers import (
@@ -158,7 +157,7 @@ def test_pre1_dominates_indicator_on_targets(ex3full):
 
 def test_pre1_value_ex3_surrogate(ex3step1):
     v = {"s0": F(1, 2), "s1": ONE, "s2": ZERO}
-    value, mix = pre1_state(ex3step1, v, "s0")
+    value, mix = pre1_matrix(ex3step1, one_step_matrix(ex3step1, v, "s0"))
     assert value == F(4, 7)
     assert mix == {"a": F(3, 7), "b": F(4, 7)}
 
@@ -200,11 +199,24 @@ def test_enumerate_k_uniform_orders_and_dedup():
 
 
 def test_enumerate_k_uniform_budget_checked_before_cache(monkeypatch):
+    # The scan checks the budget before it builds or reads any layer of
+    # the (cached) k-uniform table.
     monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 5)
-    assert len(enumerate_k_uniform(2, 2)) == 3  # 5 compositions, at the budget
+    layer = congame.matrix._reduced_compositions
+    built = []
+
+    def recording_layer(n_moves, denom):
+        built.append(denom)
+        return layer(n_moves, denom)
+
+    monkeypatch.setattr(congame.matrix, "_reduced_compositions", recording_layer)
+    matrix = game_matrix([[1, 0], [0, 1]])
+    first = _k_uniform_scan(matrix, 2)  # 5 compositions, at the budget
+    assert first == (F(1, 2), (((0, 1), (0, 1), 2, (1, 1)),)) and built == [1, 2]
     with pytest.raises(BudgetExceeded, match="k=3, moves=2"):
-        enumerate_k_uniform(2, 3)  # 9 compositions
-    assert len(enumerate_k_uniform(2, 2)) == 3
+        _k_uniform_scan(matrix, 3)  # 9 compositions
+    assert built == [1, 2]
+    assert _k_uniform_scan(matrix, 2) == first
 
 
 def test_single_column_scan_keeps_the_budget(monkeypatch):
@@ -288,7 +300,7 @@ def test_pre1_k_integer_scan_matches_fraction_reference():
         for v in random_valuations(rng, game.states):
             for s in game.states:
                 for k in range(1, 7):
-                    value, mix = pre1_k(game, v, s, k)
+                    value, mix = pre1_matrix(game, one_step_matrix(game, v, s), k)
                     ref_value, ref_mix = reference_pre1_k(game, v, s, k)
                     assert value == ref_value
                     assert list(mix.items()) == list(ref_mix.items())
@@ -296,10 +308,10 @@ def test_pre1_k_integer_scan_matches_fraction_reference():
 
 def test_pre1_k_pure_and_mixed(ex3step1):
     v01 = {"s0": ZERO, "s1": ONE, "s2": ZERO}
-    value, mix = pre1_k(ex3step1, v01, "s0", 1)
+    value, mix = pre1_matrix(ex3step1, one_step_matrix(ex3step1, v01, "s0"), 1)
     assert value == ZERO or value == F(0)  # best pure move: both columns hit 0
     v = {"s0": F(1, 2), "s1": ONE, "s2": ZERO}
-    value2, mix2 = pre1_k(ex3step1, v, "s0", 2)
+    value2, mix2 = pre1_matrix(ex3step1, one_step_matrix(ex3step1, v, "s0"), 2)
     assert value2 == F(1, 2)
     assert mix2 == {"a": F(1, 2), "b": F(1, 2)}
 
@@ -312,7 +324,7 @@ def test_pre1_k_below_pre1_and_monotone_in_k():
         exact, _ = pre1(game, v)
         previous = None
         for k in (1, 2, 3):
-            vals = {s: pre1_k(game, v, s, k)[0] for s in game.states}
+            vals = {s: pre1_matrix(game, one_step_matrix(game, v, s), k)[0] for s in game.states}
             for s in game.states:
                 assert vals[s] <= exact[s]
                 if previous is not None:

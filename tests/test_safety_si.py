@@ -20,16 +20,18 @@ from congame import (
     opt_sel_count,
     tb_reduction,
 )
-from congame.matrix import MatrixGame, one_step_matrix, solve_matrix_game
-from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
-from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
-
-from congame.safety_si import (
-    K_UNIFORM_MAX_STEPS,
+from congame.matrix import (
+    MatrixGame,
     _feasible_unrestricted,
     _nonempty_subsets,
     _pruned_pairs,
+    one_step_matrix,
+    solve_matrix_game,
 )
+from congame.model import P1, P2, RANDOM, TurnBasedGame, encode_turn_based_as_concurrent
+from congame.reach_si import STATUS_CAPPED, STATUS_EXACT
+
+from congame.safety_si import K_UNIFORM_MAX_STEPS
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
