@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import Callable
 
 from .model import GameStructure, TurnBasedGame, GameError
 
@@ -44,19 +45,39 @@ class GameFormatError(GameError):
     """Malformed game document; the message carries the offending location."""
 
 
-def parse_fraction(text: object, where: str) -> Fraction:
-    if not isinstance(text, str):
-        raise GameFormatError(
-            f"{where}: probabilities must be exact rational strings, got {text!r}"
-        )
-    try:
-        # Exponent notation is not the documented form, and a large exponent
-        # would make ``Fraction`` build an integer of that many digits.
-        if "e" in text or "E" in text:
-            raise ValueError("exponent notation")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GameFormatError(f"{where}: cannot parse rational {text!r}") from exc
+def parse_fraction(text: object, where: str | Callable[[], str]) -> Fraction:
+    """The rational ``text`` names; ``where`` (or what it returns, called
+    only to report an error) locates it in the input.
+
+    An ASCII-digit ``n`` or ``n/d`` with nonzero ``d``, the form games are
+    written in, is read with ``int``; every other string goes through
+    ``Fraction``, so the accepted language and the messages do not depend
+    on that shortcut.
+    """
+    if isinstance(text, str):
+        try:
+            if text.isascii():
+                n, slash, d = text.partition("/")
+                if n.isdigit():
+                    if not slash:
+                        return Fraction(int(n))
+                    if d.isdigit() and d.strip("0"):
+                        return Fraction(int(n), int(d))
+            # Exponent notation is not the documented form, and a large
+            # exponent would make ``Fraction`` build an integer of that many
+            # digits.
+            if "e" in text or "E" in text:
+                raise ValueError("exponent notation")
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GameFormatError(f"{_located(where)}: cannot parse rational {text!r}") from exc
+    raise GameFormatError(
+        f"{_located(where)}: probabilities must be exact rational strings, got {text!r}"
+    )
+
+
+def _located(where: str | Callable[[], str]) -> str:
+    return where() if callable(where) else where
 
 
 def format_fraction(x: Fraction) -> str:
@@ -136,12 +157,13 @@ def _parse_concurrent(doc: dict) -> GameStructure:
                     raise GameFormatError(f"delta[{s!r}][{a!r}]: move {b!r} not in moves2[{s!r}]")
                 if not isinstance(dist, dict):
                     raise GameFormatError(f"delta[{s!r}][{a!r}][{b!r}] must be an object")
-                where = f"delta[{s!r}][{a!r}][{b!r}]"
                 parsed = {}
                 for t, p in dist.items():
                     if t not in known:
-                        raise GameFormatError(f"{where}: unknown successor {t!r}")
-                    parsed[t] = parse_fraction(p, f"{where}[{t!r}]")
+                        raise GameFormatError(
+                            f"delta[{s!r}][{a!r}][{b!r}]: unknown successor {t!r}"
+                        )
+                    parsed[t] = parse_fraction(p, lambda: f"delta[{s!r}][{a!r}][{b!r}][{t!r}]")
                 delta[(s, a, b)] = parsed
     try:
         return GameStructure(tuple(states), tuple(moves), moves1, moves2, delta)
@@ -178,7 +200,7 @@ def _parse_turn_based(doc: dict) -> TurnBasedGame:
             raise GameFormatError(f"prob: unknown state {s!r}")
         if not isinstance(dist, dict):
             raise GameFormatError(f"prob[{s!r}] must be an object")
-        prob[s] = {t: parse_fraction(p, f"prob[{s!r}][{t!r}]") for t, p in dist.items()}
+        prob[s] = {t: parse_fraction(p, lambda: f"prob[{s!r}][{t!r}]") for t, p in dist.items()}
     try:
         return TurnBasedGame(tuple(states), partition, edges, prob)
     except GameError as exc:

@@ -8,13 +8,15 @@ winning-set computations (value-zero states for reachability, almost-sure
 safety, and the attractor construction on turn-based games).
 
 The properness trap and the qualitative sets other than the attractor are
-greatest fixpoints, all computed by one work-list routine,
-``_greatest_fixpoint``: it tests each state once, and tests a state again
-only when one of the states its test reads has been removed, so every
-removal is paid for once.  The tests read supports, which ``GameStructure``
-and ``InducedMDP`` build once per object, on first use, from their
-immutable transition tables.  No qualitative set or value is kept between
-calls, so a second evaluation (``--verify``) recomputes everything.
+greatest fixpoints, all computed by one counting routine,
+``_greatest_fixpoint``: a state stays while one of its options (a set of
+successors) lies wholly inside the set.  Each (option, successor) incidence
+is handled once: an option breaks when its first successor leaves, and a
+state leaves when its last intact option breaks.  The options read supports:
+``GameStructure`` builds them once per game, on first use, and
+``InducedMDP`` holds positive entries only, so its supports are the keys of
+its distributions.  No qualitative set or value is kept between calls, so a
+second evaluation (``--verify``) recomputes everything.
 
 Evaluating a selector needs its target-like states absorbing.  They are
 passed as a ``done`` set, each of whose actions ``induce_mdp`` makes a
@@ -25,11 +27,9 @@ itself (``tb_induce_mdp``), without the concurrent encoding.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, KeysView, Mapping
 
 from .model import (
     GameStructure,
@@ -47,21 +47,17 @@ from .model import (
 
 @dataclass(frozen=True)
 class InducedMDP:
-    """Player-2 MDP obtained by mixing player 1's moves with a selector."""
+    """Player-2 MDP obtained by mixing player 1's moves with a selector.
+
+    Every entry of ``delta2`` is positive, so a distribution's keys are its
+    support."""
 
     states: tuple[str, ...]
     actions: dict[str, tuple[str, ...]]
     delta2: dict[tuple[str, str], dict[str, Fraction]]
 
-    @cached_property
-    def _supports(self) -> dict[tuple[str, str], frozenset[str]]:
-        return {
-            key: frozenset(t for t, p in dist.items() if p)
-            for key, dist in self.delta2.items()
-        }
-
-    def dest(self, s: str, b: str) -> frozenset[str]:
-        return self._supports[(s, b)]
+    def dest(self, s: str, b: str) -> KeysView[str]:
+        return self.delta2[(s, b)].keys()
 
 
 def induce_mdp(
@@ -140,7 +136,7 @@ def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fract
             policy[s] = next(
                 b
                 for b in mdp.actions[s]
-                if any(p > 0 and t in attracted for t, p in dist[(s, b)].items())
+                if any(t in attracted for t in dist[(s, b)])
             )
         attracted |= layer
         frontier = layer
@@ -155,11 +151,16 @@ def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fract
             for b in mdp.actions[s]:
                 if b == current:
                     continue
-                q = ZERO
-                for t, p in dist[(s, b)].items():
-                    v = values[t]
-                    if v:
-                        q += p * v
+                step = dist[(s, b)]
+                if len(step) == 1:  # a certain successor: probability 1
+                    (t,) = step
+                    q = values[t]
+                else:
+                    q = ZERO
+                    for t, p in step.items():
+                        v = values[t]
+                        if v:
+                            q += p * v
                 if q > best:
                     best = q
                     policy[s] = b
@@ -248,43 +249,56 @@ class ImproperSelectorError(GameError):
 
 
 def _greatest_fixpoint(
-    start: Iterable[str],
-    stays: Callable[[str, AbstractSet[str]], bool],
-    reads: Callable[[str], Iterable[str]],
+    start: Iterable[str], options: Callable[[str], Iterable[Iterable[str]]]
 ) -> frozenset[str]:
-    """Largest subset X of ``start`` with ``stays(s, X)`` at every s in X.
+    """Largest subset X of ``start`` in which every state has an option
+    lying wholly inside X; ``options(s)`` lists the options of s, each an
+    iterable of successors.
 
-    ``stays`` must be monotone in X, and ``stays(s, X)`` may depend only on
-    which of the states ``reads(s)`` lie in X.  A work-list: every state is
-    queued once; a state that fails its test against the current set is
-    removed, and only its predecessors (the states whose ``reads`` name it)
-    still in the set are queued again, since no other test can change.
+    By counting (Liu & Smolka, ICALP 1998): every option is listed once,
+    under each state it names, and each state counts its intact options.
+    An option naming a state outside ``start`` is broken from the outset,
+    and a state with no intact option leaves.  When a state leaves, each
+    option naming it breaks unless it already has, and a state whose last
+    intact option breaks leaves in turn.  So each (option, successor)
+    incidence is handled at most twice, once listed and once broken
+    through.  An empty option never breaks; a successor named twice in one
+    option breaks it once.
 
-    The loop ends: a state is removed at most once, and only a removal
-    queues anything, so there are at most |start| tests plus one per read
-    edge.  The result is the greatest fixpoint: by monotonicity no state of
-    it ever fails, and when the queue empties every state left has passed
-    its test since its last read changed.
+    The result is the greatest fixpoint: a state that left had every option
+    broken by a state outside ``start`` or one that left before it, so by
+    induction it lies in no fixpoint; a state that stays keeps an intact
+    option, whose successors all stay.
     """
-    current = set(start)
-    pred: dict[str, list[str]] = {s: [] for s in current}
-    for s in current:
-        for t in reads(s):
-            if t in pred:
-                pred[t].append(s)
-    queue = deque(current)
-    queued = set(current)
-    while queue:
-        s = queue.popleft()
-        queued.discard(s)
-        if stays(s, current):
-            continue
-        current.discard(s)
-        for r in pred[s]:
-            if r in current and r not in queued:
-                queued.add(r)
-                queue.append(r)
-    return frozenset(current)
+    named: dict[str, list[list[str]]] = {s: [] for s in start}
+    intact: dict[str, int] = {}
+    leaving = []
+    for s in named:
+        count = 0
+        for option in options(s):
+            cell = [s]  # emptied when the option breaks
+            for t in option:
+                cells = named.get(t)
+                if cells is None:
+                    cell.clear()
+                    break
+                cells.append(cell)
+            else:
+                count += 1
+        if count:
+            intact[s] = count
+        else:
+            leaving.append(s)
+    left = set(leaving)
+    while leaving:
+        for cell in named[leaving.pop()]:
+            if cell:
+                s = cell.pop()
+                intact[s] -= 1
+                if not intact[s]:
+                    left.add(s)
+                    leaving.append(s)
+    return frozenset(s for s in named if s not in left)
 
 
 def _trap(mdp: InducedMDP, done: AbstractSet[str]) -> frozenset[str]:
@@ -301,28 +315,24 @@ def _trap(mdp: InducedMDP, done: AbstractSet[str]) -> frozenset[str]:
     strongly connected component, and with those actions that is an end
     component avoiding ``done``.
     """
+    dist, actions = mdp.delta2, mdp.actions
     return _greatest_fixpoint(
         (s for s in mdp.states if s not in done),
-        lambda s, X: any(mdp.dest(s, b) <= X for b in mdp.actions[s]),
-        lambda s: {t for b in mdp.actions[s] for t in mdp.dest(s, b)},
+        lambda s: [dist[(s, b)] for b in actions[s]],
     )
-
-
-def _successors(game: GameStructure, s: str) -> set[str]:
-    """States some move pair at ``s`` can lead to."""
-    return {t for a in game.moves1[s] for b in game.moves2[s] for t in game.dest(s, a, b)}
 
 
 def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:
     """States of reachability value zero for player 1: the greatest set
     outside T in which player 2 has a move confining the game, whatever
-    player 1 does."""
+    player 1 does.  A player-2 move's option lists the successors of every
+    player-1 move against it."""
+    target = set(T)
     return _greatest_fixpoint(
-        set(game.states) - set(T),
-        lambda s, X: any(
-            all(game.dest(s, a, b) <= X for a in game.moves1[s]) for b in game.moves2[s]
-        ),
-        lambda s: _successors(game, s),
+        [s for s in game.states if s not in target],
+        lambda s: [
+            [t for a in game.moves1[s] for t in game.dest(s, a, b)] for b in game.moves2[s]
+        ],
     )
 
 
@@ -334,18 +344,22 @@ def almost_sure_safe_strategy(
 
     The region is the greatest fixpoint of "some player-1 move keeps the game
     inside, whatever player 2 answers": if every move leaks against some
-    answer, any mixture leaks with positive probability too.
+    answer, any mixture leaks with positive probability too.  A player-1
+    move's option lists its successors against every player-2 move.
     """
-
-    def confines(s: str, a: str, X: AbstractSet[str]) -> bool:
-        return all(game.dest(s, a, b) <= X for b in game.moves2[s])
-
+    safe = set(F)
     region = _greatest_fixpoint(
-        set(F) & set(game.states),
-        lambda s, X: any(confines(s, a, X) for a in game.moves1[s]),
-        lambda s: _successors(game, s),
+        [s for s in game.states if s in safe],
+        lambda s: [
+            [t for b in game.moves2[s] for t in game.dest(s, a, b)] for a in game.moves1[s]
+        ],
     )
-    return region, {s: next(a for a in game.moves1[s] if confines(s, a, region)) for s in region}
+    return region, {
+        s: next(
+            a for a in game.moves1[s] if all(game.dest(s, a, b) <= region for b in game.moves2[s])
+        )
+        for s in region
+    }
 
 
 def tb_attractor(
@@ -380,6 +394,12 @@ def tb_attractor(
         levels.append(frozenset(attracted))
 
 
+def _tb_options(tb: TurnBasedGame, owner: str) -> Callable[[str], Iterable[Iterable[str]]]:
+    """The options of a turn-based node for a fixpoint in which ``owner``
+    picks an edge: one edge at an ``owner`` node, all of them elsewhere."""
+    return lambda s: [(t,) for t in tb.edges[s]] if tb.partition[s] == owner else (tb.edges[s],)
+
+
 def tb_almost_sure_safe(
     tb: TurnBasedGame, safe: Iterable[str]
 ) -> tuple[frozenset[str], dict[str, str]]:
@@ -390,11 +410,7 @@ def tb_almost_sure_safe(
     returned strategy sends each winning player-1 state to its first winning
     successor in input order.
     """
-    alive = _greatest_fixpoint(
-        set(safe) & set(tb.states),
-        lambda s, X: (any if tb.partition[s] == P1 else all)(t in X for t in tb.edges[s]),
-        tb.edges.__getitem__,
-    )
+    alive = _greatest_fixpoint(set(safe) & set(tb.states), _tb_options(tb, P1))
     strategy = {
         s: next(t for t in tb.edges[s] if t in alive)
         for s in alive
@@ -410,7 +426,7 @@ def strategy_value_safety(
     one minus the adversary's maximal probability of reaching the unsafe set."""
     unsafe = set(game.states) - set(F)
     reach = max_reach_values(induce_mdp(game, xi1, unsafe), unsafe)
-    return {s: ONE - reach[s] for s in game.states}
+    return {s: _complement(reach[s]) for s in game.states}
 
 
 def strategy_value_reach(
@@ -438,18 +454,21 @@ def _proper_reach_value(
     if trap:
         raise ImproperSelectorError(trap)
     reach = max_reach_values(mdp, W2)
-    return {s: ONE - reach[s] for s in game.states}
+    return {s: _complement(reach[s]) for s in game.states}
+
+
+def _complement(r: Fraction) -> Fraction:
+    """1 - r for a probability r, with no arithmetic when r is 0 or 1."""
+    if r.denominator == 1:
+        return ZERO if r.numerator else ONE
+    return ONE - r
 
 
 def tb_value_zero(tb: TurnBasedGame, T: Iterable[str]) -> frozenset[str]:
     """``compute_W2`` on the graph: the greatest set outside T in which a
     player-2 node has some successor inside and every other node has all
     its successors inside."""
-    return _greatest_fixpoint(
-        set(tb.states) - set(T),
-        lambda s, X: (any if tb.partition[s] == P2 else all)(t in X for t in tb.edges[s]),
-        tb.edges.__getitem__,
-    )
+    return _greatest_fixpoint(set(tb.states) - set(T), _tb_options(tb, P2))
 
 
 def tb_induce_mdp(
@@ -459,11 +478,11 @@ def tb_induce_mdp(
     player-1 node), with every node in ``done`` absorbing.
 
     It is ``induce_mdp`` of the concurrent encoding with the same ``done``,
-    up to action names, built from the graph: a player-1 node moves to its pick and a
-    random node follows its distribution, each by the single action
-    ``NOOP_MOVE``; a player-2 node has one action per edge, in edge order,
-    named by its successor.  Every action of a node in ``done`` is a
-    self-loop.
+    up to action names, built from the graph: a player-1 node moves to its
+    pick and a random node follows the positive entries of its
+    distribution, each by the single action ``NOOP_MOVE``; a player-2 node
+    has one action per edge, in edge order, named by its successor.  Every
+    action of a node in ``done`` is a self-loop.
     """
     actions: dict[str, tuple[str, ...]] = {}
     delta2: dict[tuple[str, str], dict[str, Fraction]] = {}
@@ -479,7 +498,9 @@ def tb_induce_mdp(
             for t in acts:
                 delta2[(s, t)] = {t: ONE}
         elif kind == RANDOM:
-            delta2[(s, NOOP_MOVE)] = tb.prob[s]
+            # The distribution may name states off the edge list with
+            # probability 0; an induced MDP holds positive entries only.
+            delta2[(s, NOOP_MOVE)] = {t: p for t, p in tb.prob[s].items() if p}
         else:
             delta2[(s, NOOP_MOVE)] = {picks[s]: ONE}
     return InducedMDP(tb.states, actions, delta2)

@@ -42,26 +42,28 @@ class BudgetExceeded(GameError):
     """An exponential enumeration would exceed its explicit budget."""
 
 
-def _check_distribution(dist: Mapping[str, Fraction], where: str) -> None:
-    """Every probability is a nonnegative ``Fraction`` and they sum to 1.
+def _distribution_error(dist: Mapping[str, Fraction]) -> str | None:
+    """What is wrong with ``dist``, or None when every probability is a
+    nonnegative ``Fraction`` and they sum to 1.
 
     The entries are checked in order, type before sign; the sum is taken in
     integers over the lcm of the denominators, and a single entry of 1,
-    the common case, needs no sum.
+    the common case, needs no sum.  The caller adds the location to the
+    message, so a valid distribution costs no string formatting.
     """
     if len(dist) == 1:
         (p,) = dist.values()
         if isinstance(p, Fraction) and p == 1:
-            return
+            return None
     for key, p in dist.items():
         if not isinstance(p, Fraction):
-            raise GameError(f"{where}: probability of {key!r} is not an exact rational")
+            return f"probability of {key!r} is not an exact rational"
         if p.numerator < 0:
-            raise GameError(f"{where}: negative probability {p} for {key!r}")
+            return f"negative probability {p} for {key!r}"
     common = math.lcm(*(p.denominator for p in dist.values()))
     if sum(p.numerator * (common // p.denominator) for p in dist.values()) != common:
-        total = sum(dist.values(), ZERO)
-        raise GameError(f"{where}: probabilities sum to {total}, expected 1")
+        return f"probabilities sum to {sum(dist.values(), ZERO)}, expected 1"
+    return None
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,9 @@ class GameStructure:
             for t in dist:
                 if t not in known:
                     raise GameError(f"({s!r}, {a!r}, {b!r}): unknown successor {t!r}")
-            _check_distribution(dist, f"delta({s!r}, {a!r}, {b!r})")
+            error = _distribution_error(dist)
+            if error:
+                raise GameError(f"delta({s!r}, {a!r}, {b!r}): {error}")
 
     @cached_property
     def _supports(self) -> dict[tuple[str, str, str], frozenset[str]]:
@@ -168,7 +172,9 @@ class TurnBasedGame:
                     raise GameError(
                         f"random state {s!r}: distribution support differs from edges"
                     )
-                _check_distribution(dist, f"prob({s!r})")
+                error = _distribution_error(dist)
+                if error:
+                    raise GameError(f"prob({s!r}): {error}")
             elif s in self.prob:
                 raise GameError(f"non-random state {s!r} has a distribution")
 

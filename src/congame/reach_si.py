@@ -23,6 +23,7 @@ run a loop, and a finished runner is its own result.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -135,22 +136,37 @@ def _dyadic_rounding(
     the first j that gives a distribution reaching ``floor`` wins.  The
     roundings tend to ``mix``, so a ``floor`` below its own one-step value
     is met at some finite j.
+
+    The search runs in integers: the j-th rounding is ``divmod(num << j,
+    den)`` with a half-way remainder going to the even quotient, as
+    ``round`` does, and its value is scored against the payoff scaled by
+    the lcm of its denominators.
     """
-    row = {a: i for i, a in enumerate(matrix.rows)}
     top = max(mix, key=mix.__getitem__)
+    scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
+    row = dict(zip(matrix.rows, matrix.payoff))
+    scaled = {a: [x.numerator * (scale // x.denominator) for x in row[a]] for a in mix}
+    others = [(a, p.numerator, p.denominator) for a, p in mix.items() if a != top]
     for j in itertools.count(1):
-        scale = 1 << j
-        rounded = {a: Fraction(round(p * scale), scale) for a, p in mix.items() if a != top}
-        rest = ONE - sum(rounded.values(), ZERO)
+        counts = {}
+        for a, num, den in others:
+            q, r = divmod(num << j, den)
+            if 2 * r > den or (2 * r == den and q & 1):
+                q += 1
+            counts[a] = q
+        rest = (1 << j) - sum(counts.values())
         if rest < 0:
             continue
-        rounded[top] = rest
-        value = min(
-            sum((p * matrix.payoff[row[a]][b] for a, p in rounded.items()), ZERO)
-            for b in range(len(matrix.cols))
+        counts[top] = rest
+        score = min(
+            sum(c * scaled[a][b] for a, c in counts.items()) for b in range(len(matrix.cols))
         )
-        if value >= floor:
-            return {a: rounded[a] for a in mix if rounded[a]}, value
+        # score / (2^j scale) >= floor, cross-multiplied.
+        if score * floor.denominator >= (floor.numerator << j) * scale:
+            return (
+                {a: Fraction(counts[a], 1 << j) for a in mix if counts[a]},
+                Fraction(score, scale << j),
+            )
 
 
 class ReachSIRunner(Runner):

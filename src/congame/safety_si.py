@@ -221,9 +221,10 @@ def improvement_switches(
     ``dest(s, a, b)``, a in A and b in B, inside X: a pair node survives in
     the reduction exactly when its response nodes do, and a uniform response
     node exactly when all its successors do.  A safe state in W1 is always
-    in X, since each of its pairs loops back to it.  ``k`` restricts every
-    mixture considered to k-uniform ones.  An empty result with ``k=None``
-    is the unrestricted stopping condition: ``v`` is the value of the game.
+    in X, since each of its pairs loops back to it, so its one option in
+    the fixpoint is empty.  ``k`` restricts every mixture considered to
+    k-uniform ones.  An empty result with ``k=None`` is the unrestricted
+    stopping condition: ``v`` is the value of the game.
 
     Each state that is not held gets its one-step matrix built once, and
     both steps read it: the local step's ``pre1_matrix`` and the non-local
@@ -257,8 +258,7 @@ def improvement_switches(
             ]
     alive = _greatest_fixpoint(
         [s for s in game.states if s in safe],
-        lambda s, X: s in w1 or any(successors <= X for _, successors in options[s]),
-        lambda s: set().union(*(successors for _, successors in options[s])) if s in options else (),
+        lambda s: [()] if s in w1 else [successors for _, successors in options[s]],
     )
     switches = {}
     for s in options:

@@ -4,8 +4,9 @@ Everything here is deliberately primitive: Gaussian elimination, a
 two-phase simplex over a tableau of `Fraction`s, absorption probabilities of
 explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
-greatest fixpoints over supports rebuilt at every test, and exhaustive
-strategy enumeration for small games.
+greatest fixpoints over supports rebuilt at every test, exhaustive
+strategy enumeration for small games, and the dyadic rounding of a
+witness in `Fraction` arithmetic.
 None of it shares code with the solver paths it checks, with six deliberate
 exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
@@ -874,3 +875,26 @@ def extract_optimal_safety_selector(game, v, F):
     if mismatch:
         raise NotAFixpoint(f"Pre1(v) differs from v at {sorted(mismatch)}; not a safety fixpoint")
     return witness
+
+
+def fraction_dyadic_rounding(matrix, mix, floor):
+    """``reach_si._dyadic_rounding`` in ``Fraction`` arithmetic: for
+    j = 1, 2, ... round every probability but the most probable move's
+    (the first on ties) to the nearest multiple of 2^-j with ``round``,
+    give that move the rest, and stop at the first rounding whose one-step
+    value in ``matrix`` reaches ``floor``."""
+    row = {a: i for i, a in enumerate(matrix.rows)}
+    top = max(mix, key=mix.__getitem__)
+    for j in itertools.count(1):
+        scale = 1 << j
+        rounded = {a: Fraction(round(p * scale), scale) for a, p in mix.items() if a != top}
+        rest = ONE - sum(rounded.values(), ZERO)
+        if rest < 0:
+            continue
+        rounded[top] = rest
+        value = min(
+            sum((p * matrix.payoff[row[a]][b] for a, p in rounded.items()), ZERO)
+            for b in range(len(matrix.cols))
+        )
+        if value >= floor:
+            return {a: rounded[a] for a in mix if rounded[a]}, value

@@ -15,6 +15,7 @@ from congame import (
     serialize_game,
     uniform_selector,
 )
+from congame.gamefile import parse_fraction
 from congame.matrix import pre1
 from congame.model import P1, RANDOM, TurnBasedGame, indicator
 
@@ -134,6 +135,52 @@ def test_parse_rejects_unknown_zero_probability_successor():
     with pytest.raises(GameFormatError) as err:
         parse_game(text)
     assert "random state 's1': unknown successor 'zz'" in str(err.value)
+
+
+PARSE_CORPUS = [
+    "1", "0", "007", "0/5", "3/6", "00/01", "12/8", "1/0", "1/00", "0/0", " 1/2", "1/2 ",
+    "1 /2", "1/-2", "-1/2", "+1", "+1/2", "0.5", ".5", "1_000", "1_0/2", "_1", "1e3", "1E3",
+    "١", "١/٢", "½", "", "/", "/2", "1/", "1//2", "1/2/3", "0x10", "nan", "inf",
+    "1" * 5000, "1/" + "3" * 5000, 0.5, 1, None, ["1"],
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS, ids=lambda text: repr(text)[:20])
+def test_parse_fraction_agrees_with_fraction(text):
+    # What ``Fraction(text)`` accepts, bar exponents, with its value;
+    # anything else the one error message of its kind.
+    if not isinstance(text, str):
+        expected = f"here: probabilities must be exact rational strings, got {text!r}"
+    elif "e" in text or "E" in text:
+        expected = f"here: cannot parse rational {text!r}"
+    else:
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = f"here: cannot parse rational {text!r}"
+    if isinstance(expected, Fraction):
+        assert parse_fraction(text, "here") == expected
+        assert parse_fraction(text, lambda: pytest.fail("located a valid rational")) == expected
+    else:
+        for where in ("here", lambda: "here"):
+            with pytest.raises(GameFormatError) as err:
+                parse_fraction(text, where)
+            assert str(err.value) == expected
+
+
+def test_parse_locates_a_bad_rational():
+    text = """
+    {"type": "concurrent", "states": ["s"], "moves1": {"s": ["x"]}, "moves2": {"s": ["y"]},
+     "delta": {"s": {"x": {"y": {"s": "1/0"}}}}}
+    """
+    with pytest.raises(GameFormatError, match=r"^delta\['s'\]\['x'\]\['y'\]\['s'\]: cannot"):
+        parse_game(text)
+    text = """
+    {"type": "turn-based", "states": ["r"], "partition": {"r": "R"},
+     "edges": {"r": ["r"]}, "prob": {"r": {"r": "x"}}}
+    """
+    with pytest.raises(GameFormatError, match=r"^prob\['r'\]\['r'\]: cannot parse rational 'x'$"):
+        parse_game(text)
 
 
 @pytest.mark.parametrize("key", ["moves1", "moves2"])

@@ -4,8 +4,13 @@ The golden cases run in process, under one hash seed.  These run the CLI in
 fresh interpreters under two ``PYTHONHASHSEED`` values, on invocations that
 reach set and dict iteration in every solver layer (the certifier with its
 witness audit, a k-uniform fixpoint, convergent rounds that grow cached
-k-uniform scans, turn-based reach-si and the turn-based reduction), and
-compare their standard output byte for byte.
+k-uniform scans, concurrent and turn-based reach-si, safety-si with its
+non-local step, and the turn-based reduction), and compare their standard
+output byte for byte.  The qualitative sets (W2, the properness trap, W1
+and the non-local step's fixpoint) number their options in set order, and
+these invocations reach each of them on a concurrent game: capped at five
+rounds, ``safety-si`` on ex3full takes the local step every round, so the
+non-local fixpoint that switches states is reached on fig2's encoding.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ INVOCATIONS = {
     ],
     "tb-reach-si": [
         "solve", "fig2.game", "--objective", "reach:s2", "--algorithm", "reach-si", "--verify",
+    ],
+    "reach-si": [
+        "solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "reach-si", "--verify",
+    ],
+    "safety-si": [
+        "solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "safety-si",
+        "--max-iters", "5", "--verify",
+    ],
+    "safety-si-nonlocal": [
+        "solve", "fig2.game", "--objective", "safe:not-s4", "--algorithm", "safety-si", "--verify",
     ],
     "dump-tb": ["dump-tb", "ex3full.game", "--objective", "safe:not-s2", "--si-iters", "2", "--k", "3"],
 }

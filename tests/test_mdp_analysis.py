@@ -17,8 +17,17 @@ from congame import (
     tb_attractor,
     uniform_selector,
 )
-from congame.mdp import _trap, almost_sure_safe_strategy
-from congame.model import P1
+from congame.gamefile import parse_game
+from congame.mdp import (
+    InducedMDP,
+    _greatest_fixpoint,
+    _trap,
+    almost_sure_safe_strategy,
+    tb_induce_mdp,
+    tb_strategy_value_reach,
+    tb_value_zero,
+)
+from congame.model import NOOP_MOVE, P1, GameStructure, Selector, TurnBasedGame
 
 from conftest import ONE, ZERO, random_concurrent_game, random_selector, random_tb_game
 from helpers import (
@@ -41,6 +50,7 @@ from oracles import (
     reference_tb_almost_sure_safe,
     reference_trap,
     reference_w2,
+    round_based_gfp,
 )
 
 F = Fraction
@@ -168,7 +178,7 @@ def test_qualitative_sets_match_brute_force_gfp():
 
 
 def test_qualitative_sets_match_round_based_reference():
-    # The work-list fixpoint against the round-by-round one over supports
+    # The counting fixpoint against the round-by-round one over supports
     # rebuilt at every test: same sets, and the same first-in-order choices.
     rng = random.Random(41)
     shrunk = 0
@@ -189,7 +199,7 @@ def test_qualitative_sets_match_round_based_reference():
             + (len(w1[0]) < len(safe))
             + (len(alive[0]) < len(tb_safe))
         )
-    # Most fixpoints remove states, so the re-queueing is exercised.
+    # Most fixpoints remove states, so broken options are exercised.
     assert shrunk > 900
 
 
@@ -477,3 +487,106 @@ def test_tb_attractor_selector_is_proper():
         picks = {s: edge_move(t) for s, t in chosen.items()}
         xi = pure_selector(frozen, 1, picks)
         assert is_proper(frozen, xi, target, w2)
+
+
+def test_counting_fixpoint_matches_round_based_reference():
+    # Random option families over a universe wider than ``start``: states
+    # with no options, empty options, options naming states outside
+    # ``start``, and successors listed twice in one option.
+    rng = random.Random(61)
+    universe = [f"q{i}" for i in range(8)]
+    seen = {"no options": 0, "empty option": 0, "outside": 0, "repeat": 0, "shrunk": 0}
+    for _ in range(600):
+        start = rng.sample(universe, rng.randint(0, 7))
+        family = {}
+        for s in universe:
+            family[s] = [
+                [rng.choice(universe) for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 4)))]
+                for _ in range(rng.choice((0, 1, 1, 2, 3)))
+            ]
+        got = _greatest_fixpoint(start, family.__getitem__)
+        assert got == round_based_gfp(
+            start, lambda s, X: any(set(option) <= X for option in family[s])
+        )
+        options = [o for s in start for o in family[s]]
+        seen["no options"] += any(not family[s] for s in start)
+        seen["empty option"] += any(not o for o in options)
+        seen["outside"] += any(t not in start for o in options for t in o)
+        seen["repeat"] += any(len(set(o)) < len(o) for o in options)
+        seen["shrunk"] += 0 < len(got) < len(start)
+    assert min(seen.values()) >= 100, seen
+
+
+def _with_zero_entries(rng: random.Random, game: GameStructure) -> GameStructure:
+    """``game`` with a probability-0 successor added to some distributions."""
+    delta = {}
+    for key, dist in game.delta.items():
+        off = [t for t in game.states if t not in dist]
+        delta[key] = {**dist, rng.choice(off): Fraction(0)} if off and rng.random() < 0.5 else dist
+    return GameStructure(game.states, game.moves, game.moves1, game.moves2, delta)
+
+
+def test_induced_mdps_hold_positive_entries_only():
+    # Pure, mixed (with a probability-0 move) and held states of
+    # ``induce_mdp``, and every node kind of ``tb_induce_mdp``, on games
+    # whose distributions list probability-0 successors.
+    rng = random.Random(62)
+    kinds = {"pure": 0, "mixed": 0, "held": 0, "zero move": 0, "zero tb": 0}
+    for _ in range(150):
+        game = _with_zero_entries(rng, random_concurrent_game(rng, rng.randint(2, 5), 3))
+        choice = random_selector(rng, game).choice
+        for s in game.states:
+            unused = [a for a in game.moves1[s] if a not in choice[s]]
+            if unused and rng.random() < 0.3:
+                choice[s] = {**choice[s], unused[0]: Fraction(0)}
+                kinds["zero move"] += 1
+        done = set(rng.sample(game.states, rng.randint(0, 2)))
+        mdp = induce_mdp(game, Selector(choice), done)
+        for s in game.states:
+            kinds["held" if s in done else "pure" if len(choice[s]) == 1 else "mixed"] += 1
+        _assert_positive(mdp)
+        tb = random_tb_game(rng, n_states=rng.randint(2, 6))
+        prob = {}
+        for s, dist in tb.prob.items():
+            off = [t for t in tb.states if t not in dist]
+            prob[s] = {**dist, off[0]: Fraction(0)} if off else dist
+            kinds["zero tb"] += bool(off)
+        tb = TurnBasedGame(tb.states, tb.partition, tb.edges, prob)
+        picks = {s: rng.choice(tb.edges[s]) for s in tb.states if tb.partition[s] == P1}
+        _assert_positive(tb_induce_mdp(tb, picks, set(rng.sample(tb.states, rng.randint(0, 2)))))
+    assert min(kinds.values()) >= 50, kinds
+
+
+def _assert_positive(mdp: InducedMDP) -> None:
+    for s in mdp.states:
+        for b in mdp.actions[s]:
+            dist = mdp.delta2[(s, b)]
+            assert dist and all(p > 0 for p in dist.values())
+            assert sum(dist.values()) == ONE
+
+
+def test_zero_entry_off_the_edges_is_no_exit():
+    # The random node r lists the target with probability 0.  Player 1's
+    # pick s0 -> r loops s0 -> r -> s0 forever: improper, with that loop as
+    # its trap, on the graph and on the concurrent encoding alike.
+    tb = parse_game(
+        """
+        {"type": "turn-based", "states": ["s0", "r", "T"],
+         "partition": {"s0": "P1", "r": "R", "T": "P2"},
+         "edges": {"s0": ["r", "T"], "r": ["s0"], "T": ["T"]},
+         "prob": {"r": {"s0": "1", "T": "0"}}}
+        """
+    )
+    assert tb.prob["r"]["T"] == 0
+    w2 = tb_value_zero(tb, {"T"})
+    assert not w2
+    with pytest.raises(ImproperSelectorError) as err:
+        tb_strategy_value_reach(tb, {"s0": "r"}, {"T"}, w2)
+    assert err.value.witness == {"s0", "r"}
+    game = encode_turn_based_as_concurrent(tb)
+    with pytest.raises(ImproperSelectorError) as err:
+        xi = pure_selector(game, 1, {"s0": "to-r"})
+        strategy_value_reach(game, xi, {"T"}, compute_W2(game, {"T"}))
+    assert err.value.witness == {"s0", "r"}
+    assert tb_strategy_value_reach(tb, {"s0": "T"}, {"T"}, w2) == {"s0": ONE, "r": ONE, "T": ONE}
+    assert tb_induce_mdp(tb, {"s0": "r"}, {"T"}).delta2[("r", NOOP_MOVE)] == {"s0": ONE}

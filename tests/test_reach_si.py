@@ -22,7 +22,12 @@ from congame.reach_si import STATUS_CAPPED, STATUS_EXACT, _dyadic_rounding
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
 from helpers import is_proper, strategy_value_reach_by_copy
-from oracles import EncodedTurnBasedReach, pure_strategy_count, tb_reach_value_oracle
+from oracles import (
+    EncodedTurnBasedReach,
+    fraction_dyadic_rounding,
+    pure_strategy_count,
+    tb_reach_value_oracle,
+)
 
 F = Fraction
 
@@ -209,6 +214,60 @@ def test_dyadic_rounding_is_the_coarsest_reaching_the_floor():
     assert value == F(5, 8)
     assert rounded == {"m0": F(3, 8), **{a: F(1, 8) for a in rows[1:]}}
     assert _dyadic_rounding(matrix, mix, ZERO) == ({"m0": ONE}, ZERO)
+
+
+def _random_rounding_case(rng: random.Random):
+    """A 2-3 row matrix with wide denominators and a mixture over its rows:
+    wide denominators too, or dyadic with odd numerators, whose roundings
+    at the coarser j fall exactly half-way."""
+    rows = tuple(f"m{i}" for i in range(rng.randint(2, 3)))
+    cols = tuple(f"c{i}" for i in range(rng.randint(1, 3)))
+    payoff = tuple(
+        tuple(F(rng.randint(0, 10**6), rng.randint(1, 10**6)) for _ in cols) for _ in rows
+    )
+    if rng.random() < 0.5:
+        weights = [F(rng.randint(1, 10**9), rng.randint(1, 10**9)) for _ in rows]
+        total = sum(weights)
+        mix = {a: w / total for a, w in zip(rows, weights)}
+    else:
+        depth = rng.randint(1, 8)
+        mix = {}
+        for a in rows[1:]:
+            mix[a] = F(rng.randrange(1, 1 << depth, 2), 1 << (depth + 2))
+        mix[rows[0]] = ONE - sum(mix.values())
+    mix = dict(rng.sample(list(mix.items()), len(mix)))
+    return MatrixGame(rows, cols, payoff), mix
+
+
+def test_dyadic_rounding_matches_the_fraction_reference():
+    # Integer rounding and scoring against the Fraction version: floors at,
+    # just below and just above each rounding the search can stop at.
+    rng = random.Random(52)
+    half_way = stops = 0
+    for _ in range(300):
+        matrix, mix = _random_rounding_case(rng)
+        limit = min(
+            sum(p * matrix.payoff[matrix.rows.index(a)][b] for a, p in mix.items())
+            for b in range(len(matrix.cols))
+        )
+        half_way += any(
+            p.denominator > 2 and p.denominator & (p.denominator - 1) == 0 for p in mix.values()
+        )
+        floor = F(-1)
+        for _ in range(6):
+            expected = fraction_dyadic_rounding(matrix, mix, floor)
+            assert _dyadic_rounding(matrix, mix, floor) == expected
+            value = expected[1]
+            tiny = F(1, 10**12)
+            for near in (value, value - tiny):
+                assert _dyadic_rounding(matrix, mix, near) == fraction_dyadic_rounding(
+                    matrix, mix, near
+                )
+            stops += 1
+            if value + tiny >= limit:
+                break
+            floor = value + tiny
+    assert half_way >= 100 and stops >= 400
 
 
 def test_bounded_bit_witnesses_stay_sound(monkeypatch):
