@@ -5,11 +5,14 @@ guarantee in one step from ``s``, is the value of a one-shot matrix game
 whose payoff entries are expected successor values.  Matrix games are solved
 exactly by one run of the rational simplex: the row player's maximin
 program gives the value and a row strategy, and the dual prices of its
-column constraints give a column strategy.  Before the solution is
-returned, the pair is checked as a certificate in exact arithmetic: each is
-a distribution, the row strategy earns at least the value against every
-column and the column strategy concedes at most the value to every row,
-which proves that the value is the game's.
+column constraints give a column strategy.  A 2 x 2 game whose optimal
+strategies are unique (no saddle point, or one strict saddle point) does
+not run the simplex: it takes a closed form, the only answer the simplex
+could give.  Before either solution is returned, the pair is checked as a
+certificate in exact arithmetic: each is a distribution, the row strategy
+earns at least the value against every column and the column strategy
+concedes at most the value to every row, which proves that the value is
+the game's.
 
 Every one-step question a solver asks is a function of one payoff matrix
 and is answered here: ``pre1_matrix`` gives the value and an optimal row
@@ -137,12 +140,54 @@ def _check_certificate(payoff, value: Fraction, row_mix, col_mix) -> None:
         )
 
 
+_PURE = ((ONE, ZERO), (ZERO, ONE))
+
+
+def _unique_2x2(payoff) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    """The value and both players' optimal strategies of the 2 x 2 game
+    ``[[a, b], [c, d]]`` when each player's optimal strategy is unique,
+    else None (Shapley & Snow, "Basic solutions of discrete games", 1950).
+
+    An entry is a saddle point when it is least in its row and greatest in
+    its column.  With none, both optimal strategies are completely mixed
+    and each makes the other player indifferent.  A strict saddle point
+    (strictly least and strictly greatest) is the only one and each player
+    has exactly its pure strategy.  A weak saddle point may leave a player
+    several optimal strategies, and is left to the simplex.
+
+    Decided and computed in integers, on the entries scaled by their least
+    common denominator: the value is (ad - bc)/(a - b - c + d), and the
+    first row's and first column's weights are (d - c) and (d - b) over the
+    same a - b - c + d.
+    """
+    scale, (a, b, c, d) = _scaled([x for row in payoff for x in row])
+    cells = ((a, b), (c, d))
+    saddle = False
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x, in_row, in_col = cells[i][j], cells[i][1 - j], cells[1 - i][j]
+        if in_row > x > in_col:
+            return payoff[i][j], _PURE[i], _PURE[j]
+        saddle = saddle or in_row >= x >= in_col
+    if saddle:
+        return None
+    den = a - b - c + d
+    return (
+        Fraction(a * d - b * c, den * scale),
+        (Fraction(d - c, den), Fraction(a - b, den)),
+        (Fraction(d - b, den), Fraction(a - c, den)),
+    )
+
+
 def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
     """Exact value and one optimal mixed strategy per player.
 
     Deterministic: degenerate shapes take closed forms with first-index tie
     breaking, and the general case inherits the simplex pivoting order.
-    The general case runs one LP and checks its certificate.
+    A 2 x 2 game whose optimal strategies are unique (no saddle point, or
+    one strict saddle point) is solved in closed form (``_unique_2x2``);
+    the simplex could return nothing else.  Every other shape, and a 2 x 2
+    game with a weak saddle point, runs one LP.  Either answer has its
+    certificate checked.
     """
     payoff = game.payoff
     m, n = len(game.rows), len(game.cols)
@@ -154,7 +199,10 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
         best = min(range(n), key=lambda b: (payoff[0][b], b))
         col = tuple(ONE if b == best else ZERO for b in range(n))
         return MatrixSolution(payoff[0][best], (ONE,), col)
-    value, row_mix, col_mix = _solve_lp_game(payoff, m, n)
+    solved = _unique_2x2(payoff) if m == n == 2 else None
+    if solved is None:
+        solved = _solve_lp_game(payoff, m, n)
+    value, row_mix, col_mix = solved
     _check_certificate(payoff, value, row_mix, col_mix)
     return MatrixSolution(value, tuple(row_mix), tuple(col_mix))
 

@@ -22,7 +22,6 @@ run a loop, and a finished runner is its own result.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -137,35 +136,69 @@ def _dyadic_rounding(
     roundings tend to ``mix``, so a ``floor`` below its own one-step value
     is met at some finite j.
 
-    The search runs in integers: the j-th rounding is ``divmod(num << j,
-    den)`` with a half-way remainder going to the even quotient, as
-    ``round`` does, and its value is scored against the payoff scaled by
-    the lcm of its denominators.
+    The search runs in integers and walks each probability's binary
+    expansion one digit per j.  With the payoff scaled by the lcm of its
+    denominators, the rounding's score in a column is the sum of each
+    move's count times its entry, the top move's count being the rest,
+    ``2^j`` less the others'.  Everything is carried from j to j + 1 by
+    shifts and additions: the quotient and remainder of each ``p * 2^j``
+    (double the remainder, and take the denominator off when the next
+    digit is 1), the columns' scores with the quotients as counts (double
+    them, and add a move's entries relative to the top move's when its
+    quotient gains a 1), and the quotient and remainder of the threshold
+    ``floor * scale * 2^j``.  The rounding adds one to a quotient whose
+    remainder is past half-way, or half-way with an odd quotient, as
+    ``round`` does.
     """
     top = max(mix, key=mix.__getitem__)
     scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
     row = dict(zip(matrix.rows, matrix.payoff))
-    scaled = {a: [x.numerator * (scale // x.denominator) for x in row[a]] for a in mix}
-    others = [(a, p.numerator, p.denominator) for a, p in mix.items() if a != top]
-    for j in itertools.count(1):
-        counts = {}
-        for a, num, den in others:
-            q, r = divmod(num << j, den)
-            if 2 * r > den or (2 * r == den and q & 1):
-                q += 1
-            counts[a] = q
-        rest = (1 << j) - sum(counts.values())
-        if rest < 0:
+    top_row = [x.numerator * (scale // x.denominator) for x in row[top]]
+    others = [a for a in mix if a != top]
+    relative = [
+        [x.numerator * (scale // x.denominator) - t for x, t in zip(row[a], top_row)]
+        for a in others
+    ]
+    dens = [mix[a].denominator for a in others]
+    quotients, remainders = [], []
+    for a, den in zip(others, dens):
+        q, r = divmod(mix[a].numerator, den)
+        quotients.append(q)
+        remainders.append(r)
+    scores = [t + sum(q * rel[b] for q, rel in zip(quotients, relative)) for b, t in enumerate(top_row)]
+    total, power = sum(quotients), 1
+    threshold, left = divmod(floor.numerator * scale, floor.denominator)
+    while True:
+        power <<= 1
+        total <<= 1
+        scores = [x << 1 for x in scores]
+        up = []
+        for i, den in enumerate(dens):
+            q, r = quotients[i] << 1, remainders[i] << 1
+            if r >= den:
+                q, r = q + 1, r - den
+                total += 1
+                scores = [x + d for x, d in zip(scores, relative[i])]
+            quotients[i], remainders[i] = q, r
+            r <<= 1
+            if r > den or (r == den and q & 1):
+                up.append(i)
+        threshold, left = threshold << 1, left << 1
+        if left >= floor.denominator:
+            threshold, left = threshold + 1, left - floor.denominator
+        if total + len(up) > power:
             continue
-        counts[top] = rest
-        score = min(
-            sum(c * scaled[a][b] for a, c in counts.items()) for b in range(len(matrix.cols))
-        )
-        # score / (2^j scale) >= floor, cross-multiplied.
-        if score * floor.denominator >= (floor.numerator << j) * scale:
+        rounded = scores
+        for i in up:
+            rounded = [x + d for x, d in zip(rounded, relative[i])]
+        score = min(rounded)
+        # score / (2^j scale) >= floor, that is score >= ceil(floor scale 2^j).
+        if score >= threshold + (left > 0):
+            counts = {a: q + (i in up) for i, (a, q) in enumerate(zip(others, quotients))}
+            counts[top] = power - total - len(up)
             return (
-                {a: Fraction(counts[a], 1 << j) for a in mix if counts[a]},
-                Fraction(score, scale << j),
+                {a: Fraction(counts[a], power) for a in mix if counts[a]},
+                Fraction(score, scale * power),
             )
 
 

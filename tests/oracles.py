@@ -5,8 +5,9 @@ two-phase simplex over a tableau of `Fraction`s, absorption probabilities of
 explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
 greatest fixpoints over supports rebuilt at every test, exhaustive
-strategy enumeration for small games, and the dyadic rounding of a
-witness in `Fraction` arithmetic.
+strategy enumeration for small games, the saddle points of a matrix
+game by inspection, and the dyadic rounding of a witness in `Fraction`
+arithmetic.
 None of it shares code with the solver paths it checks, with six deliberate
 exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
@@ -231,6 +232,22 @@ def reference_solve_matrix_game(payoff):
     )
     assert row_value == col_value, "matrix game duality gap"
     return row_value, tuple(x[:m]), tuple(y[:n])
+
+
+def saddle_kind(payoff):
+    """How the saddle points (entries least in their row and greatest in
+    their column) of a matrix game of at least two rows and two columns
+    look: "none" without one, "strict" with one strictly least in its row
+    and strictly greatest in its column (then the only one), else "weak"."""
+    kinds = set()
+    for i, row in enumerate(payoff):
+        for j, x in enumerate(row):
+            in_row = [y for b, y in enumerate(row) if b != j]
+            in_col = [r[j] for a, r in enumerate(payoff) if a != i]
+            if min(in_row) >= x >= max(in_col):
+                strict = min(in_row) > x > max(in_col)
+                kinds.add("strict" if strict else "weak")
+    return "strict" if "strict" in kinds else "weak" if kinds else "none"
 
 
 def slack_lp_feasible(payoff, target, A, B):

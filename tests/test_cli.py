@@ -20,6 +20,7 @@ from congame.cli import build_parser, decimal_string, main, parse_objective
 from congame.gamefile import serialize_game
 
 from conftest import random_concurrent_game
+from oracles import saddle_kind
 
 F = Fraction
 
@@ -608,6 +609,69 @@ def test_one_step_cache_lives_for_one_solve(capsys, tmp_path, monkeypatch):
         runs.append((len(games), len(pairs), out))
     assert runs[0][0] > 0 and runs[0][1] > 0
     assert runs[0] == runs[1]
+
+
+def _closed_form_recorder():
+    """A stand-in for ``matrix._unique_2x2`` and the list it fills with the
+    saddle kind (``oracles.saddle_kind``) of every payoff it answers."""
+    answered = []
+    closed_form = congame.matrix._unique_2x2
+
+    def recording(payoff):
+        solved = closed_form(payoff)
+        if solved is not None:
+            answered.append(saddle_kind(payoff))
+        return solved
+
+    return recording, answered
+
+
+def test_unique_two_by_two_games_skip_the_simplex(capsys, example_dir, monkeypatch):
+    # Example 3's mixing state s0 is a 2 x 2 game without a saddle point,
+    # and random 2-move games add strict saddle points: each takes the
+    # closed form, and only games with a weak saddle point, or larger than
+    # 2 x 2, reach the matrix-game LP.
+    games, _ = _record_lps(monkeypatch)
+    recording, answered = _closed_form_recorder()
+    monkeypatch.setattr(congame.matrix, "_unique_2x2", recording)
+    structure = random_concurrent_game(random.Random(30), n_states=6)
+    game = example_dir / "two-moves.game"
+    game.write_text(serialize_game(structure), encoding="utf-8")
+    for argv in (
+        (str(example_dir / "ex3full.game"), "--objective", "safe:not-s2", "--algorithm", "certify:1/1000"),
+        (str(game), "--objective", "safe:not-q0", "--algorithm", "safety-si"),
+        (str(game), "--objective", "reach:q0", "--algorithm", "reach-si"),
+    ):
+        code, _, _ = run_cli(capsys, "solve", *argv, "--verify", "--format", "json")
+        assert code == 0
+    assert answered.count("none") > 0 and answered.count("strict") > 0
+    assert "weak" not in answered and games
+    assert all(len(payoff) > 2 or len(payoff[0]) > 2 or saddle_kind(payoff) == "weak" for payoff in games)
+
+
+def test_closed_form_prints_the_simplex_bytes(capsys, tmp_path, monkeypatch):
+    # On 50 random 10-state games of up to two moves, each solver prints
+    # the same report with the 2 x 2 closed form as with the simplex alone;
+    # both closed-form branches answer, the strict saddle point's many times.
+    rng = random.Random(3535)
+    recording, answered = _closed_form_recorder()
+    runs = (
+        ("reach:q0", "vi", "--max-iters", "10"),
+        ("reach:q0", "reach-si"),
+        ("safe:not-q0", "safety-si"),
+        ("safe:not-q0", "certify:1/100"),
+    )
+    for i in range(50):
+        game = tmp_path / f"g{i}.game"
+        game.write_text(serialize_game(random_concurrent_game(rng, n_states=10)), encoding="utf-8")
+        for objective, algorithm, *rest in runs:
+            argv = ("solve", str(game), "--objective", objective, "--algorithm", algorithm,
+                    *rest, "--verify", "--format", "json")
+            monkeypatch.setattr(congame.matrix, "_unique_2x2", recording)
+            with_closed_form = run_cli(capsys, *argv)
+            monkeypatch.setattr(congame.matrix, "_unique_2x2", lambda payoff: None)
+            assert run_cli(capsys, *argv) == with_closed_form
+    assert answered.count("strict") >= 200 and answered.count("none") >= 50
 
 
 def _in_process(capsys, argv):

@@ -28,7 +28,7 @@ from helpers import (
     reference_k_uniform,
     reference_pre1_k,
 )
-from oracles import matrix_value_oracle, reference_solve_matrix_game
+from oracles import matrix_value_oracle, reference_solve_matrix_game, saddle_kind
 
 F = Fraction
 
@@ -388,6 +388,9 @@ def test_one_lp_solve_matches_two_lp_reference():
 
 @pytest.mark.parametrize("shift", [F(1, 7), F(-1, 7)])
 def test_certificate_rejects_a_wrong_value(monkeypatch, shift):
+    # A weak saddle point at r0/c0 (r0 ties in its row), so the simplex runs.
+    payoff = [[1, 1], [F(1, 4), 1]]
+    assert saddle_kind(payoff) == "weak"
     real = congame.matrix.solve_lp
 
     def off(*args, **kwargs):
@@ -396,4 +399,50 @@ def test_certificate_rejects_a_wrong_value(monkeypatch, shift):
 
     monkeypatch.setattr(congame.matrix, "solve_lp", off)
     with pytest.raises(AssertionError, match="certificate failed"):
-        solve_matrix_game(game_matrix([[1, 0], [F(1, 4), 1]]))
+        solve_matrix_game(game_matrix(payoff))
+
+
+@pytest.mark.parametrize("shift", [F(1, 7), F(-1, 7)])
+def test_certificate_rejects_a_wrong_closed_form(monkeypatch, shift):
+    # No saddle point: the closed form answers, and its answer is checked.
+    payoff = [[1, 0], [F(1, 4), 1]]
+    assert saddle_kind(payoff) == "none"
+    real = congame.matrix._unique_2x2
+
+    def off(payoff):
+        value, row_mix, col_mix = real(payoff)
+        return value + shift, row_mix, col_mix
+
+    monkeypatch.setattr(congame.matrix, "_unique_2x2", off)
+    with pytest.raises(AssertionError, match="certificate failed"):
+        solve_matrix_game(game_matrix(payoff))
+
+
+def test_two_by_two_closed_form_matches_the_reference():
+    """On 2000 random 2 x 2 payoffs, half over a five-value grid (many
+    ties) and half over random rationals, the closed form answers exactly
+    when there is no weak saddle point, and then with the two-LP
+    reference's value and both its strategies; the simplex answers the
+    rest with the same value."""
+    rng = random.Random(3501)
+    grid = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+    kinds = Counter()
+    for i in range(2000):
+        if i % 2:
+            payoff = [[rng.choice(grid) for _ in range(2)] for _ in range(2)]
+        else:
+            payoff = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] for _ in range(2)]
+        kind = saddle_kind(payoff)
+        kinds[kind] += 1
+        closed = congame.matrix._unique_2x2(tuple(map(tuple, payoff)))
+        value, row_strategy, col_strategy = reference_solve_matrix_game(payoff)
+        if kind == "weak":
+            assert closed is None
+            assert solve_matrix_game(game_matrix(payoff)).value == value
+        else:
+            assert closed is not None
+            assert (closed[0], tuple(closed[1]), tuple(closed[2])) == (value, row_strategy, col_strategy)
+            assert solve_matrix_game(game_matrix(payoff)) == congame.matrix.MatrixSolution(
+                value, row_strategy, col_strategy
+            )
+    assert min(kinds[k] for k in ("none", "strict", "weak")) >= 100

@@ -17,7 +17,7 @@ from congame import (
     swap_players,
     uniform_selector,
 )
-from congame.matrix import MatrixGame
+from congame.matrix import MatrixGame, solve_matrix_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT, _dyadic_rounding
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
@@ -319,3 +319,22 @@ def test_lost_properness_is_an_internal_error(fig2_tb, fig2, monkeypatch, graph)
     monkeypatch.setattr(congame.reach_si, name, improper)
     with pytest.raises(AssertionError, match=r"^improvement lost properness; trap \['s0', 's1'\]$"):
         runner.step()
+
+
+def test_dyadic_rounding_deep_in_the_expansion():
+    # The optimal mixture of a 2 x 2 game without a saddle point, with
+    # 700-bit denominators, and a floor 2^-2100 below its value: every
+    # rounding loses to the floor until j passes 2000, so the search walks
+    # thousands of binary digits and still stops where the reference does.
+    rng = random.Random(2100)
+    for _ in range(3):
+        def wide():
+            return F(rng.randint(1, 1 << 600), (1 << 700) + rng.randint(1, 1 << 600))
+
+        matrix = MatrixGame(("m0", "m1"), ("c0", "c1"), ((1 - wide(), wide()), (wide(), 1 - wide())))
+        solution = solve_matrix_game(matrix)
+        mix = dict(zip(matrix.rows, solution.row_strategy))
+        floor = solution.value - F(1, 1 << 2100)
+        rounded, value = _dyadic_rounding(matrix, mix, floor)
+        assert (rounded, value) == fraction_dyadic_rounding(matrix, mix, floor)
+        assert max(p.denominator for p in rounded.values()) > 1 << 2000
