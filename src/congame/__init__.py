@@ -58,7 +58,6 @@ from .safety_si import (
     SupportPair,
     TBReduction,
     improvement_switches,
-    opt_sel_count,
     tb_reduction,
 )
 from .certify import Certifier

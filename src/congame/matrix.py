@@ -2,17 +2,29 @@
 
 ``Pre1(v)(s)``, the best expectation of a valuation ``v`` that player 1 can
 guarantee in one step from ``s``, is the value of a one-shot matrix game
-whose payoff entries are expected successor values.  Matrix games are solved
-exactly by one run of the rational simplex: the row player's maximin
-program gives the value and a row strategy, and the dual prices of its
-column constraints give a column strategy.  A 2 x 2 game whose optimal
-strategies are unique (no saddle point, or one strict saddle point) does
-not run the simplex: it takes a closed form, the only answer the simplex
-could give.  Before either solution is returned, the pair is checked as a
-certificate in exact arithmetic: each is a distribution, the row strategy
-earns at least the value against every column and the column strategy
-concedes at most the value to every row, which proves that the value is
-the game's.
+whose payoff entries are expected successor values.  A ``MatrixGame``
+holds its payoff as integer cells over one positive scale, reduced so
+that the scale shares no factor with every cell.  ``one_step_matrix``
+builds that form directly: each state's move pairs are kept once per game
+as integer probability numerators over the state's common denominator
+(``GameStructure.one_step_rows``), the successors' values are scaled to
+their least common denominator, and every cell is an integer dot product,
+so no ``Fraction`` is made per entry.  Every exact comparison below (the
+closed forms, the certificate, the k-uniform scan, the pair pruning) reads
+the cells; only the simplex reads the ``Fraction`` view ``payoff``.
+
+Matrix games are solved exactly by one run of the rational simplex: the
+row player's maximin program gives the value and a row strategy, and the
+dual prices of its column constraints give a column strategy.  Three
+shapes take a closed form instead, each the only answer or the answer the
+simplex gives: one row or one column; a constant payoff (value, first row,
+last column, which is where the simplex's pivoting ends on every constant
+matrix); and a 2 x 2 game whose optimal strategies are unique (no saddle
+point, or one strict saddle point).  Before a solution of two or more rows
+and columns is returned, the pair is checked as a certificate in exact
+arithmetic: each is a distribution, the row strategy earns at least the
+value against every column and the column strategy concedes at most the
+value to every row, which proves that the value is the game's.
 
 Every one-step question a solver asks is a function of one payoff matrix
 and is answered here: ``pre1_matrix`` gives the value and an optimal row
@@ -22,23 +34,25 @@ mixtures or, given ``k``, over k-uniform ones.  This is the only module
 that runs the simplex.
 
 A game's one-step results are kept for as long as the game object lives,
-in ``GameStructure.one_step_cache``, keyed by payoff matrix: the solution,
-the support pairs and the k-uniform scan per ``k``.  Each is a function of
-the payoff alone, stored by position, so a hit returns what a fresh
-computation would.  A scan at ``k`` is also the start of the payoff's scans
-at larger ``k``, which score only the denominator layers it lacks.  Solvers
-hold states by ``done`` sets, not absorbing copies, so the cache lives on
-the game they were given: on the command line, the game parsed for one
-solve.  Matrices with one row or one column take closed forms and bypass
-it.
+in ``GameStructure.one_step_cache``, keyed by a matrix's cells and scale:
+the solution, the support pairs and the k-uniform scan per ``k``.  The
+integer form is canonical (the scale is the lcm of the entries' reduced
+denominators), so two keys are equal exactly when the payoffs are, and
+the cache hits where a key of ``Fraction`` entries would.  Each result is
+a function of the payoff alone, stored by position, so a hit returns what
+a fresh computation would.  A scan at ``k`` is also the start of the
+payoff's scans at larger ``k``, which score only the denominator layers it
+lacks.  Solvers hold states by ``done`` sets, not absorbing copies, so the
+cache lives on the game they were given: on the command line, the game
+parsed for one solve.  Matrices with one row or one column take closed
+forms and bypass it.
 
 The k-uniform mixtures (all probabilities multiples of ``1/l`` for a
 common denominator ``l <= k``) are maximized by enumeration.  They are
 integer count vectors, each listed once at its least denominator and built
 once per (move count, denominator); they are scored in integers against
-the one-step matrix scaled by the common denominator of its entries, and
-only the result becomes a ``Fraction``.  The enumeration budget is checked
-up front from the composition count.
+the matrix's cells, and only the result becomes a ``Fraction``.  The
+enumeration budget is checked up front from the composition count.
 """
 
 from __future__ import annotations
@@ -60,21 +74,50 @@ from .model import BudgetExceeded, GameStructure, Selector, ZERO, ONE
 MAX_KUNIFORM_ENUMERATION = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatrixGame:
-    """One-shot zero-sum game; the row player maximizes."""
+    """One-shot zero-sum game; the row player maximizes.
+
+    The payoff is held in integers: entry ``(a, b)`` is
+    ``cells[a][b] / scale``, with ``scale > 0`` and gcd(scale, cells) = 1.
+    That form is canonical, since ``scale`` is then the lcm of the entries'
+    reduced denominators, so two matrices have equal cells and scale
+    exactly when their payoffs are equal.  It is built once, where the
+    matrix is made, and every exact comparison of the one-step layer reads
+    it; ``payoff``, the entries as ``Fraction``s, is derived on first use,
+    and only the simplex paths read it.  ``MatrixGame(rows, cols, payoff)``
+    reduces a given payoff to that form; ``one_step_matrix`` builds it
+    directly.
+    """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    payoff: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __post_init__(self) -> None:
-        if not self.rows or not self.cols:
+    def __init__(self, rows: Sequence[str], cols: Sequence[str], payoff) -> None:
+        if not rows or not cols:
             raise ValueError("matrix game needs nonempty rows and cols")
-        if len(self.payoff) != len(self.rows) or any(
-            len(r) != len(self.cols) for r in self.payoff
-        ):
+        if len(payoff) != len(rows) or any(len(r) != len(cols) for r in payoff):
             raise ValueError("payoff shape does not match labels")
+        payoff = tuple(tuple(Fraction(x) for x in row) for row in payoff)
+        scale = math.lcm(*(x.denominator for row in payoff for x in row))
+        cells = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in payoff)
+        self.__dict__.update(
+            rows=tuple(rows), cols=tuple(cols), cells=cells, scale=scale, payoff=payoff
+        )
+
+    @functools.cached_property
+    def payoff(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction``s."""
+        return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.cells)
+
+
+def _integer_game(rows, cols, cells, scale: int) -> MatrixGame:
+    """The matrix game of ``cells`` over ``scale``, already in canonical form."""
+    game = object.__new__(MatrixGame)
+    game.__dict__.update(rows=rows, cols=cols, cells=cells, scale=scale)
+    return game
 
 
 @dataclass(frozen=True)
@@ -115,17 +158,15 @@ def _scaled(numbers) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in numbers]
 
 
-def _check_certificate(payoff, value: Fraction, row_mix, col_mix) -> None:
+def _check_certificate(game: MatrixGame, value: Fraction, row_mix, col_mix) -> None:
     """Raise unless both mixtures are distributions, ``row_mix`` earns at
     least ``value`` in every column and ``col_mix`` concedes at most
     ``value`` in every row; together these prove ``value`` is the value.
 
-    Checked in integers: payoffs and mixtures are scaled by their least
-    common denominators, and each sum is compared against ``value`` scaled
-    by the same factors."""
-    scale, cells = _scaled([x for row in payoff for x in row])
-    n = len(payoff[0])
-    rows = [cells[i : i + n] for i in range(0, len(cells), n)]
+    Checked in integers: the mixtures are scaled by their least common
+    denominators, and each sum over the payoff's cells is compared against
+    ``value`` scaled by the same factors and the payoff's scale."""
+    scale, rows = game.scale, game.cells
     dx, xs = _scaled(row_mix)
     dy, ys = _scaled(col_mix)
     num, den = value.numerator, value.denominator
@@ -140,10 +181,11 @@ def _check_certificate(payoff, value: Fraction, row_mix, col_mix) -> None:
         )
 
 
-_PURE = ((ONE, ZERO), (ZERO, ONE))
+def _pure(i: int, n: int) -> tuple[Fraction, ...]:
+    return tuple(ONE if a == i else ZERO for a in range(n))
 
 
-def _unique_2x2(payoff) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+def _unique_2x2(game: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]] | None:
     """The value and both players' optimal strategies of the 2 x 2 game
     ``[[a, b], [c, d]]`` when each player's optimal strategy is unique,
     else None (Shapley & Snow, "Basic solutions of discrete games", 1950).
@@ -155,18 +197,17 @@ def _unique_2x2(payoff) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction,
     has exactly its pure strategy.  A weak saddle point may leave a player
     several optimal strategies, and is left to the simplex.
 
-    Decided and computed in integers, on the entries scaled by their least
-    common denominator: the value is (ad - bc)/(a - b - c + d), and the
-    first row's and first column's weights are (d - c) and (d - b) over the
-    same a - b - c + d.
+    Decided and computed on the integer cells: the value is
+    (ad - bc)/(a - b - c + d) over the scale, and the first row's and first
+    column's weights are (d - c) and (d - b) over the same a - b - c + d.
     """
-    scale, (a, b, c, d) = _scaled([x for row in payoff for x in row])
-    cells = ((a, b), (c, d))
+    scale, cells = game.scale, game.cells
+    (a, b), (c, d) = cells
     saddle = False
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         x, in_row, in_col = cells[i][j], cells[i][1 - j], cells[1 - i][j]
         if in_row > x > in_col:
-            return payoff[i][j], _PURE[i], _PURE[j]
+            return Fraction(x, scale), _pure(i, 2), _pure(j, 2)
         saddle = saddle or in_row >= x >= in_col
     if saddle:
         return None
@@ -183,27 +224,31 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
 
     Deterministic: degenerate shapes take closed forms with first-index tie
     breaking, and the general case inherits the simplex pivoting order.
+    A constant payoff (every cell equal) has its value, the first row and
+    the last column, which is the simplex's answer on every such matrix.
     A 2 x 2 game whose optimal strategies are unique (no saddle point, or
     one strict saddle point) is solved in closed form (``_unique_2x2``);
     the simplex could return nothing else.  Every other shape, and a 2 x 2
-    game with a weak saddle point, runs one LP.  Either answer has its
-    certificate checked.
+    game with a weak saddle point, runs one LP.  Each of these answers has
+    its certificate checked.
     """
-    payoff = game.payoff
+    cells, scale = game.cells, game.scale
     m, n = len(game.rows), len(game.cols)
     if n == 1:
-        best = max(range(m), key=lambda a: (payoff[a][0], -a))
-        row = tuple(ONE if a == best else ZERO for a in range(m))
-        return MatrixSolution(payoff[best][0], row, (ONE,))
+        best = max(range(m), key=lambda a: (cells[a][0], -a))
+        return MatrixSolution(Fraction(cells[best][0], scale), _pure(best, m), (ONE,))
     if m == 1:
-        best = min(range(n), key=lambda b: (payoff[0][b], b))
-        col = tuple(ONE if b == best else ZERO for b in range(n))
-        return MatrixSolution(payoff[0][best], (ONE,), col)
-    solved = _unique_2x2(payoff) if m == n == 2 else None
-    if solved is None:
-        solved = _solve_lp_game(payoff, m, n)
+        best = min(range(n), key=lambda b: (cells[0][b], b))
+        return MatrixSolution(Fraction(cells[0][best], scale), (ONE,), _pure(best, n))
+    first = cells[0]
+    if first.count(first[0]) == n and cells.count(first) == m:
+        solved = Fraction(first[0], scale), _pure(0, m), _pure(n - 1, n)
+    else:
+        solved = _unique_2x2(game) if m == n == 2 else None
+        if solved is None:
+            solved = _solve_lp_game(game.payoff, m, n)
     value, row_mix, col_mix = solved
-    _check_certificate(payoff, value, row_mix, col_mix)
+    _check_certificate(game, value, row_mix, col_mix)
     return MatrixSolution(value, tuple(row_mix), tuple(col_mix))
 
 
@@ -219,14 +264,16 @@ class _OneStep:
 
 
 def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep | None:
-    """The cache entry of ``matrix`` in ``game``, or None for a matrix with
-    one row or one column: those take closed forms and bypass the cache."""
+    """The cache entry of ``matrix`` in ``game``, keyed by its canonical
+    cells and scale, or None for a matrix with one row or one column: those
+    take closed forms and bypass the cache."""
     if len(matrix.rows) < 2 or len(matrix.cols) < 2:
         return None
     cache = game.one_step_cache
-    entry = cache.get(matrix.payoff)
+    key = (matrix.cells, matrix.scale)
+    entry = cache.get(key)
     if entry is None:
-        entry = cache[matrix.payoff] = _OneStep()
+        entry = cache[key] = _OneStep()
     return entry
 
 
@@ -240,20 +287,59 @@ def _solution(game: GameStructure, matrix: MatrixGame) -> MatrixSolution:
     return entry.solution
 
 
+@dataclass(frozen=True, slots=True)
+class _Transitions:
+    """A state's move pairs in integers: ``numerators[a][b][i]`` is the
+    probability that moves ``(a, b)`` lead to ``successors[i]``, times
+    ``den``, the lcm of every probability's denominator at the state."""
+
+    successors: tuple[str, ...]
+    den: int
+    numerators: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _transitions(game: GameStructure, s: str) -> _Transitions:
+    """The integer transition rows of ``s``, built once per game, on first use."""
+    table = game.one_step_rows
+    step = table.get(s)
+    if step is None:
+        moves2 = game.moves2[s]
+        dists = [game.delta[(s, a, b)] for a in game.moves1[s] for b in moves2]
+        successors = tuple(dict.fromkeys([t for dist in dists for t, p in dist.items() if p]))
+        den = math.lcm(*[p.denominator for dist in dists for p in dist.values()])
+        position = {t: i for i, t in enumerate(successors)}
+        numerators = []
+        for dist in dists:
+            counts = [0] * len(successors)
+            for t, p in dist.items():
+                if p:
+                    counts[position[t]] = p.numerator * (den // p.denominator)
+            numerators.append(tuple(counts))
+        n = len(moves2)
+        step = table[s] = _Transitions(
+            successors, den, tuple(tuple(numerators[i : i + n]) for i in range(0, len(numerators), n))
+        )
+    return step
+
+
 def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> MatrixGame:
-    """Matrix of expected ``v``-values, one entry per move pair at ``s``."""
-    rows = game.moves1[s]
-    cols = game.moves2[s]
-    payoff = tuple(tuple(_expected(game.delta[(s, a, b)], v) for b in cols) for a in rows)
-    return MatrixGame(rows, cols, payoff)
+    """Matrix of expected ``v``-values, one entry per move pair at ``s``.
 
-
-def _expected(dist: Mapping[str, Fraction], v: Mapping[str, Fraction]) -> Fraction:
-    if len(dist) == 1:
-        # A validated one-entry distribution puts probability 1 on it.
-        (t,) = dist
-        return v[t]
-    return sum((p * v[t] for t, p in dist.items()), ZERO)
+    Built in integers: the successors' values are scaled to their least
+    common denominator, each cell is the dot product of a move pair's
+    probability numerators (``_transitions``) with them, and the result is
+    reduced to the canonical form once."""
+    step = _transitions(game, s)
+    values = [v[t] for t in step.successors]
+    lcd = math.lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (lcd // x.denominator) for x in values]
+    cells = tuple(tuple(sum(map(mul, dist, scaled)) for dist in row) for row in step.numerators)
+    scale = step.den * lcd
+    common = math.gcd(scale, *itertools.chain.from_iterable(cells))
+    if common > 1:
+        scale //= common
+        cells = tuple(tuple(c // common for c in row) for row in cells)
+    return _integer_game(game.moves1[s], game.moves2[s], cells, scale)
 
 
 def pre1(
@@ -326,8 +412,8 @@ def _k_uniform_scan(
     scored on its own and merged: a strictly higher layer best replaces the
     optima, an equal one appends the pairs it realizes that are not listed
     yet, and a lower one leaves the scan as it was.  A mixture is scored in
-    integers: column ``j`` gets ``l * scale`` times its payoff, where
-    ``scale`` is the least common denominator of the payoffs.  One row has
+    integers: column ``j`` gets ``l * scale`` times its payoff, the sum of
+    the counts times its integer cells.  One row has
     only the pure mixture, in layer 1.  The budget is checked first,
     against ``k``.
 
@@ -339,19 +425,16 @@ def _k_uniform_scan(
     m = len(matrix.rows)
     _check_k_uniform_budget(m, k)
     value, optima = scan if scan is not None else (None, ())
+    scale, cells = matrix.scale, matrix.cells
     if len(matrix.cols) == 1:
-        high = max(row[0] for row in matrix.payoff)
-        best = [a for a, row in enumerate(matrix.payoff) if row[0] == high]
-        return high, optima + tuple(
+        high = max(row[0] for row in cells)
+        best = [a for a, row in enumerate(cells) if row[0] == high]
+        return Fraction(high, scale), optima + tuple(
             (A, (0,), size, tuple(int(a in A) for a in range(m)))
             for size in range(k0 + 1, min(k, len(best)) + 1)
             for A in itertools.combinations(best, size)
         )
-    scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
-    cols = [
-        [x.numerator * (scale // x.denominator) for x in col]
-        for col in zip(*matrix.payoff)
-    ]
+    cols = list(zip(*cells))
     for denom in range(k0 + 1, (k if m > 1 else 1) + 1):
         best_low = None
         ties: list[tuple[tuple[int, ...], list[int]]] = []
@@ -449,17 +532,17 @@ def optimal_pairs(
             ((A, B, tuple(Fraction(counts[a], denom) for a in A)) for A, B, denom, counts in optima),
             key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
         ))
-    payoff = matrix.payoff
+    cells = matrix.cells
     if len(matrix.rows) == 1:
-        low = min(payoff[0])
-        return (((0,), tuple(b for b, x in enumerate(payoff[0]) if x == low), (ONE,)),)
+        low = min(cells[0])
+        return (((0,), tuple(b for b, x in enumerate(cells[0]) if x == low), (ONE,)),)
     if len(matrix.cols) == 1:
-        high = max(row[0] for row in payoff)
-        best = [a for a, row in enumerate(payoff) if row[0] == high]
+        high = max(row[0] for row in cells)
+        best = [a for a, row in enumerate(cells) if row[0] == high]
         return tuple((A, (0,), (Fraction(1, len(A)),) * len(A)) for A in _nonempty_subsets(best))
     entry = _one_step(game, matrix)
     if entry.pairs is None:
-        entry.pairs = _pruned_pairs(payoff, _solution(game, matrix))
+        entry.pairs = _pruned_pairs(matrix, _solution(game, matrix))
     return entry.pairs
 
 
@@ -472,32 +555,38 @@ def _nonempty_subsets(items: Sequence) -> list[tuple]:
     return out
 
 
-def _pruned_pairs(payoff, solution: MatrixSolution) -> tuple[PositionPair, ...]:
+def _pruned_pairs(matrix: MatrixGame, solution: MatrixSolution) -> tuple[PositionPair, ...]:
     """The feasible pairs by the slack LP, run only on the pairs that
     complementary slackness allows.
 
     Take the optimal column strategy ``y*`` of ``solution`` and any optimal
     row mixture ``x``: ``y*_b > 0`` forces ``(x M)_b = v`` and ``x_a > 0``
     forces ``(M y*)_a = v``.  So a feasible pair has ``B`` covering the
-    support of ``y*`` and ``A`` inside the rows earning ``v`` against it.
+    support of ``y*`` and ``A`` inside the rows earning ``v`` against it,
+    found on the integer cells with ``y*`` scaled by its least common
+    denominator.
     """
     target, y = solution.value, solution.col_strategy
-    support = {b for b, q in enumerate(y) if q}
+    support = [b for b, q in enumerate(y) if q]
+    required = set(support)
+    dy, weights = _scaled([y[b] for b in support])
+    goal = target.numerator * matrix.scale * dy
     responses = [
-        a for a, row in enumerate(payoff) if sum(row[b] * y[b] for b in support) == target
+        a for a, row in enumerate(matrix.cells)
+        if sum(row[b] * q for b, q in zip(support, weights)) * target.denominator == goal
     ]
     pairs = []
     for A in _nonempty_subsets(responses):
         for B in _nonempty_subsets(range(len(y))):
-            if support.issubset(B):
-                witness = _feasible_unrestricted(payoff, target, A, B)
+            if required.issubset(B):
+                witness = _feasible_unrestricted(matrix, target, A, B)
                 if witness is not None:
                     pairs.append((A, B, witness))
     return tuple(pairs)
 
 
 def _feasible_unrestricted(
-    payoff, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
+    matrix: MatrixGame, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
 ) -> tuple[Fraction, ...] | None:
     """Maximize a shared slack below the support probabilities and above the
     strict inequalities; a positive optimum is exactly strict feasibility.
@@ -508,18 +597,22 @@ def _feasible_unrestricted(
     a column's entry under any mixture over ``A`` lies between the column's
     least and greatest entry on ``A``, so the LP runs only when every column
     in ``B`` brackets the target and every other column exceeds it
-    somewhere.
+    somewhere.  Both tests compare integer cells, times the target's
+    denominator, with the target's numerator times the scale.
     """
     b_set = set(B)
+    cells, den = matrix.cells, target.denominator
+    goal = target.numerator * matrix.scale
     if len(A) == 1:
-        row = payoff[A[0]]
-        if all((x == target) if j in b_set else (x > target) for j, x in enumerate(row)):
+        row = cells[A[0]]
+        if all((x * den == goal) if j in b_set else (x * den > goal) for j, x in enumerate(row)):
             return (ONE,)
         return None
-    for j in range(len(payoff[0])):
-        column = [payoff[a][j] for a in A]
-        if not (min(column) <= target <= max(column) if j in b_set else max(column) > target):
+    for j in range(len(matrix.cols)):
+        column = [cells[a][j] * den for a in A]
+        if not (min(column) <= goal <= max(column) if j in b_set else max(column) > goal):
             return None
+    payoff = matrix.payoff
     n = len(A) + 1  # mixture over A plus the slack variable
     t_col = len(A)
     rows: list[list[Fraction]] = []

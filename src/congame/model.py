@@ -12,7 +12,8 @@ optimal-selector membership), so nothing in this package ever touches
 floating point.
 
 Objects are immutable after construction and safe to share.  The one
-exception is a game's memo of one-step results (``one_step_cache``), which
+exception is a game's memo of one-step results (``one_step_cache``, and
+the integer transition rows they are built from, ``one_step_rows``), which
 only gains entries that are functions of their keys.
 """
 
@@ -129,6 +130,12 @@ class GameStructure:
     def one_step_cache(self) -> dict:
         """The one-step results (``matrix``) computed for this game so far,
         keyed by payoff matrix; it lives and dies with the game object."""
+        return {}
+
+    @cached_property
+    def one_step_rows(self) -> dict:
+        """The integer transition rows (``matrix``) built for this game so
+        far, by state; each is a function of ``delta`` alone."""
         return {}
 
 

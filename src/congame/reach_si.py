@@ -22,7 +22,6 @@ run a loop, and a finished runner is its own result.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -137,8 +136,8 @@ def _dyadic_rounding(
     is met at some finite j.
 
     The search runs in integers and walks each probability's binary
-    expansion one digit per j.  With the payoff scaled by the lcm of its
-    denominators, the rounding's score in a column is the sum of each
+    expansion one digit per j.  On the matrix's integer cells over its
+    scale, the rounding's score in a column is the sum of each
     move's count times its entry, the top move's count being the rest,
     ``2^j`` less the others'.  Everything is carried from j to j + 1 by
     shifts and additions: the quotient and remainder of each ``p * 2^j``
@@ -151,14 +150,11 @@ def _dyadic_rounding(
     ``round`` does.
     """
     top = max(mix, key=mix.__getitem__)
-    scale = math.lcm(*(x.denominator for row in matrix.payoff for x in row))
-    row = dict(zip(matrix.rows, matrix.payoff))
-    top_row = [x.numerator * (scale // x.denominator) for x in row[top]]
+    scale = matrix.scale
+    row = dict(zip(matrix.rows, matrix.cells))
+    top_row = row[top]
     others = [a for a in mix if a != top]
-    relative = [
-        [x.numerator * (scale // x.denominator) - t for x, t in zip(row[a], top_row)]
-        for a in others
-    ]
+    relative = [[x - t for x, t in zip(row[a], top_row)] for a in others]
     dens = [mix[a].denominator for a in others]
     quotients, remainders = [], []
     for a, den in zip(others, dens):

@@ -15,8 +15,8 @@ pair leads only back into the set.  The solve computes it that way, as one
 greatest fixpoint on the concurrent game (``improvement_switches``);
 ``tb_reduction`` materializes the turn-based game itself, for
 ``congame dump-tb``.  Both read each state's pairs from
-``matrix.optimal_pairs``, by row and column position; ``SupportPair`` and
-``opt_sel_count`` are the same pairs in move labels.
+``matrix.optimal_pairs``, by row and column position; ``SupportPair`` is
+one such pair in move labels.
 
 Even with the non-local step the plain loop may converge below the value.
 The convergent variant restricts the loop to k-uniform mixtures (finitely
@@ -85,16 +85,6 @@ class SupportPair:
         return cls(support, tuple(matrix.cols[b] for b in B), dict(zip(support, probabilities)))
 
 
-def opt_sel_count(
-    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int | None = None
-) -> list[SupportPair]:
-    """All feasible (support, counter-set) pairs at ``s``, in subset order
-    (by size, then position), each with a stored witness mixture:
-    ``optimal_pairs`` of the one-step matrix at ``s``, in move labels."""
-    matrix = one_step_matrix(game, v, s)
-    return [SupportPair.from_positions(matrix, pair) for pair in optimal_pairs(game, matrix, k)]
-
-
 @dataclass
 class TBReduction:
     """Turn-based game over (state, support, counter-set) choices.
@@ -127,10 +117,10 @@ def tb_reduction(
     Player 1 picks a feasible (support, counter-set) pair at each original
     state; player 2 then picks a move from the counter set; a uniform random
     state spreads over every successor the supported moves can produce
-    against that response.  Player 1 offers ``opt_sel_count``'s pairs at a
-    state.  A state in ``done`` is held: every move pair loops back to it,
-    so it offers the pairs ``opt_sel_count`` finds on its matrix with every
-    entry ``v[s]``, each leading only to the state itself.
+    against that response.  Player 1 offers the ``optimal_pairs`` of the
+    state's one-step matrix.  A state in ``done`` is held: every move pair
+    loops back to it, so it offers the pairs ``optimal_pairs`` finds on its
+    matrix with every entry ``v[s]``, each leading only to the state itself.
 
     This is the materialized view of the non-local step, printed by
     ``congame dump-tb``.  The solve never builds it: ``improvement_switches``

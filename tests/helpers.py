@@ -18,6 +18,7 @@ from congame.matrix import (
     _k_uniform_optima,
     _reduced_compositions,
     one_step_matrix,
+    optimal_pairs,
     solve_matrix_game,
 )
 from congame.mdp import (
@@ -214,6 +215,16 @@ def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Select
     attained at a pure move."""
     matrix = one_step_matrix(game, v, s)
     return min(column_values(matrix, [xi1.choice[s].get(a, ZERO) for a in matrix.rows]))
+
+
+def opt_sel_count(
+    game: GameStructure, v: Mapping[str, Fraction], s: str, k: int | None = None
+) -> list[SupportPair]:
+    """All feasible (support, counter-set) pairs at ``s``, in subset order
+    (by size, then position), each with a stored witness mixture:
+    ``optimal_pairs`` of the one-step matrix at ``s``, in move labels."""
+    matrix = one_step_matrix(game, v, s)
+    return [SupportPair.from_positions(matrix, pair) for pair in optimal_pairs(game, matrix, k)]
 
 
 def opt_sel_feasible(

@@ -6,9 +6,9 @@ explicit Markov chains, support enumeration for matrix games, subset
 enumeration for end components and greatest fixpoints, round-by-round
 greatest fixpoints over supports rebuilt at every test, exhaustive
 strategy enumeration for small games, the saddle points of a matrix
-game by inspection, and the dyadic rounding of a witness in `Fraction`
-arithmetic.
-None of it shares code with the solver paths it checks, with six deliberate
+game by inspection, the dyadic rounding of a witness and a state's
+one-step matrix of expected values, both in `Fraction` arithmetic.
+None of it shares code with the solver paths it checks, with seven deliberate
 exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
 (policy iteration, no LP) cross-checks the integer simplex against policy
@@ -25,7 +25,10 @@ the reference for the fixpoint the solver runs on the concurrent game.
 The sixth is value iteration as standalone loops over `pre1`
 (`reach_value_iteration`, `safety_value_iteration_upper`) with the safety
 selector extraction at a fixpoint (`extract_optimal_safety_selector`), the
-references for `value_iter.ValueIterationRunner`.
+references for `value_iter.ValueIterationRunner`.  The seventh is
+`fraction_one_step_matrix`, whose `Fraction` sums go through the package's
+`MatrixGame` constructor, so that the solvers can run on it in place of
+the integer build it checks.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
-from congame.matrix import _check_k_uniform_budget, one_step_matrix, pre1, pre1_matrix
+from congame.matrix import MatrixGame, _check_k_uniform_budget, one_step_matrix, pre1, pre1_matrix
 from congame.mdp import compute_W2, strategy_value_reach, tb_almost_sure_safe, tb_attractor
 from congame.model import (
     P1,
@@ -915,3 +918,16 @@ def fraction_dyadic_rounding(matrix, mix, floor):
         )
         if value >= floor:
             return {a: rounded[a] for a in mix if rounded[a]}, value
+
+
+def fraction_one_step_matrix(game, v, s):
+    """``matrix.one_step_matrix`` in ``Fraction`` arithmetic: each entry is
+    the sum of ``p * v[t]`` over the move pair's distribution, one
+    ``Fraction`` at a time, and ``MatrixGame`` reduces the payoff to its
+    integer form."""
+    rows, cols = game.moves1[s], game.moves2[s]
+
+    def expected(dist):
+        return sum((p * v[t] for t, p in dist.items()), ZERO)
+
+    return MatrixGame(rows, cols, tuple(tuple(expected(game.delta[(s, a, b)]) for b in cols) for a in rows))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from congame.cli import build_parser, decimal_string, main, parse_objective
 from congame.gamefile import serialize_game
 
 from conftest import random_concurrent_game
-from oracles import saddle_kind
+from oracles import fraction_one_step_matrix, saddle_kind
 
 F = Fraction
 
@@ -564,9 +565,9 @@ def test_internal_error_exit_code(example_dir, capsys, monkeypatch, error):
 def _record_lps(monkeypatch) -> tuple[list, list]:
     """Patch the one-step layer where it hands work to the simplex; the
     returned lists collect the payoff of every matrix-game LP and the
-    (payoff, target, A, B) of every support-pair LP.  Both live in
-    ``matrix``, so each kind is recorded at its own LP builder rather than
-    at the simplex they share."""
+    (payoff, target, A, B) of every support-pair LP, as ``Fraction``s.
+    Both live in ``matrix``, so each kind is recorded at its own LP builder
+    rather than at the simplex they share."""
     games, pairs = [], []
     game_lp_of = congame.matrix._solve_lp_game
 
@@ -576,9 +577,9 @@ def _record_lps(monkeypatch) -> tuple[list, list]:
 
     feasible = congame.matrix._feasible_unrestricted
 
-    def pair_lp(payoff, target, A, B):
-        pairs.append((payoff, target, A, B))
-        return feasible(payoff, target, A, B)
+    def pair_lp(matrix, target, A, B):
+        pairs.append((matrix.payoff, target, A, B))
+        return feasible(matrix, target, A, B)
 
     monkeypatch.setattr(congame.matrix, "_solve_lp_game", game_lp)
     monkeypatch.setattr(congame.matrix, "_feasible_unrestricted", pair_lp)
@@ -617,10 +618,10 @@ def _closed_form_recorder():
     answered = []
     closed_form = congame.matrix._unique_2x2
 
-    def recording(payoff):
-        solved = closed_form(payoff)
+    def recording(matrix):
+        solved = closed_form(matrix)
         if solved is not None:
-            answered.append(saddle_kind(payoff))
+            answered.append(saddle_kind(matrix.payoff))
         return solved
 
     return recording, answered
@@ -669,9 +670,48 @@ def test_closed_form_prints_the_simplex_bytes(capsys, tmp_path, monkeypatch):
                     *rest, "--verify", "--format", "json")
             monkeypatch.setattr(congame.matrix, "_unique_2x2", recording)
             with_closed_form = run_cli(capsys, *argv)
-            monkeypatch.setattr(congame.matrix, "_unique_2x2", lambda payoff: None)
+            monkeypatch.setattr(congame.matrix, "_unique_2x2", lambda matrix: None)
             assert run_cli(capsys, *argv) == with_closed_form
     assert answered.count("strict") >= 200 and answered.count("none") >= 50
+
+
+def test_integer_one_step_matrices_print_the_fraction_bytes(capsys, tmp_path, monkeypatch):
+    # On 50 random 3-state games of one to three moves per player, each
+    # solver prints the same report with the integer one-step matrices as
+    # with the Fraction sums of oracles.fraction_one_step_matrix, and 3-row
+    # matrices reach both the matrix-game LP and the support-pair LP.
+    rng = random.Random(3636)
+    games, pairs = _record_lps(monkeypatch)
+    integer = congame.matrix.one_step_matrix
+    modules = (congame.matrix, congame.reach_si, congame.safety_si)
+    built = Counter()
+
+    def reference(game, v, s):
+        matrix = fraction_one_step_matrix(game, v, s)
+        built[len(matrix.rows), len(matrix.cols)] += 1
+        return matrix
+
+    runs = (
+        ("reach:q0", "vi", "--max-iters", "8"),
+        ("reach:q0", "reach-si"),
+        ("safe:not-q0", "safety-si"),
+        ("safe:not-q0", "certify:1/100"),
+    )
+    for i in range(50):
+        game = tmp_path / f"g{i}.game"
+        game.write_text(serialize_game(random_concurrent_game(rng, n_states=3, max_moves=3)), encoding="utf-8")
+        for objective, algorithm, *rest in runs:
+            argv = ("solve", str(game), "--objective", objective, "--algorithm", algorithm,
+                    *rest, "--verify", "--format", "json")
+            for module in modules:
+                monkeypatch.setattr(module, "one_step_matrix", integer)
+            with_integers = run_cli(capsys, *argv)
+            for module in modules:
+                monkeypatch.setattr(module, "one_step_matrix", reference)
+            assert run_cli(capsys, *argv) == with_integers
+    assert len(built) == 9 and built[3, 3] > 0
+    assert any(len(payoff) == 3 for payoff in games)
+    assert any(len(payoff) == 3 and len(A) > 1 for payoff, _, A, _ in pairs)
 
 
 def _in_process(capsys, argv):

@@ -1,8 +1,9 @@
 """The one-step layer boundary of ``src/congame``, read from the source.
 
 ``matrix`` answers every one-step question, so it is the only module that
-runs the simplex or touches a game's one-step cache, and the other modules
-use it through its public names.  The one private name they may import is
+runs the simplex, touches a game's one-step cache or reads a matrix game's
+``Fraction`` payoff, and the other modules use it through its public names
+and the integer cells of its matrices.  The one private name they may import is
 ``_check_k_uniform_budget``: a held state takes the k-uniform budget check
 without a scan.
 """
@@ -48,18 +49,29 @@ def test_only_matrix_imports_linprog():
     assert users == {"matrix"}
 
 
-def test_only_matrix_reads_the_one_step_cache():
-    readers = {
+def _attribute_readers(attr: str) -> set[str]:
+    """The modules with an ``x.<attr>`` expression."""
+    return {
         name
         for name, tree in SOURCES.items()
-        if any(isinstance(node, ast.Attribute) and node.attr == "one_step_cache" for node in ast.walk(tree))
+        if any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(tree))
     }
-    assert readers == {"matrix"}
-    # model defines it.
-    assert any(
-        isinstance(node, ast.FunctionDef) and node.name == "one_step_cache"
-        for node in ast.walk(SOURCES["model"])
-    )
+
+
+def test_only_matrix_reads_the_one_step_cache():
+    for attr in ("one_step_cache", "one_step_rows"):
+        assert _attribute_readers(attr) == {"matrix"}
+        # model defines it.
+        assert any(
+            isinstance(node, ast.FunctionDef) and node.name == attr
+            for node in ast.walk(SOURCES["model"])
+        )
+
+
+def test_only_matrix_reads_the_fraction_payoff():
+    # Outside ``matrix`` a one-step matrix is read as integer cells over a
+    # scale; ``MatrixGame.payoff`` is the view the simplex paths build.
+    assert _attribute_readers("payoff") == {"matrix"}
 
 
 def test_matrix_private_names_stay_in_matrix():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 import congame.matrix
 from congame import (
     BudgetExceeded,
+    GameStructure,
     MatrixGame,
     one_step_matrix,
     pre1,
@@ -17,7 +20,7 @@ from congame import (
     solve_matrix_game,
     uniform_selector,
 )
-from congame.matrix import _k_uniform_scan
+from congame.matrix import MatrixSolution, _k_uniform_scan, _one_step, _solve_lp_game
 
 from conftest import ONE, ZERO, random_concurrent_game, random_valuations
 from helpers import (
@@ -28,7 +31,12 @@ from helpers import (
     reference_k_uniform,
     reference_pre1_k,
 )
-from oracles import matrix_value_oracle, reference_solve_matrix_game, saddle_kind
+from oracles import (
+    fraction_one_step_matrix,
+    matrix_value_oracle,
+    reference_solve_matrix_game,
+    saddle_kind,
+)
 
 F = Fraction
 
@@ -409,8 +417,8 @@ def test_certificate_rejects_a_wrong_closed_form(monkeypatch, shift):
     assert saddle_kind(payoff) == "none"
     real = congame.matrix._unique_2x2
 
-    def off(payoff):
-        value, row_mix, col_mix = real(payoff)
+    def off(matrix):
+        value, row_mix, col_mix = real(matrix)
         return value + shift, row_mix, col_mix
 
     monkeypatch.setattr(congame.matrix, "_unique_2x2", off)
@@ -434,7 +442,7 @@ def test_two_by_two_closed_form_matches_the_reference():
             payoff = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] for _ in range(2)]
         kind = saddle_kind(payoff)
         kinds[kind] += 1
-        closed = congame.matrix._unique_2x2(tuple(map(tuple, payoff)))
+        closed = congame.matrix._unique_2x2(game_matrix(payoff))
         value, row_strategy, col_strategy = reference_solve_matrix_game(payoff)
         if kind == "weak":
             assert closed is None
@@ -446,3 +454,98 @@ def test_two_by_two_closed_form_matches_the_reference():
                 value, row_strategy, col_strategy
             )
     assert min(kinds[k] for k in ("none", "strict", "weak")) >= 100
+
+
+@pytest.mark.parametrize("c", [F(0), F(1), F(1, 3), F(-2), F(5, 7), F(-1, 9), F(100), F(1, 1000)])
+def test_constant_payoffs_take_the_simplex_answer(monkeypatch, c):
+    # The simplex answers every constant m x n payoff with its value, the
+    # first row and the last column; solve_matrix_game returns exactly
+    # that without the simplex, and still checks it as a certificate.
+    checked = []
+    check = congame.matrix._check_certificate
+
+    def counting(*args):
+        checked.append(args)
+        return check(*args)
+
+    for m, n in itertools.product(range(2, 5), repeat=2):
+        payoff = ((c,) * n,) * m
+        expected = (c, (ONE,) + (ZERO,) * (m - 1), (ZERO,) * (n - 1) + (ONE,))
+        value, row_mix, col_mix = _solve_lp_game(payoff, m, n)
+        assert (value, tuple(row_mix), tuple(col_mix)) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(congame.matrix, "_solve_lp_game", None)
+            patch.setattr(congame.matrix, "_check_certificate", counting)
+            assert solve_matrix_game(game_matrix(payoff)) == MatrixSolution(*expected)
+    assert len(checked) == 9
+
+
+def _wide_distribution(rng: random.Random, states: list[str]) -> dict[str, Fraction]:
+    """One entry of probability 1, or a split of a small or a 520-bit
+    denominator over up to three successors, sometimes with an extra
+    probability-0 entry."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {rng.choice(states): ONE}
+    den = rng.randint(1, 6) if kind == 1 else rng.getrandbits(520) | (1 << 519)
+    support = rng.sample(states, rng.randint(1, min(3, len(states), den)))
+    cuts = sorted(rng.randrange(1, den) for _ in support[1:]) if den > 1 else []
+    dist = {t: F(hi - lo, den) for t, lo, hi in zip(support, [0] + cuts, cuts + [den])}
+    rest = [t for t in states if t not in dist]
+    if rest and rng.random() < 0.4:
+        dist[rng.choice(rest)] = ZERO
+    return dist
+
+
+def _wide_game(rng: random.Random) -> GameStructure:
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    moves1 = {s: ("a", "b", "c")[: rng.randint(1, 3)] for s in states}
+    moves2 = {s: ("a", "b", "c")[: rng.randint(1, 3)] for s in states}
+    delta = {
+        (s, a, b): _wide_distribution(rng, states)
+        for s in states for a in moves1[s] for b in moves2[s]
+    }
+    return GameStructure(tuple(states), ("a", "b", "c"), moves1, moves2, delta)
+
+
+def _wide_valuations(rng: random.Random, states) -> list[dict[str, Fraction]]:
+    """0/1 values, small signed rationals, values over denominators of at
+    least 500 bits, and a constant valuation."""
+    return [
+        {s: F(rng.randint(0, 1)) for s in states},
+        {s: F(rng.randint(-6, 6), rng.randint(1, 12)) for s in states},
+        {s: F(rng.getrandbits(510), rng.getrandbits(510) | (1 << 500)) for s in states},
+        dict.fromkeys(states, F(rng.randint(0, 4), 4)),
+    ]
+
+
+def test_integer_one_step_matrix_matches_the_fraction_sums():
+    """On random (game, valuation, state) triples, the integer build has
+    the payoff of the ``Fraction`` sums in canonical form: a positive scale
+    sharing no factor with every cell, the form ``MatrixGame`` makes of the
+    reference payoff, so equal payoffs, and only they, share a cache key."""
+    rng = random.Random(3601)
+    keys: dict = {}
+    seen = Counter()
+    while seen["triples"] < 1200:
+        game = _wide_game(rng)
+        for v in _wide_valuations(rng, game.states):
+            for s in game.states:
+                got = one_step_matrix(game, v, s)
+                ref = fraction_one_step_matrix(game, v, s)
+                assert (got.rows, got.cols, got.payoff) == (ref.rows, ref.cols, ref.payoff)
+                assert got.scale > 0 and math.gcd(got.scale, *itertools.chain(*got.cells)) == 1
+                key = (got.cells, got.scale)
+                assert key == (ref.cells, ref.scale) and got == ref
+                assert keys.setdefault(ref.payoff, key) == key
+                if len(got.rows) > 1 and len(got.cols) > 1:
+                    assert _one_step(game, got) is _one_step(game, ref)
+                dists = [game.delta[(s, a, b)] for a in got.rows for b in got.cols]
+                seen["triples"] += 1
+                seen["zero"] += any(0 in dist.values() for dist in dists)
+                seen["one-entry"] += any(len(dist) == 1 for dist in dists)
+                seen["wide"] += any(
+                    p.denominator.bit_length() >= 500 for dist in dists for p in dist.values()
+                ) or any(x.denominator.bit_length() >= 500 for x in v.values())
+    assert len(set(keys.values())) == len(keys) < seen["triples"]
+    assert min(seen[kind] for kind in ("zero", "one-entry", "wide")) >= 200

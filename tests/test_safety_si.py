@@ -17,7 +17,6 @@ from congame import (
     SafetySIRunner,
     improvement_switches,
     TurnBasedReachRunner,
-    opt_sel_count,
     tb_reduction,
 )
 from congame.matrix import (
@@ -35,7 +34,7 @@ from congame.safety_si import K_UNIFORM_MAX_STEPS
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
-    k_uniform_pairs, opt_sel_feasible, reference_k_uniform_pairs,
+    k_uniform_pairs, opt_sel_count, opt_sel_feasible, reference_k_uniform_pairs,
     round_to_k_uniform,
 )
 from oracles import (
@@ -161,12 +160,13 @@ def test_feasible_unrestricted_matches_slack_lp():
     for _ in range(300):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         payoff = [[rng.choice(grid) for _ in range(n)] for _ in range(m)]
+        matrix = MatrixGame(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
         target = rng.choice(payoff[0] + [rng.choice(grid)])
         for A in _nonempty_subsets(range(m)):
             if len(A) > 2:
                 continue
             for B in _nonempty_subsets(range(n)):
-                got = _feasible_unrestricted(payoff, target, A, B)
+                got = _feasible_unrestricted(matrix, target, A, B)
                 assert got == slack_lp_feasible(payoff, target, A, B)
                 singles += len(A) == 1 and got is not None
     assert singles > 100
@@ -660,7 +660,7 @@ def test_pruned_pairs_match_the_slack_lp_alone():
         payoff = tuple(tuple(rng.choice(grid) for _ in range(n)) for _ in range(m))
         matrix = MatrixGame(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
         solution = solve_matrix_game(matrix)
-        got = _pruned_pairs(payoff, solution)
+        got = _pruned_pairs(matrix, solution)
         assert got == slack_lp_pruned_pairs(payoff, solution)
         multi_row += sum(len(A) > 1 for A, _, _ in got)
     assert multi_row > 100
