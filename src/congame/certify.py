@@ -74,15 +74,21 @@ class Certifier(Runner):
     @property
     def gap(self) -> Fraction:
         """max_s(1 - u - v), which determinacy keeps nonnegative.  It is
-        checked and computed once per pair of valuation objects: a round
-        in which a side does not move, and the report, read it again."""
+        checked and computed once per pair of valuation objects, in one
+        pass that raises at the first state in order where 1 - u - v is
+        negative: a round in which a side does not move, and the report,
+        read it again."""
         u, v = self.reach.values, self.values
         last = self._gap
         if last is None or last[0] is not u or last[1] is not v:
+            gap = None
             for s in self.game.states:
-                if u[s] + v[s] > ONE:
+                slack = ONE - u[s] - v[s]
+                if slack.numerator < 0:
                     raise AssertionError(f"determinacy violated at {s!r}: u={u[s]}, v={v[s]}")
-            last = self._gap = (u, v, max(ONE - u[s] - v[s] for s in self.game.states))
+                if gap is None or slack > gap:
+                    gap = slack
+            last = self._gap = (u, v, gap)
         return last[2]
 
     @property

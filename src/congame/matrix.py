@@ -9,7 +9,12 @@ builds that form directly: each state's move pairs are kept once per game
 as integer probability numerators over the state's common denominator
 (``GameStructure.one_step_rows``), the successors' values are scaled to
 their least common denominator, and every cell is an integer dot product,
-so no ``Fraction`` is made per entry.  Every exact comparison below (the
+so no ``Fraction`` is made per entry.  A matrix is a function of the
+successors' values alone, and beside its rows each state keeps its last
+matrix with the values it was built from: a call with equal values returns
+that same immutable object, so the improvement loops, which call at every
+state in every round while most successors stand still, build a state's
+matrix once per successor valuation.  Every exact comparison below (the
 closed forms, the certificate, the k-uniform scan, the pair pruning) reads
 the cells; only the simplex reads the ``Fraction`` view ``payoff``.
 
@@ -17,14 +22,16 @@ Matrix games are solved exactly by one run of the rational simplex: the
 row player's maximin program gives the value and a row strategy, and the
 dual prices of its column constraints give a column strategy.  Three
 shapes take a closed form instead, each the only answer or the answer the
-simplex gives: one row or one column; a constant payoff (value, first row,
-last column, which is where the simplex's pivoting ends on every constant
-matrix); and a 2 x 2 game whose optimal strategies are unique (no saddle
-point, or one strict saddle point).  Before a solution of two or more rows
-and columns is returned, the pair is checked as a certificate in exact
-arithmetic: each is a distribution, the row strategy earns at least the
-value against every column and the column strategy concedes at most the
-value to every row, which proves that the value is the game's.
+simplex gives: one row or one column (``_line_answer``, which
+``pre1_matrix`` also reads directly, with no solution built and no scan
+run); a constant payoff (value, first row, last column, which is where
+the simplex's pivoting ends on every constant matrix); and a 2 x 2 game
+whose optimal strategies are unique (no saddle point, or one strict
+saddle point).  Before a solution of two or more rows and columns is
+returned, the pair is checked as a certificate in exact arithmetic: each
+is a distribution, the row strategy earns at least the value against
+every column and the column strategy concedes at most the value to every
+row, which proves that the value is the game's.
 
 Every one-step question a solver asks is a function of one payoff matrix
 and is answered here: ``pre1_matrix`` gives the value and an optimal row
@@ -185,6 +192,24 @@ def _pure(i: int, n: int) -> tuple[Fraction, ...]:
     return tuple(ONE if a == i else ZERO for a in range(n))
 
 
+def _line_answer(game: MatrixGame) -> tuple[int, int, int] | None:
+    """The answer of a game with one column or one row, or None for any
+    other shape: the optimal cell and the row and column positions of a
+    pure optimal pair.  One column: the first maximal row; one row: that
+    row against its first minimal column.  This is the pair
+    ``solve_matrix_game`` returns, and its row is the first optimum of the
+    k-uniform scan at every ``k``."""
+    cells = game.cells
+    if len(game.cols) == 1:
+        column = [row[0] for row in cells]
+        high = max(column)
+        return high, column.index(high), 0
+    if len(game.rows) == 1:
+        low = min(cells[0])
+        return low, 0, cells[0].index(low)
+    return None
+
+
 def _unique_2x2(game: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]] | None:
     """The value and both players' optimal strategies of the 2 x 2 game
     ``[[a, b], [c, d]]`` when each player's optimal strategy is unique,
@@ -234,12 +259,10 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
     """
     cells, scale = game.cells, game.scale
     m, n = len(game.rows), len(game.cols)
-    if n == 1:
-        best = max(range(m), key=lambda a: (cells[a][0], -a))
-        return MatrixSolution(Fraction(cells[best][0], scale), _pure(best, m), (ONE,))
-    if m == 1:
-        best = min(range(n), key=lambda b: (cells[0][b], b))
-        return MatrixSolution(Fraction(cells[0][best], scale), (ONE,), _pure(best, n))
+    line = _line_answer(game)
+    if line is not None:
+        cell, a, b = line
+        return MatrixSolution(Fraction(cell, scale), _pure(a, m), _pure(b, n))
     first = cells[0]
     if first.count(first[0]) == n and cells.count(first) == m:
         solved = Fraction(first[0], scale), _pure(0, m), _pure(n - 1, n)
@@ -278,24 +301,28 @@ def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep | None:
 
 
 def _solution(game: GameStructure, matrix: MatrixGame) -> MatrixSolution:
-    """``solve_matrix_game(matrix)``, solved at most once per payoff in ``game``."""
+    """``solve_matrix_game(matrix)``, solved at most once per payoff in
+    ``game``; ``matrix`` has at least two rows and two columns (the callers
+    answer the other shapes in closed form)."""
     entry = _one_step(game, matrix)
-    if entry is None:
-        return solve_matrix_game(matrix)
     if entry.solution is None:
         entry.solution = solve_matrix_game(matrix)
     return entry.solution
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Transitions:
     """A state's move pairs in integers: ``numerators[a][b][i]`` is the
     probability that moves ``(a, b)`` lead to ``successors[i]``, times
-    ``den``, the lcm of every probability's denominator at the state."""
+    ``den``, the lcm of every probability's denominator at the state.
+
+    ``last`` is the state's last one-step matrix with the successor values
+    it was built from, replaced (never mutated) by each new build."""
 
     successors: tuple[str, ...]
     den: int
     numerators: tuple[tuple[tuple[int, ...], ...], ...]
+    last: tuple[list[Fraction], MatrixGame] | None = None
 
 
 def _transitions(game: GameStructure, s: str) -> _Transitions:
@@ -328,9 +355,15 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
     Built in integers: the successors' values are scaled to their least
     common denominator, each cell is the dot product of a move pair's
     probability numerators (``_transitions``) with them, and the result is
-    reduced to the canonical form once."""
+    reduced to the canonical form once.  The matrix is a function of the
+    successors' values alone, so when they equal those of the state's last
+    build (``_Transitions.last``), that same immutable matrix is returned
+    and nothing is rebuilt."""
     step = _transitions(game, s)
     values = [v[t] for t in step.successors]
+    last = step.last
+    if last is not None and last[0] == values:
+        return last[1]
     lcd = math.lcm(*(x.denominator for x in values))
     scaled = [x.numerator * (lcd // x.denominator) for x in values]
     cells = tuple(tuple(sum(map(mul, dist, scaled)) for dist in row) for row in step.numerators)
@@ -339,7 +372,9 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
     if common > 1:
         scale //= common
         cells = tuple(tuple(c // common for c in row) for row in cells)
-    return _integer_game(game.moves1[s], game.moves2[s], cells, scale)
+    matrix = _integer_game(game.moves1[s], game.moves2[s], cells, scale)
+    step.last = (values, matrix)
+    return matrix
 
 
 def pre1(
@@ -492,7 +527,18 @@ def pre1_matrix(
     The k-uniform optimum goes to the earliest mixture in enumeration
     order, so the result is deterministic; mixtures are scored in integer
     arithmetic, and only the value and the mixture are ``Fraction``s.
+
+    A matrix with one row or one column is answered from its cells
+    (``_line_answer``): the one row, valued at its least cell, or the first
+    maximal row, which is what the solver and the scan return on those
+    shapes.  Given ``k``, the scan's budget check runs first all the same.
     """
+    line = _line_answer(matrix)
+    if line is not None:
+        if k is not None:
+            _check_k_uniform_budget(len(matrix.rows), k)
+        cell, a, _ = line
+        return Fraction(cell, matrix.scale), {matrix.rows[a]: ONE}
     if k is None:
         solution = _solution(game, matrix)
         return solution.value, {

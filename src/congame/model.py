@@ -13,8 +13,10 @@ floating point.
 
 Objects are immutable after construction and safe to share.  The one
 exception is a game's memo of one-step results (``one_step_cache``, and
-the integer transition rows they are built from, ``one_step_rows``), which
-only gains entries that are functions of their keys.
+the integer transition rows they are built from, ``one_step_rows``).  Its
+entries are functions of their keys, and it only gains entries, except
+for each state's last one-step matrix beside its rows, which a build from
+other successor values replaces, never mutates.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ class GameStructure:
     @cached_property
     def one_step_rows(self) -> dict:
         """The integer transition rows (``matrix``) built for this game so
-        far, by state; each is a function of ``delta`` alone."""
+        far, by state; each is a function of ``delta`` alone, and keeps
+        the state's last one-step matrix with the values it was built from."""
         return {}
 
 

@@ -139,6 +139,39 @@ def test_determinacy_bracket_random():
             assert later <= earlier
 
 
+def _planted(certifier, u, v):
+    """``certifier`` with ``u`` as the reach side's values and ``v`` as the
+    safety side's."""
+    certifier.reach.valuations = [u]
+    certifier.safety.valuations = [v]
+    return certifier
+
+
+def test_gap_names_the_first_state_where_determinacy_fails():
+    # u + v > 1 at q1 and q3: the check names q1, the first in state order.
+    game = random_concurrent_game(random.Random(3803), n_states=4)
+    certifier = Certifier(game, ["q0", "q1"], F(1, 100))
+    u = {"q0": F(1, 2), "q1": F(3, 4), "q2": F(1, 3), "q3": F(1, 2)}
+    v = {"q0": F(1, 2), "q1": F(1, 2), "q2": F(0), "q3": F(2, 3)}
+    with pytest.raises(AssertionError) as violated:
+        _planted(certifier, u, v).gap
+    assert str(violated.value) == "determinacy violated at 'q1': u=3/4, v=1/2"
+    u["q1"] = F(1, 2)
+    with pytest.raises(AssertionError) as violated:
+        _planted(certifier, dict(u), v).gap
+    assert str(violated.value) == "determinacy violated at 'q3': u=1/2, v=2/3"
+
+
+def test_gap_is_the_largest_bracket_width():
+    rng = random.Random(3804)
+    game = random_concurrent_game(rng, n_states=4)
+    certifier = Certifier(game, ["q0", "q1"], F(1, 100))
+    for _ in range(300):
+        u = {s: F(rng.randint(0, 12), 12) for s in game.states}
+        v = {s: (1 - u[s]) * F(rng.randint(0, 5), 5) for s in game.states}
+        assert _planted(certifier, u, v).gap == max(1 - u[s] - v[s] for s in game.states)
+
+
 def _assert_sandwich(game, safe, reach_rounds):
     """Every achieved safety value (plain and convergent improvement, the
     certifier) sits below every safety value-iteration iterate, and every

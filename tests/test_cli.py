@@ -677,14 +677,28 @@ def test_closed_form_prints_the_simplex_bytes(capsys, tmp_path, monkeypatch):
 
 def test_integer_one_step_matrices_print_the_fraction_bytes(capsys, tmp_path, monkeypatch):
     # On 50 random 3-state games of one to three moves per player, each
-    # solver prints the same report with the integer one-step matrices as
-    # with the Fraction sums of oracles.fraction_one_step_matrix, and 3-row
-    # matrices reach both the matrix-game LP and the support-pair LP.
+    # solver prints the same exit code and report with the integer one-step
+    # matrices, a state's last one reused while its successors' values stand
+    # still, as with every integer matrix built afresh and as with the
+    # Fraction sums of oracles.fraction_one_step_matrix; 3-row matrices
+    # reach both the matrix-game LP and the support-pair LP.
     rng = random.Random(3636)
     games, pairs = _record_lps(monkeypatch)
     integer = congame.matrix.one_step_matrix
+    transitions = congame.matrix._transitions
     modules = (congame.matrix, congame.reach_si, congame.safety_si)
     built = Counter()
+    calls = Counter()
+
+    def reusing(game, v, s):
+        last = transitions(game, s).last
+        matrix = integer(game, v, s)
+        calls["reused" if last is not None and matrix is last[1] else "built"] += 1
+        return matrix
+
+    def rebuilt(game, v, s):
+        transitions(game, s).last = None
+        return integer(game, v, s)
 
     def reference(game, v, s):
         matrix = fraction_one_step_matrix(game, v, s)
@@ -696,6 +710,8 @@ def test_integer_one_step_matrices_print_the_fraction_bytes(capsys, tmp_path, mo
         ("reach:q0", "reach-si"),
         ("safe:not-q0", "safety-si"),
         ("safe:not-q0", "certify:1/100"),
+        ("safe:not-q0", "convergent", "--max-iters", "6"),
+        ("safe:not-q0", "k-uniform", "--k", "4"),
     )
     for i in range(50):
         game = tmp_path / f"g{i}.game"
@@ -703,12 +719,13 @@ def test_integer_one_step_matrices_print_the_fraction_bytes(capsys, tmp_path, mo
         for objective, algorithm, *rest in runs:
             argv = ("solve", str(game), "--objective", objective, "--algorithm", algorithm,
                     *rest, "--verify", "--format", "json")
-            for module in modules:
-                monkeypatch.setattr(module, "one_step_matrix", integer)
-            with_integers = run_cli(capsys, *argv)
-            for module in modules:
-                monkeypatch.setattr(module, "one_step_matrix", reference)
-            assert run_cli(capsys, *argv) == with_integers
+            printed = []
+            for build in (reusing, rebuilt, reference):
+                for module in modules:
+                    monkeypatch.setattr(module, "one_step_matrix", build)
+                printed.append(run_cli(capsys, *argv))
+            assert printed[1] == printed[0] and printed[2] == printed[0]
+    assert calls["reused"] > 200 and calls["built"] > 800, calls
     assert len(built) == 9 and built[3, 3] > 0
     assert any(len(payoff) == 3 for payoff in games)
     assert any(len(payoff) == 3 and len(A) > 1 for payoff, _, A, _ in pairs)

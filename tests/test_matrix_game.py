@@ -549,3 +549,119 @@ def test_integer_one_step_matrix_matches_the_fraction_sums():
                 ) or any(x.denominator.bit_length() >= 500 for x in v.values())
     assert len(set(keys.values())) == len(keys) < seen["triples"]
     assert min(seen[kind] for kind in ("zero", "one-entry", "wide")) >= 200
+
+
+def _equal_copy(x):
+    """A value equal to ``x`` but a distinct object: ``Fraction(1)`` for
+    ``1``, ``1`` for ``Fraction(1)``, ``Fraction(2, 4)`` for ``Fraction(1, 2)``."""
+    if not isinstance(x, Fraction):
+        return Fraction(x)
+    if x.denominator == 1:
+        return x.numerator
+    return Fraction(2 * x.numerator, 2 * x.denominator)
+
+
+def test_one_step_matrix_reuses_only_an_unchanged_valuation():
+    """Seeded valuation sequences at each state of random games: every
+    matrix equals the ``Fraction`` sums and a build on a fresh copy of the
+    game, and a call whose successor values are unchanged since the last
+    call at that state (nothing changed, only non-successors changed, or
+    equal but distinct values) returns the same object.  Calls at other
+    states come in between, so a slot shared by the states would miss, and
+    one keyed by the state alone would return a stale matrix after a
+    successor changed."""
+    rng = random.Random(3801)
+    seen = Counter()
+
+    def small():
+        return rng.choice((0, 1, ONE, ZERO, F(rng.randint(-6, 6), rng.randint(1, 12))))
+
+    for _ in range(200):
+        game = _wide_game(rng)
+        v = {s: small() for s in game.states}
+        for s in game.states:
+            successors = {
+                t for a in game.moves1[s] for b in game.moves2[s]
+                for t, p in game.delta[(s, a, b)].items() if p
+            }
+            others = [t for t in game.states if t not in successors]
+            last = None
+            for _ in range(8):
+                kind = rng.choice(("none", "others", "successor", "equal"))
+                if kind == "others" and not others:
+                    kind = "none"
+                if kind == "others":
+                    for t in others:
+                        v[t] = v[t] + rng.randint(1, 3)
+                elif kind == "successor":
+                    t = rng.choice(sorted(successors))
+                    v[t] = v[t] + F(1, rng.randint(1, 5))
+                elif kind == "equal":
+                    v = {t: _equal_copy(x) for t, x in v.items()}
+                got = one_step_matrix(game, v, s)
+                ref = fraction_one_step_matrix(game, v, s)
+                fresh = one_step_matrix(dataclasses.replace(game), v, s)
+                assert got == ref == fresh and got.payoff == ref.payoff
+                if last is not None and kind != "successor":
+                    assert got is last
+                    seen[kind] += 1
+                elif last is not None:
+                    assert got != last
+                    seen[kind] += 1
+                last = got
+                r = rng.choice(game.states)
+                if r != s:
+                    w = {t: small() for t in game.states}
+                    assert one_step_matrix(game, w, r) == fraction_one_step_matrix(game, w, r)
+                    seen["between"] += 1
+        seen["zero"] += any(
+            p == 0 for dist in game.delta.values() for p in dist.values()
+        )
+    assert min(seen.values()) >= 100, seen
+
+
+def _line_matrix(rng: random.Random) -> MatrixGame:
+    """A random 1 x n or m x 1 matrix of small integers, 1-4 long, often
+    with ties."""
+    length = rng.randint(1, 4)
+    top = rng.choice((0, 1, 2, 5))
+    line = [F(rng.randint(-top, top), rng.choice((1, 1, 3))) for _ in range(length)]
+    if rng.random() < 0.5:
+        return game_matrix([line])
+    return game_matrix([[x] for x in line])
+
+
+def test_one_line_answers_are_the_solver_and_scan_answers(monkeypatch):
+    # On one row or one column, pre1_matrix reads the answer off the cells;
+    # it is the solver's value and row and the k-uniform scan's first
+    # optimum, and the scan's errors come first all the same.
+    rng = random.Random(3802)
+    game = GameStructure(("q",), ("a",), {"q": ("a",)}, {"q": ("a",)}, {("q", "a", "a"): {"q": ONE}})
+    shapes = Counter()
+    for _ in range(2000):
+        matrix = _line_matrix(rng)
+        m, n = len(matrix.rows), len(matrix.cols)
+        cells = list(itertools.chain(*matrix.cells))
+        shapes["row" if m == 1 else "column", len(set(cells)) < len(cells)] += 1
+        solution = solve_matrix_game(matrix)
+        value, mix = pre1_matrix(game, matrix)
+        assert value == solution.value
+        assert list(mix.items()) == [(a, p) for a, p in zip(matrix.rows, solution.row_strategy) if p > 0]
+        for k in range(1, 7):
+            scan_value, optima = _k_uniform_scan(matrix, k)
+            _, _, denom, counts = optima[0]
+            value, mix = pre1_matrix(game, matrix, k)
+            assert value == scan_value == solution.value
+            assert list(mix.items()) == [(a, F(c, denom)) for a, c in zip(matrix.rows, counts) if c]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            pre1_matrix(game, matrix, 0)
+    assert min(shapes.values()) >= 200, shapes
+    monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 5)
+    for payoff, k in (([[1, 2, 2]], 6), ([[1], [2], [2]], 2)):
+        matrix = game_matrix(payoff)
+        with pytest.raises(BudgetExceeded) as scanned:
+            _k_uniform_scan(matrix, k)
+        with pytest.raises(BudgetExceeded) as answered:
+            pre1_matrix(game, matrix, k)
+        assert str(answered.value) == str(scanned.value)
+        assert pre1_matrix(game, matrix, k - 1) == pre1_matrix(game, matrix)
