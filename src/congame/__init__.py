@@ -55,7 +55,6 @@ from .reach_si import (
 from .safety_si import (
     ConvergentSafetyRunner,
     SafetySIRunner,
-    SupportPair,
     TBReduction,
     improvement_switches,
     tb_reduction,

@@ -37,8 +37,10 @@ Every one-step question a solver asks is a function of one payoff matrix
 and is answered here: ``pre1_matrix`` gives the value and an optimal row
 mixture, and ``optimal_pairs`` the (support, counter-move-set) pairs of the
 optimal mixtures that the non-local safety step reads, both over all
-mixtures or, given ``k``, over k-uniform ones.  This is the only module
-that runs the simplex.
+mixtures or, given ``k``, over k-uniform ones.  ``pre1`` is the one loop
+over a game's states that answers ``Pre1``: value iteration and the local
+step of both improvement loops call it.  This is the only module that runs
+the simplex.
 
 A game's one-step results are kept for as long as the game object lives,
 in ``GameStructure.one_step_cache``, keyed by a matrix's cells and scale:
@@ -51,8 +53,9 @@ a fresh computation would.  A scan at ``k`` is also the start of the
 payoff's scans at larger ``k``, which score only the denominator layers it
 lacks.  Solvers hold states by ``done`` sets, not absorbing copies, so the
 cache lives on the game they were given: on the command line, the game
-parsed for one solve.  Matrices with one row or one column take closed
-forms and bypass it.
+parsed for one solve.  A matrix with one row or one column reaches neither
+the cache nor the k-uniform scan: ``pre1_matrix`` and ``optimal_pairs``
+answer it from its cells, for any ``k``.
 
 The k-uniform mixtures (all probabilities multiples of ``1/l`` for a
 common denominator ``l <= k``) are maximized by enumeration.  They are
@@ -286,12 +289,11 @@ class _OneStep:
     scans: dict[int, tuple] = field(default_factory=dict)
 
 
-def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep | None:
+def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep:
     """The cache entry of ``matrix`` in ``game``, keyed by its canonical
-    cells and scale, or None for a matrix with one row or one column: those
-    take closed forms and bypass the cache."""
-    if len(matrix.rows) < 2 or len(matrix.cols) < 2:
-        return None
+    cells and scale.  Its callers answer a matrix with one row or one
+    column from the cells first, so only matrices of at least 2 x 2 get
+    here."""
     cache = game.one_step_cache
     key = (matrix.cells, matrix.scale)
     entry = cache.get(key)
@@ -302,8 +304,7 @@ def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep | None:
 
 def _solution(game: GameStructure, matrix: MatrixGame) -> MatrixSolution:
     """``solve_matrix_game(matrix)``, solved at most once per payoff in
-    ``game``; ``matrix`` has at least two rows and two columns (the callers
-    answer the other shapes in closed form)."""
+    ``game``."""
     entry = _one_step(game, matrix)
     if entry.solution is None:
         entry.solution = solve_matrix_game(matrix)
@@ -378,18 +379,29 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
 
 
 def pre1(
-    game: GameStructure, v: Mapping[str, Fraction], done: AbstractSet[str] = frozenset()
+    game: GameStructure, v: Mapping[str, Fraction], done: AbstractSet[str] = frozenset(),
+    k: int | None = None,
 ) -> tuple[dict[str, Fraction], Selector]:
-    """Pointwise sup-inf one-step operator with a witness selector; a state
-    in ``done`` is held at ``v[s]`` with its first move as witness, which
-    is what the matrix game of a self-loop (every entry ``v[s]``) returns."""
+    """Pointwise sup-inf one-step operator with a witness selector, over all
+    mixtures or, given ``k``, over k-uniform ones: ``pre1_matrix`` of each
+    state's one-step matrix, in state order.  A state in ``done`` is held
+    at ``v[s]`` with its first move as witness, which is what the matrix
+    game of a self-loop (every entry ``v[s]``) returns; no matrix is built
+    for it, but given ``k`` it takes the scan's budget check all the same.
+
+    Every solver loop reads ``Pre1`` here: value iteration applies it, and
+    the improvement rounds take its values and witnesses, then ask
+    ``one_step_matrix`` again for a state's matrix, which hands back the
+    one built here."""
     values: dict[str, Fraction] = {}
     choice: dict[str, dict[str, Fraction]] = {}
     for s in game.states:
         if s in done:
+            if k is not None:
+                _check_k_uniform_budget(len(game.moves1[s]), k)
             values[s], choice[s] = v[s], {game.moves1[s][0]: ONE}
         else:
-            values[s], choice[s] = pre1_matrix(game, one_step_matrix(game, v, s))
+            values[s], choice[s] = pre1_matrix(game, one_step_matrix(game, v, s), k)
     return values, Selector(choice)
 
 
@@ -452,24 +464,15 @@ def _k_uniform_scan(
     only the pure mixture, in layer 1.  The budget is checked first,
     against ``k``.
 
-    A single column has a closed form: the optimal mixtures are those over
-    its maximal rows, the first in enumeration order is the first maximal
-    row alone, and layer ``l`` adds each support ``A`` of ``l`` maximal
-    rows, as the uniform mixture on ``A``, in subset order.
+    The solvers scan matrices of at least 2 x 2 only (``pre1_matrix`` and
+    ``optimal_pairs`` answer the others from the cells); on one column the
+    fold gives the optima those closed forms read off.
     """
     m = len(matrix.rows)
     _check_k_uniform_budget(m, k)
     value, optima = scan if scan is not None else (None, ())
-    scale, cells = matrix.scale, matrix.cells
-    if len(matrix.cols) == 1:
-        high = max(row[0] for row in cells)
-        best = [a for a, row in enumerate(cells) if row[0] == high]
-        return Fraction(high, scale), optima + tuple(
-            (A, (0,), size, tuple(int(a in A) for a in range(m)))
-            for size in range(k0 + 1, min(k, len(best)) + 1)
-            for A in itertools.combinations(best, size)
-        )
-    cols = list(zip(*cells))
+    scale = matrix.scale
+    cols = list(zip(*matrix.cells))
     for denom in range(k0 + 1, (k if m > 1 else 1) + 1):
         best_low = None
         ties: list[tuple[tuple[int, ...], list[int]]] = []
@@ -506,10 +509,7 @@ def _k_uniform_optima(game: GameStructure, matrix: MatrixGame, k: int) -> KUnifo
     ``k`` in ``game``, and grown from the payoff's cached scan at the
     largest ``k0 < k``, if any, so that a run raising k one step at a time
     scores each denominator layer of a payoff once."""
-    entry = _one_step(game, matrix)
-    if entry is None:
-        return _k_uniform_scan(matrix, k)
-    scans = entry.scans
+    scans = _one_step(game, matrix).scans
     scan = scans.get(k)
     if scan is None:
         k0 = max((j for j in scans if j < k), default=0)
@@ -563,29 +563,36 @@ def optimal_pairs(
     then of ``B``), each with a witness: a row mixture with support exactly
     ``A`` attaining the optimum, held to it by exactly the columns ``B``.
 
-    Unrestricted, the witness is the slack LP's (``_feasible_unrestricted``).
-    A matrix with one row or one column has closed forms, the slack LP's own
-    optima: on 1 x n the one row with the columns at its minimum and
-    witness 1; on m x 1 every set of maximal rows, uniformly, with the
-    column.  Other shapes are pruned (``_pruned_pairs``) once per payoff in
-    ``game``.  Given ``k``, the pairs and witnesses are those of the
-    k-uniform scan, whose witness is the first mixture in enumeration order
-    realizing the pair.
+    A matrix with one row or one column is answered from its cells, for any
+    ``k`` (after the scan's budget check): on 1 x n the one row with the
+    columns at its minimum and witness 1; on m x 1 every set of maximal
+    rows, of at most ``k`` rows given ``k``, uniformly, with the column.
+    These are the slack LP's own optima and the k-uniform scan's pairs,
+    and the uniform mixture on ``A`` is the scan's first mixture with
+    support ``A``.  Other shapes are answered once per payoff in ``game``:
+    unrestricted, pruned (``_pruned_pairs``) with the slack LP's witness
+    (``_feasible_unrestricted``); given ``k``, by the k-uniform scan, whose
+    witness is the first mixture in enumeration order realizing the pair.
     """
+    if len(matrix.rows) == 1 or len(matrix.cols) == 1:
+        if k is not None:
+            _check_k_uniform_budget(len(matrix.rows), k)
+        cells = matrix.cells
+        if len(matrix.rows) == 1:
+            low = min(cells[0])
+            return (((0,), tuple(b for b, x in enumerate(cells[0]) if x == low), (ONE,)),)
+        high = max(row[0] for row in cells)
+        best = [a for a, row in enumerate(cells) if row[0] == high]
+        return tuple(
+            (A, (0,), (Fraction(1, len(A)),) * len(A))
+            for A in _nonempty_subsets(best) if k is None or len(A) <= k
+        )
     if k is not None:
         _, optima = _k_uniform_optima(game, matrix, k)
         return tuple(sorted(
             ((A, B, tuple(Fraction(counts[a], denom) for a in A)) for A, B, denom, counts in optima),
             key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
         ))
-    cells = matrix.cells
-    if len(matrix.rows) == 1:
-        low = min(cells[0])
-        return (((0,), tuple(b for b, x in enumerate(cells[0]) if x == low), (ONE,)),)
-    if len(matrix.cols) == 1:
-        high = max(row[0] for row in cells)
-        best = [a for a, row in enumerate(cells) if row[0] == high]
-        return tuple((A, (0,), (Fraction(1, len(A)),) * len(A)) for A in _nonempty_subsets(best))
     entry = _one_step(game, matrix)
     if entry.pairs is None:
         entry.pairs = _pruned_pairs(matrix, _solution(game, matrix))

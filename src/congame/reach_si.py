@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .matrix import MatrixGame, one_step_matrix, pre1_matrix
+from .matrix import MatrixGame, one_step_matrix, pre1
 from .mdp import (
     ImproperSelectorError,
     compute_W2,
@@ -237,22 +237,20 @@ class ReachSIRunner(Runner):
         done = self.target | self.w2
         # The one-step value of each new choice at v, which the new value
         # must reach; on T and W2, which the evaluation holds absorbing, v.
-        bound = dict(v)
-        matrices = {s: one_step_matrix(self.game, v, s) for s in self.game.states if s not in done}
-        witness = {}
-        for s, matrix in matrices.items():
-            bound[s], witness[s] = pre1_matrix(self.game, matrix)
-        self.improve_set = frozenset(s for s in witness if bound[s] > v[s])
+        bound, witness = pre1(self.game, v, done)
+        self.improve_set = frozenset(s for s in self.game.states if s not in done and bound[s] > v[s])
         if not self.improve_set:
             return True
         choice = {
-            s: dict(witness[s] if s in self.improve_set else self.selector.choice[s])
+            s: dict(witness.choice[s] if s in self.improve_set else self.selector.choice[s])
             for s in self.game.states
         }
         for s in self.improve_set:
             if any(p.denominator.bit_length() > MAX_WITNESS_BITS for p in choice[s].values()):
                 midpoint = (v[s] + bound[s]) / 2
-                choice[s], bound[s] = _dyadic_rounding(matrices[s], choice[s], midpoint)
+                # The matrix pre1 built at s, handed back unbuilt.
+                matrix = one_step_matrix(self.game, v, s)
+                choice[s], bound[s] = _dyadic_rounding(matrix, choice[s], midpoint)
                 if bound[s] < midpoint:
                     raise AssertionError(f"rounded witness below the midpoint at {s!r}")
         selector = Selector(choice)

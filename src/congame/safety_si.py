@@ -15,8 +15,7 @@ pair leads only back into the set.  The solve computes it that way, as one
 greatest fixpoint on the concurrent game (``improvement_switches``);
 ``tb_reduction`` materializes the turn-based game itself, for
 ``congame dump-tb``.  Both read each state's pairs from
-``matrix.optimal_pairs``, by row and column position; ``SupportPair`` is
-one such pair in move labels.
+``matrix.optimal_pairs``, by row and column position.
 
 Even with the non-local step the plain loop may converge below the value.
 The convergent variant restricts the loop to k-uniform mixtures (finitely
@@ -40,14 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping
 
-from .matrix import (
-    MatrixGame,
-    PositionPair,
-    _check_k_uniform_budget,
-    one_step_matrix,
-    optimal_pairs,
-    pre1_matrix,
-)
+from .matrix import MatrixGame, PositionPair, one_step_matrix, optimal_pairs, pre1
 from .mdp import _greatest_fixpoint, almost_sure_safe_strategy, strategy_value_safety
 from .model import (
     GameStructure,
@@ -62,27 +54,6 @@ from .model import (
     uniform_selector,
 )
 from .reach_si import Runner
-
-
-@dataclass(frozen=True)
-class SupportPair:
-    """A feasible (support, counter-move-set) pair at a state.
-
-    ``witness`` is a player-1 mixture with support exactly ``A`` achieving
-    the one-step optimum at the state; ``B`` is exactly the set of player-2
-    moves that hold it to that optimum (all others strictly exceed it).
-    """
-
-    A: tuple[str, ...]
-    B: tuple[str, ...]
-    witness: dict[str, Fraction]
-
-    @classmethod
-    def from_positions(cls, matrix: MatrixGame, pair: PositionPair) -> SupportPair:
-        """``pair``, one of ``optimal_pairs(game, matrix)``, in move labels."""
-        A, B, probabilities = pair
-        support = tuple(matrix.rows[a] for a in A)
-        return cls(support, tuple(matrix.cols[b] for b in B), dict(zip(support, probabilities)))
 
 
 @dataclass
@@ -138,25 +109,26 @@ def tb_reduction(
     safe_bar: set[str] = {s for s in game.states if s in safe}
     for s in game.states:
         held = s in done
+        rows, cols = game.moves1[s], game.moves2[s]
         if held:
-            rows, cols = game.moves1[s], game.moves2[s]
             matrix = MatrixGame(rows, cols, ((v[s],) * len(cols),) * len(rows))
         else:
             matrix = one_step_matrix(game, v, s)
         pair_nodes = []
-        for position_pair in optimal_pairs(game, matrix, k):
-            pair = SupportPair.from_positions(matrix, position_pair)
-            node = _pair_node(s, pair.A, pair.B)
+        for support, counter, probabilities in optimal_pairs(game, matrix, k):
+            A = tuple(rows[a] for a in support)
+            B = tuple(cols[b] for b in counter)
+            node = _pair_node(s, A, B)
             pair_nodes.append(node)
             states.append(node)
             partition[node] = P2
-            back_map[node] = ("pair", s, pair.A, pair.B)
-            witness_store[(s, pair.A, pair.B)] = pair.witness
+            back_map[node] = ("pair", s, A, B)
+            witness_store[(s, A, B)] = dict(zip(A, probabilities))
             if s in safe:
                 safe_bar.add(node)
             resp_nodes = []
-            for b in pair.B:
-                resp = _resp_node(s, pair.A, b)
+            for b in B:
+                resp = _resp_node(s, A, b)
                 resp_nodes.append(resp)
                 if resp in partition:
                     # (state, support, response) nodes are shared between
@@ -164,10 +136,10 @@ def tb_reduction(
                     continue
                 states.append(resp)
                 partition[resp] = RANDOM
-                back_map[resp] = ("resp", s, pair.A, b)
+                back_map[resp] = ("resp", s, A, b)
                 if s in safe:
                     safe_bar.add(resp)
-                successors = {s} if held else {t for a in pair.A for t in game.dest(s, a, b)}
+                successors = {s} if held else {t for a in A for t in game.dest(s, a, b)}
                 ordered = sorted(successors, key=order.__getitem__)
                 edges[resp] = tuple(ordered)
                 share = Fraction(1, len(ordered))
@@ -216,35 +188,26 @@ def improvement_switches(
     k-uniform ones.  An empty result with ``k=None`` is the unrestricted
     stopping condition: ``v`` is the value of the game.
 
-    Each state that is not held gets its one-step matrix built once, and
-    both steps read it: the local step's ``pre1_matrix`` and the non-local
-    step's ``optimal_pairs``, whose pairs stay by position until a state
-    is switched.
+    The local step is ``matrix.pre1`` with the held states in ``done``.
+    The non-local step asks ``one_step_matrix`` for the matrices ``pre1``
+    built, which come back unbuilt, and reads their ``optimal_pairs``,
+    which stay by position until a state is switched.
     """
     safe = set(F)
     w1 = set(W1)
     done = _held(game, safe, w1)
-    matrices: dict[str, MatrixGame] = {}
-    local: dict[str, dict[str, Fraction]] = {}
-    for s in game.states:
-        if s in done:
-            if k is not None:  # no scan, but the scan's budget check, in state order
-                _check_k_uniform_budget(len(game.moves1[s]), k)
-            continue
-        matrix = matrices[s] = one_step_matrix(game, v, s)
-        value, mix = pre1_matrix(game, matrix, k)
-        if value > v[s]:
-            local[s] = mix
+    values, witness = pre1(game, v, done, k)
+    local = {s: witness.choice[s] for s in game.states if s not in done and values[s] > v[s]}
     if local:
         return local, False
     # Each safe state outside W1 with its pairs and their successor sets.
     options: dict[str, list[tuple[PositionPair, set[str]]]] = {}
     for s in game.states:
         if s in safe and s not in w1:
-            rows, cols = matrices[s].rows, matrices[s].cols
+            rows, cols = game.moves1[s], game.moves2[s]
             options[s] = [
                 (pair, {t for a in pair[0] for b in pair[1] for t in game.dest(s, rows[a], cols[b])})
-                for pair in optimal_pairs(game, matrices[s], k)
+                for pair in optimal_pairs(game, one_step_matrix(game, v, s), k)
             ]
     alive = _greatest_fixpoint(
         [s for s in game.states if s in safe],
@@ -254,7 +217,7 @@ def improvement_switches(
     for s in options:
         if s in alive:
             A, _, probabilities = next(pair for pair, successors in options[s] if successors <= alive)
-            switches[s] = {matrices[s].rows[a]: p for a, p in zip(A, probabilities)}
+            switches[s] = {game.moves1[s][a]: p for a, p in zip(A, probabilities)}
     return switches, True
 
 

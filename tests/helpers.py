@@ -10,10 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import congame.matrix
+import congame.reach_si
+import congame.safety_si
 from congame.examples import example_text
 from congame.gamefile import parse_game
 from congame.matrix import (
     MatrixGame,
+    PositionPair,
     _compositions,
     _k_uniform_optima,
     _reduced_compositions,
@@ -42,7 +46,7 @@ from congame.model import (
     swap_players,
 )
 from congame.reach_si import ReachSIRunner
-from congame.safety_si import ConvergentSafetyRunner, SupportPair
+from congame.safety_si import ConvergentSafetyRunner
 
 from oracles import slack_lp_feasible
 
@@ -208,6 +212,56 @@ def reference_k_uniform_pairs(
         if key not in out:
             out[key] = mix
     return out
+
+
+@dataclass(frozen=True)
+class SupportPair:
+    """A feasible (support, counter-move-set) pair at a state, in move labels.
+
+    ``witness`` is a player-1 mixture with support exactly ``A`` achieving
+    the one-step optimum at the state; ``B`` is exactly the set of player-2
+    moves that hold it to that optimum (all others strictly exceed it).
+    """
+
+    A: tuple[str, ...]
+    B: tuple[str, ...]
+    witness: dict[str, Fraction]
+
+    @classmethod
+    def from_positions(cls, matrix: MatrixGame, pair: PositionPair) -> SupportPair:
+        """``pair``, one of ``optimal_pairs(game, matrix)``, in move labels."""
+        A, B, probabilities = pair
+        support = tuple(matrix.rows[a] for a in A)
+        return cls(support, tuple(matrix.cols[b] for b in B), dict(zip(support, probabilities)))
+
+
+def record_one_step_matrices(monkeypatch, owner, name: str) -> list[tuple[tuple, dict[str, list[MatrixGame]]]]:
+    """Patch the function ``owner.<name>`` so that each call records its
+    arguments and, per state, every matrix ``one_step_matrix`` returned
+    while it ran; returns the records, one per call, oldest first."""
+    original = getattr(owner, name)
+    build = congame.matrix.one_step_matrix
+    calls: list[tuple[tuple, dict[str, list[MatrixGame]]]] = []
+    running: list[dict[str, list[MatrixGame]]] = []
+
+    def recording_call(*args, **kwargs):
+        calls.append((args, {}))
+        running.append(calls[-1][1])
+        try:
+            return original(*args, **kwargs)
+        finally:
+            running.pop()
+
+    def recording_matrix(game, v, s):
+        matrix = build(game, v, s)
+        if running:
+            running[-1].setdefault(s, []).append(matrix)
+        return matrix
+
+    monkeypatch.setattr(owner, name, recording_call)
+    for module in (congame.matrix, congame.reach_si, congame.safety_si):
+        monkeypatch.setattr(module, "one_step_matrix", recording_matrix)
+    return calls
 
 
 def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Selector) -> Fraction:

@@ -21,7 +21,8 @@ loop with every k-uniform run started from the uniform selector, the
 reference for the warm-started rounds.  The fifth is `reduction_switches`,
 the safety improvement round with its non-local step read off the
 materialized turn-based reduction (`tb_reduction`, `tb_almost_sure_safe`),
-the reference for the fixpoint the solver runs on the concurrent game.
+the reference for the fixpoint the solver runs on the concurrent game; its
+local step calls `pre1`, as the solver's does.
 The sixth is value iteration as standalone loops over `pre1`
 (`reach_value_iteration`, `safety_value_iteration_upper`) with the safety
 selector extraction at a fixpoint (`extract_optimal_safety_selector`), the
@@ -37,7 +38,7 @@ import itertools
 from fractions import Fraction
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
-from congame.matrix import MatrixGame, _check_k_uniform_budget, one_step_matrix, pre1, pre1_matrix
+from congame.matrix import MatrixGame, pre1
 from congame.mdp import compute_W2, strategy_value_reach, tb_almost_sure_safe, tb_attractor
 from congame.model import (
     P1,
@@ -506,23 +507,13 @@ def reduction_switches(game, v, F, W1, k=None):
     step produced them, with the non-local step run on the turn-based
     reduction itself: build ``tb_reduction``, take ``tb_almost_sure_safe``
     of it, and send each winning state outside W1 to the witness of the
-    pair its winning strategy picks.  The local step is a copy of the
-    solver's."""
+    pair its winning strategy picks.  The local step is the solver's own,
+    ``pre1`` with the held states in ``done``."""
     safe = set(F)
     w1 = set(W1)
     done = w1 | (set(game.states) - safe)
-    if k is None:
-        pre_vals, witness = pre1(game, v, done)
-        local_witness = witness.choice
-    else:
-        pre_vals = {}
-        local_witness = {}
-        for s in game.states:
-            if s in done:
-                _check_k_uniform_budget(len(game.moves1[s]), k)
-            else:
-                pre_vals[s], local_witness[s] = pre1_matrix(game, one_step_matrix(game, v, s), k)
-    local = {s: local_witness[s] for s in game.states if s not in done and pre_vals[s] > v[s]}
+    pre_vals, witness = pre1(game, v, done, k)
+    local = {s: witness.choice[s] for s in game.states if s not in done and pre_vals[s] > v[s]}
     if local:
         return local, False
     reduction = tb_reduction(game, v, safe, done, k)

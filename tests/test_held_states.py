@@ -57,10 +57,11 @@ def test_held_shapes_are_covered():
 
 def test_pre1_holds_like_a_copy():
     for _, game, v, done in _cases(61, 80):
-        values, witness = pre1(game, v, done)
-        ref_values, ref_witness = pre1(make_absorbing(game, done), v)
-        assert values == ref_values
-        assert witness.choice == ref_witness.choice
+        for k in (None, 1, 2, 3):
+            values, witness = pre1(game, v, done, k)
+            ref_values, ref_witness = pre1(make_absorbing(game, done), v, k=k)
+            assert values == ref_values
+            assert witness.choice == ref_witness.choice
 
 
 def test_induce_mdp_holds_like_a_copy():

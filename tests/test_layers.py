@@ -3,9 +3,9 @@
 ``matrix`` answers every one-step question, so it is the only module that
 runs the simplex, touches a game's one-step cache or reads a matrix game's
 ``Fraction`` payoff, and the other modules use it through its public names
-and the integer cells of its matrices.  The one private name they may import is
-``_check_k_uniform_budget``: a held state takes the k-uniform budget check
-without a scan.
+and the integer cells of its matrices.  Across the package, one private name
+is imported outside its module: ``safety_si`` runs the non-local step on
+``mdp._greatest_fixpoint``, the counting routine behind every qualitative set.
 """
 
 from __future__ import annotations
@@ -81,4 +81,14 @@ def test_matrix_private_names_stay_in_matrix():
         for module, imported in _imports(tree)
         if module == "matrix" and imported and imported.startswith("_")
     }
-    assert {imported for _, imported in private} <= {"_check_k_uniform_budget"}
+    assert private == set()
+
+
+def test_one_private_import_across_modules():
+    private = {
+        (name, module, imported)
+        for name, tree in SOURCES.items()
+        for module, imported in _imports(tree)
+        if imported and imported.startswith("_")
+    }
+    assert private == {("safety_si", "mdp", "_greatest_fixpoint")}

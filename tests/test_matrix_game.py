@@ -15,6 +15,7 @@ from congame import (
     GameStructure,
     MatrixGame,
     one_step_matrix,
+    optimal_pairs,
     pre1,
     pre1_matrix,
     solve_matrix_game,
@@ -228,7 +229,8 @@ def test_enumerate_k_uniform_budget_checked_before_cache(monkeypatch):
 
 
 def test_single_column_scan_keeps_the_budget(monkeypatch):
-    # One column takes a closed form, but the same budget still applies.
+    # On one column the fold lists every set of maximal rows, uniformly, in
+    # subset order, under the same budget as any other shape.
     monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 5)
     column = game_matrix([[1], [1]])
     assert _k_uniform_scan(column, 2) == (1, (((0,), (0,), 1, (1, 0)), ((1,), (0,), 1, (0, 1)),
@@ -631,37 +633,61 @@ def _line_matrix(rng: random.Random) -> MatrixGame:
     return game_matrix([[x] for x in line])
 
 
+def _pairs(optima):
+    """The pairs of k-uniform scan optima, with their witnesses, in subset
+    order: what ``optimal_pairs`` returns on a matrix of 2 x 2 or more."""
+    return tuple(sorted(
+        ((A, B, tuple(F(counts[a], denom) for a in A)) for A, B, denom, counts in optima),
+        key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]),
+    ))
+
+
 def test_one_line_answers_are_the_solver_and_scan_answers(monkeypatch):
-    # On one row or one column, pre1_matrix reads the answer off the cells;
-    # it is the solver's value and row and the k-uniform scan's first
-    # optimum, and the scan's errors come first all the same.
+    # On one row or one column, pre1_matrix and optimal_pairs read the
+    # answer off the cells: the solver's value and row, and the general
+    # k-uniform scan's first optimum and pairs, witnesses included.  With
+    # no k the pairs are those of a scan at k = the row count, which reaches
+    # every set of maximal rows.  The scan's errors come first all the
+    # same, and no such matrix reaches the cache.
     rng = random.Random(3802)
     game = GameStructure(("q",), ("a",), {"q": ("a",)}, {"q": ("a",)}, {("q", "a", "a"): {"q": ONE}})
     shapes = Counter()
+    maximal = Counter()
     for _ in range(2000):
         matrix = _line_matrix(rng)
         m, n = len(matrix.rows), len(matrix.cols)
         cells = list(itertools.chain(*matrix.cells))
         shapes["row" if m == 1 else "column", len(set(cells)) < len(cells)] += 1
+        if m > 1:
+            maximal[cells.count(max(cells))] += 1
         solution = solve_matrix_game(matrix)
         value, mix = pre1_matrix(game, matrix)
         assert value == solution.value
         assert list(mix.items()) == [(a, p) for a, p in zip(matrix.rows, solution.row_strategy) if p > 0]
+        assert optimal_pairs(game, matrix) == _pairs(_k_uniform_scan(matrix, m)[1])
         for k in range(1, 7):
             scan_value, optima = _k_uniform_scan(matrix, k)
             _, _, denom, counts = optima[0]
             value, mix = pre1_matrix(game, matrix, k)
             assert value == scan_value == solution.value
             assert list(mix.items()) == [(a, F(c, denom)) for a, c in zip(matrix.rows, counts) if c]
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            pre1_matrix(game, matrix, 0)
+            assert optimal_pairs(game, matrix, k) == _pairs(optima)
+        for answer in (pre1_matrix, optimal_pairs):
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                answer(game, matrix, 0)
+    assert not game.one_step_cache
     assert min(shapes.values()) >= 200, shapes
+    # Columns with 1 to 4 maximal rows.
+    assert sorted(maximal) == [1, 2, 3, 4] and min(maximal.values()) >= 40, maximal
     monkeypatch.setattr("congame.matrix.MAX_KUNIFORM_ENUMERATION", 5)
-    for payoff, k in (([[1, 2, 2]], 6), ([[1], [2], [2]], 2)):
+    for payoff, k, where in (([[1, 2, 2]], 6, "k=6, moves=1"), ([[1], [2], [2]], 2, "k=2, moves=3")):
         matrix = game_matrix(payoff)
         with pytest.raises(BudgetExceeded) as scanned:
             _k_uniform_scan(matrix, k)
-        with pytest.raises(BudgetExceeded) as answered:
-            pre1_matrix(game, matrix, k)
-        assert str(answered.value) == str(scanned.value)
+        assert str(scanned.value) == f"k-uniform enumeration budget exceeded ({where})"
+        for answer in (pre1_matrix, optimal_pairs):
+            with pytest.raises(BudgetExceeded) as answered:
+                answer(game, matrix, k)
+            assert str(answered.value) == str(scanned.value)
         assert pre1_matrix(game, matrix, k - 1) == pre1_matrix(game, matrix)
+        assert optimal_pairs(game, matrix, k - 1) == _pairs(_k_uniform_scan(matrix, k - 1)[1])

@@ -21,7 +21,7 @@ from congame.matrix import MatrixGame, solve_matrix_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT, _dyadic_rounding
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import is_proper, strategy_value_reach_by_copy
+from helpers import is_proper, record_one_step_matrices, strategy_value_reach_by_copy
 from oracles import (
     EncodedTurnBasedReach,
     fraction_dyadic_rounding,
@@ -295,6 +295,26 @@ def test_bounded_bit_witnesses_stay_sound(monkeypatch):
         ).run(12)
         assert all(bounded.values[s] + avoid.values[s] <= ONE for s in game.states)
     assert rounded_runs >= 10
+
+
+def test_round_builds_each_matrix_once(monkeypatch):
+    # Within one round, every one_step_matrix request for a state returns
+    # the same object: pre1 builds it, and the rounding of a wide witness
+    # (every witness that is not dyadic, under a 1-bit bound) gets it back
+    # unbuilt.  T and W2, which the round holds, are never requested.
+    monkeypatch.setattr(congame.reach_si, "MAX_WITNESS_BITS", 1)
+    calls = record_one_step_matrices(monkeypatch, ReachSIRunner, "_round")
+    rng = random.Random(3901)
+    for _ in range(300):
+        game = random_concurrent_game(rng, n_states=rng.randint(2, 4), max_moves=3)
+        ReachSIRunner(game, {game.states[0]}).run(12)
+    assert calls
+    for (runner,), requested in calls:
+        assert not (runner.target | runner.w2) & requested.keys()
+        for matrices in requested.values():
+            assert all(matrix is matrices[0] for matrix in matrices)
+    repeated = sum(len(matrices) > 1 for _, requested in calls for matrices in requested.values())
+    assert repeated >= 50
 
 
 @pytest.mark.parametrize("graph", [False, True])

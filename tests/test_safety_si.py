@@ -34,8 +34,8 @@ from congame.safety_si import K_UNIFORM_MAX_STEPS
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
-    k_uniform_pairs, opt_sel_count, opt_sel_feasible, reference_k_uniform_pairs,
-    round_to_k_uniform,
+    k_uniform_pairs, opt_sel_count, opt_sel_feasible, record_one_step_matrices,
+    reference_k_uniform_pairs, round_to_k_uniform,
 )
 from oracles import (
     ColdConvergentSafety,
@@ -512,28 +512,18 @@ def test_convergent_runs_one_stopping_test_per_valuation(ex3full, monkeypatch):
 
 
 def test_improvement_switches_builds_each_matrix_once(ex3full, monkeypatch):
-    # The local and the non-local step read one matrix per state that is
-    # not held.
-    switches = congame.safety_si.improvement_switches
-    matrix = congame.matrix.one_step_matrix
-    built: list[list[str]] = []
-
-    def recording_switches(game, v, F, W1, k=None):
-        built.append([])
-        return switches(game, v, F, W1, k)
-
-    def recording_matrix(game, v, s):
-        built[-1].append(s)
-        return matrix(game, v, s)
-
-    monkeypatch.setattr(congame.safety_si, "improvement_switches", recording_switches)
-    monkeypatch.setattr(congame.safety_si, "one_step_matrix", recording_matrix)
-    monkeypatch.setattr(congame.matrix, "one_step_matrix", recording_matrix)
+    # Within one call, every one_step_matrix request for a state returns the
+    # same object: pre1 builds it for the local step and the non-local step
+    # gets it back unbuilt.  No held state is requested.
+    calls = record_one_step_matrices(monkeypatch, congame.safety_si, "improvement_switches")
     runner = _ex3full_convergent(ex3full)
     held = runner.inner.done
-    assert built and all(states for states in built)
-    for states in built:
-        assert len(states) == len(set(states)) and not held & set(states)
+    assert calls and all(requested for _, requested in calls)
+    for _, requested in calls:
+        assert not held & requested.keys()
+        for matrices in requested.values():
+            assert all(matrix is matrices[0] for matrix in matrices)
+    assert any(len(matrices) > 1 for _, requested in calls for matrices in requested.values())
 
 
 def test_convergent_all_unsafe(ex3step1):
