@@ -327,7 +327,7 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
         except ValueError as exc:
             raise CliError(f"--algorithm {name}:K needs an integer, got {inline!r}") from exc
     else:
-        k = args.k if args.k is not None else len(game.moves)
+        k = args.k if args.k is not None else 1
     if algorithm.kind not in (None, kind):
         raise CliError(algorithm.wrong_kind)
     max_iters = args.max_iters if args.max_iters is not None else algorithm.max_iters

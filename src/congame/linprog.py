@@ -17,6 +17,8 @@ lrs, and it pays for no gcd inside the loop.
   reaches on the integer matrix with row ``i`` scaled by ``L_i`` after
   pivoting each row on its slack or artificial column, so every numerator
   is a minor of that matrix and ``d`` is the determinant of the basis.
+  An ``int`` has denominator 1, and the one-step layer passes rows of
+  ``int``s, so there ``d`` starts at 1.
 - **Pivot on (r, c)** with ``p = T[r][c]``: row ``r`` stays, every other row
   becomes ``(x*p - f*y) // d`` with ``f = T[i][c]``, and ``p`` is the new
   ``d``.  By Sylvester's determinant identity the new entries are again

@@ -16,7 +16,14 @@ that same immutable object, so the improvement loops, which call at every
 state in every round while most successors stand still, build a state's
 matrix once per successor valuation.  Every exact comparison below (the
 closed forms, the certificate, the k-uniform scan, the pair pruning) reads
-the cells; only the simplex reads the ``Fraction`` view ``payoff``.
+the cells, and both simplex programs are built from them: each is the
+program over the ``Fraction`` payoff with every row and right-hand side
+multiplied by one positive factor (the scale, times the target's
+denominator in the slack LP), which leaves ``B^-1 A``, Bland's choices,
+the ratio test and its ties, hence the pivots, the point and the value,
+as they were; only the dual prices shrink by that factor.  A factor per
+row would not do: phase 1 would then minimize a weighted sum of
+artificials, and it pivots differently.
 
 Matrix games are solved exactly by one run of the rational simplex: the
 row player's maximin program gives the value and a row strategy, and the
@@ -84,7 +91,14 @@ from .model import BudgetExceeded, GameStructure, Selector, ZERO, ONE
 MAX_KUNIFORM_ENUMERATION = 500_000
 
 
-@dataclass(frozen=True, init=False)
+def _scaled(numbers) -> tuple[int, list[int]]:
+    """The least common denominator ``d`` of ``numbers`` and each of them
+    times ``d``, as integers."""
+    d = math.lcm(*(x.denominator for x in numbers))
+    return d, [x.numerator * (d // x.denominator) for x in numbers]
+
+
+@dataclass(frozen=True)
 class MatrixGame:
     """One-shot zero-sum game; the row player maximizes.
 
@@ -92,12 +106,10 @@ class MatrixGame:
     ``cells[a][b] / scale``, with ``scale > 0`` and gcd(scale, cells) = 1.
     That form is canonical, since ``scale`` is then the lcm of the entries'
     reduced denominators, so two matrices have equal cells and scale
-    exactly when their payoffs are equal.  It is built once, where the
-    matrix is made, and every exact comparison of the one-step layer reads
-    it; ``payoff``, the entries as ``Fraction``s, is derived on first use,
-    and only the simplex paths read it.  ``MatrixGame(rows, cols, payoff)``
-    reduces a given payoff to that form; ``one_step_matrix`` builds it
-    directly.
+    exactly when their payoffs are equal.  The constructor takes that form
+    as given: ``one_step_matrix`` builds it directly, and every exact
+    comparison and both simplex programs of the one-step layer read it.
+    ``MatrixGame.of(rows, cols, payoff)`` reduces rational entries to it.
     """
 
     rows: tuple[str, ...]
@@ -105,29 +117,17 @@ class MatrixGame:
     cells: tuple[tuple[int, ...], ...]
     scale: int
 
-    def __init__(self, rows: Sequence[str], cols: Sequence[str], payoff) -> None:
+    @classmethod
+    def of(cls, rows: Sequence[str], cols: Sequence[str], payoff) -> MatrixGame:
+        """The matrix game of the rational entries ``payoff[a][b]``."""
         if not rows or not cols:
             raise ValueError("matrix game needs nonempty rows and cols")
         if len(payoff) != len(rows) or any(len(r) != len(cols) for r in payoff):
             raise ValueError("payoff shape does not match labels")
-        payoff = tuple(tuple(Fraction(x) for x in row) for row in payoff)
-        scale = math.lcm(*(x.denominator for row in payoff for x in row))
-        cells = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in payoff)
-        self.__dict__.update(
-            rows=tuple(rows), cols=tuple(cols), cells=cells, scale=scale, payoff=payoff
-        )
-
-    @functools.cached_property
-    def payoff(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as ``Fraction``s."""
-        return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.cells)
-
-
-def _integer_game(rows, cols, cells, scale: int) -> MatrixGame:
-    """The matrix game of ``cells`` over ``scale``, already in canonical form."""
-    game = object.__new__(MatrixGame)
-    game.__dict__.update(rows=rows, cols=cols, cells=cells, scale=scale)
-    return game
+        scale, flat = _scaled([Fraction(x) for row in payoff for x in row])
+        n = len(cols)
+        cells = tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+        return cls(tuple(rows), tuple(cols), cells, scale)
 
 
 @dataclass(frozen=True)
@@ -137,35 +137,23 @@ class MatrixSolution:
     col_strategy: tuple[Fraction, ...]
 
 
-def _solve_lp_game(
-    payoff, n_rows: int, n_cols: int
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+def _solve_lp_game(matrix: MatrixGame) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """The value, an optimal row strategy and an optimal column strategy.
 
     Variables: x_0..x_{m-1}, g+, g-; maximize g = g+ - g- subject to one
-    ``>=`` row per column.  The column LP is this program's dual: the
-    shadow price of column ``b``'s row is ``-y_b``.
+    ``>=`` row per column and ``sum x = 1``.  Every row is that of the
+    ``Fraction`` payoff times ``scale``, so the rows are the integer cells
+    and the pivots, the point and the value are those of the ``Fraction``
+    program.  The column LP is this program's dual: the shadow price of
+    column ``b``'s row is ``-y_b / scale``.
     """
-    objective = [ZERO] * n_rows + [ONE, -ONE]
-    rows = []
-    senses = []
-    rhs = []
-    for b in range(n_cols):
-        rows.append([payoff[a][b] for a in range(n_rows)] + [-ONE, ONE])
-        senses.append(GEQ)
-        rhs.append(ZERO)
-    rows.append([ONE] * n_rows + [ZERO, ZERO])
-    senses.append(EQ)
-    rhs.append(ONE)
-    value, point, duals = solve_lp(objective, rows, senses, rhs, maximize=True)
-    return value, point[:n_rows], [-y for y in duals[:n_cols]]
-
-
-def _scaled(numbers) -> tuple[int, list[int]]:
-    """The least common denominator ``d`` of ``numbers`` and each of them
-    times ``d``, as integers."""
-    d = math.lcm(*(x.denominator for x in numbers))
-    return d, [x.numerator * (d // x.denominator) for x in numbers]
+    scale, m, n = matrix.scale, len(matrix.rows), len(matrix.cols)
+    rows = [list(column) + [-scale, scale] for column in zip(*matrix.cells)]
+    rows.append([scale] * m + [0, 0])
+    senses = [GEQ] * n + [EQ]
+    rhs = [0] * n + [scale]
+    value, point, duals = solve_lp([0] * m + [1, -1], rows, senses, rhs, maximize=True)
+    return value, point[:m], [-scale * y for y in duals[:n]]
 
 
 def _check_certificate(game: MatrixGame, value: Fraction, row_mix, col_mix) -> None:
@@ -272,7 +260,7 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
     else:
         solved = _unique_2x2(game) if m == n == 2 else None
         if solved is None:
-            solved = _solve_lp_game(game.payoff, m, n)
+            solved = _solve_lp_game(game)
     value, row_mix, col_mix = solved
     _check_certificate(game, value, row_mix, col_mix)
     return MatrixSolution(value, tuple(row_mix), tuple(col_mix))
@@ -365,15 +353,14 @@ def one_step_matrix(game: GameStructure, v: Mapping[str, Fraction], s: str) -> M
     last = step.last
     if last is not None and last[0] == values:
         return last[1]
-    lcd = math.lcm(*(x.denominator for x in values))
-    scaled = [x.numerator * (lcd // x.denominator) for x in values]
+    lcd, scaled = _scaled(values)
     cells = tuple(tuple(sum(map(mul, dist, scaled)) for dist in row) for row in step.numerators)
     scale = step.den * lcd
     common = math.gcd(scale, *itertools.chain.from_iterable(cells))
     if common > 1:
         scale //= common
         cells = tuple(tuple(c // common for c in row) for row in cells)
-    matrix = _integer_game(game.moves1[s], game.moves2[s], cells, scale)
+    matrix = MatrixGame(game.moves1[s], game.moves2[s], cells, scale)
     step.last = (values, matrix)
     return matrix
 
@@ -642,8 +629,9 @@ def _feasible_unrestricted(
     matrix: MatrixGame, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
 ) -> tuple[Fraction, ...] | None:
     """Maximize a shared slack below the support probabilities and above the
-    strict inequalities; a positive optimum is exactly strict feasibility.
-    Returns the witness's probabilities on the rows ``A``.
+    strict inequalities (``_slack_program``); a positive optimum is exactly
+    strict feasibility.  Returns the witness's probabilities on the rows
+    ``A``.
 
     One row needs no LP: it is feasible exactly when it meets the target on
     ``B`` and strictly exceeds it elsewhere, with witness 1.  For more rows,
@@ -665,37 +653,35 @@ def _feasible_unrestricted(
         column = [cells[a][j] * den for a in A]
         if not (min(column) <= goal <= max(column) if j in b_set else max(column) > goal):
             return None
-    payoff = matrix.payoff
-    n = len(A) + 1  # mixture over A plus the slack variable
-    t_col = len(A)
-    rows: list[list[Fraction]] = []
-    senses: list[str] = []
-    rhs: list[Fraction] = []
-    for i in range(len(A)):
-        row = [ZERO] * n
-        row[i] = ONE
-        row[t_col] = -ONE
-        rows.append(row)
-        senses.append(GEQ)
-        rhs.append(ZERO)
-    rows.append([ONE] * len(A) + [ZERO])
-    senses.append(EQ)
-    rhs.append(ONE)
-    for j in range(len(payoff[0])):
-        row = [payoff[a][j] for a in A]
-        if j in b_set:
-            rows.append(row + [ZERO])
-            senses.append(EQ)
-            rhs.append(target)
-        else:
-            rows.append(row + [-ONE])
-            senses.append(GEQ)
-            rhs.append(target)
-    objective = [ZERO] * len(A) + [ONE]
     try:
-        slack, point, _ = solve_lp(objective, rows, senses, rhs, maximize=True)
+        slack, point, _ = solve_lp(*_slack_program(matrix, target, A, B), maximize=True)
     except LPInfeasible:
         return None
     if slack <= 0:
         return None
     return tuple(point[: len(A)])
+
+
+def _slack_program(
+    matrix: MatrixGame, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
+) -> tuple[list[int], list[list[int]], list[str], list[int]]:
+    """The objective, rows, senses and right-hand sides of the slack LP
+    over the probabilities ``x_a`` on ``A`` and the slack ``t``: maximize
+    ``t`` subject to ``x_a - t >= 0``, ``sum x = 1`` and, per column ``j``,
+    ``sum_a M[a][j] x_a`` equal to ``target`` for ``j`` in ``B`` and at
+    least ``target + t`` elsewhere.
+
+    Each row and its right-hand side are those of the program over the
+    ``Fraction`` payoff times ``unit``, the scale times the target's
+    denominator: integers, on which the simplex pivots, and returns the
+    slack and the point, as on the ``Fraction`` program."""
+    b_set = set(B)
+    cells, den = matrix.cells, target.denominator
+    unit = matrix.scale * den
+    n, width = len(A), len(matrix.cols)
+    rows = [[unit if a == i else 0 for a in range(n)] + [-unit] for i in range(n)]
+    rows.append([unit] * n + [0])
+    rows += ([cells[a][j] * den for a in A] + [0 if j in b_set else -unit] for j in range(width))
+    senses = [GEQ] * n + [EQ] + [EQ if j in b_set else GEQ for j in range(width)]
+    rhs = [0] * n + [unit] + [target.numerator * matrix.scale] * width
+    return [0] * n + [1], rows, senses, rhs

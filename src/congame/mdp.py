@@ -191,8 +191,6 @@ def _policy_values(
         row = {s: ONE}
         shift = ZERO
         for t, p in step[s].items():
-            if not p:
-                continue
             if t in index:
                 row[t] = row.get(t, ZERO) - p
             elif fixed[t]:

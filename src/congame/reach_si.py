@@ -202,12 +202,11 @@ class ReachSIRunner(Runner):
     """Reachability strategy improvement (the two-sided certifier steps it
     directly, interleaved with the safety sequence).
 
-    It holds the current ``selector``, the ``valuations`` of every selector
-    held and ``improve_set``, the states the last round switched.  It
-    runs on ``game`` as given, with no absorbing copy: the evaluation
-    holds T and W2 absorbing and the rounds never look at them.  It starts
-    from the uniform selector, which is proper.  A turn-based game
-    runs on its graph instead, in ``TurnBasedReachRunner``.
+    It holds the current ``selector`` and the ``valuations`` of every
+    selector held.  It runs on ``game`` as given, with no absorbing copy:
+    the evaluation holds T and W2 absorbing and the rounds never look at
+    them.  It starts from the uniform selector, which is proper.  A
+    turn-based game runs on its graph instead, in ``TurnBasedReachRunner``.
 
     The witnesses taken are bounded: a switched state whose exact ``Pre1``
     witness has a probability with a denominator wider than
@@ -226,7 +225,6 @@ class ReachSIRunner(Runner):
         self.selector = uniform_selector(self.game)
         value = _kept_proper(self, strategy_value_reach, self.selector, _IMPROPER_START)
         self.valuations: list[Valuation] = [value]
-        self.improve_set: frozenset[str] = frozenset()
 
     def _round(self) -> bool:
         """Rewrite the selector to a one-step-optimal mixture (or its
@@ -238,14 +236,14 @@ class ReachSIRunner(Runner):
         # The one-step value of each new choice at v, which the new value
         # must reach; on T and W2, which the evaluation holds absorbing, v.
         bound, witness = pre1(self.game, v, done)
-        self.improve_set = frozenset(s for s in self.game.states if s not in done and bound[s] > v[s])
-        if not self.improve_set:
+        improve_set = {s for s in self.game.states if s not in done and bound[s] > v[s]}
+        if not improve_set:
             return True
         choice = {
-            s: dict(witness.choice[s] if s in self.improve_set else self.selector.choice[s])
+            s: dict(witness.choice[s] if s in improve_set else self.selector.choice[s])
             for s in self.game.states
         }
-        for s in self.improve_set:
+        for s in improve_set:
             if any(p.denominator.bit_length() > MAX_WITNESS_BITS for p in choice[s].values()):
                 midpoint = (v[s] + bound[s]) / 2
                 # The matrix pre1 built at s, handed back unbuilt.
@@ -258,7 +256,7 @@ class ReachSIRunner(Runner):
         for s in self.game.states:
             if value[s] < bound[s]:
                 raise AssertionError(f"improvement step decreased the bound at {s!r}")
-        for s in self.improve_set:
+        for s in improve_set:
             if not value[s] > v[s]:
                 raise AssertionError(f"no strict improvement at {s!r}")
         self.selector = selector
@@ -270,13 +268,13 @@ class TurnBasedReachRunner(Runner):
     """Hoffman-Karp strategy iteration for Reach(T) on a turn-based game.
 
     It holds player 1's pure strategy as ``picks``, one successor per
-    player-1 node, with ``valuations`` and ``improve_set`` as in
-    ``ReachSIRunner``; ``game`` is the ``TurnBasedGame`` and ``w2`` its
-    value-zero nodes.  The start picks the attractor's successor towards
-    T and W2, and the first edge where the attractor gives none; that
-    strategy is proper.  Each round switches the player-1 nodes outside T
-    and W2 whose best successor beats their value strictly to their first
-    best successor in edge order.
+    player-1 node, with ``valuations`` as in ``ReachSIRunner``; ``game``
+    is the ``TurnBasedGame`` and ``w2`` its value-zero nodes.  The start
+    picks the attractor's successor towards T and W2, and the first edge
+    where the attractor gives none; that strategy is proper.  Each round
+    switches the player-1 nodes outside T and W2 whose best successor
+    beats their value strictly to their first best successor in edge
+    order.
 
     Round for round it is ``ReachSIRunner`` on the concurrent encoding
     started from the same pure selector: the same W2, values, improvement
@@ -295,7 +293,6 @@ class TurnBasedReachRunner(Runner):
         }
         value = _kept_proper(self, tb_strategy_value_reach, self.picks, _IMPROPER_START)
         self.valuations: list[Valuation] = [value]
-        self.improve_set: frozenset[str] = frozenset()
 
     @property
     def selector(self) -> Selector:
@@ -315,7 +312,6 @@ class TurnBasedReachRunner(Runner):
                 best = max(tb.edges[s], key=v.__getitem__)  # the first of the maxima
                 if v[best] > v[s]:
                     switch[s] = best
-        self.improve_set = frozenset(switch)
         if not switch:
             return True
         picks = {**self.picks, **switch}

@@ -91,7 +91,9 @@ def tb_reduction(
     against that response.  Player 1 offers the ``optimal_pairs`` of the
     state's one-step matrix.  A state in ``done`` is held: every move pair
     loops back to it, so it offers the pairs ``optimal_pairs`` finds on its
-    matrix with every entry ``v[s]``, each leading only to the state itself.
+    matrix with every entry ``v[s]`` (cells ``v[s].numerator`` over scale
+    ``v[s].denominator``, canonical since ``v[s]`` is reduced), each leading
+    only to the state itself.
 
     This is the materialized view of the non-local step, printed by
     ``congame dump-tb``.  The solve never builds it: ``improvement_switches``
@@ -111,7 +113,8 @@ def tb_reduction(
         held = s in done
         rows, cols = game.moves1[s], game.moves2[s]
         if held:
-            matrix = MatrixGame(rows, cols, ((v[s],) * len(cols),) * len(rows))
+            cells = ((v[s].numerator,) * len(cols),) * len(rows)
+            matrix = MatrixGame(rows, cols, cells, v[s].denominator)
         else:
             matrix = one_step_matrix(game, v, s)
         pair_nodes = []

@@ -127,11 +127,16 @@ def strategy_value_safety_by_copy(
     return {s: ONE - reach[s] for s in game.states}
 
 
+def fraction_payoff(matrix: MatrixGame) -> tuple[tuple[Fraction, ...], ...]:
+    """The entries of ``matrix`` as ``Fraction``s."""
+    return tuple(tuple(Fraction(c, matrix.scale) for c in row) for row in matrix.cells)
+
+
 def column_values(matrix: MatrixGame, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Expected payoff of each column against the row mixture ``weights``
     (given in row order)."""
     return tuple(
-        sum((w * row[j] for w, row in zip(weights, matrix.payoff) if w), ZERO)
+        sum((w * row[j] for w, row in zip(weights, fraction_payoff(matrix)) if w), ZERO)
         for j in range(len(matrix.cols))
     )
 
@@ -305,7 +310,7 @@ def opt_sel_feasible(
         matrix = one_step_matrix(game, v, s)
         target = solve_matrix_game(matrix).value
         witness = slack_lp_feasible(
-            matrix.payoff, target,
+            fraction_payoff(matrix), target,
             tuple(moves1.index(a) for a in A), tuple(moves2.index(b) for b in B),
         )
         if witness is None:

@@ -12,8 +12,10 @@ None of it shares code with the solver paths it checks, with seven deliberate
 exceptions.  Two are on the package's integer simplex: the reachability
 linear program for MDP values, so comparing it with `mdp.max_reach_values`
 (policy iteration, no LP) cross-checks the integer simplex against policy
-iteration; and the slack LP for support pairs, the reference for the closed
-forms, pruning and pre-filter of `matrix.optimal_pairs`.  The third is
+iteration; and the two LPs of the one-step layer with their rows over the
+`Fraction` payoff (`fraction_game_lp`, `fraction_slack_lp`), the
+references for the integer rows `matrix` builds, the slack LP also for the
+closed forms, pruning and pre-filter of `matrix.optimal_pairs`.  The third is
 `EncodedTurnBasedReach`, the concurrent reachability improvement run on a
 turn-based game's encoding, the reference for the graph runner that
 replaced it.  The fourth is `ColdConvergentSafety`, the convergent safety
@@ -28,8 +30,8 @@ The sixth is value iteration as standalone loops over `pre1`
 selector extraction at a fixpoint (`extract_optimal_safety_selector`), the
 references for `value_iter.ValueIterationRunner`.  The seventh is
 `fraction_one_step_matrix`, whose `Fraction` sums go through the package's
-`MatrixGame` constructor, so that the solvers can run on it in place of
-the integer build it checks.
+`MatrixGame.of`, so that the solvers can run on it in place of the integer
+build it checks.
 """
 
 from __future__ import annotations
@@ -254,13 +256,28 @@ def saddle_kind(payoff):
     return "strict" if "strict" in kinds else "weak" if kinds else "none"
 
 
-def slack_lp_feasible(payoff, target, A, B):
-    """Strict feasibility of the support pair (rows ``A``, columns ``B``)
-    by the slack LP on the package's simplex, for every size of ``A``:
-    maximize a shared slack ``t`` below every probability on ``A`` and
-    above every column outside ``B``, with the columns in ``B`` held at
-    ``target``.  Returns the probabilities on ``A`` when the optimum is
-    positive, else None."""
+def fraction_game_lp(payoff):
+    """The matrix-game LP of ``matrix._solve_lp_game`` with its rows over
+    the `Fraction` payoff, on the package's simplex: maximize g = g+ - g-
+    with x^T M >= g in every column and sum x = 1.  Returns the value, the
+    row strategy and the column strategy, the negated dual prices of the
+    column rows."""
+    m, n = len(payoff), len(payoff[0])
+    rows = [[payoff[a][b] for a in range(m)] + [-ONE, ONE] for b in range(n)]
+    rows.append([ONE] * m + [ZERO, ZERO])
+    value, point, duals = solve_lp(
+        [ZERO] * m + [ONE, -ONE], rows, [GEQ] * n + [EQ], [ZERO] * n + [ONE], maximize=True
+    )
+    return value, point[:m], [-y for y in duals[:n]]
+
+
+def fraction_slack_lp(payoff, target, A, B):
+    """The slack LP of the support pair (rows ``A``, columns ``B``) with its
+    rows over the `Fraction` payoff, on the package's simplex: maximize a
+    shared slack ``t`` below every probability on ``A`` and above every
+    column outside ``B``, with the columns in ``B`` held at ``target``.
+    Returns the optimal slack and the probabilities on ``A``, or None when
+    the LP is infeasible."""
     n = len(A) + 1
     rows, senses, rhs = [], [], []
     for i in range(len(A)):
@@ -280,7 +297,15 @@ def slack_lp_feasible(payoff, target, A, B):
         slack, point, _ = solve_lp([ZERO] * len(A) + [ONE], rows, senses, rhs, maximize=True)
     except SimplexInfeasible:
         return None
-    return tuple(point[: len(A)]) if slack > 0 else None
+    return slack, tuple(point[: len(A)])
+
+
+def slack_lp_feasible(payoff, target, A, B):
+    """Strict feasibility of the support pair (rows ``A``, columns ``B``)
+    by ``fraction_slack_lp``, for every size of ``A``: the probabilities on
+    ``A`` when the optimal slack is positive, else None."""
+    solved = fraction_slack_lp(payoff, target, A, B)
+    return solved[1] if solved is not None and solved[0] > 0 else None
 
 
 def slack_lp_pruned_pairs(payoff, solution):
@@ -895,6 +920,7 @@ def fraction_dyadic_rounding(matrix, mix, floor):
     give that move the rest, and stop at the first rounding whose one-step
     value in ``matrix`` reaches ``floor``."""
     row = {a: i for i, a in enumerate(matrix.rows)}
+    payoff = [[Fraction(c, matrix.scale) for c in cells] for cells in matrix.cells]
     top = max(mix, key=mix.__getitem__)
     for j in itertools.count(1):
         scale = 1 << j
@@ -904,7 +930,7 @@ def fraction_dyadic_rounding(matrix, mix, floor):
             continue
         rounded[top] = rest
         value = min(
-            sum((p * matrix.payoff[row[a]][b] for a, p in rounded.items()), ZERO)
+            sum((p * payoff[row[a]][b] for a, p in rounded.items()), ZERO)
             for b in range(len(matrix.cols))
         )
         if value >= floor:
@@ -914,11 +940,12 @@ def fraction_dyadic_rounding(matrix, mix, floor):
 def fraction_one_step_matrix(game, v, s):
     """``matrix.one_step_matrix`` in ``Fraction`` arithmetic: each entry is
     the sum of ``p * v[t]`` over the move pair's distribution, one
-    ``Fraction`` at a time, and ``MatrixGame`` reduces the payoff to its
+    ``Fraction`` at a time, and ``MatrixGame.of`` reduces the payoff to its
     integer form."""
     rows, cols = game.moves1[s], game.moves2[s]
 
     def expected(dist):
         return sum((p * v[t] for t, p in dist.items()), ZERO)
 
-    return MatrixGame(rows, cols, tuple(tuple(expected(game.delta[(s, a, b)]) for b in cols) for a in rows))
+    payoff = tuple(tuple(expected(game.delta[(s, a, b)]) for b in cols) for a in rows)
+    return MatrixGame.of(rows, cols, payoff)

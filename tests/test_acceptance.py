@@ -160,7 +160,7 @@ def test_criterion_06_matrix_oracle_equivalence():
         payoff = [[rng.choice(grid) for _ in range(n)] for _ in range(m)]
         rows = tuple(f"r{i}" for i in range(m))
         cols = tuple(f"c{j}" for j in range(n))
-        sol = solve_matrix_game(MatrixGame(rows, cols, tuple(tuple(r) for r in payoff)))
+        sol = solve_matrix_game(MatrixGame.of(rows, cols, tuple(tuple(r) for r in payoff)))
         assert sol.value == matrix_value_oracle(payoff)
         # returned strategies really guarantee the value
         assert min(

@@ -21,6 +21,7 @@ from congame.cli import build_parser, decimal_string, main, parse_objective
 from congame.gamefile import serialize_game
 
 from conftest import random_concurrent_game
+from helpers import fraction_payoff
 from oracles import fraction_one_step_matrix, saddle_kind
 
 F = Fraction
@@ -571,14 +572,14 @@ def _record_lps(monkeypatch) -> tuple[list, list]:
     games, pairs = [], []
     game_lp_of = congame.matrix._solve_lp_game
 
-    def game_lp(payoff, n_rows, n_cols):
-        games.append(payoff)
-        return game_lp_of(payoff, n_rows, n_cols)
+    def game_lp(matrix):
+        games.append(fraction_payoff(matrix))
+        return game_lp_of(matrix)
 
     feasible = congame.matrix._feasible_unrestricted
 
     def pair_lp(matrix, target, A, B):
-        pairs.append((matrix.payoff, target, A, B))
+        pairs.append((fraction_payoff(matrix), target, A, B))
         return feasible(matrix, target, A, B)
 
     monkeypatch.setattr(congame.matrix, "_solve_lp_game", game_lp)
@@ -621,7 +622,7 @@ def _closed_form_recorder():
     def recording(matrix):
         solved = closed_form(matrix)
         if solved is not None:
-            answered.append(saddle_kind(matrix.payoff))
+            answered.append(saddle_kind(fraction_payoff(matrix)))
         return solved
 
     return recording, answered

@@ -19,7 +19,7 @@ F = Fraction
 
 def test_rock_paper_scissors():
     payoff = ((F(0), F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(1), F(0)))
-    sol = solve_matrix_game(MatrixGame(("R", "P", "S"), ("R", "P", "S"), payoff))
+    sol = solve_matrix_game(MatrixGame.of(("R", "P", "S"), ("R", "P", "S"), payoff))
     assert sol.value == 0
     assert sol.row_strategy == (F(1, 3),) * 3
     assert sol.col_strategy == (F(1, 3),) * 3

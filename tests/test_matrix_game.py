@@ -21,10 +21,19 @@ from congame import (
     solve_matrix_game,
     uniform_selector,
 )
-from congame.matrix import MatrixSolution, _k_uniform_scan, _one_step, _solve_lp_game
+from congame.linprog import LPInfeasible, solve_lp
+from congame.matrix import (
+    MatrixSolution,
+    _k_uniform_scan,
+    _nonempty_subsets,
+    _one_step,
+    _slack_program,
+    _solve_lp_game,
+)
 
 from conftest import ONE, ZERO, random_concurrent_game, random_valuations
 from helpers import (
+    fraction_payoff,
     k_uniform_distributions,
     pre1_sel,
     pre_sel_sel,
@@ -33,7 +42,9 @@ from helpers import (
     reference_pre1_k,
 )
 from oracles import (
+    fraction_game_lp,
     fraction_one_step_matrix,
+    fraction_slack_lp,
     matrix_value_oracle,
     reference_solve_matrix_game,
     saddle_kind,
@@ -45,7 +56,7 @@ F = Fraction
 def game_matrix(payoff):
     rows = tuple(f"r{i}" for i in range(len(payoff)))
     cols = tuple(f"c{j}" for j in range(len(payoff[0])))
-    return MatrixGame(rows, cols, tuple(tuple(F(x) for x in row) for row in payoff))
+    return MatrixGame.of(rows, cols, tuple(tuple(F(x) for x in row) for row in payoff))
 
 
 def test_one_by_one():
@@ -103,16 +114,16 @@ def test_one_step_matrix_ex3(ex3step1):
     m = one_step_matrix(ex3step1, v, "s0")
     assert m.rows == ("a", "b")
     assert m.cols == ("c", "d")
-    assert m.payoff == ((ONE, ZERO), (ZERO, ONE))
+    assert fraction_payoff(m) == ((ONE, ZERO), (ZERO, ONE))
     v2 = {"s0": F(1, 2), "s1": ONE, "s2": ZERO}
     m2 = one_step_matrix(ex3step1, v2, "s0")
-    assert m2.payoff == ((ONE, ZERO), (F(1, 4), ONE))
+    assert fraction_payoff(m2) == ((ONE, ZERO), (F(1, 4), ONE))
 
 
 def test_one_step_matrix_constant_valuation(fig1):
     v = {s: F(2, 3) for s in fig1.states}
     m = one_step_matrix(fig1, v, "s3")
-    assert all(x == F(2, 3) for row in m.payoff for x in row)
+    assert all(x == F(2, 3) for row in fraction_payoff(m) for x in row)
 
 
 def test_pre_sel_sel(ex3step1):
@@ -458,6 +469,42 @@ def test_two_by_two_closed_form_matches_the_reference():
     assert min(kinds[k] for k in ("none", "strict", "weak")) >= 100
 
 
+def test_integer_lps_are_the_fraction_lps():
+    """On 2000 random payoffs of 1 to 4 rows and columns, half drawn from a
+    pool of three values (many ties), negative entries included, both LPs
+    built from the integer cells answer as the same programs over the
+    ``Fraction`` payoff (``oracles.fraction_game_lp`` and
+    ``fraction_slack_lp``): the matrix-game LP with the same value, row
+    strategy and column strategy, and the slack LP, at the game's value,
+    with the same slack and point for every pair (A, B) with |A| >= 2, or
+    infeasible in the same cases.  The slack LP is built for every pair,
+    with no pre-filter."""
+    rng = random.Random(4001)
+    seen = Counter()
+
+    def draw():
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for i in range(2000):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        pool = [draw() for _ in range(3)]
+        payoff = [[rng.choice(pool) if i % 2 else draw() for _ in range(n)] for _ in range(m)]
+        matrix = game_matrix(payoff)
+        value, row_mix, col_mix = _solve_lp_game(matrix)
+        assert (value, row_mix, col_mix) == fraction_game_lp(payoff)
+        seen["mixed"] += max(row_mix) < 1 and max(col_mix) < 1
+        for A in _nonempty_subsets(range(m))[m:]:
+            for B in _nonempty_subsets(range(n)):
+                try:
+                    slack, point, _ = solve_lp(*_slack_program(matrix, value, A, B), maximize=True)
+                    got = slack, tuple(point[: len(A)])
+                except LPInfeasible:
+                    got = None
+                assert got == fraction_slack_lp(payoff, value, A, B)
+                seen["infeasible" if got is None else "slack > 0" if got[0] > 0 else "slack <= 0"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 4
+
+
 @pytest.mark.parametrize("c", [F(0), F(1), F(1, 3), F(-2), F(5, 7), F(-1, 9), F(100), F(1, 1000)])
 def test_constant_payoffs_take_the_simplex_answer(monkeypatch, c):
     # The simplex answers every constant m x n payoff with its value, the
@@ -473,7 +520,7 @@ def test_constant_payoffs_take_the_simplex_answer(monkeypatch, c):
     for m, n in itertools.product(range(2, 5), repeat=2):
         payoff = ((c,) * n,) * m
         expected = (c, (ONE,) + (ZERO,) * (m - 1), (ZERO,) * (n - 1) + (ONE,))
-        value, row_mix, col_mix = _solve_lp_game(payoff, m, n)
+        value, row_mix, col_mix = _solve_lp_game(game_matrix(payoff))
         assert (value, tuple(row_mix), tuple(col_mix)) == expected
         with monkeypatch.context() as patch:
             patch.setattr(congame.matrix, "_solve_lp_game", None)
@@ -535,11 +582,12 @@ def test_integer_one_step_matrix_matches_the_fraction_sums():
             for s in game.states:
                 got = one_step_matrix(game, v, s)
                 ref = fraction_one_step_matrix(game, v, s)
-                assert (got.rows, got.cols, got.payoff) == (ref.rows, ref.cols, ref.payoff)
+                payoff = fraction_payoff(got)
+                assert (got.rows, got.cols, payoff) == (ref.rows, ref.cols, fraction_payoff(ref))
                 assert got.scale > 0 and math.gcd(got.scale, *itertools.chain(*got.cells)) == 1
                 key = (got.cells, got.scale)
                 assert key == (ref.cells, ref.scale) and got == ref
-                assert keys.setdefault(ref.payoff, key) == key
+                assert keys.setdefault(fraction_payoff(ref), key) == key
                 if len(got.rows) > 1 and len(got.cols) > 1:
                     assert _one_step(game, got) is _one_step(game, ref)
                 dists = [game.delta[(s, a, b)] for a in got.rows for b in got.cols]
@@ -603,7 +651,7 @@ def test_one_step_matrix_reuses_only_an_unchanged_valuation():
                 got = one_step_matrix(game, v, s)
                 ref = fraction_one_step_matrix(game, v, s)
                 fresh = one_step_matrix(dataclasses.replace(game), v, s)
-                assert got == ref == fresh and got.payoff == ref.payoff
+                assert got == ref == fresh and fraction_payoff(got) == fraction_payoff(ref)
                 if last is not None and kind != "successor":
                     assert got is last
                     seen[kind] += 1

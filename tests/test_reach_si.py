@@ -21,7 +21,9 @@ from congame.matrix import MatrixGame, solve_matrix_game
 from congame.reach_si import STATUS_CAPPED, STATUS_EXACT, _dyadic_rounding
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game
-from helpers import is_proper, record_one_step_matrices, strategy_value_reach_by_copy
+from helpers import (
+    fraction_payoff, is_proper, record_one_step_matrices, strategy_value_reach_by_copy,
+)
 from oracles import (
     EncodedTurnBasedReach,
     fraction_dyadic_rounding,
@@ -65,8 +67,10 @@ def test_improve_step_strict_on_improvement_set(ex3step1):
         runner.game, runner.selector, {"s1"}, compute_W2(ex3step1, {"s1"})
     )
     assert runner.values["s0"] == F(1, 2)
+    before = runner.selector.choice
     assert runner.step()
-    assert runner.improve_set == {"s0"}
+    # The improvement set is the set of states whose choice switched.
+    assert {s for s in before if runner.selector.choice[s] != before[s]} == {"s0"}
     assert runner.values["s0"] == F(4, 7)
 
 
@@ -74,7 +78,7 @@ def test_improve_step_noop_at_fixpoint(fig1):
     runner = ReachSIRunner(fig1, {"s0"})
     selector, v = runner.selector, runner.values
     assert runner.step() is False
-    assert runner.improve_set == frozenset()
+    assert runner.valuations == [v]
     assert runner.values == v
     assert runner.selector is selector
 
@@ -172,15 +176,14 @@ def test_turn_based_oracle_sample():
 
 def _observed(runner):
     return (
-        runner.valuations, runner.improve_set, runner.selector.choice, runner.w2,
-        runner.iterations, runner.status,
+        runner.valuations, runner.selector.choice, runner.w2, runner.iterations, runner.status,
     )
 
 
 def test_graph_runner_matches_encoding_step_by_step():
     """The graph runner takes the same rounds as the concurrent path on the
-    encoding: the same W2, values, improvement sets and selectors at every
-    step, and the same results under a cap."""
+    encoding: the same W2, values and selectors at every step (so the same
+    states switch in every round), and the same results under a cap."""
     rng = random.Random(2101)
     steps = 0
     for _ in range(300):
@@ -208,7 +211,7 @@ def test_dyadic_rounding_is_the_coarsest_reaching_the_floor():
     # rest, and j = 3 gives the others 1/8 each: value 5/8.
     eps = F(1, 1000)
     rows = tuple(f"m{i}" for i in range(6))
-    matrix = MatrixGame(rows, ("x",), tuple((ZERO if a == "m0" else ONE,) for a in rows))
+    matrix = MatrixGame.of(rows, ("x",), tuple((ZERO if a == "m0" else ONE,) for a in rows))
     mix = {a: F(1, 6) + 5 * eps if a == "m0" else F(1, 6) - eps for a in rows}
     rounded, value = _dyadic_rounding(matrix, mix, F(1, 2))
     assert value == F(5, 8)
@@ -236,7 +239,7 @@ def _random_rounding_case(rng: random.Random):
             mix[a] = F(rng.randrange(1, 1 << depth, 2), 1 << (depth + 2))
         mix[rows[0]] = ONE - sum(mix.values())
     mix = dict(rng.sample(list(mix.items()), len(mix)))
-    return MatrixGame(rows, cols, payoff), mix
+    return MatrixGame.of(rows, cols, payoff), mix
 
 
 def test_dyadic_rounding_matches_the_fraction_reference():
@@ -247,7 +250,7 @@ def test_dyadic_rounding_matches_the_fraction_reference():
     for _ in range(300):
         matrix, mix = _random_rounding_case(rng)
         limit = min(
-            sum(p * matrix.payoff[matrix.rows.index(a)][b] for a, p in mix.items())
+            sum(p * fraction_payoff(matrix)[matrix.rows.index(a)][b] for a, p in mix.items())
             for b in range(len(matrix.cols))
         )
         half_way += any(
@@ -351,7 +354,7 @@ def test_dyadic_rounding_deep_in_the_expansion():
         def wide():
             return F(rng.randint(1, 1 << 600), (1 << 700) + rng.randint(1, 1 << 600))
 
-        matrix = MatrixGame(("m0", "m1"), ("c0", "c1"), ((1 - wide(), wide()), (wide(), 1 - wide())))
+        matrix = MatrixGame.of(("m0", "m1"), ("c0", "c1"), ((1 - wide(), wide()), (wide(), 1 - wide())))
         solution = solve_matrix_game(matrix)
         mix = dict(zip(matrix.rows, solution.row_strategy))
         floor = solution.value - F(1, 1 << 2100)

@@ -34,7 +34,7 @@ from congame.safety_si import K_UNIFORM_MAX_STEPS
 
 from conftest import ONE, ZERO, random_concurrent_game, random_tb_game, random_valuations
 from helpers import (
-    k_uniform_pairs, opt_sel_count, opt_sel_feasible, record_one_step_matrices,
+    fraction_payoff, k_uniform_pairs, opt_sel_count, opt_sel_feasible, record_one_step_matrices,
     reference_k_uniform_pairs, round_to_k_uniform,
 )
 from oracles import (
@@ -73,8 +73,9 @@ def test_opt_sel_feasible_equalizer(ex3step1):
     assert pair is not None
     assert pair.witness == {"a": F(3, 7), "b": F(4, 7)}
     matrix = one_step_matrix(ex3step1, v, "s0")
+    payoff = fraction_payoff(matrix)
     for j, b in enumerate(matrix.cols):
-        col = sum(pair.witness[a] * matrix.payoff[i][j] for i, a in enumerate(matrix.rows))
+        col = sum(pair.witness[a] * payoff[i][j] for i, a in enumerate(matrix.rows))
         assert col == F(4, 7)
 
 
@@ -160,7 +161,7 @@ def test_feasible_unrestricted_matches_slack_lp():
     for _ in range(300):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         payoff = [[rng.choice(grid) for _ in range(n)] for _ in range(m)]
-        matrix = MatrixGame(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
+        matrix = MatrixGame.of(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
         target = rng.choice(payoff[0] + [rng.choice(grid)])
         for A in _nonempty_subsets(range(m)):
             if len(A) > 2:
@@ -239,7 +240,7 @@ def test_tb_reduction_witness_pattern_random():
             cols = {}
             for j, b in enumerate(matrix.cols):
                 cols[b] = sum(
-                    witness.get(a, ZERO) * matrix.payoff[i][j]
+                    witness.get(a, ZERO) * fraction_payoff(matrix)[i][j]
                     for i, a in enumerate(matrix.rows)
                 )
             assert tuple(a for a in matrix.rows if witness.get(a, ZERO) > 0) == A
@@ -486,7 +487,7 @@ def test_convergent_scores_each_payoff_layer_once(ex3full, monkeypatch):
     def recording_layer(n_moves, denom):
         matrix = scanning[-1]
         if len(matrix.rows) > 1 and len(matrix.cols) > 1:
-            scored[(matrix.payoff, denom)] += 1
+            scored[(fraction_payoff(matrix), denom)] += 1
         return layer(n_moves, denom)
 
     monkeypatch.setattr(congame.matrix, "_k_uniform_scan", recording_scan)
@@ -648,7 +649,7 @@ def test_pruned_pairs_match_the_slack_lp_alone():
     for _ in range(2000):
         m, n = rng.randint(2, 3), rng.randint(2, 3)
         payoff = tuple(tuple(rng.choice(grid) for _ in range(n)) for _ in range(m))
-        matrix = MatrixGame(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
+        matrix = MatrixGame.of(tuple(f"r{a}" for a in range(m)), tuple(f"c{b}" for b in range(n)), payoff)
         solution = solve_matrix_game(matrix)
         got = _pruned_pairs(matrix, solution)
         assert got == slack_lp_pruned_pairs(payoff, solution)
