@@ -64,8 +64,13 @@ from .reach_si import (
     ReachSIRunner,
     TurnBasedReachRunner,
 )
-from . import safety_si
-from .safety_si import ConvergentSafetyRunner, SafetySIRunner, safety_regions, tb_reduction
+from .safety_si import (
+    K_UNIFORM_MAX_STEPS,
+    ConvergentSafetyRunner,
+    SafetySIRunner,
+    safety_regions,
+    tb_reduction,
+)
 from .value_iter import HypothesisViolation, ValueIterationRunner, eta_achieved_values
 
 APPROX_DIGITS = 20
@@ -121,7 +126,7 @@ def _strategy_doc(game: GameStructure, selector: Selector | None) -> dict | None
     if selector is None:
         return None
     return {
-        s: {a: format_fraction(p) for a, p in selector.choice[s].items() if p > 0}
+        s: {a: format_fraction(p) for a, p in selector[s].items() if p > 0}
         for s in game.states
     }
 
@@ -134,8 +139,10 @@ def _values_doc(game: GameStructure, values) -> dict:
 
 
 def _split_algorithm(raw: str) -> tuple[str, str | None]:
-    name, _, arg = raw.partition(":")
-    return name, (arg or None)
+    """The name and the inline argument: None without a colon, and kept
+    as given, even empty, with one."""
+    name, colon, arg = raw.partition(":")
+    return name, (arg if colon else None)
 
 
 def _load(path: str) -> tuple[GameStructure, TurnBasedGame | None]:
@@ -159,7 +166,7 @@ class Problem:
     tb: TurnBasedGame | None
     kind: str
     chosen: list[str]
-    max_iters: int | None  # None only for algorithms that ignore the cap
+    max_iters: int
     eps: Fraction
     k: int
 
@@ -238,9 +245,8 @@ def _safety_si(p: Problem) -> Solve:
 def _k_uniform(p: Problem) -> Solve:
     """A k-uniform fixpoint is exact for the whole game only if it is
     ``optimal``: the unrestricted stopping condition also holds there.  A
-    run that uses up its budget of steps is capped."""
-    # The budget is read from the module at call time, like the convergent loop's.
-    runner = SafetySIRunner(p.game, p.chosen, p.k).run(safety_si.K_UNIFORM_MAX_STEPS)
+    run stopped by the cap is capped."""
+    runner = SafetySIRunner(p.game, p.chosen, p.k).run(p.max_iters)
     return Solve(
         STATUS_EXACT if runner.optimal else STATUS_CAPPED, runner.values, runner.iterations,
         runner.selector, runner.values,
@@ -278,7 +284,7 @@ def _certify(p: Problem) -> Solve:
 
 class Algorithm(NamedTuple):
     run: Callable[[Problem], Solve]
-    max_iters: int | None  # the default --max-iters; None if it runs to its fixpoint
+    max_iters: int  # the default --max-iters
     kind: str | None = None  # the objective kind it solves; None for both
     wrong_kind: str = ""  # the error for the other kind
     inline: str = ""  # the one option it reads, "K" or "EPS", also as ALGORITHM:ARG
@@ -291,7 +297,9 @@ ALGORITHMS = {
         "reach-si solves reach objectives; use a safety algorithm for safe",
     ),
     "safety-si": Algorithm(_safety_si, 100, "safe", "safety-si solves safe objectives"),
-    "k-uniform": Algorithm(_k_uniform, None, "safe", "k-uniform solves safe objectives", "K"),
+    "k-uniform": Algorithm(
+        _k_uniform, K_UNIFORM_MAX_STEPS, "safe", "k-uniform solves safe objectives", "K",
+    ),
     "convergent": Algorithm(_convergent, 50, "safe", "convergent solves safe objectives"),
     "certify": Algorithm(
         _certify, 200, "safe", "certify takes a safe objective (the reach side is derived)",
@@ -316,7 +324,7 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
             raise CliError(f"{name} does not read --{option.lower()}")
         if given is not None and inline is not None:
             raise CliError(f"{name}: give {option} inline or as --{option.lower()}, not both")
-    takes = algorithm.inline if inline else ""
+    takes = algorithm.inline if inline is not None else ""
     if takes == "EPS":
         eps = parse_fraction(inline, f"--algorithm {name}:EPS")
     else:
@@ -453,9 +461,11 @@ def _dump_tb(args: argparse.Namespace) -> int:
         raise CliError(
             f"dump-tb needs state and move names without '+', '/', '[' or ']': {', '.join(clash)}"
         )
-    if args.si_iters < 0:
+    if args.valuation is not None and args.si_iters is not None:
+        raise CliError("dump-tb takes --valuation or --si-iters, not both")
+    if args.si_iters is not None and args.si_iters < 0:
         raise CliError("--si-iters must be >= 0")
-    if args.valuation:
+    if args.valuation is not None:
         try:
             with open(args.valuation, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
@@ -472,7 +482,7 @@ def _dump_tb(args: argparse.Namespace) -> int:
                 raise CliError(f"valuation[{s!r}] = {value} outside [0, 1]")
         safe, _, _, done = safety_regions(game, chosen)
     else:
-        runner = SafetySIRunner(game, chosen).run(args.si_iters)
+        runner = SafetySIRunner(game, chosen).run(args.si_iters or 0)
         v, safe, done = runner.values, runner.safe, runner.done
     reduction = tb_reduction(game, v, safe, done, args.k)
     winning, _ = tb_almost_sure_safe(reduction.game, reduction.safe_bar)
@@ -556,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("input")
     dump.add_argument("--objective", required=True)
     dump.add_argument("--valuation", default=None, help="JSON file state -> rational")
-    dump.add_argument("--si-iters", type=int, default=0, help="derive the valuation by running this many safety improvement iterations")
+    dump.add_argument("--si-iters", type=int, default=None, help="derive the valuation by running this many safety improvement iterations (default 0)")
     dump.add_argument("--k", type=int, default=None, help="restrict mixtures to k-uniform")
 
     validate = sub.add_parser("validate", help="parse and check a game file")

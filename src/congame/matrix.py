@@ -51,18 +51,19 @@ the simplex.
 
 A game's one-step results are kept for as long as the game object lives,
 in ``GameStructure.one_step_cache``, keyed by a matrix's cells and scale:
-the solution, the support pairs and the k-uniform scan per ``k``.  The
-integer form is canonical (the scale is the lcm of the entries' reduced
-denominators), so two keys are equal exactly when the payoffs are, and
-the cache hits where a key of ``Fraction`` entries would.  Each result is
-a function of the payoff alone, stored by position, so a hit returns what
-a fresh computation would.  A scan at ``k`` is also the start of the
-payoff's scans at larger ``k``, which score only the denominator layers it
-lacks.  Solvers hold states by ``done`` sets, not absorbing copies, so the
-cache lives on the game they were given: on the command line, the game
-parsed for one solve.  A matrix with one row or one column reaches neither
-the cache nor the k-uniform scan: ``pre1_matrix`` and ``optimal_pairs``
-answer it from its cells, for any ``k``.
+the solution, the support pairs and the k-uniform scan at the largest
+``k`` asked for.  The integer form is canonical (the scale is the lcm of
+the entries' reduced denominators), so two keys are equal exactly when
+the payoffs are, and the cache hits where a key of ``Fraction`` entries
+would.  Each result is a function of the payoff alone, stored by
+position, so a hit returns what a fresh computation would.  A request at
+a larger ``k`` grows the kept scan, scoring only the denominator layers
+it lacks, and replaces it.  Solvers hold states by ``done`` sets, not
+absorbing copies, so the cache lives on the game they were given: on the
+command line, the game parsed for one solve.  A matrix with one row or
+one column reaches neither the cache nor the k-uniform scan:
+``pre1_matrix`` and ``optimal_pairs`` answer it from its cells, for any
+``k``.
 
 The k-uniform mixtures (all probabilities multiples of ``1/l`` for a
 common denominator ``l <= k``) are maximized by enumeration.  They are
@@ -77,7 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import AbstractSet, Mapping, Sequence
@@ -269,12 +270,13 @@ def solve_matrix_game(game: MatrixGame) -> MatrixSolution:
 @dataclass(slots=True)
 class _OneStep:
     """What has been computed for one payoff matrix of a game: its solution,
-    its unrestricted support pairs, and the k-uniform scan per ``k``.
-    Everything is by row and column position."""
+    its unrestricted support pairs, and its k-uniform scan at the largest
+    ``k`` asked for, as ``(k, scan)``.  Everything is by row and column
+    position."""
 
     solution: MatrixSolution | None = None
     pairs: tuple | None = None
-    scans: dict[int, tuple] = field(default_factory=dict)
+    scan: tuple[int, KUniformScan] | None = None
 
 
 def _one_step(game: GameStructure, matrix: MatrixGame) -> _OneStep:
@@ -381,7 +383,7 @@ def pre1(
     ``one_step_matrix`` again for a state's matrix, which hands back the
     one built here."""
     values: dict[str, Fraction] = {}
-    choice: dict[str, dict[str, Fraction]] = {}
+    choice: Selector = {}
     for s in game.states:
         if s in done:
             if k is not None:
@@ -389,7 +391,7 @@ def pre1(
             values[s], choice[s] = v[s], {game.moves1[s][0]: ONE}
         else:
             values[s], choice[s] = pre1_matrix(game, one_step_matrix(game, v, s), k)
-    return values, Selector(choice)
+    return values, choice
 
 
 def _compositions(total: int, parts: int):
@@ -492,15 +494,19 @@ def _k_uniform_scan(
 
 
 def _k_uniform_optima(game: GameStructure, matrix: MatrixGame, k: int) -> KUniformScan:
-    """``_k_uniform_scan(matrix, k)``, scanned at most once per payoff and
-    ``k`` in ``game``, and grown from the payoff's cached scan at the
-    largest ``k0 < k``, if any, so that a run raising k one step at a time
-    scores each denominator layer of a payoff once."""
-    scans = _one_step(game, matrix).scans
-    scan = scans.get(k)
-    if scan is None:
-        k0 = max((j for j in scans if j < k), default=0)
-        scan = scans[k] = _k_uniform_scan(matrix, k, k0, scans.get(k0))
+    """``_k_uniform_scan(matrix, k)``, grown from the payoff's cached scan
+    in ``game`` when that is at a smaller k, so that a run raising k one
+    step at a time scores each denominator layer of a payoff once.  Only
+    the scan at the largest k is kept: a request below it, which no solver
+    makes, is scanned fresh."""
+    entry = _one_step(game, matrix)
+    k0, scan = entry.scan or (0, None)
+    if k0 == k:
+        return scan
+    if k0 > k:
+        return _k_uniform_scan(matrix, k)
+    scan = _k_uniform_scan(matrix, k, k0, scan)
+    entry.scan = (k, scan)
     return scan
 
 

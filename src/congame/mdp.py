@@ -75,7 +75,7 @@ def induce_mdp(
             for b in game.moves2[s]:
                 delta2[(s, b)] = loop
             continue
-        mix = xi1.choice[s]
+        mix = xi1[s]
         if len(mix) == 1 and ONE in mix.values():
             # A pure move: the mixture is that move's distribution.
             (a,) = mix

@@ -11,12 +11,14 @@ solvers depend on exact equality tests (fixpoint detection, value classes,
 optimal-selector membership), so nothing in this package ever touches
 floating point.
 
-Objects are immutable after construction and safe to share.  The one
-exception is a game's memo of one-step results (``one_step_cache``, and
-the integer transition rows they are built from, ``one_step_rows``).  Its
-entries are functions of their keys, and it only gains entries, except
-for each state's last one-step matrix beside its rows, which a build from
-other successor values replaces, never mutates.
+Game objects are immutable after construction and safe to share.  The
+one exception is a game's memo of one-step results (``one_step_cache``,
+and the integer transition rows they are built from, ``one_step_rows``).
+Its entries are functions of their keys, and it only gains entries,
+except for each state's last one-step matrix beside its rows, which a
+build from other successor values replaces, never mutates.  Valuations
+and selectors are plain dicts that the solvers build fresh and never
+change once returned.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 Valuation = dict[str, Fraction]
+# A memoryless strategy for one player: ``selector[s]`` maps moves of the
+# player's move set at ``s`` to positive probabilities that sum to one.  A
+# solver builds a fresh outer map each round and may share a state's
+# mixture between selectors, since no code mutates a mixture in place.
+Selector = dict[str, dict[str, Fraction]]
 
 P1 = "P1"
 P2 = "P2"
@@ -189,26 +196,14 @@ class TurnBasedGame:
                 raise GameError(f"non-random state {s!r} has a distribution")
 
 
-@dataclass(frozen=True)
-class Selector:
-    """Per-state mixed move distribution for one player.
-
-    ``choice[s]`` maps moves to positive probabilities summing to one; the
-    support must lie inside the player's move set at ``s``.  Playing a
-    selector forever is a memoryless strategy.
-    """
-
-    choice: dict[str, dict[str, Fraction]]
-
-
 def uniform_selector(game: GameStructure) -> Selector:
     """Player-1 selector playing all available moves uniformly at random."""
-    choice = {}
+    selector = {}
     for s in game.states:
         avail = game.moves1[s]
         n = len(avail)
-        choice[s] = {a: Fraction(1, n) for a in avail}
-    return Selector(choice)
+        selector[s] = {a: Fraction(1, n) for a in avail}
+    return selector
 
 
 def swap_players(game: GameStructure) -> GameStructure:

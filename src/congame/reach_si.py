@@ -72,11 +72,11 @@ class Runner:
     returns True at the fixpoint.
 
     The improvement runners (the two here, those of ``safety_si`` and the
-    ``Certifier``) also provide ``selector``, which achieves ``values``
-    (on a graph, in the move names of its concurrent encoding): their
-    ``valuations`` are the exact values of the selectors held.  The
-    iterates of ``value_iter.ValueIterationRunner`` are bounds that no
-    selector it holds achieves.
+    ``Certifier``) also provide ``selector``, a plain ``model.Selector``
+    map that achieves ``values`` (on a graph, in the move names of its
+    concurrent encoding): their ``valuations`` are the exact values of the
+    selectors held.  The iterates of ``value_iter.ValueIterationRunner``
+    are bounds that no selector it holds achieves.
     """
 
     finished = False
@@ -203,10 +203,12 @@ class ReachSIRunner(Runner):
     directly, interleaved with the safety sequence).
 
     It holds the current ``selector`` and the ``valuations`` of every
-    selector held.  It runs on ``game`` as given, with no absorbing copy:
-    the evaluation holds T and W2 absorbing and the rounds never look at
-    them.  It starts from the uniform selector, which is proper.  A
-    turn-based game runs on its graph instead, in ``TurnBasedReachRunner``.
+    selector held; each round builds a new selector map, which shares the
+    old one's mixtures on the states it does not switch.  It runs on
+    ``game`` as given, with no absorbing copy: the evaluation holds T and
+    W2 absorbing and the rounds never look at them.  It starts from the
+    uniform selector, which is proper.  A turn-based game runs on its graph
+    instead, in ``TurnBasedReachRunner``.
 
     The witnesses taken are bounded: a switched state whose exact ``Pre1``
     witness has a probability with a denominator wider than
@@ -239,10 +241,7 @@ class ReachSIRunner(Runner):
         improve_set = {s for s in self.game.states if s not in done and bound[s] > v[s]}
         if not improve_set:
             return True
-        choice = {
-            s: dict(witness.choice[s] if s in improve_set else self.selector.choice[s])
-            for s in self.game.states
-        }
+        choice = {s: witness[s] if s in improve_set else self.selector[s] for s in self.game.states}
         for s in improve_set:
             if any(p.denominator.bit_length() > MAX_WITNESS_BITS for p in choice[s].values()):
                 midpoint = (v[s] + bound[s]) / 2
@@ -251,15 +250,14 @@ class ReachSIRunner(Runner):
                 choice[s], bound[s] = _dyadic_rounding(matrix, choice[s], midpoint)
                 if bound[s] < midpoint:
                     raise AssertionError(f"rounded witness below the midpoint at {s!r}")
-        selector = Selector(choice)
-        value = _kept_proper(self, strategy_value_reach, selector, _LOST_PROPERNESS)
+        value = _kept_proper(self, strategy_value_reach, choice, _LOST_PROPERNESS)
         for s in self.game.states:
             if value[s] < bound[s]:
                 raise AssertionError(f"improvement step decreased the bound at {s!r}")
         for s in improve_set:
             if not value[s] > v[s]:
                 raise AssertionError(f"no strict improvement at {s!r}")
-        self.selector = selector
+        self.selector = choice
         self.valuations.append(value)
         return False
 
@@ -296,10 +294,10 @@ class TurnBasedReachRunner(Runner):
 
     @property
     def selector(self) -> Selector:
-        return Selector({
+        return {
             s: {edge_move(self.picks[s]) if s in self.picks else NOOP_MOVE: ONE}
             for s in self.game.states
-        })
+        }
 
     def _round(self) -> bool:
         """Switch to the first best successor where it beats the current

@@ -153,14 +153,6 @@ def tb_reduction(
     return TBReduction(tb, frozenset(safe_bar), back_map, witness_store)
 
 
-def _replace(selector: Selector, updates: Mapping[str, Mapping[str, Fraction]]) -> Selector:
-    choice = {
-        s: dict(updates[s]) if s in updates else dict(selector.choice[s])
-        for s in selector.choice
-    }
-    return Selector(choice)
-
-
 def _held(game: GameStructure, safe: AbstractSet[str], w1: AbstractSet[str]) -> AbstractSet[str]:
     """The states a safety round holds: W1 and the unsafe states."""
     return w1 | (set(game.states) - safe)
@@ -200,7 +192,7 @@ def improvement_switches(
     w1 = set(W1)
     done = _held(game, safe, w1)
     values, witness = pre1(game, v, done, k)
-    local = {s: witness.choice[s] for s in game.states if s not in done and values[s] > v[s]}
+    local = {s: witness[s] for s in game.states if s not in done and values[s] > v[s]}
     if local:
         return local, False
     # Each safe state outside W1 with its pairs and their successor sets.
@@ -235,7 +227,8 @@ def safety_regions(
     return safe, w1, w1_actions, _held(game, safe, w1)
 
 
-# Steps a k-uniform run may take to reach its fixpoint.  Values rise
+# Steps a k-uniform run may take to reach its fixpoint, in each round of
+# the convergent loop and by default in the CLI's k-uniform.  Values rise
 # strictly and k-uniform selectors are finite, so the fixpoint is always
 # reached; a run that uses up this budget stops short of it.
 K_UNIFORM_MAX_STEPS = 10_000
@@ -271,10 +264,9 @@ class SafetySIRunner(Runner):
         self.safe, self.w1, w1_actions, self.done = safety_regions(game, F)
         self.game = game
         self.k = None if k is None else max(k, len(game.moves))
-        choice = uniform_selector(game).choice
+        self.selector = uniform_selector(game)
         for s, a in w1_actions.items():
-            choice[s] = {a: ONE}
-        self.selector = Selector(choice)
+            self.selector[s] = {a: ONE}
         self.valuations: list[Valuation] = [
             strategy_value_safety(self.game, self.selector, self.safe)
         ]
@@ -297,7 +289,7 @@ class SafetySIRunner(Runner):
         if not switches:
             self.optimal = self.k is None or self._unrestricted_stop(v)
             return True
-        selector = _replace(self.selector, switches)
+        selector = {**self.selector, **switches}
         value = strategy_value_safety(self.game, selector, self.safe)
         step = "non-local safety improvement" if nonlocal_step else "safety improvement"
         for s in self.game.states:

@@ -103,17 +103,14 @@ def extract_eta_selector(runner: ValueIterationRunner, k: int) -> Selector:
     if k >= len(runner.valuations):
         raise GameError(f"runner has {len(runner.valuations)} iterates, need k={k} < that")
     game = runner.game
-    fallback = uniform_selector(game)
-    choice: dict[str, dict[str, Fraction]] = {}
+    selector = uniform_selector(game)
     for s in game.states:
         ell = runner.entry_time(s, k)
-        if ell == 0:
-            choice[s] = dict(fallback.choice[s])
-        else:
+        if ell > 0:
             witness = runner.witnesses[ell]
             assert witness is not None
-            choice[s] = dict(witness.choice[s])
-    return Selector(choice)
+            selector[s] = witness[s]
+    return selector
 
 
 def eta_achieved_values(

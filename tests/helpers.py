@@ -273,7 +273,7 @@ def pre1_sel(game: GameStructure, v: Mapping[str, Fraction], s: str, xi1: Select
     """Worst case over player 2 of the one-step expectation; the infimum is
     attained at a pure move."""
     matrix = one_step_matrix(game, v, s)
-    return min(column_values(matrix, [xi1.choice[s].get(a, ZERO) for a in matrix.rows]))
+    return min(column_values(matrix, [xi1[s].get(a, ZERO) for a in matrix.rows]))
 
 
 def opt_sel_count(
@@ -325,8 +325,8 @@ def opt_sel_feasible(
 def destinations(game: GameStructure, s: str, xi1: Selector, xi2: Selector) -> frozenset[str]:
     """Possible successors of ``s`` under the supports of both selectors."""
     out: set[str] = set()
-    for a, pa in xi1.choice[s].items():
-        for b, pb in xi2.choice[s].items():
+    for a, pa in xi1[s].items():
+        for b, pb in xi2[s].items():
             if pa > 0 and pb > 0:
                 out |= game.dest(s, a, b)
     return frozenset(out)
@@ -341,10 +341,10 @@ def pre_sel_sel(
 ) -> Fraction:
     """Expected next-step value when both players play their selectors at s."""
     total = ZERO
-    for a, pa in xi1.choice[s].items():
+    for a, pa in xi1[s].items():
         if pa == 0:
             continue
-        for b, pb in xi2.choice[s].items():
+        for b, pb in xi2[s].items():
             if pb == 0:
                 continue
             dist = game.delta[(s, a, b)]

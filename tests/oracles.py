@@ -538,7 +538,7 @@ def reduction_switches(game, v, F, W1, k=None):
     w1 = set(W1)
     done = w1 | (set(game.states) - safe)
     pre_vals, witness = pre1(game, v, done, k)
-    local = {s: witness.choice[s] for s in game.states if s not in done and pre_vals[s] > v[s]}
+    local = {s: witness[s] for s in game.states if s not in done and pre_vals[s] > v[s]}
     if local:
         return local, False
     reduction = tb_reduction(game, v, safe, done, k)
@@ -846,7 +846,7 @@ def value_class_structure_ok(runner, k, target) -> int:
         r = u_k[s]
         for b in game.moves2[s]:
             dest = set()
-            for a, p in eta.choice[s].items():
+            for a, p in eta[s].items():
                 if p > 0:
                     dest |= game.dest(s, a, b)
             if any(u_k[t] > r for t in dest):

@@ -124,14 +124,13 @@ def test_capped_exit_code(example_dir, capsys):
     assert "status: capped" in out
 
 
-def test_k_uniform_budget_is_a_status(example_dir, capsys, monkeypatch):
-    # This k-uniform run needs two steps to its fixpoint; a budget of one
+def test_k_uniform_budget_is_a_status(example_dir, capsys):
+    # This k-uniform run needs two steps to its fixpoint; a cap of one
     # stops it short, which is reported as capped, not as an error.
-    monkeypatch.setattr(congame.safety_si, "K_UNIFORM_MAX_STEPS", 1)
     code, out, err = run_cli(
         capsys,
         "solve", str(example_dir / "ex3step1.game"),
-        "--objective", "safe:not-s1", "--algorithm", "k-uniform",
+        "--objective", "safe:not-s1", "--algorithm", "k-uniform", "--max-iters", "1",
     )
     assert (code, err) == (2, "")
     assert "status: capped\niterations: 1\n" in out
@@ -282,6 +281,23 @@ def test_dump_tb_rejects_negative_si_iters(example_dir, capsys):
         "--objective", "safe:not-s4", "--si-iters", "-5",
     )
     assert (code, out, err) == (1, "", "error: --si-iters must be >= 0\n")
+
+
+def test_dump_tb_rejects_valuation_with_si_iters(example_dir, capsys, tmp_path):
+    # The valuation comes from the file or from safety improvement rounds,
+    # so a round count beside a file would be ignored.
+    vfile = tmp_path / "v.json"
+    valuation = {"s0": "1/2", "s1": "1", "s2": "0", "s3": "1/2", "s4": "1/2", "s5": "1"}
+    vfile.write_text(json.dumps(valuation), encoding="utf-8")
+    for iters in ("0", "3"):
+        code, out, err = run_cli(
+            capsys,
+            "dump-tb", str(example_dir / "ex3full.game"), "--objective", "safe:not-s2",
+            "--valuation", str(vfile), "--si-iters", iters,
+        )
+        assert (code, out, err) == (
+            1, "", "error: dump-tb takes --valuation or --si-iters, not both\n"
+        )
 
 
 def test_validate(example_dir, capsys):

@@ -265,8 +265,8 @@ def test_destinations_monotone_in_support():
 
 def test_uniform_selector(fig1):
     sel = uniform_selector(fig1)
-    assert sel.choice["s3"] == {"a": F(1, 2), "b": F(1, 2)}
-    assert sel.choice["s0"] == {"⊥": F(1)}
+    assert sel["s3"] == {"a": F(1, 2), "b": F(1, 2)}
+    assert sel["s0"] == {"⊥": F(1)}
 
 
 def test_value_classes_fig1_fixpoint(fig1):

@@ -70,6 +70,11 @@ def _cases() -> dict[str, list[str]]:
         "solve", "fig2.game", "--objective", "reach:s2", "--algorithm", "reach-si",
         "--max-iters", "1", "--verify",
     ]
+    # k-uniform honours the cap too: capped after one of its three steps.
+    cases["ex3full-safe-k-uniform-capped-text"] = [
+        "solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "k-uniform",
+        "--max-iters", "1",
+    ]
     # Inline algorithm arguments and the --eps / --k options.
     cases["ex3full-safe-k-uniform5-text"] = [
         "solve", "ex3full.game", "--objective", "safe:not-s2",
@@ -170,6 +175,13 @@ def _cases() -> dict[str, list[str]]:
     cases["error-safety-si-inline"] = [
         "solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "safety-si:5",
     ]
+    # An empty inline argument is an argument, not its absence.
+    for algorithm, objective in (
+        ("vi", "reach:s0"), ("k-uniform", "safe:not-s0"), ("certify", "safe:not-s0"),
+    ):
+        cases[f"error-{algorithm}-empty-inline"] = [
+            "solve", "fig1.game", "--objective", objective, "--algorithm", f"{algorithm}:",
+        ]
     return cases
 
 

@@ -61,7 +61,7 @@ def test_pre1_holds_like_a_copy():
             values, witness = pre1(game, v, done, k)
             ref_values, ref_witness = pre1(make_absorbing(game, done), v, k=k)
             assert values == ref_values
-            assert witness.choice == ref_witness.choice
+            assert witness == ref_witness
 
 
 def test_induce_mdp_holds_like_a_copy():
@@ -107,7 +107,7 @@ def test_reach_value_iteration_holds_like_a_copy():
         for k in range(1, len(runner.valuations)):
             u, witness = pre1(frozen, u)
             assert runner.valuations[k] == u
-            assert runner.witnesses[k].choice == witness.choice
+            assert runner.witnesses[k] == witness
 
 
 def test_safety_selector_extraction_holds_like_a_copy():
@@ -124,7 +124,7 @@ def test_safety_selector_extraction_holds_like_a_copy():
             values, witness = pre1(frozen, w)
             w = {s: ZERO if s in unsafe else values[s] for s in game.states}
             assert runner.valuations[k] == w
-            assert runner.witnesses[k].choice == witness.choice
+            assert runner.witnesses[k] == witness
         # Both are zero where unsafe.  The last iterate is often a fixpoint;
         # the random valuation seldom is.
         for w in (runner.values, {s: 0 if s in unsafe else v[s] for s in game.states}):
@@ -133,7 +133,7 @@ def test_safety_selector_extraction_holds_like_a_copy():
                 with pytest.raises(NotAFixpoint):
                     extract_optimal_safety_selector(game, w, safe)
                 continue
-            assert extract_optimal_safety_selector(game, w, safe).choice == witness.choice
+            assert extract_optimal_safety_selector(game, w, safe) == witness
             fixpoints += 1
     assert fixpoints > 10
 

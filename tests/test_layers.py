@@ -5,6 +5,7 @@ runs the simplex or touches a game's one-step cache, and the other modules
 use it through its public names and the integer cells of its matrices.  A
 matrix game is those cells over a scale and nothing more: no module reads a
 ``Fraction`` payoff, and the one-step layer hands the simplex integer rows.
+A selector, which every layer passes around, is a plain dict.
 Across the package, one private name is imported outside its module:
 ``safety_si`` runs the non-local step on ``mdp._greatest_fixpoint``, the
 counting routine behind every qualitative set.
@@ -85,6 +86,16 @@ def test_no_module_reads_a_fraction_payoff():
     # A one-step matrix is read as integer cells over a scale everywhere,
     # the simplex programs included; no module keeps a ``Fraction`` view.
     assert _attribute_readers("payoff") == set()
+
+
+def test_selectors_are_plain_maps(ex3step1):
+    # A selector is a dict of mixtures, like a valuation a dict of values:
+    # no module wraps one or reads a field of one.
+    assert _attribute_readers("choice") == set()
+    assert congame.Selector == dict[str, dict[str, F]]
+    selector = congame.uniform_selector(ex3step1)
+    assert type(selector) is dict
+    assert selector["s0"] == {"a": F(1, 2), "b": F(1, 2)}
 
 
 def test_matrix_game_is_its_canonical_form():

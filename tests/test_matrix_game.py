@@ -162,7 +162,7 @@ def test_pre1_fig1_step(fig1):
     u2 = {"s0": ONE, "s1": ZERO, "s2": F(1, 2), "s3": F(1, 2), "s4": ZERO}
     values, witness = pre1(fig1, u2)
     assert values == {"s0": ONE, "s1": ZERO, "s2": F(1, 2), "s3": F(1, 2), "s4": F(1, 2)}
-    assert witness.choice["s4"] == {"⊥": ONE}
+    assert witness["s4"] == {"⊥": ONE}
 
 
 def test_pre1_dominates_indicator_on_targets(ex3full):
@@ -284,10 +284,16 @@ def test_extended_scan_equals_a_fresh_scan(ex3step1):
                 game = dataclasses.replace(ex3step1)  # an empty one-step cache
                 congame.matrix._k_uniform_optima(game, matrix, k0)
                 assert congame.matrix._k_uniform_optima(game, matrix, k) == fresh[k]
-        # Out of order: each request grows the largest cached scan below it.
+                # The entry holds one scan, the grown one.
+                assert _one_step(game, matrix).scan == (k, fresh[k])
+        # Out of order: a request above the kept scan grows it, and one
+        # below it is scanned fresh and leaves it in place.
         game = dataclasses.replace(ex3step1)
+        largest = 0
         for k in rng.sample(range(1, 10), 9):
             assert congame.matrix._k_uniform_optima(game, matrix, k) == fresh[k]
+            largest = max(largest, k)
+            assert _one_step(game, matrix).scan == (largest, fresh[largest])
 
 
 def test_extended_scan_keeps_the_budget(monkeypatch, ex3step1):

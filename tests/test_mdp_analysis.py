@@ -227,10 +227,10 @@ def test_induce_mdp_pure_and_mixed_match_mixture_formula():
         xi = random_selector(rng, game)
         mdp = induce_mdp(game, xi)
         for s in game.states:
-            pure += len(xi.choice[s]) == 1
+            pure += len(xi[s]) == 1
             for b in game.moves2[s]:
                 mixed: dict = {}
-                for a, pa in xi.choice[s].items():
+                for a, pa in xi[s].items():
                     for t, p in game.delta[(s, a, b)].items():
                         if p:
                             mixed[t] = mixed.get(t, ZERO) + pa * p
@@ -534,7 +534,7 @@ def test_induced_mdps_hold_positive_entries_only():
     kinds = {"pure": 0, "mixed": 0, "held": 0, "zero move": 0, "zero tb": 0}
     for _ in range(150):
         game = _with_zero_entries(rng, random_concurrent_game(rng, rng.randint(2, 5), 3))
-        choice = random_selector(rng, game).choice
+        choice = random_selector(rng, game)
         for s in game.states:
             unused = [a for a in game.moves1[s] if a not in choice[s]]
             if unused and rng.random() < 0.3:

@@ -67,10 +67,10 @@ def test_improve_step_strict_on_improvement_set(ex3step1):
         runner.game, runner.selector, {"s1"}, compute_W2(ex3step1, {"s1"})
     )
     assert runner.values["s0"] == F(1, 2)
-    before = runner.selector.choice
+    before = runner.selector
     assert runner.step()
     # The improvement set is the set of states whose choice switched.
-    assert {s for s in before if runner.selector.choice[s] != before[s]} == {"s0"}
+    assert {s for s in before if runner.selector[s] != before[s]} == {"s0"}
     assert runner.values["s0"] == F(4, 7)
 
 
@@ -176,7 +176,7 @@ def test_turn_based_oracle_sample():
 
 def _observed(runner):
     return (
-        runner.valuations, runner.selector.choice, runner.w2, runner.iterations, runner.status,
+        runner.valuations, runner.selector, runner.w2, runner.iterations, runner.status,
     )
 
 

@@ -101,7 +101,7 @@ def test_runner_contract(case):
         else:
             assert achieved(runner.selector) == runner.values
         if pure:
-            assert all(list(d.values()) == [1] for d in runner.selector.choice.values())
+            assert all(list(d.values()) == [1] for d in runner.selector.values())
         assert runner.valuations[: len(before)] == before
         for earlier, later in zip(runner.valuations, runner.valuations[1:]):
             if descends:
@@ -133,5 +133,5 @@ def test_runner_contract(case):
 def _selector(runner):
     """The improvement selector's choices, or value iteration's witnesses'."""
     if isinstance(runner, ValueIterationRunner):
-        return [w and w.choice for w in runner.witnesses]
-    return runner.selector.choice
+        return runner.witnesses
+    return runner.selector

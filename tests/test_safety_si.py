@@ -260,7 +260,7 @@ def test_safety_si_fig2(fig2):
         "s0": F(2, 3), "s1": F(2, 3), "s2": F(1, 3), "s3": F(2, 3), "s4": ZERO, "s5": ONE
     }
     assert result.fired_nonlocal
-    assert result.selector.choice["s0"] == {"to-s1": ONE}
+    assert result.selector["s0"] == {"to-s1": ONE}
 
 
 def test_safety_si_ex3full_never_fires(ex3full):
@@ -332,7 +332,7 @@ def test_k_uniform_ex3full(ex3full):
     assert result.values["s4"] == F(3, 5)
     assert result.values["s5"] == F(3, 5)
     assert result.values["s0"] == F(4, 7)
-    assert result.selector.choice["s3"] == {"b": ONE}
+    assert result.selector["s3"] == {"b": ONE}
 
 
 def test_k_uniform_turn_based_exact():
@@ -560,7 +560,7 @@ def test_safety_si_step_fig2_nonlocal_details(fig2):
     assert set(switches) == {"s0", "s1"} and nonlocal_step is True
     assert runner.step()
     assert runner.fired_nonlocal and not runner.finished
-    assert runner.selector.choice["s0"] == {"to-s1": ONE}
+    assert runner.selector["s0"] == {"to-s1": ONE}
     assert runner.values["s0"] == F(2, 3)
     # second round: nothing left anywhere
     assert runner.step() is False

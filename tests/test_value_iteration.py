@@ -83,14 +83,14 @@ def test_entry_times_fig1(fig1):
 def test_eta_selector_fig1(fig1):
     runner = reach_vi(fig1, {"s0"}, 10)
     eta3 = extract_eta_selector(runner, 3)
-    assert eta3.choice["s3"] == {"b": ONE}
+    assert eta3["s3"] == {"b": ONE}
     # target and value-zero states fall back to uniform
-    assert eta3.choice["s0"] == {"⊥": ONE}
+    assert eta3["s0"] == {"⊥": ONE}
 
 
 def test_eta_selector_stable_after_fixpoint(fig1):
     runner = reach_vi(fig1, {"s0"}, 10)
-    assert extract_eta_selector(runner, 4).choice == extract_eta_selector(runner, 3).choice
+    assert extract_eta_selector(runner, 4) == extract_eta_selector(runner, 3)
 
 
 def test_eta_achieves_previous_iterate(fig1):
@@ -178,8 +178,8 @@ def test_extract_safety_selector_fig2(fig2):
     runner = safety_vi(fig2, safe, 20)
     assert runner.finished and runner.values == v
     selector = runner.witnesses[-1]
-    assert selector.choice == extract_optimal_safety_selector(fig2, v, safe).choice
-    assert selector.choice["s0"] == {"to-s1": ONE}
+    assert selector == extract_optimal_safety_selector(fig2, v, safe)
+    assert selector["s0"] == {"to-s1": ONE}
     achieved = strategy_value_safety(fig2, selector, safe)
     assert all(achieved[s] >= v[s] for s in fig2.states)
 
@@ -194,7 +194,7 @@ def test_extract_safety_selector_all_safe():
     runner = safety_vi(frozen, frozen_states, 5)
     assert runner.finished and runner.iterations == 1 and runner.values == v
     selector = runner.witnesses[-1]
-    assert selector.choice == extract_optimal_safety_selector(frozen, v, frozen_states).choice
+    assert selector == extract_optimal_safety_selector(frozen, v, frozen_states)
     achieved = strategy_value_safety(frozen, selector, frozen_states)
     assert achieved == v
 
@@ -238,7 +238,7 @@ def test_runner_matches_the_reference_loops():
         runner = reach_vi(game, chosen, cap)
         valuations, witnesses, converged = reach_value_iteration(game, chosen, cap)
         assert runner.valuations == valuations
-        assert [w and w.choice for w in runner.witnesses] == [w and w.choice for w in witnesses]
+        assert runner.witnesses == witnesses
         assert runner.iterations == len(valuations) - 1
         assert runner.finished == converged
         seen["reach-exact" if converged else "reach-capped"] += 1
@@ -252,6 +252,6 @@ def test_runner_matches_the_reference_loops():
         assert len(runner.witnesses) == len(iterates)
         if exact:
             reference = extract_optimal_safety_selector(game, iterates[-1], chosen)
-            assert runner.witnesses[-1].choice == reference.choice
+            assert runner.witnesses[-1] == reference
         seen["safe-exact" if exact else "safe-capped"] += 1
     assert min(seen.values()) >= 40, seen
