@@ -55,7 +55,6 @@ from .model import (
     TurnBasedGame,
     Valuation,
     encode_turn_based_as_concurrent,
-    swap_players,
 )
 from .reach_si import (
     STATUS_CAPPED,
@@ -175,10 +174,11 @@ class Problem:
 class Solve:
     """What one algorithm reports.
 
-    ``witness2`` and ``witness2_values`` are certify's player-2 strategy
-    and the reach values it guarantees.  ``before`` holds the report fields
-    printed between ``iterations`` and ``status``; ``after`` those printed
-    after ``trace``.
+    ``reach`` is certify's player-2 runner, on the game with the players
+    swapped: its selector is player 2's strategy and its values are the
+    reach values that strategy guarantees.  ``before`` holds the report
+    fields printed between ``iterations`` and ``status``; ``after`` those
+    printed after ``trace``.
     """
 
     status: str
@@ -187,8 +187,7 @@ class Solve:
     witness: Selector | None = None
     witness_values: Valuation | None = None
     trace: list[Valuation] | None = None
-    witness2: Selector | None = None
-    witness2_values: Valuation | None = None
+    reach: ReachSIRunner | None = None
     before: dict = field(default_factory=dict)
     after: dict = field(default_factory=dict)
 
@@ -278,7 +277,7 @@ def _certify(p: Problem) -> Solve:
         before["exact_values"] = _values_doc(game, exact)
     return Solve(
         runner.status, runner.values, runner.iterations, runner.selector, runner.values,
-        witness2=runner.reach.selector, witness2_values=runner.reach.values, before=before,
+        reach=runner.reach, before=before,
     )
 
 
@@ -348,8 +347,8 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
         "iterations": solve.iterations,
     }
     report.update(solve.before)
-    if solve.witness2 is not None:
-        report["strategy2"] = _strategy_doc(game, solve.witness2)
+    if solve.reach is not None:
+        report["strategy2"] = _strategy_doc(game, solve.reach.selector)
     report["status"] = solve.status
     report["values"] = _values_doc(game, solve.values)
     report["strategy"] = _strategy_doc(game, solve.witness)
@@ -362,9 +361,9 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
             {s: format_fraction(v[s]) for s in game.states} for v in solve.trace
         ]
     report.update(solve.after)
-    if solve.witness2_values is not None:
+    if solve.reach is not None:
         report["reach_witness_values"] = {
-            s: format_fraction(solve.witness2_values[s]) for s in game.states
+            s: format_fraction(solve.reach.values[s]) for s in game.states
         }
 
     if args.verify:
@@ -379,19 +378,19 @@ def _solve(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _verify(game: GameStructure, kind: str, chosen: list[str], solve: Solve) -> bool:
     """Self-audit: rerun the reported witness strategies from scratch and
-    compare with the reported values, exactly."""
+    compare with the reported values, exactly.  Player 2's strategy is
+    rerun on the swapped game its runner already holds, with the value-zero
+    states recomputed."""
     if kind == "reach":
         w2 = compute_W2(game, chosen)
         return strategy_value_reach(game, solve.witness, chosen, w2) == solve.witness_values
     if strategy_value_safety(game, solve.witness, chosen) != solve.witness_values:
         return False
-    if solve.witness2 is None:
+    reach = solve.reach
+    if reach is None:
         return True
-    swapped = swap_players(game)
-    complement = [s for s in game.states if s not in set(chosen)]
-    w2 = compute_W2(swapped, complement)
-    u = strategy_value_reach(swapped, solve.witness2, complement, w2)
-    return u == solve.witness2_values
+    w2 = compute_W2(reach.game, reach.target)
+    return strategy_value_reach(reach.game, reach.selector, reach.target, w2) == reach.values
 
 
 def _render_text(report: dict) -> str:
@@ -469,7 +468,7 @@ def _dump_tb(args: argparse.Namespace) -> int:
         try:
             with open(args.valuation, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"cannot read valuation {args.valuation}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError("valuation file must map states to rationals")
@@ -517,12 +516,15 @@ def _examples(args: argparse.Namespace) -> int:
     if args.write:
         import os
 
-        os.makedirs(args.write, exist_ok=True)
-        for name in EXAMPLE_NAMES:
-            path = os.path.join(args.write, f"{name}.game")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(example_text(name))
-            sys.stdout.write(path + "\n")
+        try:
+            os.makedirs(args.write, exist_ok=True)
+            for name in EXAMPLE_NAMES:
+                path = os.path.join(args.write, f"{name}.game")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(example_text(name))
+                sys.stdout.write(path + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write examples to {args.write}: {exc}") from exc
         return 0
     for name in EXAMPLE_NAMES:
         kind, states = EXAMPLE_OBJECTIVES[name]

@@ -211,7 +211,8 @@ def parse_game(text: str) -> GameStructure | TurnBasedGame:
     """Parse a game document, concurrent or turn-based."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # A nesting too deep for the decoder is malformed input too.
         raise GameFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GameFormatError("top-level document must be an object")

@@ -1,11 +1,13 @@
 """Analysis of the MDPs obtained by fixing one player's memoryless strategy.
 
-Fixing a player-1 selector turns a concurrent game into a player-2 MDP.
-Everything the improvement algorithms need from that MDP lives here: exact
-maximal reachability values (policy iteration, each policy solved by exact
-rational elimination), the properness check, and the qualitative
-winning-set computations (value-zero states for reachability, almost-sure
-safety, and the attractor construction on turn-based games).
+Fixing a player-1 selector turns a concurrent game into a player-2 MDP, a
+plain map (``InducedMDP``): ``mdp[s]`` lists the distributions of player
+2's actions at s.  Everything the improvement algorithms need from that
+MDP lives here: exact maximal reachability values (policy iteration, each
+policy solved by exact rational elimination), the properness check, and
+the qualitative winning-set computations (value-zero states for
+reachability, almost-sure safety, and the attractor construction on
+turn-based games).
 
 The properness trap and the qualitative sets other than the attractor are
 greatest fixpoints, all computed by one counting routine,
@@ -13,9 +15,9 @@ greatest fixpoints, all computed by one counting routine,
 successors) lies wholly inside the set.  Each (option, successor) incidence
 is handled once: an option breaks when its first successor leaves, and a
 state leaves when its last intact option breaks.  The options read supports:
-``GameStructure`` builds them once per game, on first use, and
-``InducedMDP`` holds positive entries only, so its supports are the keys of
-its distributions.  No qualitative set or value is kept between calls, so a
+``GameStructure`` builds them once per game, on first use, and an induced
+MDP holds positive entries only, so its supports are the keys of its
+distributions.  No qualitative set or value is kept between calls, so a
 second evaluation (``--verify``) recomputes everything.
 
 Evaluating a selector needs its target-like states absorbing.  They are
@@ -27,14 +29,12 @@ itself (``tb_induce_mdp``), without the concurrent encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Iterable, KeysView, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .model import (
     GameStructure,
     GameError,
-    NOOP_MOVE,
     ONE,
     P1,
     P2,
@@ -45,44 +45,36 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class InducedMDP:
-    """Player-2 MDP obtained by mixing player 1's moves with a selector.
-
-    Every entry of ``delta2`` is positive, so a distribution's keys are its
-    support."""
-
-    states: tuple[str, ...]
-    actions: dict[str, tuple[str, ...]]
-    delta2: dict[tuple[str, str], dict[str, Fraction]]
-
-    def dest(self, s: str, b: str) -> KeysView[str]:
-        return self.delta2[(s, b)].keys()
+# A player-2 MDP, obtained by fixing a player-1 strategy: ``mdp[s]`` lists
+# the distributions of player 2's actions at s, in action order.  Every
+# entry of a distribution is positive, so its keys are its support.  The
+# states are the keys, in the game's order.  Actions may share one
+# distribution, since no code mutates one in place.
+InducedMDP = dict[str, list[dict[str, Fraction]]]
 
 
 def induce_mdp(
     game: GameStructure, xi1: Selector, done: AbstractSet[str] = frozenset()
 ) -> InducedMDP:
-    """Mixture transition function: delta2(s, b) = sum_a delta(s, a, b) xi1(s)(a),
-    except that every action of a state in ``done`` is a self-loop."""
+    """Mixture transition function: ``mdp[s]`` holds, for each player-2 move
+    b at s, the distribution sum_a delta(s, a, b) xi1(s)(a), except that
+    every action of a state in ``done`` is a self-loop."""
     if not done <= game.moves2.keys():
         raise GameError(f"unknown states {sorted(done - game.moves2.keys())}")
-    actions = {s: game.moves2[s] for s in game.states}
-    delta2: dict[tuple[str, str], dict[str, Fraction]] = {}
+    mdp: InducedMDP = {}
     for s in game.states:
+        moves2 = game.moves2[s]
         if s in done:
-            loop = {s: ONE}
-            for b in game.moves2[s]:
-                delta2[(s, b)] = loop
+            mdp[s] = [{s: ONE}] * len(moves2)
             continue
         mix = xi1[s]
         if len(mix) == 1 and ONE in mix.values():
             # A pure move: the mixture is that move's distribution.
             (a,) = mix
-            for b in game.moves2[s]:
-                delta2[(s, b)] = {t: p for t, p in game.delta[(s, a, b)].items() if p}
+            mdp[s] = [{t: p for t, p in game.delta[(s, a, b)].items() if p} for b in moves2]
             continue
-        for b in game.moves2[s]:
+        row = []
+        for b in moves2:
             dist: dict[str, Fraction] = {}
             for a, pa in mix.items():
                 if pa == 0:
@@ -91,8 +83,9 @@ def induce_mdp(
                     if p == 0:
                         continue
                     dist[t] = dist.get(t, ZERO) + pa * p
-            delta2[(s, b)] = dist
-    return InducedMDP(game.states, actions, delta2)
+            row.append(dist)
+        mdp[s] = row
+    return mdp
 
 
 def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fraction]:
@@ -101,10 +94,11 @@ def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fract
     States with no path to the target are fixed to zero first.  The rest
     (the free states) start from the attractor policy: each takes the first
     action, in action order, with a successor attracted toward the target in
-    an earlier round, so every chain of that policy is absorbed.  Each
-    policy is evaluated exactly (``_policy_values``) and a state switches to
-    its best action only when that action is strictly better than the
-    current one; the loop stops when no state switches.
+    an earlier round, so every chain of that policy is absorbed.  A policy
+    holds each free state's distribution.  Each policy is evaluated exactly
+    (``_policy_values``) and a state switches to its best action only when
+    that action is strictly better than the current one; the loop stops
+    when no state switches.
 
     No end-component collapse is needed, for two reasons.  Strict switching
     keeps the policy proper: take a closed class of the new policy among
@@ -118,40 +112,34 @@ def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fract
     fixpoint, so at least the least fixpoint, which is the optimum: the
     least solution of the reachability linear program.
     """
-    targets = set(targets) & set(mdp.states)
-    dist = mdp.delta2
-    pred: dict[str, set[str]] = {s: set() for s in mdp.states}
-    for s in mdp.states:
-        for b in mdp.actions[s]:
-            for t in mdp.dest(s, b):
+    targets = mdp.keys() & set(targets)
+    pred: dict[str, set[str]] = {s: set() for s in mdp}
+    for s, steps in mdp.items():
+        for step in steps:
+            for t in step:
                 pred[t].add(s)
     # Backward attractor, round by round; it is also the set of states with
     # a path into the target.
-    policy: dict[str, str] = {}
+    policy: dict[str, dict[str, Fraction]] = {}
     attracted = set(targets)
     frontier = attracted
     while frontier:
         layer = {s for t in frontier for s in pred[t] if s not in attracted}
         for s in layer:
-            policy[s] = next(
-                b
-                for b in mdp.actions[s]
-                if any(t in attracted for t in dist[(s, b)])
-            )
+            policy[s] = next(step for step in mdp[s] if any(t in attracted for t in step))
         attracted |= layer
         frontier = layer
-    values = {s: (ONE if s in targets else ZERO) for s in mdp.states}
-    free = [s for s in mdp.states if s in policy]
+    values = {s: (ONE if s in targets else ZERO) for s in mdp}
+    free = [s for s in mdp if s in policy]
     while True:
-        values.update(_policy_values(free, {s: dist[(s, policy[s])] for s in free}, values))
+        values.update(_policy_values(free, policy, values))
         switched = False
         for s in free:
             best = values[s]
             current = policy[s]
-            for b in mdp.actions[s]:
-                if b == current:
+            for step in mdp[s]:
+                if step is current:
                     continue
-                step = dist[(s, b)]
                 if len(step) == 1:  # a certain successor: probability 1
                     (t,) = step
                     q = values[t]
@@ -163,7 +151,7 @@ def max_reach_values(mdp: InducedMDP, targets: Iterable[str]) -> dict[str, Fract
                             q += p * v
                 if q > best:
                     best = q
-                    policy[s] = b
+                    policy[s] = step
                     switched = True
         if not switched:
             return values
@@ -313,11 +301,7 @@ def _trap(mdp: InducedMDP, done: AbstractSet[str]) -> frozenset[str]:
     strongly connected component, and with those actions that is an end
     component avoiding ``done``.
     """
-    dist, actions = mdp.delta2, mdp.actions
-    return _greatest_fixpoint(
-        (s for s in mdp.states if s not in done),
-        lambda s: [dist[(s, b)] for b in actions[s]],
-    )
+    return _greatest_fixpoint((s for s in mdp if s not in done), mdp.__getitem__)
 
 
 def compute_W2(game: GameStructure, T: Iterable[str]) -> frozenset[str]:
@@ -476,32 +460,25 @@ def tb_induce_mdp(
     player-1 node), with every node in ``done`` absorbing.
 
     It is ``induce_mdp`` of the concurrent encoding with the same ``done``,
-    up to action names, built from the graph: a player-1 node moves to its
-    pick and a random node follows the positive entries of its
-    distribution, each by the single action ``NOOP_MOVE``; a player-2 node
-    has one action per edge, in edge order, named by its successor.  Every
+    built from the graph: a player-1 node moves to its pick and a random
+    node follows the positive entries of its distribution, each by a single
+    action; a player-2 node has one action per edge, in edge order.  Every
     action of a node in ``done`` is a self-loop.
     """
-    actions: dict[str, tuple[str, ...]] = {}
-    delta2: dict[tuple[str, str], dict[str, Fraction]] = {}
+    mdp: InducedMDP = {}
     for s in tb.states:
         kind = tb.partition[s]
-        acts = tb.edges[s] if kind == P2 else (NOOP_MOVE,)
-        actions[s] = acts
         if s in done:
-            loop = {s: ONE}
-            for b in acts:
-                delta2[(s, b)] = loop
+            mdp[s] = [{s: ONE}] * (len(tb.edges[s]) if kind == P2 else 1)
         elif kind == P2:
-            for t in acts:
-                delta2[(s, t)] = {t: ONE}
+            mdp[s] = [{t: ONE} for t in tb.edges[s]]
         elif kind == RANDOM:
             # The distribution may name states off the edge list with
             # probability 0; an induced MDP holds positive entries only.
-            delta2[(s, NOOP_MOVE)] = {t: p for t, p in tb.prob[s].items() if p}
+            mdp[s] = [{t: p for t, p in tb.prob[s].items() if p}]
         else:
-            delta2[(s, NOOP_MOVE)] = {picks[s]: ONE}
-    return InducedMDP(tb.states, actions, delta2)
+            mdp[s] = [{picks[s]: ONE}]
+    return mdp
 
 
 def tb_strategy_value_reach(

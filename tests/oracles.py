@@ -560,14 +560,15 @@ def pure_strategy_count(tb, owner) -> int:
 
 
 def brute_force_mecs(mdp):
-    """Maximal end components by subset enumeration (exponential)."""
-    states = list(mdp.states)
+    """Maximal end components by subset enumeration (exponential).  An
+    action is a position in ``mdp[s]``."""
+    states = list(mdp)
     ecs = []
     for size in range(1, len(states) + 1):
         for subset in itertools.combinations(states, size):
             cell = frozenset(subset)
             allowed = {
-                s: [b for b in mdp.actions[s] if mdp.dest(s, b) <= cell]
+                s: [b for b in range(len(mdp[s])) if mdp[s][b].keys() <= cell]
                 for s in cell
             }
             if any(not acts for acts in allowed.values()):
@@ -579,7 +580,7 @@ def brute_force_mecs(mdp):
 
 def _strongly_connected(cell, allowed, mdp):
     succ = {
-        s: {t for b in allowed[s] for t in mdp.dest(s, b)} for s in cell
+        s: {t for b in allowed[s] for t in mdp[s][b]} for s in cell
     }
     for root in cell:
         seen = {root}
@@ -628,8 +629,9 @@ def game_support(game, s, a, b):
 
 
 def mdp_support(mdp, s, b):
-    """Support of delta2(s, b), rebuilt on every call."""
-    return frozenset(t for t, p in mdp.delta2[(s, b)].items() if p > 0)
+    """Support of the ``b``-th action's distribution at s, rebuilt on every
+    call."""
+    return frozenset(t for t, p in mdp[s][b].items() if p > 0)
 
 
 def reference_w2(game, target):
@@ -679,8 +681,8 @@ def reference_trap(mdp, done):
     """Greatest set outside ``done`` where every state has an action whose
     successors all stay inside."""
     return round_based_gfp(
-        [s for s in mdp.states if s not in done],
-        lambda s, X: any(mdp_support(mdp, s, b) <= X for b in mdp.actions[s]),
+        [s for s in mdp if s not in done],
+        lambda s, X: any(mdp_support(mdp, s, b) <= X for b in range(len(mdp[s]))),
     )
 
 
@@ -689,11 +691,11 @@ def lp_max_reach_values(mdp, targets):
     reachability linear program: minimize the sum of the x_s subject to
     x_s >= sum_t P(s, b, t) x_t for every action b.  States with no path to
     the target are fixed to zero first, which keeps the optimum unique."""
-    targets = set(targets) & set(mdp.states)
-    pred = {s: set() for s in mdp.states}
-    for s in mdp.states:
-        for b in mdp.actions[s]:
-            for t in mdp.dest(s, b):
+    targets = set(targets) & set(mdp)
+    pred = {s: set() for s in mdp}
+    for s in mdp:
+        for b in range(len(mdp[s])):
+            for t in mdp[s][b]:
                 pred[t].add(s)
     can_reach = set(targets)
     frontier = list(targets)
@@ -704,23 +706,23 @@ def lp_max_reach_values(mdp, targets):
                 can_reach.add(s)
                 frontier.append(s)
     values = {}
-    for s in mdp.states:
+    for s in mdp:
         if s in targets:
             values[s] = ONE
         elif s not in can_reach:
             values[s] = ZERO
-    free = [s for s in mdp.states if s not in values]
+    free = [s for s in mdp if s not in values]
     if not free:
         return values
     col = {s: i for i, s in enumerate(free)}
     rows = []
     rhs = []
     for s in free:
-        for b in mdp.actions[s]:
+        for b in range(len(mdp[s])):
             row = [ZERO] * len(free)
             row[col[s]] = ONE
             shift = ZERO
-            for t, p in mdp.delta2[(s, b)].items():
+            for t, p in mdp[s][b].items():
                 if p == 0:
                     continue
                 if t in col:
@@ -737,16 +739,17 @@ def lp_max_reach_values(mdp, targets):
 
 def mdp_reach_bellman_ok(mdp, targets, x):
     """Audit a claimed maximal-reachability valuation: LP feasibility, the
-    Bellman equation, and a greedy policy whose chain achieves it exactly."""
+    Bellman equation, and a greedy policy whose chain achieves it exactly.
+    An action is a position in ``mdp[s]``."""
     targets = set(targets)
-    for s in mdp.states:
+    for s in mdp:
         if s in targets:
             if x[s] != 1:
                 return False
             continue
         expectations = [
-            sum((p * x[t] for t, p in mdp.delta2[(s, b)].items()), ZERO)
-            for b in mdp.actions[s]
+            sum((p * x[t] for t, p in mdp[s][b].items()), ZERO)
+            for b in range(len(mdp[s]))
         ]
         if x[s] != max(expectations):
             return False
@@ -755,41 +758,41 @@ def mdp_reach_bellman_ok(mdp, targets, x):
     # Greedy policy: among value-preserving actions, prefer one that steps
     # toward the target in the argmax-restricted graph.
     argmax = {}
-    for s in mdp.states:
+    for s in mdp:
         if s in targets:
             continue
         argmax[s] = [
             b
-            for b in mdp.actions[s]
-            if sum((p * x[t] for t, p in mdp.delta2[(s, b)].items()), ZERO) == x[s]
+            for b in range(len(mdp[s]))
+            if sum((p * x[t] for t, p in mdp[s][b].items()), ZERO) == x[s]
         ]
     level = {s: 0 for s in targets}
     policy = {}
     changed = True
     while changed:
         changed = False
-        for s in mdp.states:
+        for s in mdp:
             if s in level or s in targets:
                 continue
             for b in argmax[s]:
-                if any(t in level for t in mdp.dest(s, b)):
+                if any(t in level for t in mdp[s][b]):
                     level[s] = 1 + min(
-                        level[t] for t in mdp.dest(s, b) if t in level
+                        level[t] for t in mdp[s][b] if t in level
                     )
                     policy[s] = b
                     changed = True
                     break
-    for s in mdp.states:
+    for s in mdp:
         if s not in targets and s not in policy:
             if x[s] != 0:
                 return False
-            policy[s] = mdp.actions[s][0]
+            policy[s] = 0
     trans = {
-        s: ({s: ONE} if s in targets else dict(mdp.delta2[(s, policy[s])]))
-        for s in mdp.states
+        s: ({s: ONE} if s in targets else dict(mdp[s][policy[s]]))
+        for s in mdp
     }
-    achieved = chain_reach(mdp.states, trans, targets)
-    return all(achieved[s] == x[s] for s in mdp.states)
+    achieved = chain_reach(list(mdp), trans, targets)
+    return all(achieved[s] == x[s] for s in mdp)
 
 
 def brute_force_k_uniform_best(game, safe, k):

@@ -367,6 +367,42 @@ def test_validate_non_utf8_names_path(capsys, tmp_path):
     assert err.startswith(f"error: {game}: not valid UTF-8: ")
 
 
+def _deeply_nested(path: Path) -> Path:
+    # Nested past the JSON decoder's recursion limit.
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    return path
+
+
+def test_deeply_nested_game_file_is_an_input_error(capsys, tmp_path):
+    game = _deeply_nested(tmp_path / "deep.game")
+    for argv in (
+        ["validate", str(game)],
+        ["solve", str(game), "--objective", "reach:s0", "--algorithm", "vi"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {game}: not valid JSON: ") and "recursion" in err
+
+
+def test_deeply_nested_valuation_is_an_input_error(example_dir, capsys, tmp_path):
+    vfile = _deeply_nested(tmp_path / "v.json")
+    code, out, err = run_cli(
+        capsys,
+        "dump-tb", str(example_dir / "fig1.game"),
+        "--objective", "safe:not-s0", "--valuation", str(vfile),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read valuation {vfile}: ") and "recursion" in err
+
+
+def test_examples_write_onto_a_file_is_an_input_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "examples", "--write", str(taken))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write examples to {taken}: ")
+
+
 @pytest.mark.parametrize("key", ["moves1", "moves2"])
 @pytest.mark.parametrize("algorithm", ["reach-si", "safety-si", "k-uniform", "convergent", "certify"])
 def test_duplicate_move_ids_rejected(capsys, tmp_path, key, algorithm):
@@ -444,8 +480,9 @@ def _count_games(monkeypatch) -> list:
         (["solve", "fig1.game", "--objective", "reach:s0", "--algorithm", "vi"], 1),
         (["solve", "fig1.game", "--objective", "safe:not-s0", "--algorithm", "vi"], 1),
         (["dump-tb", "ex3full.game", "--objective", "safe:not-s2", "--si-iters", "2"], 1),
-        # The certifier's reach side and --verify each swap the players.
-        (["solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "certify"], 3),
+        # The certifier's reach side swaps the players, and --verify checks
+        # player 2's witness on that same swapped game.
+        (["solve", "ex3full.game", "--objective", "safe:not-s2", "--algorithm", "certify"], 2),
     ],
 )
 def test_every_solve_runs_on_the_parsed_game(capsys, example_dir, monkeypatch, argv, games):

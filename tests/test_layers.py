@@ -5,7 +5,8 @@ runs the simplex or touches a game's one-step cache, and the other modules
 use it through its public names and the integer cells of its matrices.  A
 matrix game is those cells over a scale and nothing more: no module reads a
 ``Fraction`` payoff, and the one-step layer hands the simplex integer rows.
-A selector, which every layer passes around, is a plain dict.
+A selector, which every layer passes around, is a plain dict, and so is
+the MDP that fixing one leaves player 2.
 Across the package, one private name is imported outside its module:
 ``safety_si`` runs the non-local step on ``mdp._greatest_fixpoint``, the
 counting routine behind every qualitative set.
@@ -96,6 +97,17 @@ def test_selectors_are_plain_maps(ex3step1):
     selector = congame.uniform_selector(ex3step1)
     assert type(selector) is dict
     assert selector["s0"] == {"a": F(1, 2), "b": F(1, 2)}
+
+
+def test_induced_mdps_are_plain_maps(fig1):
+    # An induced MDP is a dict of per-state action distributions: no module
+    # names an action or keys a distribution by (state, action).
+    for attr in ("delta2", "actions"):
+        assert _attribute_readers(attr) == set()
+    assert congame.InducedMDP == dict[str, list[dict[str, F]]]
+    mdp = congame.induce_mdp(fig1, congame.uniform_selector(fig1))
+    assert type(mdp) is dict
+    assert mdp["s3"] == [{"s4": F(1, 2), "s2": F(1, 2)}]
 
 
 def test_matrix_game_is_its_canonical_form():

@@ -27,7 +27,7 @@ from congame.mdp import (
     tb_strategy_value_reach,
     tb_value_zero,
 )
-from congame.model import NOOP_MOVE, P1, GameStructure, Selector, TurnBasedGame
+from congame.model import P1, GameStructure, Selector, TurnBasedGame
 
 from conftest import ONE, ZERO, random_concurrent_game, random_selector, random_tb_game
 from helpers import (
@@ -54,28 +54,28 @@ from oracles import (
 )
 
 F = Fraction
-NOOP = "⊥"
 
 
 def test_induce_mdp_pure_a(fig1):
     xi = pure_selector(fig1, 1, {"s3": "a"})
     mdp = induce_mdp(fig1, xi)
-    assert mdp.delta2[("s3", NOOP)] == {"s4": ONE}
-    assert mdp.delta2[("s4", NOOP)] == {"s3": ONE}
+    assert mdp["s3"] == [{"s4": ONE}]
+    assert mdp["s4"] == [{"s3": ONE}]
 
 
 def test_induce_mdp_uniform_mixture(fig1):
     mdp = induce_mdp(fig1, uniform_selector(fig1))
-    assert mdp.delta2[("s3", NOOP)] == {"s4": F(1, 2), "s2": F(1, 2)}
+    assert mdp["s3"] == [{"s4": F(1, 2), "s2": F(1, 2)}]
 
 
 def test_induce_mdp_turn_based_pure(fig2_tb):
     game = encode_turn_based_as_concurrent(fig2_tb)
     xi = pure_selector(game, 1, {"s0": "to-s2"})
-    mdp = induce_mdp(game, xi)
-    # player-2 subgame: s1 keeps both of its choices
-    assert set(mdp.actions["s1"]) == {"to-s0", "to-s3"}
-    assert mdp.delta2[("s0", NOOP)] == {"s2": ONE}
+    # player-2 subgame: s1 keeps one certain step per edge, in edge order,
+    # on the encoding and on the graph alike
+    for mdp in (induce_mdp(game, xi), tb_induce_mdp(fig2_tb, {"s0": "s2"}, set())):
+        assert mdp["s1"] == [{t: ONE} for t in fig2_tb.edges["s1"]] == [{"s0": ONE}, {"s3": ONE}]
+        assert mdp["s0"] == [{"s2": ONE}]
 
 
 # The end-component tests below check properness through the trap: the
@@ -132,7 +132,7 @@ def test_mec_witness_actions_closed():
         trap = _trap(mdp, done)
         assert not trap & done
         for s in trap:
-            assert any(mdp.dest(s, b) <= trap for b in mdp.actions[s])
+            assert any(step.keys() <= trap for step in mdp[s])
 
 
 def test_qualitative_sets_match_brute_force_gfp():
@@ -228,13 +228,14 @@ def test_induce_mdp_pure_and_mixed_match_mixture_formula():
         mdp = induce_mdp(game, xi)
         for s in game.states:
             pure += len(xi[s]) == 1
-            for b in game.moves2[s]:
+            assert len(mdp[s]) == len(game.moves2[s])
+            for b, step in zip(game.moves2[s], mdp[s]):
                 mixed: dict = {}
                 for a, pa in xi[s].items():
                     for t, p in game.delta[(s, a, b)].items():
                         if p:
                             mixed[t] = mixed.get(t, ZERO) + pa * p
-                assert mdp.delta2[(s, b)] == mixed
+                assert step == mixed
     assert pure > 200
 
 
@@ -352,7 +353,7 @@ def test_compute_w2_uniform_characterization():
             floor = min(
                 chain_reach(
                     game.states,
-                    {t: mdp.delta2[(t, sigma[t])] for t in game.states},
+                    {t: mdp[t][sigma[t]] for t in game.states},
                     target,
                 )[s]
                 for sigma in responses
@@ -363,7 +364,7 @@ def test_compute_w2_uniform_characterization():
 def _product_choices(game):
     import itertools
 
-    pools = [game.moves2[s] for s in game.states]
+    pools = [range(len(game.moves2[s])) for s in game.states]
     return itertools.product(*pools)
 
 
@@ -558,9 +559,8 @@ def test_induced_mdps_hold_positive_entries_only():
 
 
 def _assert_positive(mdp: InducedMDP) -> None:
-    for s in mdp.states:
-        for b in mdp.actions[s]:
-            dist = mdp.delta2[(s, b)]
+    for s in mdp:
+        for dist in mdp[s]:
             assert dist and all(p > 0 for p in dist.values())
             assert sum(dist.values()) == ONE
 
@@ -589,4 +589,4 @@ def test_zero_entry_off_the_edges_is_no_exit():
         strategy_value_reach(game, xi, {"T"}, compute_W2(game, {"T"}))
     assert err.value.witness == {"s0", "r"}
     assert tb_strategy_value_reach(tb, {"s0": "T"}, {"T"}, w2) == {"s0": ONE, "r": ONE, "T": ONE}
-    assert tb_induce_mdp(tb, {"s0": "r"}, {"T"}).delta2[("r", NOOP_MOVE)] == {"s0": ONE}
+    assert tb_induce_mdp(tb, {"s0": "r"}, {"T"})["r"] == [{"s0": ONE}]

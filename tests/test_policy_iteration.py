@@ -65,32 +65,39 @@ def test_matches_chain_reach_with_one_action_per_state():
     for _ in range(40):
         game = random_game(rng)
         full = induce_mdp(game, random_selector(rng, game))
-        picks = {s: rng.choice(full.actions[s]) for s in full.states}
-        mdp = InducedMDP(
-            full.states,
-            {s: (picks[s],) for s in full.states},
-            {(s, picks[s]): full.delta2[(s, picks[s])] for s in full.states},
-        )
-        targets = set(rng.sample(full.states, rng.randint(1, 2)))
-        trans = {s: mdp.delta2[(s, picks[s])] for s in mdp.states}
-        assert max_reach_values(mdp, targets) == chain_reach(mdp.states, trans, targets)
+        trans = {s: rng.choice(steps) for s, steps in full.items()}
+        mdp: InducedMDP = {s: [step] for s, step in trans.items()}
+        targets = set(rng.sample(game.states, rng.randint(1, 2)))
+        assert max_reach_values(mdp, targets) == chain_reach(game.states, trans, targets)
 
 
 def test_tie_with_self_loop_does_not_switch():
-    # At s the self-loop comes first and ties with "go" once "go" is
-    # evaluated (both give 1/2); switching on a tie would make the policy
-    # improper and its linear system singular.
-    mdp = InducedMDP(
-        ("s", "goal", "sink"),
-        {"s": ("stay", "go"), "goal": ("x",), "sink": ("x",)},
-        {
-            ("s", "stay"): {"s": ONE},
-            ("s", "go"): {"goal": F(1, 2), "sink": F(1, 2)},
-            ("goal", "x"): {"goal": ONE},
-            ("sink", "x"): {"sink": ONE},
-        },
-    )
+    # At s the self-loop comes first and ties with the second action once
+    # that one is evaluated (both give 1/2); switching on a tie would make
+    # the policy improper and its linear system singular.
+    mdp: InducedMDP = {
+        "s": [{"s": ONE}, {"goal": F(1, 2), "sink": F(1, 2)}],
+        "goal": [{"goal": ONE}],
+        "sink": [{"sink": ONE}],
+    }
     assert max_reach_values(mdp, {"goal"}) == {"s": F(1, 2), "goal": ONE, "sink": 0}
+
+
+def test_shared_and_copied_steps_beside_a_better_one():
+    # At s the attractor picks ``lose``, listed twice as one object and once
+    # as an equal copy; none of them may count as an improvement on itself,
+    # and the strictly better ``win`` must still replace them.
+    lose = {"goal": F(1, 4), "sink": F(3, 4)}
+    win = {"goal": F(3, 4), "sink": F(1, 4)}
+    mdp: InducedMDP = {
+        "s": [lose, lose, dict(lose), win],
+        "t": [{"s": F(1, 2), "goal": F(1, 2)}, {"t": ONE}],
+        "goal": [{"goal": ONE}],
+        "sink": [{"sink": ONE}],
+    }
+    values = max_reach_values(mdp, {"goal"})
+    assert values == lp_max_reach_values(mdp, {"goal"})
+    assert values["s"] == F(3, 4) and values["t"] == F(7, 8)
 
 
 def test_no_simplex_in_mdp_evaluation(monkeypatch, fig1):
