@@ -226,14 +226,10 @@ def _reach_si(p: Problem) -> Solve:
     if p.tb is None:
         return _improvement(ReachSIRunner(p.game, p.chosen).run(p.max_iters))
     runner = TurnBasedReachRunner(p.tb, p.chosen).run(p.max_iters)
-    # Turn-based reports name the pure strategy's successor edges and, to
-    # keep their bytes, print no trace.
+    # Turn-based reports also name the pure strategy's successor edges.
     frozen = runner.target | runner.w2
     pure = {s: runner.picks[s] for s in sorted(runner.picks) if s not in frozen}
-    return Solve(
-        runner.status, runner.values, runner.iterations, runner.selector, runner.values,
-        after={"pure_strategy": pure},
-    )
+    return _improvement(runner, after={"pure_strategy": pure})
 
 
 def _safety_si(p: Problem) -> Solve:
@@ -248,7 +244,7 @@ def _k_uniform(p: Problem) -> Solve:
     runner = SafetySIRunner(p.game, p.chosen, p.k).run(p.max_iters)
     return Solve(
         STATUS_EXACT if runner.optimal else STATUS_CAPPED, runner.values, runner.iterations,
-        runner.selector, runner.values,
+        runner.selector, runner.values, runner.valuations,
         before={"k": runner.k}, after={"nonlocal_step_fired": runner.fired_nonlocal},
     )
 
@@ -438,6 +434,8 @@ def _render_text(report: dict) -> str:
             lines.append(f"  [{i}] {cells}")
     if "verified" in report:
         lines.append(f"verify: {'ok' if report['verified'] else 'FAILED'}")
+    elif "verify_note" in report:
+        lines.append(f"verify: {report['verify_note']}")
     return "\n".join(lines) + "\n"
 
 

@@ -141,19 +141,19 @@ class MatrixSolution:
 def _solve_lp_game(matrix: MatrixGame) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """The value, an optimal row strategy and an optimal column strategy.
 
-    Variables: x_0..x_{m-1}, g+, g-; maximize g = g+ - g- subject to one
-    ``>=`` row per column and ``sum x = 1``.  Every row is that of the
-    ``Fraction`` payoff times ``scale``, so the rows are the integer cells
-    and the pivots, the point and the value are those of the ``Fraction``
-    program.  The column LP is this program's dual: the shadow price of
-    column ``b``'s row is ``-y_b / scale``.
+    Variables: x_0..x_{m-1}, g+, g-; the simplex maximizes g = g+ - g-
+    subject to one ``>=`` row per column and ``sum x = 1``.  Every row is
+    that of the ``Fraction`` payoff times ``scale``, so the rows are the
+    integer cells and the pivots, the point and the value are those of the
+    ``Fraction`` program.  The column LP is this program's dual: the shadow
+    price of column ``b``'s row is ``-y_b / scale``.
     """
     scale, m, n = matrix.scale, len(matrix.rows), len(matrix.cols)
     rows = [list(column) + [-scale, scale] for column in zip(*matrix.cells)]
     rows.append([scale] * m + [0, 0])
     senses = [GEQ] * n + [EQ]
     rhs = [0] * n + [scale]
-    value, point, duals = solve_lp([0] * m + [1, -1], rows, senses, rhs, maximize=True)
+    value, point, duals = solve_lp([0] * m + [1, -1], rows, senses, rhs)
     return value, point[:m], [-scale * y for y in duals[:n]]
 
 
@@ -660,7 +660,7 @@ def _feasible_unrestricted(
         if not (min(column) <= goal <= max(column) if j in b_set else max(column) > goal):
             return None
     try:
-        slack, point, _ = solve_lp(*_slack_program(matrix, target, A, B), maximize=True)
+        slack, point, _ = solve_lp(*_slack_program(matrix, target, A, B))
     except LPInfeasible:
         return None
     if slack <= 0:
@@ -672,10 +672,10 @@ def _slack_program(
     matrix: MatrixGame, target: Fraction, A: tuple[int, ...], B: tuple[int, ...]
 ) -> tuple[list[int], list[list[int]], list[str], list[int]]:
     """The objective, rows, senses and right-hand sides of the slack LP
-    over the probabilities ``x_a`` on ``A`` and the slack ``t``: maximize
-    ``t`` subject to ``x_a - t >= 0``, ``sum x = 1`` and, per column ``j``,
-    ``sum_a M[a][j] x_a`` equal to ``target`` for ``j`` in ``B`` and at
-    least ``target + t`` elsewhere.
+    over the probabilities ``x_a`` on ``A`` and the slack ``t``: the simplex
+    maximizes ``t`` subject to ``x_a - t >= 0``, ``sum x = 1`` and, per
+    column ``j``, ``sum_a M[a][j] x_a`` equal to ``target`` for ``j`` in
+    ``B`` and at least ``target + t`` elsewhere.
 
     Each row and its right-hand side are those of the program over the
     ``Fraction`` payoff times ``unit``, the scale times the target's

@@ -9,13 +9,15 @@ strategy enumeration for small games, the saddle points of a matrix
 game by inspection, the dyadic rounding of a witness and a state's
 one-step matrix of expected values, both in `Fraction` arithmetic.
 None of it shares code with the solver paths it checks, with seven deliberate
-exceptions.  Two are on the package's integer simplex: the reachability
-linear program for MDP values, so comparing it with `mdp.max_reach_values`
-(policy iteration, no LP) cross-checks the integer simplex against policy
-iteration; and the two LPs of the one-step layer with their rows over the
-`Fraction` payoff (`fraction_game_lp`, `fraction_slack_lp`), the
-references for the integer rows `matrix` builds, the slack LP also for the
-closed forms, pruning and pre-filter of `matrix.optimal_pairs`.  The third is
+exceptions.  Two are on the package's integer simplex, through
+`integer_lp`, which scales a rational program to the integer one it
+takes: the reachability linear program for MDP values, so comparing it
+with `mdp.max_reach_values` (policy iteration, no LP) cross-checks the
+integer simplex against policy iteration; and the two LPs of the
+one-step layer with their rows over the `Fraction` payoff
+(`fraction_game_lp`, `fraction_slack_lp`), the references for the integer
+rows `matrix` builds, the slack LP also for the closed forms, pruning and
+pre-filter of `matrix.optimal_pairs`.  The third is
 `EncodedTurnBasedReach`, the concurrent reachability improvement run on a
 turn-based game's encoding, the reference for the graph runner that
 replaced it.  The fourth is `ColdConvergentSafety`, the convergent safety
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from congame.linprog import EQ, GEQ, LPInfeasible as SimplexInfeasible, solve_lp
 from congame.matrix import MatrixGame, pre1
@@ -256,28 +259,47 @@ def saddle_kind(payoff):
     return "strict" if "strict" in kinds else "weak" if kinds else "none"
 
 
+def integer_lp(objective, rows, senses, rhs):
+    """`congame.linprog.solve_lp` on a program over rationals: every row and
+    right-hand side is multiplied by one positive factor and the objective
+    by another, the lcms of their denominators.  One factor for all rows
+    keeps Bland's pivots (phase 1 sums the artificials, which a factor per
+    row would weight), so the point is the rational program's; the value
+    is divided back and the shadow prices rescaled."""
+    row_scale = lcm(*(x.denominator for row in [rhs, *rows] for x in row))
+    obj_scale = lcm(*(c.denominator for c in objective))
+    value, point, duals = solve_lp(
+        [int(c * obj_scale) for c in objective],
+        [[int(x * row_scale) for x in row] for row in rows],
+        senses,
+        [int(b * row_scale) for b in rhs],
+    )
+    prices = [None if y is None else y * row_scale / obj_scale for y in duals]
+    return value / obj_scale, point, prices
+
+
 def fraction_game_lp(payoff):
     """The matrix-game LP of ``matrix._solve_lp_game`` with its rows over
-    the `Fraction` payoff, on the package's simplex: maximize g = g+ - g-
-    with x^T M >= g in every column and sum x = 1.  Returns the value, the
-    row strategy and the column strategy, the negated dual prices of the
-    column rows."""
+    the `Fraction` payoff, on the package's simplex (`integer_lp`): maximize
+    g = g+ - g- with x^T M >= g in every column and sum x = 1.  Returns the
+    value, the row strategy and the column strategy, the negated dual prices
+    of the column rows."""
     m, n = len(payoff), len(payoff[0])
     rows = [[payoff[a][b] for a in range(m)] + [-ONE, ONE] for b in range(n)]
     rows.append([ONE] * m + [ZERO, ZERO])
-    value, point, duals = solve_lp(
-        [ZERO] * m + [ONE, -ONE], rows, [GEQ] * n + [EQ], [ZERO] * n + [ONE], maximize=True
+    value, point, duals = integer_lp(
+        [ZERO] * m + [ONE, -ONE], rows, [GEQ] * n + [EQ], [ZERO] * n + [ONE]
     )
     return value, point[:m], [-y for y in duals[:n]]
 
 
 def fraction_slack_lp(payoff, target, A, B):
     """The slack LP of the support pair (rows ``A``, columns ``B``) with its
-    rows over the `Fraction` payoff, on the package's simplex: maximize a
-    shared slack ``t`` below every probability on ``A`` and above every
-    column outside ``B``, with the columns in ``B`` held at ``target``.
-    Returns the optimal slack and the probabilities on ``A``, or None when
-    the LP is infeasible."""
+    rows over the `Fraction` payoff, on the package's simplex
+    (`integer_lp`): maximize a shared slack ``t`` below every probability
+    on ``A`` and above every column outside ``B``, with the columns in
+    ``B`` held at ``target``.  Returns the optimal slack and the
+    probabilities on ``A``, or None when the LP is infeasible."""
     n = len(A) + 1
     rows, senses, rhs = [], [], []
     for i in range(len(A)):
@@ -294,7 +316,7 @@ def fraction_slack_lp(payoff, target, A, B):
         senses.append(EQ if j in B else GEQ)
         rhs.append(target)
     try:
-        slack, point, _ = solve_lp([ZERO] * len(A) + [ONE], rows, senses, rhs, maximize=True)
+        slack, point, _ = integer_lp([ZERO] * len(A) + [ONE], rows, senses, rhs)
     except SimplexInfeasible:
         return None
     return slack, tuple(point[: len(A)])
@@ -688,8 +710,9 @@ def reference_trap(mdp, done):
 
 def lp_max_reach_values(mdp, targets):
     """Maximal reachability probabilities as the least solution of the
-    reachability linear program: minimize the sum of the x_s subject to
-    x_s >= sum_t P(s, b, t) x_t for every action b.  States with no path to
+    reachability linear program: minimize the sum of the x_s (maximize its
+    negation, by `integer_lp`) subject to x_s >= sum_t P(s, b, t) x_t for
+    every action b.  States with no path to
     the target are fixed to zero first, which keeps the optimum unique."""
     targets = set(targets) & set(mdp)
     pred = {s: set() for s in mdp}
@@ -731,7 +754,7 @@ def lp_max_reach_values(mdp, targets):
                     shift += p * values[t]
             rows.append(row)
             rhs.append(shift)
-    _, point, _ = solve_lp([ONE] * len(free), rows, [GEQ] * len(rows), rhs, maximize=False)
+    _, point, _ = integer_lp([-ONE] * len(free), rows, [GEQ] * len(rows), rhs)
     for s, i in col.items():
         values[s] = point[i]
     return values

@@ -859,3 +859,29 @@ def test_every_solve_loop_is_runner_run(capsys, example_dir, monkeypatch, name):
             )
             assert code in (0, 2) and err == ""
             assert calls, (name, example, objective)
+
+
+@pytest.mark.parametrize("name", list(congame.cli.ALGORITHMS))
+def test_every_solve_honours_trace_and_verify(capsys, example_dir, name):
+    # On every kind of objective it takes (fig2 as a turn-based game too),
+    # an algorithm's --trace report ends its trace at the exact values, and
+    # its --verify text report has a verify: line, witness or none.  The
+    # certify report stands on its bracket and prints no trace.
+    kind = congame.cli.ALGORITHMS[name].kind
+    for objective_kind in ("reach", "safe") if kind is None else (kind,):
+        for example, objective in RUNNER_SOLVES[objective_kind]:
+            argv = [
+                "solve", str(example_dir / f"{example}.game"),
+                "--objective", objective, "--algorithm", name, "--max-iters", "3",
+            ]
+            code, out, err = run_cli(capsys, *argv, "--trace", "--format", "json")
+            assert code in (0, 2) and err == ""
+            report = json.loads(out)
+            if name == "certify":
+                assert "trace" not in report and "bracket" in report
+            else:
+                exact = {s: cell["exact"] for s, cell in report["values"].items()}
+                assert report["trace"][-1] == exact, (name, example, objective)
+            code, out, err = run_cli(capsys, *argv, "--verify", "--format", "text")
+            assert code in (0, 2) and err == ""
+            assert any(line.startswith("verify: ") for line in out.splitlines()), (name, example)

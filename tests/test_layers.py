@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import json
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import congame
 import congame.cli
+import congame.linprog
 import congame.matrix
 from congame.gamefile import serialize_game
 from congame.matrix import MatrixGame
@@ -128,9 +130,9 @@ def test_one_step_lps_have_integer_rows(capsys, tmp_path, monkeypatch):
     programs = []
     solve_lp = congame.matrix.solve_lp
 
-    def recording(objective, rows, senses, rhs, maximize=False):
+    def recording(objective, rows, senses, rhs):
         programs.append((objective, rows, rhs))
-        return solve_lp(objective, rows, senses, rhs, maximize)
+        return solve_lp(objective, rows, senses, rhs)
 
     monkeypatch.setattr(congame.matrix, "solve_lp", recording)
     argv = ["solve", str(game), "--objective", "safe:not-q0", "--algorithm", "safety-si"]
@@ -142,6 +144,23 @@ def test_one_step_lps_have_integer_rows(capsys, tmp_path, monkeypatch):
     for objective, rows, rhs in programs:
         numbers = [*objective, *rhs, *(x for row in rows for x in row)]
         assert all(type(x) is int for x in numbers)
+
+
+def test_simplex_takes_one_program_form():
+    # The simplex maximizes over integer >= and == rows, the one form the
+    # one-step layer builds: no objective flag, no <= sense, and no lcm
+    # set-up for rational input.
+    assert list(inspect.signature(congame.linprog.solve_lp).parameters) == [
+        "objective", "rows", "senses", "rhs",
+    ]
+    assert not hasattr(congame.linprog, "LEQ")
+    modules = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(SOURCES["linprog"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "math" not in modules
 
 
 def test_matrix_private_names_stay_in_matrix():

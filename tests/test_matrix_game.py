@@ -502,7 +502,7 @@ def test_integer_lps_are_the_fraction_lps():
         for A in _nonempty_subsets(range(m))[m:]:
             for B in _nonempty_subsets(range(n)):
                 try:
-                    slack, point, _ = solve_lp(*_slack_program(matrix, value, A, B), maximize=True)
+                    slack, point, _ = solve_lp(*_slack_program(matrix, value, A, B))
                     got = slack, tuple(point[: len(A)])
                 except LPInfeasible:
                     got = None
